@@ -43,10 +43,6 @@ __all__ = [
     "trace_A_squared",
 ]
 
-# Internal tolerance for closed-form identities; all block entries are
-# small-integer rationals, so 1e-10 is loose.
-ATOL = 1e-10
-
 
 class DegenerateGroupError(DesignError):
     """A group has all observations on one side of the instrument."""

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 estimate   point estimate plus inference report for one estimator and spec
-robust-ci  identification-robust confidence set by test inversion
+robust-ci  identification-robust confidence set with exact endpoints
 simulate   run the bias and size experiment grids from a JSON config
 audit      group-size audit and design summary for a dataset
 
@@ -452,7 +452,14 @@ def cmd_robust_ci(
     min_inactive: int = 2,
     binarize=(),
 ) -> dict:
-    """Invert the identification-robust test over a grid of effect values."""
+    """Identification-robust confidence set for the effect, with exact endpoints.
+
+    ``grid`` (``{"low", "high", "step"}``) is the reporting window the exact
+    set is clipped to; ``step`` is kept only for compatibility and does not
+    change the set.  The ``robust_ci`` block of the report carries
+    ``intervals``, ``unbounded_within_grid``, ``unbounded`` (the exact set
+    extends to infinity), ``grid`` and ``alpha``.
+    """
     _check_alpha(alpha)
     prep = _prepare(csv_path, schema, min_active, min_inactive, binarize)
     result = robust_ci(
@@ -729,7 +736,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     est.set_defaults(handler=_handle_estimate)
 
-    rci = sub.add_parser("robust-ci", help="test-inversion confidence set")
+    rci = sub.add_parser(
+        "robust-ci", help="identification-robust confidence set, exact endpoints"
+    )
     _add_data_flags(rci, with_outcome=True)
     rci.add_argument("--alpha", type=float, default=0.05)
     rci.add_argument("--grid-low", type=float, default=None, dest="grid_low")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polymul, polyval
 from scipy.stats import norm
 
 from .blockops import (
@@ -29,6 +30,7 @@ from .blockops import (
 )
 from .design import DesignError, Sample, SaturatedDesign
 from .estimators import (
+    DENOMINATOR_RTOL,
     EstimationError,
     WeakDenominatorError,
     estimate_sive,
@@ -48,8 +50,6 @@ __all__ = [
     "chao_variance",
     "sive_report",
 ]
-
-DENOMINATOR_RTOL = 1e-12
 
 
 class NonpositiveVarianceError(EstimationError):
@@ -136,6 +136,22 @@ def _check_lengths(design: SaturatedDesign, Y, T) -> tuple[np.ndarray, np.ndarra
     return Y, T
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+
+
+def _require_identified(t_a_t: float, T: np.ndarray) -> None:
+    if abs(t_a_t) <= DENOMINATOR_RTOL * float(T @ T):
+        raise WeakDenominatorError(
+            "T'AT is numerically zero; use the identification-robust test"
+        )
+
+
+def _critical_value(alpha: float, two_sided: bool) -> float:
+    return float(norm.ppf(1.0 - alpha / 2.0 if two_sided else 1.0 - alpha))
+
+
 def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     """Variance estimate for the saturated jackknife estimator at ``beta``.
 
@@ -146,10 +162,7 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     """
     Y, T = _check_lengths(design, Y, T)
     _, var, t_a_t = _score_and_variance(design, Y, T, beta)
-    if abs(t_a_t) <= DENOMINATOR_RTOL * float(T @ T):
-        raise WeakDenominatorError(
-            "T'AT is numerically zero; use the identification-robust test"
-        )
+    _require_identified(t_a_t, T)
     return var / t_a_t**2
 
 
@@ -158,6 +171,7 @@ def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) 
 
     Returns ``{"t", "reject", "p"}``.
     """
+    _check_alpha(alpha)
     if not variance > 0.0:
         raise NonpositiveVarianceError(
             f"variance estimate {variance} is not positive; "
@@ -172,12 +186,13 @@ def confidence_interval(
     beta_hat: float, variance: float, alpha: float = 0.05
 ) -> tuple[float, float]:
     """Symmetric two-sided interval ``beta_hat +/- z_{1-alpha/2} sqrt(variance)``."""
+    _check_alpha(alpha)
     if not variance > 0.0:
         raise NonpositiveVarianceError(
             f"variance estimate {variance} is not positive; "
             "use the identification-robust test (robust_test / robust_ci)"
         )
-    half = float(norm.ppf(1.0 - alpha / 2.0)) * float(np.sqrt(variance))
+    half = _critical_value(alpha, two_sided=True) * float(np.sqrt(variance))
     return beta_hat - half, beta_hat + half
 
 
@@ -196,17 +211,106 @@ def robust_test(
     variance estimate yields a non-rejection (conservative).  Returns
     ``{"score", "variance_at_beta0", "reject"}``.
     """
+    _check_alpha(alpha)
     Y, T = _check_lengths(design, Y, T)
     score, var, _ = _score_and_variance(design, Y, T, beta0)
     if var > 0.0:
         stat = score / np.sqrt(var)
-        if two_sided:
-            reject = abs(stat) > float(norm.ppf(1.0 - alpha / 2.0))
-        else:
-            reject = stat > float(norm.ppf(1.0 - alpha))
+        crit = _critical_value(alpha, two_sided)
+        reject = abs(stat) > crit if two_sided else stat > crit
     else:
         reject = False
     return {"score": score, "variance_at_beta0": var, "reject": bool(reject)}
+
+
+def _robust_polynomials(
+    design: SaturatedDesign, Y: np.ndarray, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, lowest degree first, of the score and its variance in beta0.
+
+    With ``a = AT`` and ``b = AY`` the score is ``S = a'Y - beta0 a'T``.  The
+    moment estimates are linear in the products of demeaned vectors, so at the
+    residual ``Y - T beta0`` they expand in ``s_uu, s_ee, s_eu`` from
+    ``hartley_sigma(design, T, Y)``, and the variance is the quadratic
+    ``V = v0 + v1 beta0 + v2 beta0^2`` with ``v0 = s_uu.b^2 + s_ee.a^2 +
+    2 s_eu.ab``, ``v1 = -4 (s_uu.ab + s_eu.a^2)`` and ``v2 = 4 s_uu.a^2``.
+    """
+    sig = hartley_sigma(design, T, Y)
+    a = apply_A(design, T)
+    b = apply_A(design, Y)
+    aa, ab = a * a, a * b
+    score = np.array([float(a @ Y), -float(a @ T)])
+    variance = np.array(
+        [
+            float(sig.sigma_u2 @ (b * b) + sig.sigma_v2 @ aa + 2.0 * (sig.sigma_uv @ ab)),
+            -4.0 * float(sig.sigma_u2 @ ab + sig.sigma_uv @ aa),
+            4.0 * float(sig.sigma_u2 @ aa),
+        ]
+    )
+    return score, variance
+
+
+def _real_roots(c: np.ndarray) -> list[float]:
+    """Real roots of ``c[0] + c[1] x + c[2] x^2`` without cancellation.
+
+    A zero leading coefficient leaves the linear root, if any; a polynomial
+    that is identically zero has no isolated roots.
+    """
+    c0, c1, c2 = (float(v) for v in c)
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+    if q == 0.0:
+        return [0.0]
+    return [q / c2, c0 / q]
+
+
+def _robust_set(
+    design: SaturatedDesign, Y: np.ndarray, T: np.ndarray, crit: float, two_sided: bool
+) -> list[tuple[float, float]]:
+    """Exact set of beta0 that the robust test does not reject, as closed intervals.
+
+    The test accepts where ``V <= 0`` or ``Q = S^2 - crit^2 V <= 0``, and the
+    one-sided test also where ``S <= 0``.  Every breakpoint (a real root of V
+    or Q, or the zero ``a'Y / a'T`` of S) is itself accepted, and membership
+    is constant between breakpoints, so one probe per gap and per ray
+    decides the rest.  Endpoints may be infinite.
+    """
+    score, variance = _robust_polynomials(design, Y, T)
+    q = polymul(score, score) - crit**2 * variance
+    points = _real_roots(variance) + _real_roots(q)
+    if score[1] != 0.0:
+        points.append(-score[0] / score[1])
+    points = sorted({p for p in points if np.isfinite(p)})
+
+    def accepted(beta: float) -> bool:
+        return bool(
+            polyval(beta, variance) <= 0.0
+            or polyval(beta, q) <= 0.0
+            or (not two_sided and polyval(beta, score) <= 0.0)
+        )
+
+    if not points:
+        return [(-np.inf, np.inf)] if accepted(0.0) else []
+    # Pieces in order: left ray, first point, first gap, ..., last point, right ray.
+    pieces = [(-np.inf, points[0], accepted(points[0] - 1.0 - abs(points[0])))]
+    for left, right in zip(points, points[1:]):
+        pieces += [(left, left, True), (left, right, accepted(0.5 * (left + right)))]
+    last = points[-1]
+    pieces += [(last, last, True), (last, np.inf, accepted(last + 1.0 + abs(last)))]
+
+    intervals: list[tuple[float, float]] = []
+    for lo, hi, ok in pieces:
+        if not ok:
+            continue
+        if intervals and intervals[-1][1] == lo:
+            intervals[-1] = (intervals[-1][0], hi)
+        else:
+            intervals.append((lo, hi))
+    return intervals
 
 
 def robust_ci(
@@ -217,15 +321,25 @@ def robust_ci(
     alpha: float = 0.05,
     two_sided: bool = True,
 ) -> dict:
-    """Confidence set by inverting the identification-robust test on a grid.
+    """Identification-robust confidence set with exact endpoints.
 
-    ``grid`` is ``{"low", "high", "step"}``; ``step`` defaults to the range
-    divided by 400.  Without a grid, the range defaults to the point estimate
+    The set of hypothesized values the robust test does not reject is solved
+    in closed form: the score is linear and its variance estimate exactly
+    quadratic in beta0, so the endpoints are roots of two quadratics, found
+    from one pass of the operators.  The set can be bounded, a union of two
+    rays, the whole line or empty.  ``unbounded`` flags an exact set that
+    extends to infinity.
+
+    ``grid`` is the reporting window ``{"low", "high", "step"}``: the exact
+    set is clipped to ``[low, high]``, and ``unbounded_within_grid`` flags
+    acceptance at either window edge.  ``step`` no longer affects the set; it
+    is validated and echoed (default: the range divided by 400) only for
+    compatibility.  Without a grid, the window defaults to the point estimate
     plus/minus 10 standard errors, which requires the standard variance to
-    exist.  The result lists maximal contiguous non-rejected intervals, which
-    may be empty or disjoint; ``unbounded_within_grid`` flags acceptance at
-    either grid edge.
+    exist.  The result lists the maximal intervals of the clipped set, which
+    may be empty, disjoint or single points.
     """
+    _check_alpha(alpha)
     Y, T = _check_lengths(design, Y, T)
     if grid is None:
         beta_hat = estimate_sive(design, Sample(Y, T))
@@ -244,28 +358,19 @@ def robust_ci(
     step = float(grid.get("step") or (high - low) / 400.0)
     if step <= 0.0:
         raise ValueError("grid step must be positive")
-    points = low + step * np.arange(int(np.floor((high - low) / step)) + 1)
 
-    accepted = np.empty(points.size, dtype=bool)
-    for j, beta0 in enumerate(points):
-        accepted[j] = not robust_test(
-            design, Y, T, float(beta0), alpha=alpha, two_sided=two_sided
-        )["reject"]
-
-    intervals = []
-    start = None
-    for j, ok in enumerate(accepted):
-        if ok and start is None:
-            start = j
-        elif not ok and start is not None:
-            intervals.append((float(points[start]), float(points[j - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(points[start]), float(points[-1])))
-
+    exact = _robust_set(design, Y, T, _critical_value(alpha, two_sided), two_sided)
+    intervals = [
+        (float(max(lo, low)), float(min(hi, high)))
+        for lo, hi in exact
+        if lo <= high and hi >= low
+    ]
     return {
         "intervals": intervals,
-        "unbounded_within_grid": bool(accepted[0] or accepted[-1]),
+        "unbounded_within_grid": bool(
+            intervals and (intervals[0][0] == low or intervals[-1][1] == high)
+        ),
+        "unbounded": bool(exact and (exact[0][0] == -np.inf or exact[-1][1] == np.inf)),
         "grid": {"low": low, "high": high, "step": step},
         "alpha": alpha,
     }
@@ -302,10 +407,7 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     d1 = apply_MM_inv_W(design, eps * eps)
     a_t = apply_A(design, T)
     t_a_t = float(a_t @ T)
-    if abs(t_a_t) <= DENOMINATOR_RTOL * float(T @ T):
-        raise WeakDenominatorError(
-            "T'AT is numerically zero; use the identification-robust test"
-        )
+    _require_identified(t_a_t, T)
     term1 = float(d1 @ (a_t * a_t))
     w = apply_MM_inv_W(design, eps * u)
     term2 = float(w @ _hadamard_A_apply(design, w))

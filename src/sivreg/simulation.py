@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
+from scipy.stats import binom, norm
 
 from .design import (
     DesignError,
@@ -60,9 +61,6 @@ __all__ = [
 # Propensity clamp: the cubic is only guaranteed inside (0,1) for part of the
 # unit interval, so Bernoulli draws use probabilities in [CLAMP, 1-CLAMP].
 CLAMP = 0.01
-# Large-sample standard error of a sample median is sqrt(pi/2) times that of
-# the mean under normality; used for the mc_se column of bias tables.
-MEDIAN_SE_FACTOR = math.sqrt(math.pi / 2.0)
 
 SUMMARY_COLUMNS = (
     "experiment",
@@ -264,6 +262,20 @@ def _cell_configs(config: SimConfig, L_values, p1_values):
             yield dataclasses.replace(config, L=int(L), p1=float(p1))
 
 
+def _median_se(errors: list) -> float:
+    """Standard error of the median from its distribution-free 95% interval.
+
+    The interval runs from the order statistic x_(l) to x_(n+1-l), where l is
+    the 2.5% quantile of Binomial(n, 1/2) (and n+1-l one above the 97.5%
+    quantile).  Its half-width over z_0.975 stays valid for heavy-tailed
+    errors, where a normal-theory sd/sqrt(n) formula is driven by the tails.
+    """
+    x = np.sort(np.asarray(errors, dtype=np.float64))
+    lower = max(int(binom.ppf(0.025, x.size, 0.5)) - 1, 0)
+    upper = x.size - 1 - lower
+    return float(x[upper] - x[lower]) / (2.0 * float(norm.ppf(0.975)))
+
+
 def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> list:
     base = {
         "experiment": "bias",
@@ -276,11 +288,7 @@ def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> l
     used = len(errors)
     if used:
         med = float(np.median(errors))
-        se = (
-            MEDIAN_SE_FACTOR * float(np.std(errors, ddof=1)) / math.sqrt(used)
-            if used > 1
-            else None
-        )
+        se = _median_se(errors) if used > 1 else None
     else:
         med, se = None, None
     rows.append(

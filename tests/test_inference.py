@@ -266,3 +266,102 @@ def test_report_fields_round_trip():
     lo, hi = confidence_interval(report.beta_hat, report.variance)
     assert abs(payload["ci_low"] - lo) < 1e-12
     assert abs(payload["ci_high"] - hi) < 1e-12
+
+
+def weak_or_strong_sample(rng, design, pi):
+    """Endogenous treatment with first-stage strength ``pi`` (0 = unidentified)."""
+    z = design.instrument.astype(float)
+    u = rng.standard_normal(design.n)
+    T = pi * z + u
+    Y = 0.5 * T + 0.6 * u + rng.standard_normal(design.n)
+    return Y, T
+
+
+def set_shape(res):
+    intervals, low, high = res["intervals"], res["grid"]["low"], res["grid"]["high"]
+    if not intervals:
+        return "empty"
+    if not res["unbounded"]:
+        return "bounded"
+    left, right = intervals[0][0] == low, intervals[-1][1] == high
+    if left and right:
+        return "line" if len(intervals) == 1 else "two rays"
+    return "ray"
+
+
+def test_robust_ci_agrees_with_grid_inversion():
+    # The grid inversion that robust_ci replaced, kept as the reference: the
+    # exact set must agree with the per-point test away from its endpoints.
+    rng = np.random.default_rng(40)
+    probes = np.linspace(-10.0, 10.0, 41)
+    window = {"low": -20.0, "high": 20.0, "step": 1.0}
+    shapes = set()
+    for rep in range(15):
+        d = random_design(rng, G=3, size_range=(10, 20))
+        Y, T = weak_or_strong_sample(rng, d, pi=(0.0, 0.2, 1.0)[rep % 3])
+        for two_sided in (True, False):
+            res = robust_ci(d, Y, T, grid=window, two_sided=two_sided)
+            shapes.add(set_shape(res))
+            ends = [e for iv in res["intervals"] for e in iv if abs(e) < 20.0]
+            for b in probes:
+                if any(abs(b - e) <= 1e-8 for e in ends):
+                    continue
+                inside = any(lo <= b <= hi for lo, hi in res["intervals"])
+                test = robust_test(d, Y, T, float(b), two_sided=two_sided)
+                assert inside == (not test["reject"]), (rep, two_sided, b, res)
+    assert shapes >= {"bounded", "ray", "line", "two rays"}
+
+
+def test_robust_polynomials_are_exact():
+    from sivreg.inference import _robust_polynomials, _score_and_variance
+
+    rng = np.random.default_rng(41)
+    for pi in (0.0, 1.0):
+        d = random_design(rng, G=4, size_range=(5, 12))
+        Y, T = weak_or_strong_sample(rng, d, pi)
+        score, variance = _robust_polynomials(d, Y, T)
+        for beta in (-50.0, -1.0, 0.0, 0.3, 2.0, 1000.0):
+            s, v, _ = _score_and_variance(d, Y, T, beta)
+            assert abs(score[0] + score[1] * beta - s) <= 1e-10 * abs(s)
+            v_poly = np.polynomial.polynomial.polyval(beta, variance)
+            assert abs(v_poly - v) <= 1e-10 * abs(v)
+
+
+def test_robust_ci_always_accepts_point_estimate():
+    rng = np.random.default_rng(42)
+    for rep in range(12):
+        d = random_design(rng, G=3, size_range=(6, 14))
+        Y, T = weak_or_strong_sample(rng, d, pi=(0.0, 0.2, 1.0)[rep % 3])
+        beta = estimate_sive(d, Sample(Y, T))
+        window = {"low": beta - 1.0, "high": beta + 1.0}
+        for two_sided in (True, False):
+            res = robust_ci(d, Y, T, grid=window, two_sided=two_sided)
+            assert any(lo <= beta <= hi for lo, hi in res["intervals"])
+
+
+def test_robust_ci_noiseless_window_contains_truth_off_grid():
+    # T varies within cells, so the variance is positive away from the truth
+    # and the set shrinks to the single point beta = 2, which is not a grid
+    # point of this window.
+    rng = np.random.default_rng(43)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    T = 3.0 * d.instrument + rng.standard_normal(d.n)
+    res = robust_ci(d, 2.0 * T, T, grid={"low": 1.3, "high": 2.9, "step": 0.5})
+    assert res["intervals"] == [(2.0, 2.0)]
+    assert res["unbounded"] is False
+    assert res["grid"]["step"] == 0.5
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_alpha_must_lie_inside_unit_interval(alpha):
+    rng = np.random.default_rng(44)
+    d = random_design(rng, G=3, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    with pytest.raises(ValueError, match="alpha"):
+        t_test(1.0, 1.0, 0.0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        confidence_interval(0.0, 1.0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        robust_test(d, s.outcome, s.treatment, 1.0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        robust_ci(d, s.outcome, s.treatment, grid={"low": 0.0, "high": 2.0}, alpha=alpha)

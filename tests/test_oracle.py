@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from sivreg import (
     EstimatorKind,
@@ -19,6 +20,7 @@ from sivreg import (
     oracle_sigma,
     oracle_variance,
     projection_diag_P,
+    robust_ci,
     sive_variance,
     trace_A_squared,
 )
@@ -149,3 +151,33 @@ def test_oracle_is_unguarded_where_fast_path_raises():
     assert isinstance(value, float)
     with pytest.raises(Exception, match="robust"):
         estimate_sive(d, Sample(np.arange(6.0), T))
+
+
+def test_robust_ci_endpoints_match_dense_score_test():
+    # Exact endpoints: the dense score test accepts just inside each finite
+    # endpoint and rejects just outside it.
+    crit = float(norm.ppf(0.975))
+    checked = 0
+    for seed, pi in ((60, 1.5), (61, 1.0)):
+        rng = np.random.default_rng(seed)
+        d = random_design(rng, G=3, size_range=(8, 12))
+        s = strong_sample(rng, d, tau=1.0, pi=pi)
+        Y, T = s.outcome, s.treatment
+        dense = assemble(d)
+        t_a_t = float(T @ dense.A @ T)
+
+        def accepts(beta):
+            score = float(T @ dense.A @ (Y - beta * T))
+            var = oracle_variance(dense, Y, T, beta) * t_a_t**2
+            return not var > 0.0 or abs(score) <= crit * np.sqrt(var)
+
+        res = robust_ci(d, Y, T, grid={"low": -1e3, "high": 1e3})
+        for lo, hi in res["intervals"]:
+            for end, inward in ((lo, 1.0), (hi, -1.0)):
+                if abs(end) == 1e3:
+                    continue
+                step = 1e-6 * max(1.0, abs(end))
+                assert accepts(end + inward * step)
+                assert not accepts(end - inward * step)
+                checked += 1
+    assert checked >= 2

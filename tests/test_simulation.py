@@ -8,6 +8,7 @@ import pytest
 from sivreg.simulation import (
     SUMMARY_COLUMNS,
     SimConfig,
+    _median_rows,
     generate_sample,
     halton,
     outcome_level,
@@ -247,3 +248,17 @@ def test_experiment_rows_are_reproducible():
     a = run_bias_experiment(cfg, L_values=[1], p1_values=[0.39])
     b = run_bias_experiment(cfg, L_values=[1], p1_values=[0.39])
     assert summarize(a)[0] == summarize(b)[0]
+
+
+def test_median_mc_se_tracks_spread_of_medians_under_heavy_tails():
+    # Cauchy errors: the median's seed-to-seed spread is about pi / (2 sqrt(n)),
+    # while a normal-theory sd / sqrt(n) formula is driven by the tails.
+    cell = SimConfig(n=200, replications=1)
+    medians, ses = [], []
+    for seed in range(300):
+        errors = np.random.default_rng(seed).standard_cauchy(201)
+        row = _median_rows(cell, "sive", list(errors), 201)[0]
+        medians.append(row["value"])
+        ses.append(row["mc_se"])
+    ratio = float(np.median(ses)) / float(np.std(medians, ddof=1))
+    assert 0.8 <= ratio <= 1.25
