@@ -13,24 +13,20 @@ Naming convention used throughout the package:
   diagonal).
 
 All of these are block diagonal over groups or cells, so every application
-below is O(n) using bincount reductions.  Dense n-by-n matrices exist only in
-the reference module.
+below is O(n): one cell sum, then per-cell coefficients gathered by cell id
+(``design.cell``).  Dense n-by-n matrices exist only in the reference module.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .design import DesignError, SaturatedDesign
 
 __all__ = [
-    "CellIndex",
     "DegenerateGroupError",
     "GroupSizeError",
     "SmallCellError",
-    "iter_cells",
     "cell_sizes",
     "projection_diag_P",
     "sive_diag_D",
@@ -56,47 +52,41 @@ class SmallCellError(DesignError):
     """A Hadamard-square block is singular because a cell (or group) has size <= 2."""
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    """One cell of the (group, instrument status) partition."""
-
-    group: int
-    status: int
-    size: int
-
-
-def iter_cells(design: SaturatedDesign) -> list[CellIndex]:
-    """Nonempty cells ordered by (group, status=1 first)."""
-    cells = []
-    for g in range(design.G):
-        m = int(design.treated_counts[g])
-        k = int(design.group_sizes[g]) - m
-        if m > 0:
-            cells.append(CellIndex(g, 1, m))
-        if k > 0:
-            cells.append(CellIndex(g, 0, k))
-    return cells
-
-
 def _check_vector(design: SaturatedDesign, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size != design.n:
-        raise ValueError(f"vector has shape {v.shape}, expected ({design.n},)")
+        raise DesignError(f"vector has shape {v.shape}, expected ({design.n},)")
     return v
 
 
-def _per_obs_counts(design: SaturatedDesign):
-    g = design.group_of
-    z = design.instrument.astype(bool)
-    n_g = design.group_sizes[g].astype(np.float64)
-    m_g = design.treated_counts[g].astype(np.float64)
-    return g, z, n_g, m_g
+def _cell_sum(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
+    """Sum of v over each cell, indexed by cell id (length 2G)."""
+    return np.bincount(design.cell, weights=v, minlength=2 * design.G)
+
+
+def _group_sum(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
+    return _cell_sum(design, v).reshape(-1, 2).sum(axis=1)
+
+
+def _per_cell(inactive, active) -> np.ndarray:
+    """Interleave per-group values into a per-cell array (length 2G)."""
+    return np.column_stack((inactive, active)).ravel()
+
+
+def _cell_counts(design: SaturatedDesign) -> np.ndarray:
+    m = design.treated_counts
+    return _per_cell(design.group_sizes - m, m)
+
+
+def _cell_means(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
+    """Mean of v over each cell; zero for an empty cell."""
+    k = _cell_counts(design)
+    return np.divide(_cell_sum(design, v), k, out=np.zeros(k.size), where=k > 0)
 
 
 def cell_sizes(design: SaturatedDesign) -> np.ndarray:
     """Size of each observation's own cell (m_g if active, n_g - m_g if not)."""
-    _, z, n_g, m_g = _per_obs_counts(design)
-    return np.where(z, m_g, n_g - m_g)
+    return _cell_counts(design)[design.cell]
 
 
 def _require_nondegenerate(design: SaturatedDesign) -> None:
@@ -129,8 +119,9 @@ def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
     ``(m_g/n_g) / (n_g - m_g)`` otherwise; the diagonal sums to G.
     """
     _require_nondegenerate(design)
-    _, z, n_g, m_g = _per_obs_counts(design)
-    return np.where(z, 1.0 / m_g - 1.0 / n_g, (m_g / n_g) / (n_g - m_g))
+    n = design.group_sizes.astype(np.float64)
+    m = design.treated_counts.astype(np.float64)
+    return _per_cell((m / n) / (n - m), 1.0 / m - 1.0 / n)[design.cell]
 
 
 def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
@@ -139,50 +130,38 @@ def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
     Requires m_g >= 2 and n_g - m_g >= 2 in every group.
     """
     _require_group_sizes(design)
-    _, z, n_g, m_g = _per_obs_counts(design)
-    active = (n_g - m_g) / (m_g - 1.0)
-    inactive = m_g / (n_g - m_g - 1.0)
-    return np.where(z, active, inactive) / n_g
+    n = design.group_sizes.astype(np.float64)
+    m = design.treated_counts.astype(np.float64)
+    k = n - m
+    return _per_cell(m / (k - 1.0) / n, k / (m - 1.0) / n)[design.cell]
 
 
 def apply_M_W(design: SaturatedDesign, v) -> np.ndarray:
     """Demean within each group (annihilate the group dummies)."""
     v = _check_vector(design, v)
-    g = design.group_of
-    means = np.bincount(g, weights=v, minlength=design.G) / design.group_sizes
-    return v - means[g]
+    means = _group_sum(design, v) / design.group_sizes
+    return v - means[design.group_of]
 
 
 def apply_M_WZ(design: SaturatedDesign, v) -> np.ndarray:
     """Demean within each cell (annihilate group dummies and interactions)."""
     v = _check_vector(design, v)
-    g, z, n_g, m_g = _per_obs_counts(design)
-    G = design.G
-    sum_act = np.bincount(g[z], weights=v[z], minlength=G)
-    sum_ina = np.bincount(g[~z], weights=v[~z], minlength=G)
-    m = design.treated_counts
-    k = design.group_sizes - m
-    mean_act = np.divide(sum_act, m, out=np.zeros(G), where=m > 0)
-    mean_ina = np.divide(sum_ina, k, out=np.zeros(G), where=k > 0)
-    return v - np.where(z, mean_act[g], mean_ina[g])
+    return v - _cell_means(design, v)[design.cell]
 
 
 def apply_P(design: SaturatedDesign, v) -> np.ndarray:
     """Apply P.
 
-    Within group g the image is ``c_g (z - (m_g/n_g))`` where z is the
-    instrument column and ``c_g`` the demeaned-instrument inner product with v
-    scaled by ``m_g (1 - m_g/n_g)``.
+    Within group g the image is ``c_g (z - m_g/n_g)``, where z is the
+    instrument column and ``c_g`` the difference of the active and inactive
+    cell means of v.
     """
     v = _check_vector(design, v)
     _require_nondegenerate(design)
-    g, z, n_g, m_g = _per_obs_counts(design)
-    G = design.G
+    means = _cell_means(design, v)
+    c = means[1::2] - means[0::2]
     share = design.treated_counts / design.group_sizes.astype(np.float64)
-    zsum = np.bincount(g[z], weights=v[z], minlength=G)
-    gsum = np.bincount(g, weights=v, minlength=G)
-    c = (zsum - share * gsum) / (design.treated_counts * (1.0 - share))
-    return c[g] * (z.astype(np.float64) - share[g])
+    return _per_cell(-c * share, c * (1.0 - share))[design.cell]
 
 
 def apply_A(design: SaturatedDesign, v) -> np.ndarray:
@@ -190,6 +169,21 @@ def apply_A(design: SaturatedDesign, v) -> np.ndarray:
     v = _check_vector(design, v)
     d = sive_diag_D(design)
     return apply_P(design, v) - apply_M_WZ(design, d * apply_M_WZ(design, v))
+
+
+def _apply_A_hadamard(design: SaturatedDesign, w: np.ndarray) -> np.ndarray:
+    """Apply the elementwise square of A.
+
+    In group g, ``A_ij`` is ``(n_g - c) / (n_g (c - 1))`` for two distinct
+    members of one cell of size c and ``-1 / n_g`` across the two cells.
+    """
+    n = design.group_sizes.astype(np.float64)
+    m = design.treated_counts.astype(np.float64)
+    k = n - m
+    own = _per_cell((m / (n * (k - 1.0))) ** 2, (k / (n * (m - 1.0))) ** 2)
+    s = _cell_sum(design, w)
+    c = design.cell
+    return own[c] * (s[c] - w) + (1.0 / n**2)[design.group_of] * s[c ^ 1]
 
 
 def apply_MM_inv(design: SaturatedDesign, v) -> np.ndarray:
@@ -201,22 +195,18 @@ def apply_MM_inv(design: SaturatedDesign, v) -> np.ndarray:
     raised (callers route those observations to the small-cell fallback).
     """
     v = _check_vector(design, v)
-    g, z, n_g, m_g = _per_obs_counts(design)
-    k = np.where(z, m_g, n_g - m_g)
-    small = k <= 2
-    if np.any(small & (v != 0.0)):
-        i = int(np.argmax(small & (v != 0.0)))
+    k = _cell_counts(design)
+    big = k > 2
+    touched = ~big[design.cell] & (v != 0.0)
+    if touched.any():
+        i = int(np.argmax(touched))
         raise SmallCellError(
-            f"cell (group {int(g[i])}, status {int(design.instrument[i])}) has size "
-            f"{int(k[i])} <= 2, so the Hadamard-square block is singular"
+            f"cell (group {int(design.group_of[i])}, status {int(design.instrument[i])}) "
+            f"has size {int(k[design.cell[i]])} <= 2, so the Hadamard-square block is singular"
         )
-    G = design.G
-    sum_act = np.bincount(g[z], weights=v[z], minlength=G)
-    sum_ina = np.bincount(g[~z], weights=v[~z], minlength=G)
-    csum = np.where(z, sum_act[g], sum_ina[g])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = k / (k - 2.0) * (v - csum / (k * (k - 1.0)))
-    return np.where(small, 0.0, out)
+    scale = np.divide(k, k - 2.0, out=np.zeros(k.size), where=big)
+    shift = np.divide(_cell_sum(design, v), k * (k - 1.0), out=np.zeros(k.size), where=big)
+    return scale[design.cell] * (v - shift[design.cell])
 
 
 def apply_MM_inv_W(design: SaturatedDesign, v) -> np.ndarray:
@@ -233,10 +223,11 @@ def apply_MM_inv_W(design: SaturatedDesign, v) -> np.ndarray:
             f"group {g} has size {int(design.group_sizes[g])} <= 2, so the "
             "Hadamard-square of M_W is singular"
         )
+    k = design.group_sizes.astype(np.float64)
+    scale = k / (k - 2.0)
+    shift = _group_sum(design, v) / (k * (k - 1.0))
     g = design.group_of
-    k = design.group_sizes[g].astype(np.float64)
-    gsum = np.bincount(g, weights=v, minlength=design.G)[g]
-    return k / (k - 2.0) * (v - gsum / (k * (k - 1.0)))
+    return scale[g] * (v - shift[g])
 
 
 def trace_A_squared(design: SaturatedDesign) -> float:

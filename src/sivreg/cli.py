@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .blockops import SmallCellError
 from .design import (
@@ -402,7 +402,7 @@ def cmd_estimate(
     else:
         beta, var = _generic_fit(spec, schema, prep)
         se = math.sqrt(var)
-        z = float(norm.ppf(1.0 - alpha / 2.0))
+        z = float(ndtri(1.0 - alpha / 2.0))
         report = InferenceReport(
             beta_hat=beta,
             variance=var,

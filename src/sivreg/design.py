@@ -10,6 +10,7 @@ the per-observation group index, the instrument flags and the per-group counts
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,9 @@ class SaturatedDesign:
         Number of instrument-active observations m_g in each group.
     group_keys : tuple or None
         Optional canonical covariate value per group, in group order.
+    cell : ndarray of int, shape (n,)
+        Cell id ``2 * group_of + instrument``: group g owns cells 2g
+        (instrument inactive) and 2g + 1 (active).
     """
 
     group_of: np.ndarray
@@ -108,6 +112,10 @@ class SaturatedDesign:
     @property
     def G(self) -> int:
         return self.group_sizes.size
+
+    @cached_property
+    def cell(self) -> np.ndarray:
+        return _readonly(2 * self.group_of + self.instrument)
 
     def to_json_dict(self) -> dict:
         """Serialize the design for audit trails."""

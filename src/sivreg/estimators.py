@@ -27,6 +27,8 @@ from .blockops import (
     apply_M_W,
     apply_P,
     projection_diag_P,
+    _cell_means,
+    _check_vector,
     _require_nondegenerate,
 )
 from .design import DesignError, Sample, SaturatedDesign
@@ -336,16 +338,8 @@ def first_stage_strength(
         raise ValueError("provide exactly one of pi or treatment")
     if pi is None:
         _require_nondegenerate(design)
-        treatment = np.asarray(treatment, dtype=np.float64)
-        if treatment.shape != (design.n,):
-            raise ValueError(f"treatment must have length n={design.n}")
-        g = design.group_of
-        z = design.instrument.astype(bool)
-        m = design.treated_counts
-        k = design.group_sizes - m
-        mean_act = np.bincount(g[z], weights=treatment[z], minlength=design.G) / m
-        mean_ina = np.bincount(g[~z], weights=treatment[~z], minlength=design.G) / k
-        pi = mean_act - mean_ina
+        means = _cell_means(design, _check_vector(design, treatment))
+        pi = means[1::2] - means[0::2]
     pi = _broadcast_group(pi, design.G, "pi")
     share = design.treated_counts / design.group_sizes.astype(np.float64)
     fs = float((design.group_sizes / design.n * pi**2 * share * (1.0 - share)).sum())

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polymul, polyval
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .blockops import (
+    _apply_A_hadamard,
+    _check_vector,
     apply_A,
     apply_M_WZ,
     apply_MM_inv,
@@ -128,14 +130,6 @@ def _score_and_variance(
     return score, var, float(a_t @ T)
 
 
-def _check_lengths(design: SaturatedDesign, Y, T) -> tuple[np.ndarray, np.ndarray]:
-    Y = np.asarray(Y, dtype=np.float64)
-    T = np.asarray(T, dtype=np.float64)
-    if Y.shape != (design.n,) or T.shape != (design.n,):
-        raise DesignError(f"Y and T must both have length n={design.n}")
-    return Y, T
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
@@ -149,7 +143,7 @@ def _require_identified(t_a_t: float, T: np.ndarray) -> None:
 
 
 def _critical_value(alpha: float, two_sided: bool) -> float:
-    return float(norm.ppf(1.0 - alpha / 2.0 if two_sided else 1.0 - alpha))
+    return float(ndtri(1.0 - alpha / 2.0 if two_sided else 1.0 - alpha))
 
 
 def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
@@ -160,7 +154,7 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     squares and can be negative in finite samples; negativity is surfaced by
     the consumers rather than truncated here.
     """
-    Y, T = _check_lengths(design, Y, T)
+    Y, T = _check_vector(design, Y), _check_vector(design, T)
     _, var, t_a_t = _score_and_variance(design, Y, T, beta)
     _require_identified(t_a_t, T)
     return var / t_a_t**2
@@ -178,7 +172,7 @@ def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) 
             "use the identification-robust test (robust_test / robust_ci)"
         )
     t = (beta_hat - beta0) / np.sqrt(variance)
-    p = 2.0 * float(norm.sf(abs(t)))
+    p = 2.0 * float(ndtr(-abs(t)))
     return {"t": float(t), "reject": bool(p < alpha), "p": p}
 
 
@@ -212,7 +206,7 @@ def robust_test(
     ``{"score", "variance_at_beta0", "reject"}``.
     """
     _check_alpha(alpha)
-    Y, T = _check_lengths(design, Y, T)
+    Y, T = _check_vector(design, Y), _check_vector(design, T)
     score, var, _ = _score_and_variance(design, Y, T, beta0)
     if var > 0.0:
         stat = score / np.sqrt(var)
@@ -340,7 +334,7 @@ def robust_ci(
     may be empty, disjoint or single points.
     """
     _check_alpha(alpha)
-    Y, T = _check_lengths(design, Y, T)
+    Y, T = _check_vector(design, Y), _check_vector(design, T)
     if grid is None:
         beta_hat = estimate_sive(design, Sample(Y, T))
         variance = sive_variance(design, Y, T, beta_hat)
@@ -376,22 +370,6 @@ def robust_ci(
     }
 
 
-def _hadamard_A_apply(design: SaturatedDesign, w: np.ndarray) -> np.ndarray:
-    """Apply the elementwise square of A, blockwise per group."""
-    g = design.group_of
-    z = design.instrument.astype(bool)
-    n_g = design.group_sizes.astype(np.float64)
-    m_g = design.treated_counts.astype(np.float64)
-    a_act = ((n_g - m_g) / (n_g * (m_g - 1.0))) ** 2
-    a_ina = (m_g / (n_g * (n_g - m_g - 1.0))) ** 2
-    a_mix = 1.0 / n_g**2
-    s_act = np.bincount(g[z], weights=w[z], minlength=design.G)
-    s_ina = np.bincount(g[~z], weights=w[~z], minlength=design.G)
-    out_act = a_act[g] * (s_act[g] - w) + a_mix[g] * s_ina[g]
-    out_ina = a_mix[g] * s_act[g] + a_ina[g] * (s_ina[g] - w)
-    return np.where(z, out_act, out_ina)
-
-
 def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     """Comparison variance estimator built from group-level moment estimates.
 
@@ -401,7 +379,7 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     group to have at least 3 observations; unlike the main estimator it is not
     robust to within-group effect heterogeneity.
     """
-    Y, T = _check_lengths(design, Y, T)
+    Y, T = _check_vector(design, Y), _check_vector(design, T)
     eps = apply_M_WZ(design, Y - beta_hat * T)
     u = apply_M_WZ(design, T)
     d1 = apply_MM_inv_W(design, eps * eps)
@@ -410,7 +388,7 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     _require_identified(t_a_t, T)
     term1 = float(d1 @ (a_t * a_t))
     w = apply_MM_inv_W(design, eps * u)
-    term2 = float(w @ _hadamard_A_apply(design, w))
+    term2 = float(w @ _apply_A_hadamard(design, w))
     return (term1 + term2) / t_a_t**2
 
 

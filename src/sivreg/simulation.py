@@ -19,8 +19,7 @@ import csv as _csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import binom, norm
+from scipy.special import bdtr, ndtr, ndtri
 
 from .design import (
     DesignError,
@@ -271,9 +270,10 @@ def _median_se(errors: list) -> float:
     errors, where a normal-theory sd/sqrt(n) formula is driven by the tails.
     """
     x = np.sort(np.asarray(errors, dtype=np.float64))
-    lower = max(int(binom.ppf(0.025, x.size, 0.5)) - 1, 0)
+    quantile = int(np.searchsorted(bdtr(np.arange(x.size + 1), x.size, 0.5), 0.025))
+    lower = max(quantile - 1, 0)
     upper = x.size - 1 - lower
-    return float(x[upper] - x[lower]) / (2.0 * float(norm.ppf(0.975)))
+    return float(x[upper] - x[lower]) / (2.0 * float(ndtri(0.975)))
 
 
 def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> list:

@@ -18,7 +18,6 @@ from sivreg import (
     assemble,
     build_design,
     cell_sizes,
-    iter_cells,
     projection_diag_P,
     sive_diag_D,
     trace_A_squared,
@@ -232,17 +231,35 @@ def test_operators_match_dense_matrices():
         np.testing.assert_allclose(projection_diag_P(d), np.diag(dense.P), atol=1e-10)
 
 
-def test_iter_cells_layout():
+def test_cell_layout():
     d = build_design([[0]] * 5 + [[1]] * 4, [1, 1, 0, 0, 0, 1, 1, 0, 0])
-    cells = iter_cells(d)
-    assert [(c.group, c.status, c.size) for c in cells] == [
-        (0, 1, 2),
-        (0, 0, 3),
-        (1, 1, 2),
-        (1, 0, 2),
-    ]
+    np.testing.assert_array_equal(d.cell, 2 * d.group_of + d.instrument)
+    assert d.cell is d.cell
+    with pytest.raises(ValueError):
+        d.cell[0] = 0
     per_obs = cell_sizes(d)
     np.testing.assert_array_equal(per_obs, [2, 2, 3, 3, 3, 2, 2, 2, 2])
+
+
+def test_demeaning_with_empty_cells():
+    # group 1 has no inactive member and group 2 no active one, so the last
+    # cell id (2G - 1) is empty
+    d = build_design([[0]] * 4 + [[1]] * 3 + [[2]] * 3, [1, 1, 0, 0, 1, 1, 1, 0, 0, 0])
+    v = np.array([1.0, 3.0, 5.0, 9.0, 4.0, 10.0, 1.0, 1.0, 2.0, 6.0])
+    np.testing.assert_array_equal(cell_sizes(d), [2, 2, 2, 2, 3, 3, 3, 3, 3, 3])
+    np.testing.assert_allclose(
+        apply_M_W(d, v), [-3.5, -1.5, 0.5, 4.5, -1, 5, -4, -2, -1, 3], atol=1e-12
+    )
+    np.testing.assert_allclose(
+        apply_M_WZ(d, v), [-1, 1, -2, 2, -1, 5, -4, -2, -1, 3], atol=1e-12
+    )
+    np.testing.assert_allclose(
+        apply_MM_inv_W(d, v), [-1, 3, 7, 15, 4.5, 22.5, -4.5, -1.5, 1.5, 13.5], atol=1e-12
+    )
+    gamma = np.array([0.3, -1.7, 2.2])
+    delta = np.array([5.0, 0.4, -0.9])
+    constants = gamma[d.group_of] + delta[d.group_of] * d.instrument
+    np.testing.assert_allclose(apply_M_WZ(d, constants), 0.0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

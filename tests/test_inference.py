@@ -1,7 +1,11 @@
 """Variance estimation, tests, intervals and the robust procedure."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from sivreg import (
     DesignError,
@@ -13,6 +17,7 @@ from sivreg import (
     chao_variance,
     confidence_interval,
     estimate_sive,
+    first_stage_strength,
     hartley_sigma,
     robust_ci,
     robust_test,
@@ -96,10 +101,12 @@ def test_t_test_frozen_decisions():
     assert abs(res["t"] - 2.0) < 1e-12
     assert res["reject"] is True
     assert abs(res["p"] - 0.04550026) < 1e-6
+    assert res["p"] == 2.0 * float(norm.sf(2.0))
     res = t_test(1.0, 4.0, 0.0)
     assert abs(res["t"] - 0.5) < 1e-12
     assert res["reject"] is False
     assert abs(res["p"] - 0.61708) < 1e-4
+    assert res["p"] == 2.0 * float(norm.sf(0.5))
     # exactly at the boundary of the one-percent test
     res = t_test(1.0, 1.0, 1.0, alpha=0.01)
     assert res["t"] == 0.0 and res["reject"] is False
@@ -119,6 +126,7 @@ def test_confidence_interval_frozen_values():
     lo, hi = confidence_interval(0.0, 1.0, alpha=0.05)
     assert abs(lo + 1.959963985) < 1e-8
     assert abs(hi - 1.959963985) < 1e-8
+    assert hi == float(norm.ppf(0.975))
 
 
 def test_confidence_interval_width_scales_with_se():
@@ -365,3 +373,27 @@ def test_alpha_must_lie_inside_unit_interval(alpha):
         robust_test(d, s.outcome, s.treatment, 1.0, alpha=alpha)
     with pytest.raises(ValueError, match="alpha"):
         robust_ci(d, s.outcome, s.treatment, grid={"low": 0.0, "high": 2.0}, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, v: apply_A(d, v),
+        lambda d, v: sive_variance(d, np.ones(d.n), v, 1.0),
+        lambda d, v: robust_ci(d, v, np.ones(d.n), grid={"low": 0.0, "high": 2.0}),
+        lambda d, v: first_stage_strength(d, treatment=v),
+    ],
+    ids=["apply_A", "sive_variance", "robust_ci", "first_stage_strength"],
+)
+def test_wrong_length_vector_raises_design_error(call):
+    d = random_design(np.random.default_rng(45), G=3, size_range=(8, 12))
+    with pytest.raises(DesignError, match=f"expected \\({d.n},\\)"):
+        call(d, np.ones(d.n - 1))
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, sivreg; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

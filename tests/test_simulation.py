@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import binom, norm
 
 from sivreg.simulation import (
     SUMMARY_COLUMNS,
@@ -260,5 +261,9 @@ def test_median_mc_se_tracks_spread_of_medians_under_heavy_tails():
         row = _median_rows(cell, "sive", list(errors), 201)[0]
         medians.append(row["value"])
         ses.append(row["mc_se"])
+    x = np.sort(errors)
+    lower = int(binom.ppf(0.025, x.size, 0.5)) - 1
+    reference = float(x[x.size - 1 - lower] - x[lower]) / (2.0 * float(norm.ppf(0.975)))
+    assert ses[-1] == reference
     ratio = float(np.median(ses)) / float(np.std(medians, ddof=1))
     assert 0.8 <= ratio <= 1.25
