@@ -33,7 +33,7 @@ from .design import (
     GroupAudit,
     Sample,
     SaturatedDesign,
-    build_design,
+    _design_from_columns,
     design_summary,
     filter_design,
     validate_group_sizes,
@@ -124,33 +124,58 @@ _BLOCKWISE = {
 }
 
 
-def _read_rows(csv_path) -> tuple[list[str], list[dict]]:
+def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
+    """One ``csv.reader`` pass keeping the cells of the wanted header columns.
+
+    Blank lines are skipped and not counted, as ``csv.DictReader`` does, so
+    data row i is the i-th non-blank line after the header.  Wanted names
+    that are not in the header are left out of the result.
+    """
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise CliValidationError(f"{csv_path}: empty file; a header row is required")
         if len(set(header)) != len(header):
             raise CliValidationError(f"{csv_path}: duplicate column names in header")
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if row.get(None):
+        columns = {c: [] for c in wanted if c in header}
+        slots = [(header.index(c), cells.append) for c, cells in columns.items()]
+        width = len(header)
+        i = 0
+        for row in reader:
+            if not row:
+                continue
+            i += 1
+            if len(row) != width:
+                side = "more" if len(row) > width else "fewer"
                 raise CliValidationError(
-                    f"data row {i}: more fields than header columns"
+                    f"data row {i}: {side} fields than header columns"
                 )
-            row.pop(None, None)
-            if any(v is None for v in row.values()):
-                raise CliValidationError(
-                    f"data row {i}: fewer fields than header columns"
-                )
-            rows.append(row)
-    if not rows:
+            for j, append in slots:
+                append(row[j])
+    if not i:
         raise CliValidationError(f"{csv_path}: no data rows")
-    return list(header), rows
+    return columns
 
 
-def _cell_float(row: dict, col: str, i: int) -> float:
-    cell = row[col].strip()
+def _load_columns(csv_path, needed, binarize) -> dict:
+    """Read the needed columns and the ``--binarize`` ones, then recode the latter."""
+    # Only the column names here: a malformed spec is reported after the
+    # row-shape and missing-column errors.
+    recoded = [str(spec).rpartition(":")[0] for spec in binarize or ()]
+    columns = _read_columns(csv_path, [*needed, *recoded])
+    missing = [c for c in needed if c not in columns]
+    if missing:
+        raise CliValidationError(f"missing columns: {', '.join(missing)}")
+    for col, threshold in _parse_binarize(binarize):
+        if col not in columns:
+            raise CliValidationError(f"--binarize column {col!r} not in header")
+        columns[col] = (_float_column(columns, col) > threshold).astype(np.float64)
+    return columns
+
+
+def _cell_float(cell: str, col: str, i: int) -> float:
+    cell = cell.strip()
     if not cell:
         raise CliValidationError(f"column {col!r}, data row {i}: missing value")
     try:
@@ -161,12 +186,21 @@ def _cell_float(row: dict, col: str, i: int) -> float:
         ) from None
 
 
-def _float_column(rows: list[dict], col: str) -> np.ndarray:
-    return np.array([_cell_float(row, col, i) for i, row in enumerate(rows, 1)])
+def _float_column(columns: dict, col: str) -> np.ndarray:
+    values = columns[col]
+    if isinstance(values, np.ndarray):  # recoded by --binarize
+        return values
+    try:
+        return np.array(list(map(float, map(str.strip, values))))
+    except ValueError:
+        # Only to name the first bad cell in the error message.
+        for i, cell in enumerate(values, start=1):
+            _cell_float(cell, col, i)
+        raise
 
 
-def _binary_column(rows: list[dict], col: str) -> np.ndarray:
-    values = _float_column(rows, col)
+def _binary_column(columns: dict, col: str) -> np.ndarray:
+    values = _float_column(columns, col)
     bad = np.flatnonzero((values != 0.0) & (values != 1.0))
     if bad.size:
         i = int(bad[0])
@@ -192,37 +226,32 @@ def _parse_binarize(specs) -> list[tuple[str, float]]:
     return parsed
 
 
-def _apply_binarize(rows: list[dict], header: list[str], specs) -> None:
-    for col, threshold in _parse_binarize(specs):
-        if col not in header:
-            raise CliValidationError(f"--binarize column {col!r} not in header")
-        for i, row in enumerate(rows, start=1):
-            row[col] = "1" if _cell_float(row, col, i) > threshold else "0"
+def _covariate_column(columns: dict, col: str):
+    """A float array if every cell parses as a number, else the stripped cells."""
+    values = columns[col]
+    if isinstance(values, np.ndarray):  # recoded by --binarize
+        return values
+    cells = list(map(str.strip, values))
+    if "" in cells:
+        raise CliValidationError(
+            f"column {col!r}, data row {cells.index('') + 1}: missing value"
+        )
+    try:
+        numbers = np.array(list(map(float, cells)))
+    except ValueError:
+        return cells
+    nan = np.flatnonzero(np.isnan(numbers))
+    if nan.size:
+        raise CliValidationError(
+            f"column {col!r}, data row {nan[0] + 1}: NaN is not a covariate value"
+        )
+    return numbers
 
 
-def _covariate_tuples(
-    rows: list[dict], cols: tuple[str, ...]
-) -> tuple[list[tuple], dict]:
-    """Per-row covariate keys; a column is numeric only if every cell parses."""
-    columns = {}
-    numeric = {}
-    for col in cols:
-        raw = []
-        for i, row in enumerate(rows, start=1):
-            cell = row[col].strip()
-            if not cell:
-                raise CliValidationError(
-                    f"column {col!r}, data row {i}: missing value"
-                )
-            raw.append(cell)
-        try:
-            columns[col] = [float(c) for c in raw]
-            numeric[col] = True
-        except ValueError:
-            columns[col] = raw
-            numeric[col] = False
-    tuples = [tuple(columns[col][i] for col in cols) for i in range(len(rows))]
-    return tuples, numeric
+def _raw_design(columns: dict, schema: DatasetSchema) -> tuple[SaturatedDesign, list]:
+    instrument = _binary_column(columns, schema.instrument_col)
+    covariates = [_covariate_column(columns, c) for c in schema.covariate_cols]
+    return _design_from_columns(covariates, instrument), covariates
 
 
 @dataclass(frozen=True)
@@ -246,24 +275,17 @@ def _prepare(
         raise CliValidationError(
             "outcome and treatment columns are required for this command"
         )
-    header, rows = _read_rows(csv_path)
     needed = [
         schema.outcome_col,
         schema.treatment_col,
         schema.instrument_col,
         *schema.covariate_cols,
     ]
-    missing = [c for c in needed if c not in header]
-    if missing:
-        raise CliValidationError(f"missing columns: {', '.join(missing)}")
-    _apply_binarize(rows, header, binarize)
-
-    instrument = _binary_column(rows, schema.instrument_col)
-    tuples, numeric = _covariate_tuples(rows, schema.covariate_cols)
-    raw_design = build_design(tuples, instrument)
+    columns = _load_columns(csv_path, needed, binarize)
+    raw_design, covariates = _raw_design(columns, schema)
     sample = Sample(
-        outcome=_float_column(rows, schema.outcome_col),
-        treatment=_float_column(rows, schema.treatment_col),
+        outcome=_float_column(columns, schema.outcome_col),
+        treatment=_float_column(columns, schema.treatment_col),
     )
     audit = validate_group_sizes(raw_design, min_active, min_inactive)
     design, sample = filter_design(raw_design, audit, sample)
@@ -276,7 +298,10 @@ def _prepare(
         sample=sample,
         audit=audit,
         row_mask=keep_group[raw_design.group_of],
-        numeric=numeric,
+        numeric={
+            c: isinstance(v, np.ndarray)
+            for c, v in zip(schema.covariate_cols, covariates)
+        },
     )
 
 
@@ -493,15 +518,10 @@ def cmd_audit(
     Unlike the estimation commands this never fails on an all-violating
     dataset; the violation list is the point of the report.
     """
-    header, rows = _read_rows(csv_path)
-    needed = [schema.instrument_col, *schema.covariate_cols]
-    missing = [c for c in needed if c not in header]
-    if missing:
-        raise CliValidationError(f"missing columns: {', '.join(missing)}")
-    _apply_binarize(rows, header, binarize)
-    instrument = _binary_column(rows, schema.instrument_col)
-    tuples, _ = _covariate_tuples(rows, schema.covariate_cols)
-    raw_design = build_design(tuples, instrument)
+    columns = _load_columns(
+        csv_path, [schema.instrument_col, *schema.covariate_cols], binarize
+    )
+    raw_design, _ = _raw_design(columns, schema)
     audit = validate_group_sizes(raw_design, min_active, min_inactive)
 
     filtered = None

@@ -178,22 +178,26 @@ def build_design(covariate_rows, instrument) -> SaturatedDesign:
 
     Parameters
     ----------
-    covariate_rows : sequence
-        One covariate tuple per observation.  Rows are compared by exact
+    covariate_rows : sequence or ndarray
+        One covariate tuple per observation, all of one length, or one
+        scalar per observation (a 1-tuple), or an array with one row (2-D)
+        or one value (1-D) per observation.  Rows are compared by exact
         equality of the full tuple, so continuous covariates must already be
-        discretized.  Scalars are treated as 1-tuples.
+        discretized; ``-0.0`` equals ``0.0`` and ``1`` equals ``1.0``.
     instrument : array_like
         Binary flags, one per observation.
 
     Returns
     -------
     SaturatedDesign
-        Groups indexed in order of first appearance.
+        Groups indexed in order of first appearance, each keyed by the
+        covariate value of its first row.
 
     Raises
     ------
     DesignError
-        On length mismatch or a non-binary instrument entry.
+        On length mismatch, rows of unequal length, a NaN covariate value or
+        a non-binary instrument entry.
     """
     instrument = np.asarray(instrument)
     if instrument.ndim != 1:
@@ -209,27 +213,93 @@ def build_design(covariate_rows, instrument) -> SaturatedDesign:
         raise DesignError(
             f"instrument entries must be 0 or 1 (found {instrument[i]!r} at row {i})"
         )
+    if isinstance(covariate_rows, np.ndarray):
+        if covariate_rows.ndim not in (1, 2):
+            raise DesignError("a covariate array must be 1- or 2-dimensional")
+        columns = list(covariate_rows.T) if covariate_rows.ndim == 2 else [covariate_rows]
+    elif n and isinstance(covariate_rows[0], (tuple, list, np.ndarray)):
+        try:
+            widths = set(map(len, covariate_rows))
+        except TypeError:
+            widths = None
+        if widths is None or len(widths) != 1:
+            raise DesignError("covariate rows must all have the same length")
+        columns = [_as_column(values) for values in zip(*covariate_rows)]
+    else:
+        columns = [_as_column(covariate_rows)]
+    return _design_from_columns(columns, instrument.astype(np.int64))
 
-    index_of: dict = {}
-    keys: list = []
-    group_of = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(covariate_rows):
-        key = tuple(row) if isinstance(row, (tuple, list, np.ndarray)) else (row,)
-        g = index_of.get(key)
-        if g is None:
-            g = len(keys)
-            index_of[key] = g
-            keys.append(key)
-        group_of[i] = g
 
-    G = len(keys)
-    instrument = instrument.astype(np.int64)
+def _as_column(values):
+    """``values`` as a numeric array where that keeps Python equality, else as is.
+
+    Python ints and floats compare exactly, so a column mixing them may
+    become float64 only while every value is below 2**53 in magnitude.
+    """
+    try:
+        arr = np.asarray(values)
+    except (ValueError, OverflowError):
+        return values
+    if arr.ndim == 1 and (
+        arr.dtype.kind in "biu"
+        or (arr.dtype.kind == "f" and not (np.abs(arr) >= 2.0**53).any())
+    ):
+        return arr
+    return values
+
+
+def _factorize(column, j: int) -> tuple[np.ndarray, int]:
+    """Codes in ``[0, k)`` equal exactly where the column's values are equal."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        uniques, codes = np.unique(column, return_inverse=True)
+        nan_codes = np.flatnonzero(uniques != uniques)
+    else:
+        uniques = {v: k for k, v in enumerate(dict.fromkeys(column))}
+        codes = np.fromiter(map(uniques.__getitem__, column), np.int64, len(column))
+        nan_codes = [k for v, k in uniques.items() if v != v]
+    if len(nan_codes):
+        i = int(np.argmax(np.isin(codes, nan_codes)))
+        raise DesignError(f"covariate column {j} has a NaN at row {i}")
+    return codes, len(uniques)
+
+
+def _design_from_columns(columns, instrument) -> SaturatedDesign:
+    """Group rows by their tuple of covariate values, one entry per column.
+
+    ``instrument`` is an int64 array of 0/1 flags of length n, and each
+    column a numeric ndarray or a sequence of hashable values of length n.
+    Groups are numbered in order of first appearance and keyed by their
+    first row's values; no covariate columns make one group.
+    """
+    key = np.zeros(instrument.size, dtype=np.int64)
+    for j, column in enumerate(columns):
+        codes, k = _factorize(column, j)
+        if j > 1:
+            # Two folds can reach n**2; compact to [0, n) so this one cannot
+            # overflow int64.
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * k + codes
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    first = first[order]
+    G = first.size
+    rank = np.empty(G, dtype=np.int64)
+    rank[order] = np.arange(G)
+    group_of = rank[inverse]
+
+    picks = first.tolist()
+    per_column = [
+        column[first].tolist()
+        if isinstance(column, np.ndarray)
+        else list(map(column.__getitem__, picks))
+        for column in columns
+    ]
     return SaturatedDesign(
         group_of=group_of,
         instrument=instrument,
         group_sizes=np.bincount(group_of, minlength=G),
         treated_counts=np.bincount(group_of[instrument == 1], minlength=G),
-        group_keys=tuple(keys),
+        group_keys=tuple(zip(*per_column)) if columns else ((),) * G,
     )
 
 
@@ -245,21 +315,28 @@ def validate_group_sizes(
     """
     if min_active < 1 or min_inactive < 1:
         raise ValueError("thresholds must be at least 1")
-    violations = []
-    kept = []
-    for g in range(design.G):
-        n_g = int(design.group_sizes[g])
-        m_g = int(design.treated_counts[g])
-        reasons = []
-        if m_g < min_active:
-            reasons.append(f"active count {m_g} < {min_active}")
-        if n_g - m_g < min_inactive:
-            reasons.append(f"inactive count {n_g - m_g} < {min_inactive}")
-        if reasons:
-            violations.append((g, n_g, m_g, "; ".join(reasons)))
-        else:
-            kept.append(g)
-    return GroupAudit(violations=tuple(violations), kept_groups=tuple(kept))
+    sizes = design.group_sizes
+    active = design.treated_counts
+    bad = (active < min_active) | (sizes - active < min_inactive)
+    violating = np.flatnonzero(bad)
+    violations = tuple(
+        (g, n_g, m_g, _size_reason(n_g, m_g, min_active, min_inactive))
+        for g, n_g, m_g in zip(
+            violating.tolist(), sizes[violating].tolist(), active[violating].tolist()
+        )
+    )
+    return GroupAudit(
+        violations=violations, kept_groups=tuple(np.flatnonzero(~bad).tolist())
+    )
+
+
+def _size_reason(n_g: int, m_g: int, min_active: int, min_inactive: int) -> str:
+    reasons = []
+    if m_g < min_active:
+        reasons.append(f"active count {m_g} < {min_active}")
+    if n_g - m_g < min_inactive:
+        reasons.append(f"inactive count {n_g - m_g} < {min_inactive}")
+    return "; ".join(reasons)
 
 
 def filter_design(

@@ -200,7 +200,7 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
 
     y = outcome_level(x) + config.beta * gamma * t + eps
 
-    raw = build_design([(float(v),) for v in x], q)
+    raw = build_design(x, q)
     audit = validate_group_sizes(raw, min_active=2, min_inactive=2)
     design, sample = filter_design(raw, audit, Sample(outcome=y, treatment=t))
 

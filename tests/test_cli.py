@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sivreg
 from sivreg import DatasetSchema, SpecChoice, cmd_audit, cmd_estimate, cmd_robust_ci
 from sivreg.cli import _json_ready, main
 
@@ -46,6 +51,17 @@ def run(argv, capsys):
 
 
 BASE = ["--outcome", "y", "--treatment", "t", "--instrument", "z", "--covariates", "w"]
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(sivreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "sivreg", "--help"], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert out.stdout.startswith("usage: sivreg")
 
 
 def test_estimate_noiseless_dataset(tmp_path, capsys):
@@ -396,3 +412,174 @@ def test_simulate_manifest_hash_tracks_config(tmp_path, capsys):
     h1 = json.loads(out1)["config_sha256"]
     h2 = json.loads(out2)["config_sha256"]
     assert h1 != h2 and len(h1) == 64
+
+
+# --- ingest: exact messages, precedence and cell semantics -------------------
+
+
+def write_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def validation_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and err.endswith("\n")
+    return err[len("error: "):-1]
+
+
+OK_ROWS = "1,0,1,0\n2,1,1,0\n0,0,0,0\n1,1,0,0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y,t,z,w\n1,0,1,0\n1,0,1,0,9\n", "data row 2: more fields than header columns"),
+        ("y,t,z,w\n1,0,1,0\n1,0,1\n", "data row 2: fewer fields than header columns"),
+        # blank lines are skipped and not counted
+        ("y,t,z,w\n1,0,1,0\n\n\n1,0,1\n", "data row 2: fewer fields than header columns"),
+        ("y,t,z,w\n1,0,1,0\n\n1,x,1,0\n", "column 't', data row 2: cannot parse 'x' as a number"),
+        ("y,t,z,w\n1,0,1,0\n1, ,1,0\n", "column 't', data row 2: missing value"),
+        ("y,t,z,w\n1,0,1,0\n1,0,1,\n", "column 'w', data row 2: missing value"),
+        ("y,t,z,w\n1,0,1,0\nabc,0,1,0\n", "column 'y', data row 2: cannot parse 'abc' as a number"),
+        ("y,t,z,w\n1,0,1,0\n1,0,2,0\n",
+         "column 'z' must be 0/1 but data row 2 has 2.0; "
+         "a threshold can be applied with --binarize z:THRESH"),
+        ("y,t,z\n1,0,1\n", "missing columns: w"),
+        ("q,t,z\n1,0,1\n", "missing columns: y, w"),
+    ],
+)
+def test_ingest_error_messages(tmp_path, capsys, text, message):
+    data = write_text(tmp_path / "bad.csv", text)
+    assert validation_error(["estimate", "--data", data, *BASE], capsys) == message
+
+
+def test_ingest_file_level_messages(tmp_path, capsys):
+    empty = write_text(tmp_path / "empty.csv", "")
+    assert validation_error(["estimate", "--data", empty, *BASE], capsys) == (
+        f"{empty}: empty file; a header row is required"
+    )
+    dup = write_text(tmp_path / "dup.csv", "y,t,z,w,t\n1,0,1,0,0\n")
+    assert validation_error(["estimate", "--data", dup, *BASE], capsys) == (
+        f"{dup}: duplicate column names in header"
+    )
+    header_only = write_text(tmp_path / "header.csv", "y,t,z,w\n\n\n")
+    assert validation_error(["estimate", "--data", header_only, *BASE], capsys) == (
+        f"{header_only}: no data rows"
+    )
+    ok = write_text(tmp_path / "ok.csv", "y,t,z,w\n" + OK_ROWS)
+    assert validation_error(
+        ["estimate", "--data", ok, *BASE, "--binarize", "q:1"], capsys
+    ) == "--binarize column 'q' not in header"
+    assert validation_error(
+        ["audit", "--data", ok, "--instrument", "z", "--covariates", "w",
+         "--binarize", "q:1"], capsys
+    ) == "--binarize column 'q' not in header"
+
+
+@pytest.mark.parametrize(
+    "header, rows, extra, message",
+    [
+        # header errors come before row-shape errors
+        ("y,t,z,w,w", "1,0,1\n", (), "duplicate column names in header"),
+        # row-shape errors come before missing columns
+        ("y,t,z", "1,0\n", (), "data row 1: fewer fields than header columns"),
+        # "no data rows" comes before missing columns
+        ("y,t,z", "", (), "no data rows"),
+        # missing columns come before --binarize
+        ("y,t,z", "1,0,1\n", ("--binarize", "q:1"), "missing columns: w"),
+        # --binarize comes before the instrument
+        ("y,t,z,w,e", "1,0,2,0,x\n", ("--binarize", "e:1"),
+         "column 'e', data row 1: cannot parse 'x' as a number"),
+        # every --binarize spec is parsed before any column name is checked
+        ("y,t,z,w", "1,0,1,0\n", ("--binarize", "q:1", "--binarize", "t12"),
+         "--binarize expects COL:THRESH, got 't12'"),
+        # the instrument comes before the covariates
+        ("y,t,z,w", "1,0,2,\n", (), "column 'z' must be 0/1"),
+        # covariates come before the outcome
+        ("y,t,z,w", "x,0,1,\n", (), "column 'w', data row 1: missing value"),
+        # the outcome comes before the treatment
+        ("y,t,z,w", "x,x,1,0\n", (), "column 'y', data row 1: cannot parse"),
+        # within a column, the first bad row is reported
+        ("y,t,z,w", "1,0,1,0\n1,,1,0\n1,x,1,0\n", (), "column 't', data row 2: missing value"),
+    ],
+)
+def test_ingest_error_precedence(tmp_path, capsys, header, rows, extra, message):
+    data = write_text(tmp_path / "p.csv", f"{header}\n{rows}")
+    err = validation_error(["estimate", "--data", data, *BASE, *extra], capsys)
+    assert message in err
+
+
+def test_ingest_whitespace_padded_cells_parse_as_numbers(tmp_path, capsys):
+    plain = noiseless_csv(tmp_path)
+    padded_rows = []
+    for w in (0, 1):
+        for z in (1, 1, 0, 0):
+            padded_rows.append([f" {2.0 * z} ", f"{float(z)} ", f" {z}", f"  {w}  "])
+    padded = write_csv(tmp_path / "padded.csv", ["y", "t", "z", "w"], padded_rows)
+    _, out_plain, _ = run(["estimate", "--data", plain, *BASE], capsys)
+    code, out_padded, err = run(["estimate", "--data", padded, *BASE], capsys)
+    assert code == 0, err
+    assert out_padded == out_plain
+
+
+def test_ingest_numeric_and_string_covariate_equality(tmp_path, capsys):
+    # "1" and "1.0" are one group in a numeric column, two in a string column
+    rows = []
+    for label in ("1", "1.0"):
+        for z in (1, 1, 0, 0):
+            rows.append([z, label, label if z else f" {label} ", "x"])
+    rows.append([1, "2", "other", "x"])
+    data = write_csv(tmp_path / "eq.csv", ["z", "num", "text", "note"], rows)
+    code, out, err = run(
+        ["audit", "--data", data, "--instrument", "z", "--covariates", "num"], capsys
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["raw_summary"]["G"] == 2
+    assert payload["audit"]["kept_groups"] == [0]
+    assert payload["audit"]["violations"][0]["key"] == [2.0]
+    code, out, err = run(
+        ["audit", "--data", data, "--instrument", "z", "--covariates", "text"], capsys
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    # stripped strings: " 1" and "1" agree, "1" and "1.0" do not
+    assert payload["raw_summary"]["G"] == 3
+    assert payload["audit"]["kept_groups"] == [0, 1]
+    assert payload["audit"]["violations"][0]["key"] == ["other"]
+
+
+def test_ingest_ignores_unused_non_numeric_column(tmp_path, capsys):
+    rows = []
+    for w in (0, 1):
+        for z in (1, 1, 0, 0):
+            rows.append(["free text", 2.0 * z, float(z), z, w, ""])
+    data = write_csv(tmp_path / "extra.csv", ["note", "y", "t", "z", "w", "blank"], rows)
+    code, out, err = run(["estimate", "--data", data, *BASE], capsys)
+    assert code == 0, err
+    assert json.loads(out)["estimate"]["beta_hat"] == 2.0
+
+
+def test_ingest_empty_covariate_list_is_one_group(tmp_path, capsys):
+    data = noiseless_csv(tmp_path)
+    argv = ["--outcome", "y", "--treatment", "t", "--instrument", "z", "--covariates", ""]
+    code, out, err = run(["estimate", "--data", data, *argv], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["design_summary"]["G"] == 1
+    assert payload["estimate"]["beta_hat"] == 2.0
+    code, out, err = run(
+        ["audit", "--data", data, "--instrument", "z", "--covariates", "",
+         "--min-active", "5"], capsys
+    )
+    assert code == 0, err
+    assert json.loads(out)["audit"]["violations"][0]["key"] == []
+
+
+def test_ingest_nan_covariate_is_a_validation_error(tmp_path, capsys):
+    rows = [[1.0, 0.0, z, w] for w in ("0", "nan") for z in (1, 1, 0, 0)]
+    data = write_csv(tmp_path / "nan.csv", ["y", "t", "z", "w"], rows)
+    err = validation_error(["estimate", "--data", data, *BASE], capsys)
+    assert err == "column 'w', data row 5: NaN is not a covariate value"

@@ -1,5 +1,7 @@
 """Grouping, validation, filtering and summary of saturated designs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,7 @@ def test_validate_flags_small_active_cell():
     g, n_g, m_g, reason = audit.violations[0]
     assert (g, n_g, m_g) == (1, 4, 1)
     assert reason == "active count 1 < 2"
+    assert all(type(v) is int for v in (g, n_g, m_g, *audit.kept_groups))
 
 
 def test_validate_clean_design_keeps_everything():
@@ -247,3 +250,154 @@ def test_group_counts_invariant_under_row_permutation(seed):
     by_key2 = {k: (int(d2.group_sizes[g]), int(d2.treated_counts[g]))
                for g, k in enumerate(d2.group_keys)}
     assert by_key == by_key2
+
+
+def test_build_rejects_nan_covariate():
+    nan = float("nan")
+    q = [1, 1, 0, 0] * 2
+    with pytest.raises(DesignError, match="column 0 has a NaN at row 0"):
+        build_design([nan] * 4 + [1.0] * 4, q)
+    with pytest.raises(DesignError, match="column 1 has a NaN at row 5"):
+        build_design([("a", 1.0)] * 5 + [("a", nan)] + [("b", 2.0)] * 2, q)
+    with pytest.raises(DesignError, match="column 0 has a NaN at row 2"):
+        build_design([(1, "x"), ("u", "x"), (nan, "x")] + [(1, "y")] * 5, q)
+    with pytest.raises(DesignError, match="column 1 has a NaN at row 3"):
+        build_design(np.array([[0.0, 1.0]] * 3 + [[0.0, np.nan]] * 5), q)
+
+
+def test_build_rejects_rows_of_unequal_length():
+    with pytest.raises(DesignError, match="same length"):
+        build_design([(1, 2), (1,), (1, 2), (1,)], [1, 0, 1, 0])
+    with pytest.raises(DesignError, match="same length"):
+        build_design([(1,), 1, (1,), 1], [1, 0, 1, 0])
+    with pytest.raises(DesignError, match="1- or 2-dimensional"):
+        build_design(np.zeros((4, 1, 1)), [1, 0, 1, 0])
+
+
+def test_build_signed_zeros_share_the_first_key():
+    for rows in ([-0.0, 0.0, 0.0, -0.0], np.array([-0.0, 0.0, 0.0, -0.0])):
+        d = build_design(rows, [1, 0, 1, 0])
+        assert d.G == 1
+        assert math.copysign(1.0, d.group_keys[0][0]) == -1.0
+    d = build_design([(0.0, "a"), (-0.0, "a"), (0, "a")], [1, 0, 1])
+    assert d.G == 1
+    assert math.copysign(1.0, d.group_keys[0][0]) == 1.0
+
+
+def test_build_large_ints_compare_exactly_with_floats():
+    # float64 cannot hold 2**53 + 1; Python compares it with 2.0**53 exactly
+    d = build_design([2**53 + 1, 2.0**53, 0.5, 2**53], [1, 0, 1, 0])
+    assert d.group_of.tolist() == [0, 1, 2, 1]
+    assert d.group_keys == ((2**53 + 1,), (2.0**53,), (0.5,))
+    d = build_design([(-1, "a"), (2**63, "a"), (-1, "a")], [1, 0, 1])
+    assert d.group_of.tolist() == [0, 1, 0]
+
+
+def test_build_many_wide_columns_do_not_overflow_the_key():
+    # Five columns of 4096 values each after the first: folding them into one
+    # int64 key without re-compacting would wrap the last row onto row 0.
+    n = 4096
+    rows = np.zeros((n + 16, 6), dtype=np.int64)
+    rows[:n, 1:] = np.arange(n)[:, None]
+    rows[n:, 0] = np.arange(1, 17)
+    d = build_design(rows, np.zeros(n + 16, dtype=np.int64))
+    assert d.G == n + 16
+
+
+def test_build_empty_and_zero_width_rows():
+    with pytest.raises(EmptyDesignError):
+        build_design([], [])
+    d = build_design([()] * 4, [1, 0, 1, 0])
+    assert d.G == 1 and d.group_keys == ((),)
+    d = build_design(np.zeros((4, 0)), [1, 0, 1, 0])
+    assert d.G == 1 and d.group_keys == ((),)
+
+
+def _reference_design(covariate_rows, instrument):
+    """The per-row dict loop that grouped rows before the columnar version."""
+    index_of: dict = {}
+    keys: list = []
+    group_of = []
+    for row in covariate_rows:
+        key = tuple(row) if isinstance(row, (tuple, list, np.ndarray)) else (row,)
+        g = index_of.get(key)
+        if g is None:
+            g = len(keys)
+            index_of[key] = g
+            keys.append(key)
+        group_of.append(g)
+    G = len(keys)
+    group_of = np.array(group_of, dtype=np.int64)
+    instrument = np.asarray(instrument, dtype=np.int64)
+    return (
+        group_of,
+        keys,
+        np.bincount(group_of, minlength=G),
+        np.bincount(group_of[instrument == 1], minlength=G),
+    )
+
+
+def _same_value(a, b) -> bool:
+    """Equal, and of the same sign when the value is a zero."""
+    if a != b:
+        return False
+    if isinstance(a, (str, np.str_)) or a != 0:
+        return True
+    return math.copysign(1.0, float(a)) == math.copysign(1.0, float(b))
+
+
+# Small pools so that rows collide; 2**53 + 1 and 2**64 need exact comparison
+# against floats, and True == 1 == 1.0 and -0.0 == 0 as dict keys.
+_VALUES = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.5, 2.0**53, 2**53 + 1, 2**64, float("inf")]),
+    st.sampled_from(["a", "b", "1", ""]),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+)
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.5, 3.0]), st.floats(allow_nan=False)
+)
+
+
+@st.composite
+def _covariate_inputs(draw):
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["tuples", "lists", "scalars", "array1d", "array2d"]))
+    if kind in ("tuples", "lists"):
+        width = draw(st.integers(0, 3))
+        pools = [draw(st.lists(_VALUES, min_size=1, max_size=4)) for _ in range(width)]
+        rows = [
+            tuple(draw(st.sampled_from(pool)) for pool in pools) for _ in range(n)
+        ]
+        rows = [list(r) for r in rows] if kind == "lists" else rows
+    elif kind == "scalars":
+        pool = draw(st.lists(_VALUES, min_size=1, max_size=5))
+        rows = [draw(st.sampled_from(pool)) for _ in range(n)]
+    else:
+        width = 1 if kind == "array1d" else draw(st.integers(1, 3))
+        pool = draw(st.lists(_NUMBERS, min_size=1, max_size=4))
+        cells = [draw(st.sampled_from(pool)) for _ in range(n * width)]
+        dtype = draw(st.sampled_from([np.float64, np.int64, object]))
+        if dtype is np.int64:
+            cells = [int(c) % 7 - 3 if math.isfinite(c) else 5 for c in cells]
+        rows = np.array(cells, dtype=dtype)
+        rows = rows if kind == "array1d" else rows.reshape(n, width)
+    instrument = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return rows, instrument
+
+
+@settings(max_examples=300, deadline=None)
+@given(_covariate_inputs())
+def test_build_design_matches_per_row_dict_loop(case):
+    rows, instrument = case
+    group_of, keys, sizes, treated = _reference_design(rows, instrument)
+    d = build_design(rows, instrument)
+    np.testing.assert_array_equal(d.group_of, group_of)
+    np.testing.assert_array_equal(d.group_sizes, sizes)
+    np.testing.assert_array_equal(d.treated_counts, treated)
+    assert len(d.group_keys) == len(keys)
+    for new, old in zip(d.group_keys, keys):
+        assert isinstance(new, tuple) and len(new) == len(old)
+        assert all(_same_value(a, b) for a, b in zip(new, old)), (new, old)
