@@ -42,9 +42,7 @@ from .estimators import (
     EstimationError,
     EstimatorKind,
     WeakDenominatorError,
-    estimate_jive1,
-    estimate_jive2,
-    estimate_tsls,
+    _point_estimate,
     estimate_tsls_generic,
     first_stage_strength,
 )
@@ -55,7 +53,7 @@ from .inference import (
     sive_report,
 )
 from .oracle import assemble, oracle_estimate, oracle_variance
-from .simulation import SimConfig, run_bias_experiment, run_size_experiment, summarize
+from .simulation import SimConfig, _run_grid, summarize
 
 __all__ = [
     "SpecChoice",
@@ -112,16 +110,6 @@ class DatasetSchema:
             raise CliValidationError(
                 f"columns assigned to more than one role: {', '.join(dupes)}"
             )
-
-
-# The blockwise group-structure estimators; everything else goes through the
-# explicit-matrix two-stage path.
-_BLOCKWISE = {
-    EstimatorKind.SIVE,
-    EstimatorKind.TSLS_SATURATED,
-    EstimatorKind.JIVE1,
-    EstimatorKind.JIVE2,
-}
 
 
 def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
@@ -260,7 +248,6 @@ class _Prepared:
     design: SaturatedDesign
     sample: Sample
     audit: GroupAudit
-    row_mask: np.ndarray
     numeric: dict
 
 
@@ -289,15 +276,11 @@ def _prepare(
     )
     audit = validate_group_sizes(raw_design, min_active, min_inactive)
     design, sample = filter_design(raw_design, audit, sample)
-
-    keep_group = np.zeros(raw_design.G, dtype=bool)
-    keep_group[list(audit.kept_groups)] = True
     return _Prepared(
         raw_design=raw_design,
         design=design,
         sample=sample,
         audit=audit,
-        row_mask=keep_group[raw_design.group_of],
         numeric={
             c: isinstance(v, np.ndarray)
             for c, v in zip(schema.covariate_cols, covariates)
@@ -393,11 +376,8 @@ def cmd_estimate(
     dense reference implementation and attaches them.
     """
     _check_alpha(alpha)
-    if spec is SpecChoice.FULLY_SATURATED:
-        allowed = _BLOCKWISE | {EstimatorKind.TSLS_GENERIC}
-    else:
-        allowed = {EstimatorKind.TSLS_GENERIC}
-    if estimator not in allowed:
+    blockwise = estimator is not EstimatorKind.TSLS_GENERIC
+    if blockwise and spec is not SpecChoice.FULLY_SATURATED:
         raise CliValidationError(
             f"unsupported combination: estimator {estimator.value!r} under "
             f"spec {spec.value!r} (blockwise estimators need "
@@ -408,14 +388,9 @@ def cmd_estimate(
 
     if estimator is EstimatorKind.SIVE:
         report = sive_report(design, sample, alpha=alpha)
-    elif estimator in _BLOCKWISE:
-        point = {
-            EstimatorKind.TSLS_SATURATED: estimate_tsls,
-            EstimatorKind.JIVE1: estimate_jive1,
-            EstimatorKind.JIVE2: estimate_jive2,
-        }[estimator](design, sample)
+    elif blockwise:
         report = InferenceReport(
-            beta_hat=point,
+            beta_hat=_point_estimate(estimator, design, sample),
             variance=None,
             std_error=None,
             ci_low=None,
@@ -451,7 +426,7 @@ def cmd_estimate(
         "estimate": report.to_json_dict(),
     }
     if reference:
-        if estimator not in _BLOCKWISE:
+        if not blockwise:
             raise CliValidationError(
                 "--reference is available only for the blockwise estimators"
             )
@@ -556,6 +531,8 @@ _CONFIG_FIELDS = tuple(f.name for f in dataclass_fields(SimConfig))
 def cmd_simulate(config_path, out_dir, seed=None) -> dict:
     """Run the bias and size grids from a JSON config and write artifacts.
 
+    Each (L, p1, replication) is drawn once and feeds both grids.
+
     The config holds SimConfig fields, where ``L`` and ``p1`` may be lists,
     plus an optional ``alpha``.  ``seed`` overrides ``master_seed``.  Writes
     bias.csv/json, size.csv/json and a manifest keyed by the config hash;
@@ -592,9 +569,8 @@ def cmd_simulate(config_path, out_dir, seed=None) -> dict:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bias_rows = run_bias_experiment(base, L_values, p1_values)
+    bias_rows, size_rows = _run_grid(base, L_values, p1_values, alpha=alpha)
     summarize(bias_rows, out / "bias.csv", out / "bias.json")
-    size_rows = run_size_experiment(base, L_values, p1_values, alpha=alpha)
     summarize(size_rows, out / "size.csv", out / "size.json")
 
     manifest = {

@@ -20,7 +20,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .blockops import (
     apply_A,
@@ -142,8 +141,27 @@ def estimate_jive2(design: SaturatedDesign, sample: Sample) -> float:
     return _ratio(design, sample, op_T)
 
 
+def _point_estimate(
+    kind: EstimatorKind, design: SaturatedDesign, sample: Sample
+) -> float:
+    """Point estimate of one of the four blockwise estimators."""
+    # An if-chain rather than a module-level dict: the functions are looked up
+    # when called, so a wrapper rebound over them (a profiler's) is seen.
+    if kind is EstimatorKind.SIVE:
+        return estimate_sive(design, sample)
+    if kind is EstimatorKind.TSLS_SATURATED:
+        return estimate_tsls(design, sample)
+    if kind is EstimatorKind.JIVE1:
+        return estimate_jive1(design, sample)
+    if kind is EstimatorKind.JIVE2:
+        return estimate_jive2(design, sample)
+    raise ValueError(f"not a blockwise estimator: {kind!r}")
+
+
 def _drop_collinear(columns: np.ndarray, names: list) -> tuple[np.ndarray, list, list]:
     """Keep a maximal independent column subset via pivoted QR."""
+    import scipy.linalg  # only the generic path needs it; keeps the import light
+
     if columns.shape[1] == 0:
         return columns, list(names), []
     r = scipy.linalg.qr(columns, mode="r", pivoting=True)

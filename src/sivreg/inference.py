@@ -113,21 +113,35 @@ def hartley_sigma(design: SaturatedDesign, treatment, residual) -> SigmaEstimate
     )
 
 
-def _score_and_variance(
-    design: SaturatedDesign, Y: np.ndarray, T: np.ndarray, beta: float
-) -> tuple[float, float, float]:
-    """Score ``T'A(Y - T beta)``, its variance estimate, and ``T'AT``."""
-    resid = Y - beta * T
-    sig = hartley_sigma(design, T, resid)
-    a_t = apply_A(design, T)
-    a_r = apply_A(design, resid)
-    score = float(a_t @ resid)
-    var = float(
-        sig.sigma_u2 @ (a_r * a_r)
-        + sig.sigma_v2 @ (a_t * a_t)
-        + 2.0 * (sig.sigma_uv @ (a_r * a_t))
+def _robust_polynomials(
+    design: SaturatedDesign, Y: np.ndarray, T: np.ndarray, center: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, lowest degree first, of the score and its variance in
+    ``d = beta0 - center``.
+
+    With ``R = Y - T center``, ``a = AT`` and ``b = AR`` the score is
+    ``S = a'R - d a'T``, so ``T'AT`` is ``-score[1]``.  The moment estimates
+    are linear in the products of demeaned vectors, so at the residual
+    ``R - T d`` they expand in ``s_uu, s_ee, s_eu`` from
+    ``hartley_sigma(design, T, R)``, and the variance is the quadratic
+    ``V = v0 + v1 d + v2 d^2`` with ``v0 = s_uu.b^2 + s_ee.a^2 + 2 s_eu.ab``,
+    ``v1 = -4 (s_uu.ab + s_eu.a^2)`` and ``v2 = 4 s_uu.a^2``.  The constant
+    terms are the score and variance at ``beta0 = center``.
+    """
+    R = Y - center * T
+    sig = hartley_sigma(design, T, R)
+    a = apply_A(design, T)
+    b = apply_A(design, R)
+    aa, ab = a * a, a * b
+    score = np.array([float(a @ R), -float(a @ T)])
+    variance = np.array(
+        [
+            float(sig.sigma_u2 @ (b * b) + sig.sigma_v2 @ aa + 2.0 * (sig.sigma_uv @ ab)),
+            -4.0 * float(sig.sigma_u2 @ ab + sig.sigma_uv @ aa),
+            4.0 * float(sig.sigma_u2 @ aa),
+        ]
     )
-    return score, var, float(a_t @ T)
+    return score, variance
 
 
 def _check_alpha(alpha: float) -> None:
@@ -155,9 +169,10 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     the consumers rather than truncated here.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    _, var, t_a_t = _score_and_variance(design, Y, T, beta)
+    score, variance = _robust_polynomials(design, Y, T, center=beta)
+    t_a_t = -float(score[1])
     _require_identified(t_a_t, T)
-    return var / t_a_t**2
+    return float(variance[0]) / t_a_t**2
 
 
 def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) -> dict:
@@ -207,7 +222,8 @@ def robust_test(
     """
     _check_alpha(alpha)
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    score, var, _ = _score_and_variance(design, Y, T, beta0)
+    score_poly, var_poly = _robust_polynomials(design, Y, T, center=beta0)
+    score, var = float(score_poly[0]), float(var_poly[0])
     if var > 0.0:
         stat = score / np.sqrt(var)
         crit = _critical_value(alpha, two_sided)
@@ -215,33 +231,6 @@ def robust_test(
     else:
         reject = False
     return {"score": score, "variance_at_beta0": var, "reject": bool(reject)}
-
-
-def _robust_polynomials(
-    design: SaturatedDesign, Y: np.ndarray, T: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients, lowest degree first, of the score and its variance in beta0.
-
-    With ``a = AT`` and ``b = AY`` the score is ``S = a'Y - beta0 a'T``.  The
-    moment estimates are linear in the products of demeaned vectors, so at the
-    residual ``Y - T beta0`` they expand in ``s_uu, s_ee, s_eu`` from
-    ``hartley_sigma(design, T, Y)``, and the variance is the quadratic
-    ``V = v0 + v1 beta0 + v2 beta0^2`` with ``v0 = s_uu.b^2 + s_ee.a^2 +
-    2 s_eu.ab``, ``v1 = -4 (s_uu.ab + s_eu.a^2)`` and ``v2 = 4 s_uu.a^2``.
-    """
-    sig = hartley_sigma(design, T, Y)
-    a = apply_A(design, T)
-    b = apply_A(design, Y)
-    aa, ab = a * a, a * b
-    score = np.array([float(a @ Y), -float(a @ T)])
-    variance = np.array(
-        [
-            float(sig.sigma_u2 @ (b * b) + sig.sigma_v2 @ aa + 2.0 * (sig.sigma_uv @ ab)),
-            -4.0 * float(sig.sigma_u2 @ ab + sig.sigma_uv @ aa),
-            4.0 * float(sig.sigma_u2 @ aa),
-        ]
-    )
-    return score, variance
 
 
 def _real_roots(c: np.ndarray) -> list[float]:

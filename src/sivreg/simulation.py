@@ -34,11 +34,7 @@ from .estimators import (
     EstimationError,
     EstimatorKind,
     PopulationInputs,
-    estimate_jive1,
-    estimate_jive2,
-    estimate_sive,
-    estimate_tsls,
-    estimate_tsls_generic,
+    _point_estimate,
     population_estimand,
 )
 from .inference import chao_variance, sive_variance, t_test
@@ -79,6 +75,7 @@ DEFAULT_ESTIMATORS = (
     EstimatorKind.JIVE1,
     EstimatorKind.JIVE2,
 )
+_VARIANTS = ("vhat", "chao")
 
 
 @dataclass(frozen=True)
@@ -204,14 +201,8 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     audit = validate_group_sizes(raw, min_active=2, min_inactive=2)
     design, sample = filter_design(raw, audit, Sample(outcome=y, treatment=t))
 
-    keep_group = np.zeros(raw.G, dtype=bool)
-    keep_group[list(audit.kept_groups)] = True
-    gamma_kept = gamma[keep_group[raw.group_of]]
-
-    tau = config.beta * (
-        np.bincount(design.group_of, weights=gamma_kept, minlength=design.G)
-        / design.group_sizes
-    )
+    gamma_sum = np.bincount(raw.group_of, weights=gamma, minlength=raw.G)
+    tau = config.beta * (gamma_sum / raw.group_sizes)[list(audit.kept_groups)]
     pi = np.full(design.G, config.p1 - config.p0)
     truth = {
         "pi": pi,
@@ -221,36 +212,6 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
         ),
     }
     return SimDraw(design=design, sample=sample, truth=truth, audit=audit)
-
-
-def _group_covariate(design: SaturatedDesign) -> np.ndarray:
-    if design.group_keys is None:
-        raise EstimationError("design carries no covariate values")
-    per_group = np.array([key[0] for key in design.group_keys], dtype=np.float64)
-    return per_group[design.group_of]
-
-
-def _estimate(kind: EstimatorKind, draw: SimDraw) -> float:
-    if kind is EstimatorKind.SIVE:
-        return estimate_sive(draw.design, draw.sample)
-    if kind is EstimatorKind.TSLS_SATURATED:
-        return estimate_tsls(draw.design, draw.sample)
-    if kind is EstimatorKind.JIVE1:
-        return estimate_jive1(draw.design, draw.sample)
-    if kind is EstimatorKind.JIVE2:
-        return estimate_jive2(draw.design, draw.sample)
-    if kind is EstimatorKind.TSLS_GENERIC:
-        # Rough non-saturated benchmark: instrument Q, linear control in X.
-        x = _group_covariate(draw.design)
-        controls = np.column_stack([np.ones(draw.design.n), x])
-        beta, _ = estimate_tsls_generic(
-            draw.sample.outcome,
-            draw.sample.treatment,
-            draw.design.instrument.astype(np.float64)[:, None],
-            controls,
-        )
-        return beta
-    raise ValueError(f"unknown estimator kind: {kind!r}")
 
 
 def _cell_configs(config: SimConfig, L_values, p1_values):
@@ -315,6 +276,98 @@ def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> l
     return rows
 
 
+def _rate_rows(cell: SimConfig, label: str, hits: list, requested: int) -> list:
+    base = {
+        "experiment": "size",
+        "L": cell.L,
+        "p1": cell.p1,
+        "h": cell.h,
+        "estimator": label,
+    }
+    used = len(hits)
+    if used:
+        rate = float(np.mean(hits))
+        se = math.sqrt(rate * (1.0 - rate) / used)
+    else:
+        rate, se = None, None
+    return [
+        dict(base, metric="reject_rate", value=rate, mc_se=se, replications=used),
+        dict(
+            base,
+            metric="attrition",
+            value=(requested - used) / requested,
+            mc_se=None,
+            replications=requested,
+        ),
+    ]
+
+
+def _run_grid(
+    config: SimConfig,
+    L_values=None,
+    p1_values=None,
+    estimators=DEFAULT_ESTIMATORS,
+    variants=_VARIANTS,
+    alpha: float = 0.05,
+) -> tuple[list, list]:
+    """Bias rows and size rows from one draw per (cell, replication).
+
+    Each draw gives every estimator's error and every variant's t-test, both
+    against that draw's own ``beta_sive``; the SIVE estimate serves both.  A
+    failed draw is attrition for everything, a failed estimate for its own
+    estimator (SIVE's also for every variant), and a failed variance or test
+    for its own variant.
+    """
+    for kind in estimators:
+        if kind not in DEFAULT_ESTIMATORS:
+            raise ValueError(f"not a blockwise estimator: {kind!r}")
+    for variant in variants:
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown variance variant: {variant!r}")
+    kinds = tuple(estimators)
+    if variants and EstimatorKind.SIVE not in kinds:
+        kinds += (EstimatorKind.SIVE,)
+
+    bias_rows, size_rows = [], []
+    for cell in _cell_configs(config, L_values, p1_values):
+        errors = {kind: [] for kind in estimators}
+        hits = {variant: [] for variant in variants}
+        for rep in range(cell.replications):
+            try:
+                draw = generate_sample(cell, replication_seed(cell.master_seed, rep))
+            except (DesignError, EstimationError):
+                continue
+            design, sample = draw.design, draw.sample
+            truth = draw.truth["beta_sive"]
+            estimates = {}
+            for kind in kinds:
+                try:
+                    estimates[kind] = _point_estimate(kind, design, sample)
+                except (DesignError, EstimationError):
+                    pass
+            for kind in estimators:
+                if kind in estimates:
+                    errors[kind].append(estimates[kind] - truth)
+            beta_hat = estimates.get(EstimatorKind.SIVE)
+            if beta_hat is None:
+                continue
+            for variant in variants:
+                variance = sive_variance if variant == "vhat" else chao_variance
+                try:
+                    var = variance(design, sample.outcome, sample.treatment, beta_hat)
+                    res = t_test(beta_hat, var, truth, alpha)
+                except (DesignError, EstimationError):
+                    continue
+                hits[variant].append(1.0 if res["reject"] else 0.0)
+        for kind in estimators:
+            bias_rows += _median_rows(cell, kind.value, errors[kind], cell.replications)
+        for variant in variants:
+            size_rows += _rate_rows(
+                cell, f"sive_{variant}", hits[variant], cell.replications
+            )
+    return bias_rows, size_rows
+
+
 def run_bias_experiment(
     config: SimConfig,
     L_values=None,
@@ -326,36 +379,17 @@ def run_bias_experiment(
     Each grid cell runs ``config.replications`` draws; per-replication errors
     are estimates minus that draw's own ``beta_sive``.  A failed replication
     (degenerate design, weak denominator, ...) is excluded from the median
-    and counted in the cell's attrition rows.
+    and counted in the cell's attrition rows.  Only the four blockwise
+    estimators are accepted.
     """
-    rows = []
-    for cell in _cell_configs(config, L_values, p1_values):
-        errors = {kind: [] for kind in estimators}
-        for rep in range(cell.replications):
-            seed = replication_seed(cell.master_seed, rep)
-            try:
-                draw = generate_sample(cell, seed)
-            except (DesignError, EstimationError):
-                continue
-            for kind in estimators:
-                try:
-                    errors[kind].append(
-                        _estimate(kind, draw) - draw.truth["beta_sive"]
-                    )
-                except (DesignError, EstimationError):
-                    pass
-        for kind in estimators:
-            rows.extend(
-                _median_rows(cell, kind.value, errors[kind], cell.replications)
-            )
-    return rows
+    return _run_grid(config, L_values, p1_values, estimators, variants=())[0]
 
 
 def run_size_experiment(
     config: SimConfig,
     L_values=None,
     p1_values=None,
-    variance_variants=("vhat", "chao"),
+    variance_variants=_VARIANTS,
     alpha: float = 0.05,
 ) -> list:
     """Rejection rate of the SIVE t-test at the true estimand.
@@ -365,64 +399,7 @@ def run_size_experiment(
     estimator ("chao").  Nonpositive variances and estimation failures count
     as attrition, not as rejections.
     """
-    for variant in variance_variants:
-        if variant not in ("vhat", "chao"):
-            raise ValueError(f"unknown variance variant: {variant!r}")
-    rows = []
-    for cell in _cell_configs(config, L_values, p1_values):
-        outcomes = {variant: [] for variant in variance_variants}
-        for rep in range(cell.replications):
-            seed = replication_seed(cell.master_seed, rep)
-            try:
-                draw = generate_sample(cell, seed)
-                beta_hat = estimate_sive(draw.design, draw.sample)
-            except (DesignError, EstimationError):
-                continue
-            Y, T = draw.sample.outcome, draw.sample.treatment
-            for variant in variance_variants:
-                try:
-                    if variant == "vhat":
-                        var = sive_variance(draw.design, Y, T, beta_hat)
-                    else:
-                        var = chao_variance(draw.design, Y, T, beta_hat)
-                    res = t_test(beta_hat, var, draw.truth["beta_sive"], alpha)
-                except (DesignError, EstimationError):
-                    continue
-                outcomes[variant].append(1.0 if res["reject"] else 0.0)
-        for variant in variance_variants:
-            hits = outcomes[variant]
-            used = len(hits)
-            base = {
-                "experiment": "size",
-                "L": cell.L,
-                "p1": cell.p1,
-                "h": cell.h,
-                "estimator": f"sive_{variant}",
-            }
-            if used:
-                rate = float(np.mean(hits))
-                se = math.sqrt(rate * (1.0 - rate) / used)
-            else:
-                rate, se = None, None
-            rows.append(
-                dict(
-                    base,
-                    metric="reject_rate",
-                    value=rate,
-                    mc_se=se,
-                    replications=used,
-                )
-            )
-            rows.append(
-                dict(
-                    base,
-                    metric="attrition",
-                    value=(cell.replications - used) / cell.replications,
-                    mc_se=None,
-                    replications=cell.replications,
-                )
-            )
-    return rows
+    return _run_grid(config, L_values, p1_values, (), variance_variants, alpha)[1]
 
 
 def _clean(value):

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom, norm
 
+from sivreg import estimators, simulation
+from sivreg.cli import cmd_simulate
+from sivreg.estimators import EstimatorKind, WeakDenominatorError
 from sivreg.simulation import (
     SUMMARY_COLUMNS,
     SimConfig,
@@ -192,6 +195,16 @@ def test_size_rejects_unknown_variant():
         run_size_experiment(cfg, variance_variants=("vhat", "bootstrap"))
 
 
+def test_bias_rejects_generic_estimator_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a sample before validating the estimators")
+
+    monkeypatch.setattr(simulation, "generate_sample", no_draw)
+    cfg = SimConfig(n=300, replications=2)
+    with pytest.raises(ValueError, match="blockwise"):
+        run_bias_experiment(cfg, estimators=(EstimatorKind.TSLS_GENERIC,))
+
+
 def test_summarize_empty_rows_is_header_only():
     csv_text, json_text = summarize([])
     assert csv_text == ",".join(SUMMARY_COLUMNS) + "\n"
@@ -267,3 +280,76 @@ def test_median_mc_se_tracks_spread_of_medians_under_heavy_tails():
     assert ses[-1] == reference
     ratio = float(np.median(ses)) / float(np.std(medians, ddof=1))
     assert 0.8 <= ratio <= 1.25
+
+
+def _simulate(tmp_path, **config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    cmd_simulate(path, out)
+    return out
+
+
+def test_simulate_draws_each_replication_once(monkeypatch, tmp_path):
+    real = simulation.generate_sample
+    keys = []
+
+    def counted(cell, seed):
+        keys.append((cell.L, cell.p1, seed.spawn_key))
+        return real(cell, seed)
+
+    monkeypatch.setattr(simulation, "generate_sample", counted)
+    _simulate(tmp_path, n=200, L=[1, 2], p1=[0.49, 0.69], replications=3)
+    assert len(keys) == 2 * 2 * 3
+    assert len(set(keys)) == len(keys)
+
+
+def test_simulate_files_equal_separate_experiments(tmp_path):
+    # Weak and unidentified cells, so some attrition rows are nonzero.
+    Ls, p1s = [2, 10], [0.22, 0.3]
+    scalars = {"n": 120, "h": 2.0, "n_hetero": 30, "replications": 8, "master_seed": 1}
+    out = _simulate(tmp_path, L=Ls, p1=p1s, alpha=0.1, **scalars)
+    cfg = SimConfig(**scalars)
+    bias = summarize(run_bias_experiment(cfg, Ls, p1s))
+    size = summarize(run_size_experiment(cfg, Ls, p1s, alpha=0.1))
+    assert (out / "bias.csv").read_text() == bias[0]
+    assert (out / "bias.json").read_text() == bias[1]
+    assert (out / "size.csv").read_text() == size[0]
+    assert (out / "size.json").read_text() == size[1]
+    rows = json.loads(bias[1])["rows"] + json.loads(size[1])["rows"]
+    assert any(r["metric"] == "attrition" and r["value"] > 0 for r in rows)
+
+
+def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
+    monkeypatch, tmp_path
+):
+    failing_reps = {1, 3}
+    doomed = []
+    real_draw, real_sive = simulation.generate_sample, estimators.estimate_sive
+
+    def draw(cell, seed):
+        result = real_draw(cell, seed)
+        if seed.spawn_key[0] in failing_reps:
+            doomed.append(result.sample)
+        return result
+
+    def sive(design, sample):
+        if any(sample is s for s in doomed):
+            raise WeakDenominatorError("forced failure")
+        return real_sive(design, sample)
+
+    monkeypatch.setattr(simulation, "generate_sample", draw)
+    monkeypatch.setattr(estimators, "estimate_sive", sive)
+    out = _simulate(tmp_path, n=300, L=[1], p1=[0.69], replications=5, master_seed=12)
+    rows = []
+    for name in ("bias.json", "size.json"):
+        rows += json.loads((out / name).read_text())["rows"]
+    attrition = {r["estimator"]: r["value"] for r in rows if r["metric"] == "attrition"}
+    assert attrition == {
+        "sive": 0.4,
+        "tsls-saturated": 0.0,
+        "jive1": 0.0,
+        "jive2": 0.0,
+        "sive_vhat": 0.4,
+        "sive_chao": 0.4,
+    }
