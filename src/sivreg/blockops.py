@@ -60,8 +60,15 @@ def _check_vector(design: SaturatedDesign, v) -> np.ndarray:
 
 
 def _cell_sum(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
-    """Sum of v over each cell, indexed by cell id (length 2G)."""
-    return np.bincount(design.cell, weights=v, minlength=2 * design.G)
+    """Sum of v over each cell, indexed by cell id (length 2G).
+
+    ``np.add.at`` rather than ``np.bincount``: bincount copies a read-only
+    input (the design's cell ids, a Sample's vectors), an n-sized allocation
+    per call.  Both add in observation order, so the sums are identical.
+    """
+    out = np.zeros(2 * design.G)
+    np.add.at(out, design.cell, v)
+    return out
 
 
 def _group_sum(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
@@ -118,10 +125,15 @@ def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
     ``P_ii = 1/m_g - 1/n_g`` for instrument-active observations and
     ``(m_g/n_g) / (n_g - m_g)`` otherwise; the diagonal sums to G.
     """
+    return _cell_P_diag(design)[design.cell]
+
+
+def _cell_P_diag(design: SaturatedDesign) -> np.ndarray:
+    """Per-cell value of the diagonal of P (length 2G)."""
     _require_nondegenerate(design)
     n = design.group_sizes.astype(np.float64)
     m = design.treated_counts.astype(np.float64)
-    return _per_cell((m / n) / (n - m), 1.0 / m - 1.0 / n)[design.cell]
+    return _per_cell((m / n) / (n - m), 1.0 / m - 1.0 / n)
 
 
 def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
@@ -129,11 +141,16 @@ def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
 
     Requires m_g >= 2 and n_g - m_g >= 2 in every group.
     """
+    return _cell_D(design)[design.cell]
+
+
+def _cell_D(design: SaturatedDesign) -> np.ndarray:
+    """Per-cell value of the diagonal of D (length 2G)."""
     _require_group_sizes(design)
     n = design.group_sizes.astype(np.float64)
     m = design.treated_counts.astype(np.float64)
     k = n - m
-    return _per_cell(m / (k - 1.0) / n, k / (m - 1.0) / n)[design.cell]
+    return _per_cell(m / (k - 1.0) / n, k / (m - 1.0) / n)
 
 
 def apply_M_W(design: SaturatedDesign, v) -> np.ndarray:
@@ -238,3 +255,68 @@ def trace_A_squared(design: SaturatedDesign) -> float:
     k_g = n_g - m_g
     per_group = 1.0 + (k_g**2 / (m_g - 1.0) + m_g**2 / (k_g - 1.0)) / n_g**2
     return float(per_group.sum())
+
+
+class _CellMoments:
+    """Per-cell sufficient statistics of a treatment T and ``R = Y - center T``.
+
+    Every quadratic form of the estimators and the variance is block diagonal
+    over cells, so it reduces to a few numbers per cell, each one cell sum
+    over the n observations: the counts ``k``, the means ``mean_T`` and
+    ``mean_R``, and the power sums ``s<j><l> = sum u^j e^l`` of the
+    within-cell deviations ``u = T - mean_T`` and ``e = R - mean_R``.
+    ``order=2`` collects ``s20`` and ``s11``, all the ratio estimators need;
+    ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variance.
+    Arrays have length 2G and are indexed by cell id.  Sums are formed one
+    column at a time, so only a few n-vectors are alive at once.
+
+    Within a cell, ``(P T)_i`` is the constant ``alpha`` and ``(A T)_i`` is
+    ``alpha - d u_i`` with d the cell's entry of D; likewise ``beta`` and
+    ``(A R)_i = beta - d e_i``.
+    """
+
+    def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray,
+                 center: float = 0.0, order: int = 4):
+        R = Y - center * T if center else Y
+        self.design = design
+        self.k = _cell_counts(design).astype(np.float64)
+        self.mean_T = _cell_means(design, T)
+        self.mean_R = _cell_means(design, R)
+        u = T - self.mean_T[design.cell]
+        e = R - self.mean_R[design.cell]
+        uu, ue = u * u, u * e
+        self.s20, self.s11 = _cell_sum(design, uu), _cell_sum(design, ue)
+        if order > 2:
+            self.s02 = _cell_sum(design, e * e)
+            self.s30 = _cell_sum(design, uu * u)
+            self.s21 = _cell_sum(design, uu * e)
+            self.s12 = _cell_sum(design, ue * e)
+            self.s40 = _cell_sum(design, uu * uu)
+            self.s31 = _cell_sum(design, uu * ue)
+            self.s22 = _cell_sum(design, ue * ue)
+
+    def group_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per group, active minus inactive cell mean of T and of R."""
+        return (self.mean_T[1::2] - self.mean_T[0::2],
+                self.mean_R[1::2] - self.mean_R[0::2])
+
+    def p_alpha(self) -> np.ndarray:
+        """Per cell, ``-m_g/n_g`` (inactive) or ``1 - m_g/n_g`` (active): P applied
+        to a vector is this times the group's gap of cell means."""
+        share = self.design.treated_counts / self.design.group_sizes.astype(np.float64)
+        return _per_cell(-share, 1.0 - share)
+
+    def p_form(self) -> tuple[float, float]:
+        """``(T'PR, T'PT)``: per group ``m_g (n_g - m_g) / n_g`` times the gaps."""
+        _require_nondegenerate(self.design)
+        n = self.design.group_sizes.astype(np.float64)
+        m = self.design.treated_counts.astype(np.float64)
+        weight = m * (n - m) / n
+        gap_T, gap_R = self.group_gaps()
+        return float(weight @ (gap_T * gap_R)), float(weight @ (gap_T * gap_T))
+
+    def a_form(self) -> tuple[float, float]:
+        """``(T'AR, T'AT)``: the P forms less ``sum_c d_c s11`` and ``sum_c d_c s20``."""
+        d = _cell_D(self.design)
+        t_p_r, t_p_t = self.p_form()
+        return t_p_r - float(d @ self.s11), t_p_t - float(d @ self.s20)

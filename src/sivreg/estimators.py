@@ -10,6 +10,10 @@ T`` that differ only in the operator:
 * SIVE replaces the diagonal with its cell-demeaned counterpart,
   ``A = P - M_WZ D M_WZ``.
 
+All four operators are block diagonal over cells, so each ratio is O(G)
+arithmetic on the cell means and second-order sums of one pass over the data
+(``blockops._CellMoments``).
+
 The population_* functions evaluate the corresponding estimands at the
 realized group counts, which is what the Monte Carlo harness uses as truth.
 """
@@ -22,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockops import (
-    apply_A,
-    apply_M_W,
-    apply_P,
     projection_diag_P,
     _cell_means,
+    _cell_P_diag,
+    _CellMoments,
     _check_vector,
     _require_nondegenerate,
 )
@@ -100,45 +103,63 @@ def _check_sample(design: SaturatedDesign, sample: Sample) -> None:
         )
 
 
-def _ratio(design: SaturatedDesign, sample: Sample, op_T: np.ndarray) -> float:
+def _ratio(sample: Sample, num: float, den: float) -> float:
     T = sample.treatment
-    den = float(op_T @ T)
     if abs(den) <= DENOMINATOR_RTOL * float(T @ T):
         raise WeakDenominatorError(
             "quadratic-form denominator is numerically zero relative to ||T||^2; "
             "identification is too weak for a point estimate, use the "
             "identification-robust test instead"
         )
-    return float(op_T @ sample.outcome) / den
+    return num / den
+
+
+def _moments(design: SaturatedDesign, sample: Sample) -> _CellMoments:
+    _check_sample(design, sample)
+    return _CellMoments(design, sample.treatment, sample.outcome, order=2)
 
 
 def estimate_sive(design: SaturatedDesign, sample: Sample) -> float:
-    """``T'AY / T'AT`` via the closed-form block operators."""
-    _check_sample(design, sample)
-    return _ratio(design, sample, apply_A(design, sample.treatment))
+    """``T'AY / T'AT`` from the per-cell moments."""
+    return _ratio(sample, *_moments(design, sample).a_form())
 
 
 def estimate_tsls(design: SaturatedDesign, sample: Sample) -> float:
     """``T'PY / T'PT`` on the saturated design."""
-    _check_sample(design, sample)
-    return _ratio(design, sample, apply_P(design, sample.treatment))
+    return _ratio(sample, *_moments(design, sample).p_form())
 
 
 def estimate_jive1(design: SaturatedDesign, sample: Sample) -> float:
-    """Ratio with the diagonal of P removed."""
-    _check_sample(design, sample)
-    T = sample.treatment
-    p_diag = projection_diag_P(design)
-    return _ratio(design, sample, apply_P(design, T) - p_diag * T)
+    """Ratio with the diagonal of P removed.
+
+    ``sum_i P_ii T_i Y_i`` is, per cell, ``P_cc (s11 + k mean_T mean_Y)``.
+    """
+    t = _moments(design, sample)
+    p_diag = _cell_P_diag(design)
+    num, den = t.p_form()
+    num -= float(p_diag @ (t.s11 + t.k * t.mean_T * t.mean_R))
+    den -= float(p_diag @ (t.s20 + t.k * t.mean_T * t.mean_T))
+    return _ratio(sample, num, den)
 
 
 def estimate_jive2(design: SaturatedDesign, sample: Sample) -> float:
-    """Ratio with ``M_W (P - D_P) M_W``; demeans before removing the diagonal."""
-    _check_sample(design, sample)
-    Td = apply_M_W(design, sample.treatment)
-    p_diag = projection_diag_P(design)
-    op_T = apply_M_W(design, apply_P(design, Td) - p_diag * Td)
-    return _ratio(design, sample, op_T)
+    """Ratio with ``M_W (P - D_P) M_W``; demeans before removing the diagonal.
+
+    P absorbs the group demeaning, and a cell's mean deviates from its
+    group's by its share of the gap of cell means, so the removed diagonal is
+    ``P_cc s11`` per cell plus ``(m_g^3 + (n_g - m_g)^3) / n_g^3`` times the
+    product of the gaps per group.
+    """
+    t = _moments(design, sample)
+    p_diag = _cell_P_diag(design)
+    num, den = t.p_form()
+    n = design.group_sizes.astype(np.float64)
+    m = design.treated_counts.astype(np.float64)
+    between = (m**3 + (n - m) ** 3) / n**3
+    gap_T, gap_Y = t.group_gaps()
+    num -= float(p_diag @ t.s11) + float(between @ (gap_T * gap_Y))
+    den -= float(p_diag @ t.s20) + float(between @ (gap_T * gap_T))
+    return _ratio(sample, num, den)
 
 
 def _point_estimate(

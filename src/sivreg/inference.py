@@ -23,6 +23,8 @@ from scipy.special import ndtr, ndtri
 
 from .blockops import (
     _apply_A_hadamard,
+    _cell_D,
+    _CellMoments,
     _check_vector,
     apply_A,
     apply_M_WZ,
@@ -113,6 +115,18 @@ def hartley_sigma(design: SaturatedDesign, treatment, residual) -> SigmaEstimate
     )
 
 
+def _hartley_weights(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell ``(w1, w2)`` with ``hartley_sigma``'s estimate ``w1 x_i - w2 sum_c x``.
+
+    ``k/(k-2)`` and ``1/((k-1)(k-2))`` for a cell of size k >= 3; the size-2
+    fallback ``4 x_i`` is ``(4, 0)``.
+    """
+    big = k >= 3
+    w1 = np.divide(k, k - 2.0, out=np.full(k.size, 4.0), where=big)
+    w2 = np.divide(1.0, (k - 1.0) * (k - 2.0), out=np.zeros(k.size), where=big)
+    return w1, w2
+
+
 def _robust_polynomials(
     design: SaturatedDesign, Y: np.ndarray, T: np.ndarray, center: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -127,21 +141,45 @@ def _robust_polynomials(
     ``V = v0 + v1 d + v2 d^2`` with ``v0 = s_uu.b^2 + s_ee.a^2 + 2 s_eu.ab``,
     ``v1 = -4 (s_uu.ab + s_eu.a^2)`` and ``v2 = 4 s_uu.a^2``.  The constant
     terms are the score and variance at ``beta0 = center``.
+
+    Each dot product is summed per cell from the moment table: with
+    ``a = alpha - d u`` and ``b = beta - d e`` in a cell, a product such as
+    ``u^2 b^2`` sums to ``beta^2 s20 - 2 beta d s21 + d^2 s22``, and a Hartley
+    estimate ``w1 x_i - w2 X`` dotted with f gives ``w1 sum(x f) - w2 X F``.
     """
-    R = Y - center * T
-    sig = hartley_sigma(design, T, R)
-    a = apply_A(design, T)
-    b = apply_A(design, R)
-    aa, ab = a * a, a * b
-    score = np.array([float(a @ R), -float(a @ T)])
-    variance = np.array(
-        [
-            float(sig.sigma_u2 @ (b * b) + sig.sigma_v2 @ aa + 2.0 * (sig.sigma_uv @ ab)),
-            -4.0 * float(sig.sigma_u2 @ ab + sig.sigma_uv @ aa),
-            4.0 * float(sig.sigma_u2 @ aa),
-        ]
+    t = _CellMoments(design, T, Y, center)
+    if (t.k == 1.0).any():
+        i = int(np.argmax(t.k[design.cell] == 1.0))
+        raise DesignError(
+            f"observation {i} is alone in its cell; every cell needs size >= 2"
+        )
+    d = _cell_D(design)
+    t_a_r, t_a_t = t.a_form()
+    gap_T, gap_R = t.group_gaps()
+    alpha = t.p_alpha() * np.repeat(gap_T, 2)
+    beta = t.p_alpha() * np.repeat(gap_R, 2)
+    w1, w2 = _hartley_weights(t.k)
+
+    def hartley(x_sum, xf_sum, f_sum):
+        return float(w1 @ xf_sum - w2 @ (x_sum * f_sum))
+
+    ad, bd, dd = alpha * d, beta * d, d * d
+    aa = t.k * alpha * alpha + dd * t.s20
+    bb = t.k * beta * beta + dd * t.s02
+    ab = t.k * alpha * beta + dd * t.s11
+    v0 = (
+        hartley(t.s20, beta * beta * t.s20 - 2.0 * bd * t.s21 + dd * t.s22, bb)
+        + hartley(t.s02, alpha * alpha * t.s02 - 2.0 * ad * t.s12 + dd * t.s22, aa)
+        + 2.0 * hartley(
+            t.s11, alpha * beta * t.s11 - ad * t.s12 - bd * t.s21 + dd * t.s22, ab
+        )
     )
-    return score, variance
+    v1 = -4.0 * (
+        hartley(t.s20, alpha * beta * t.s20 - ad * t.s21 - bd * t.s30 + dd * t.s31, ab)
+        + hartley(t.s11, alpha * alpha * t.s11 - 2.0 * ad * t.s21 + dd * t.s31, aa)
+    )
+    v2 = 4.0 * hartley(t.s20, alpha * alpha * t.s20 - 2.0 * ad * t.s30 + dd * t.s40, aa)
+    return np.array([t_a_r, -t_a_t]), np.array([v0, v1, v2])
 
 
 def _check_alpha(alpha: float) -> None:
