@@ -41,6 +41,29 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _int_array(values, name: str) -> np.ndarray:
+    """``values`` as int64; an entry that is not a whole number raises.
+
+    A plain ``astype`` would truncate 0.5 to 0 without a word.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            as_int = arr.astype(np.int64)
+    except (TypeError, ValueError):
+        raise DesignError(f"{name} entries must be integers") from None
+    bad = as_int != arr
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DesignError(
+            f"{name} entries must be integers "
+            f"(found {arr.ravel()[[i]].tolist()[0]!r} at index {i})"
+        )
+    return as_int
+
+
 @dataclass(frozen=True)
 class SaturatedDesign:
     """Immutable saturated design.
@@ -69,10 +92,10 @@ class SaturatedDesign:
     group_keys: tuple | None = None
 
     def __post_init__(self) -> None:
-        group_of = np.asarray(self.group_of, dtype=np.int64)
-        instrument = np.asarray(self.instrument, dtype=np.int64)
-        group_sizes = np.asarray(self.group_sizes, dtype=np.int64)
-        treated_counts = np.asarray(self.treated_counts, dtype=np.int64)
+        group_of = _int_array(self.group_of, "group_of")
+        instrument = _int_array(self.instrument, "instrument")
+        group_sizes = _int_array(self.group_sizes, "group_sizes")
+        treated_counts = _int_array(self.treated_counts, "treated_counts")
         if group_of.ndim != 1 or instrument.ndim != 1:
             raise DesignError("group_of and instrument must be 1-dimensional")
         if group_of.shape != instrument.shape:
@@ -82,8 +105,12 @@ class SaturatedDesign:
             )
         if group_of.size == 0:
             raise EmptyDesignError("design has no observations")
-        if not np.isin(instrument, (0, 1)).all():
-            raise DesignError("instrument entries must be 0 or 1")
+        bad = (instrument < 0) | (instrument > 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DesignError(
+                f"instrument entries must be 0 or 1 (found {instrument[i].item()} at row {i})"
+            )
         G = group_sizes.size
         if treated_counts.size != G:
             raise DesignError("group_sizes and treated_counts must have equal length")
@@ -199,19 +226,13 @@ def build_design(covariate_rows, instrument) -> SaturatedDesign:
         On length mismatch, rows of unequal length, a NaN covariate value or
         a non-binary instrument entry.
     """
-    instrument = np.asarray(instrument)
+    instrument = _int_array(instrument, "instrument")
     if instrument.ndim != 1:
         raise DesignError("instrument must be 1-dimensional")
     n = len(covariate_rows)
     if instrument.size != n:
         raise DesignError(
             f"length mismatch: {n} covariate rows but {instrument.size} instrument entries"
-        )
-    bad = ~np.isin(instrument, (0, 1))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DesignError(
-            f"instrument entries must be 0 or 1 (found {instrument[i]!r} at row {i})"
         )
     if isinstance(covariate_rows, np.ndarray):
         if covariate_rows.ndim not in (1, 2):
@@ -227,7 +248,7 @@ def build_design(covariate_rows, instrument) -> SaturatedDesign:
         columns = [_as_column(values) for values in zip(*covariate_rows)]
     else:
         columns = [_as_column(covariate_rows)]
-    return _design_from_columns(columns, instrument.astype(np.int64))
+    return _design_from_columns(columns, instrument)
 
 
 def _as_column(values):

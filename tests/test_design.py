@@ -66,6 +66,47 @@ def test_build_non_binary_instrument_names_row():
         build_design([[0], [0], [0], [0]], [1, 0, 2, 0])
 
 
+def test_design_rejects_fractional_instrument():
+    # int64 casting would truncate 0.5 to 0 and accept the design
+    with pytest.raises(DesignError, match=r"instrument entries must be integers .*0\.5 at index 0"):
+        SaturatedDesign(
+            group_of=np.zeros(5, dtype=int),
+            instrument=[0.5, 1, 1, 0, 0],
+            group_sizes=[5],
+            treated_counts=[2],
+        )
+    with pytest.raises(DesignError, match="must be integers"):
+        build_design([[0]] * 5, [0.5, 1, 1, 0, 0])
+
+
+def test_design_rejects_fractional_group_index():
+    # int64 casting would truncate 0.7 to group 0
+    with pytest.raises(DesignError, match=r"group_of entries must be integers .*0\.7 at index 0"):
+        SaturatedDesign(
+            group_of=[0.7, 0, 0, 0, 0],
+            instrument=[1, 1, 0, 0, 0],
+            group_sizes=[5],
+            treated_counts=[2],
+        )
+
+
+def test_design_accepts_whole_float_and_bool_entries():
+    d = SaturatedDesign(
+        group_of=[0.0, 0.0, 1.0, 1.0],
+        instrument=np.array([True, False, True, False]),
+        group_sizes=[2.0, 2.0],
+        treated_counts=[1, 1],
+    )
+    assert d.group_of.dtype == np.int64 and d.instrument.tolist() == [1, 0, 1, 0]
+
+
+def test_design_non_binary_instrument_names_row():
+    with pytest.raises(DesignError, match=r"0 or 1 \(found 2 at row 1\)"):
+        SaturatedDesign(
+            group_of=[0, 0, 0], instrument=[1, 2, 0], group_sizes=[3], treated_counts=[1]
+        )
+
+
 def test_build_rejects_2d_instrument():
     with pytest.raises(DesignError, match="1-dimensional"):
         build_design([[0], [0]], [[1], [0]])
