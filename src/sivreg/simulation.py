@@ -12,6 +12,7 @@ treated threshold p1, recording median bias and test size per grid cell.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from .design import (
     GroupAudit,
     Sample,
     SaturatedDesign,
+    _readonly,
     build_design,
     filter_design,
     validate_group_sizes,
@@ -169,6 +171,20 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
 
 
+@functools.lru_cache(maxsize=32)
+def _covariate_layout(n: int, L: int, n_hetero: int) -> tuple[np.ndarray, np.ndarray]:
+    """Covariate X of each observation and the rows with the shifted effect.
+
+    Neither depends on the draw, so both are computed once per (n, L,
+    n_hetero) and returned read-only: X cycles through the first L
+    radical-inverse points, and the shifted rows are the n_hetero smallest X
+    (ties in row order).
+    """
+    points = np.array([halton(i, 2) for i in range(1, L + 1)])
+    x = points[np.arange(n) % L]
+    return _readonly(x), _readonly(np.argsort(x, kind="stable")[:n_hetero])
+
+
 def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     """Draw one dataset and compute its population truth.
 
@@ -180,8 +196,7 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     rng = np.random.default_rng(config.master_seed if seed is None else seed)
     n = config.n
 
-    points = np.array([halton(i, 2) for i in range(1, config.L + 1)])
-    x = points[np.arange(n) % config.L]
+    x, hetero_rows = _covariate_layout(n, config.L, config.n_hetero)
     q = (rng.random(n) < propensity(x)).astype(np.int64)
 
     z = rng.standard_normal((2, n))
@@ -192,8 +207,7 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     t = (ndtr(u) <= threshold).astype(np.float64)
 
     gamma = np.ones(n)
-    order = np.argsort(x, kind="stable")
-    gamma[order[: config.n_hetero]] = 1.0 + config.h
+    gamma[hetero_rows] = 1.0 + config.h
 
     y = outcome_level(x) + config.beta * gamma * t + eps
 

@@ -147,6 +147,18 @@ def test_heterogeneity_goes_to_smallest_covariate_values():
     assert lo <= draw.truth["beta_sive"] <= hi
 
 
+def test_covariate_layout_is_computed_once_and_read_only():
+    from sivreg.simulation import _covariate_layout
+
+    x, rows = _covariate_layout(50, 7, 20)
+    again = _covariate_layout(50, 7, 20)
+    assert again[0] is x and again[1] is rows
+    assert not x.flags.writeable and not rows.flags.writeable
+    points = [halton(i, 2) for i in range(1, 8)]
+    assert x.tolist() == [points[i % 7] for i in range(50)]
+    assert rows.tolist() == np.argsort(x, kind="stable")[:20].tolist()
+
+
 def test_bias_rows_have_fixed_shape():
     cfg = SimConfig(n=200, L=1, replications=3, master_seed=4)
     rows = run_bias_experiment(cfg, L_values=[1, 2], p1_values=[0.49])
