@@ -263,12 +263,14 @@ class _CellMoments:
     Every quadratic form of the estimators and the variance is block diagonal
     over cells, so it reduces to a few numbers per cell, each one cell sum
     over the n observations: the counts ``k``, the means ``mean_T`` and
-    ``mean_R``, and the power sums ``s<j><l> = sum u^j e^l`` of the
-    within-cell deviations ``u = T - mean_T`` and ``e = R - mean_R``.
+    ``mean_Y``, and the power sums ``s<j><l> = sum u^j e^l`` of the
+    within-cell deviations ``u = T - mean_T`` and ``e`` of R.
     ``order=2`` collects ``s20`` and ``s11``, all the ratio estimators need;
     ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variance.
     Arrays have length 2G and are indexed by cell id.  Sums are formed one
-    column at a time, so only a few n-vectors are alive at once.
+    column at a time, so only a few n-vectors are alive at once.  R itself is
+    never formed: ``e`` is ``(Y - mean_Y) - center u``, so offsets in Y and T
+    cancel before any product is taken, whatever the center.
 
     Within a cell, ``(P T)_i`` is the constant ``alpha`` and ``(A T)_i`` is
     ``alpha - d u_i`` with d the cell's entry of D; likewise ``beta`` and
@@ -277,13 +279,15 @@ class _CellMoments:
 
     def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray,
                  center: float = 0.0, order: int = 4):
-        R = Y - center * T if center else Y
         self.design = design
         self.k = _cell_counts(design).astype(np.float64)
+        self.center = center
         self.mean_T = _cell_means(design, T)
-        self.mean_R = _cell_means(design, R)
+        self.mean_Y = _cell_means(design, Y)
         u = T - self.mean_T[design.cell]
-        e = R - self.mean_R[design.cell]
+        e = Y - self.mean_Y[design.cell]
+        if center:
+            e -= center * u
         uu, ue = u * u, u * e
         self.s20, self.s11 = _cell_sum(design, uu), _cell_sum(design, ue)
         if order > 2:
@@ -297,8 +301,9 @@ class _CellMoments:
 
     def group_gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Per group, active minus inactive cell mean of T and of R."""
-        return (self.mean_T[1::2] - self.mean_T[0::2],
-                self.mean_R[1::2] - self.mean_R[0::2])
+        gap_T = self.mean_T[1::2] - self.mean_T[0::2]
+        gap_Y = self.mean_Y[1::2] - self.mean_Y[0::2]
+        return gap_T, gap_Y - self.center * gap_T if self.center else gap_Y
 
     def p_alpha(self) -> np.ndarray:
         """Per cell, ``-m_g/n_g`` (inactive) or ``1 - m_g/n_g`` (active): P applied

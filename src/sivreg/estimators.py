@@ -137,7 +137,7 @@ def estimate_jive1(design: SaturatedDesign, sample: Sample) -> float:
     t = _moments(design, sample)
     p_diag = _cell_P_diag(design)
     num, den = t.p_form()
-    num -= float(p_diag @ (t.s11 + t.k * t.mean_T * t.mean_R))
+    num -= float(p_diag @ (t.s11 + t.k * t.mean_T * t.mean_Y))
     den -= float(p_diag @ (t.s20 + t.k * t.mean_T * t.mean_T))
     return _ratio(sample, num, den)
 

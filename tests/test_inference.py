@@ -403,3 +403,191 @@ def test_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False False"
+
+
+# --- The per-cell moment table against the operator path and the oracle ---
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from sivreg import (
+    apply_M_W,
+    apply_P,
+    estimate_jive1,
+    estimate_jive2,
+    estimate_tsls,
+    filter_design,
+    projection_diag_P,
+    validate_group_sizes,
+)
+from sivreg.oracle import assemble, oracle_estimate, oracle_variance
+from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
+
+TABLE_RTOL = 1e-12
+
+
+def operator_polynomials(d, Y, T, center):
+    """Score and variance coefficients from hartley_sigma and apply_A.
+
+    Each coefficient is returned with its per-observation terms, whose
+    absolute sum is the scale at which any order of summation is accurate.
+    """
+    R = Y - center * T
+    sig = hartley_sigma(d, T, R)
+    a, b = apply_A(d, T), apply_A(d, R)
+    score = [a * R, -(a * T)]
+    variance = [
+        sig.sigma_u2 * b * b + sig.sigma_v2 * a * a + 2.0 * sig.sigma_uv * a * b,
+        -4.0 * (sig.sigma_u2 * a * b + sig.sigma_uv * a * a),
+        4.0 * sig.sigma_u2 * a * a,
+    ]
+    return score, variance
+
+
+def operator_ratio_terms(kind, d, T):
+    """Per-observation ``Op T`` of each ratio estimator, from the operators."""
+    if kind is EstimatorKind.SIVE:
+        return apply_A(d, T)
+    if kind is EstimatorKind.TSLS_SATURATED:
+        return apply_P(d, T)
+    if kind is EstimatorKind.JIVE1:
+        return apply_P(d, T) - projection_diag_P(d) * T
+    Td = apply_M_W(d, T)
+    return apply_M_W(d, apply_P(d, Td) - projection_diag_P(d) * Td)
+
+
+ESTIMATORS = {
+    EstimatorKind.SIVE: estimate_sive,
+    EstimatorKind.TSLS_SATURATED: estimate_tsls,
+    EstimatorKind.JIVE1: estimate_jive1,
+    EstimatorKind.JIVE2: estimate_jive2,
+}
+
+
+def assert_sum_close(value, terms, rtol=TABLE_RTOL):
+    reference = float(np.sum(terms))
+    scale = float(np.sum(np.abs(terms)))
+    assert abs(value - reference) <= rtol * scale, (value, reference, scale)
+
+
+def exact_cell_data(rng, d, level, deviation):
+    """``level`` plus ``deviation`` rounded to multiples of 2**-8 so that every
+    cell sum is a multiple of the cell size: each cell mean, and so each
+    within-cell deviation, is then computed exactly, even at an offset of 1e6.
+    """
+    ticks = np.round(256.0 * deviation)
+    sums = np.bincount(d.cell, weights=ticks, minlength=2 * d.G)
+    k = np.bincount(d.cell, minlength=2 * d.G)
+    excess = np.mod(sums, np.maximum(k, 1))
+    last = np.full(2 * d.G, -1)
+    last[d.cell] = np.arange(d.n)  # the last row of each cell
+    ticks[last[k > 0]] -= excess[k > 0]
+    return level + ticks / 256.0
+
+
+@st.composite
+def table_cases(draw):
+    """A filtered design with data, covering the table's edge cases.
+
+    Cells of size 2 take the Hartley fallback; groups with fewer than two
+    observations on a side are dropped by filter_design; T and Y may carry
+    offsets of 1e6, and the slope may be 1024 so that the residual at a
+    center near it cancels most of Y.  The data are exact in binary (see
+    exact_cell_data), so the deviations that enter both paths carry no
+    rounding, and the comparison measures the table's arithmetic alone.
+    """
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=6
+        )
+    )
+    assume(any(m >= 2 and k >= 2 for m, k in cells))
+    seed = draw(st.integers(0, 2**32 - 1))
+    offset_T = draw(st.sampled_from([0.0, 1e6]))
+    offset_Y = draw(st.sampled_from([0.0, 1e6]))
+    slope = draw(st.sampled_from([0.5, 1024.0]))
+    rng = np.random.default_rng(seed)
+    labels, flags = [], []
+    for g, (m, k) in enumerate(cells):
+        labels += [g] * (m + k)
+        flags += [1] * m + [0] * k
+    perm = rng.permutation(len(flags))
+    raw = build_design([labels[i] for i in perm], [flags[i] for i in perm])
+    d, _ = filter_design(raw, validate_group_sizes(raw), Sample(np.zeros(raw.n), np.zeros(raw.n)))
+    z = d.instrument.astype(float)
+    u = rng.standard_normal(d.n)
+    T = exact_cell_data(rng, d, offset_T, rng.uniform(0.5, 2.0) * z + u)
+    noise = 0.6 * u + rng.standard_normal(d.n)
+    Y = exact_cell_data(rng, d, offset_Y, slope * (T - offset_T) + noise)
+    return d, Sample(Y, T), slope, (offset_T, offset_Y)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_cases())
+def test_moment_table_matches_operator_path(case):
+    # The table runs on the data with their offsets; the operator path, whose
+    # dot products would otherwise carry the offsets' rounding, runs on the
+    # data without them (exact, see exact_cell_data).  Every quantity here
+    # but JIVE1's is invariant to the offsets.
+    from sivreg.inference import _robust_polynomials
+
+    d, s, slope, (offset_T, offset_Y) = case
+    Y, T = s.outcome, s.treatment
+    Y0, T0 = Y - offset_Y, T - offset_T
+    for center in (0.0, 0.25, 37.0, slope):
+        score, variance = _robust_polynomials(d, Y, T, center)
+        ref_score, ref_variance = operator_polynomials(d, Y0, T0, center)
+        for value, terms in zip([*score, *variance], [*ref_score, *ref_variance]):
+            assert_sum_close(float(value), terms)
+
+    assert_sum_close(first_stage_strength(d, treatment=T)["FS"] * d.n, apply_P(d, T0) * T0)
+
+    for kind, estimate in ESTIMATORS.items():
+        Yr, Tr = (Y, T) if kind is EstimatorKind.JIVE1 else (Y0, T0)
+        op_T = operator_ratio_terms(kind, d, Tr)
+        num, den = op_T * Yr, op_T * Tr
+        # The library refuses a denominator below 1e-12 ||T||^2 (an offset
+        # in T raises ||T||^2, so such data are refused).
+        if abs(float(np.sum(den))) <= DENOMINATOR_RTOL * float(T @ T):
+            with pytest.raises(WeakDenominatorError):
+                estimate(d, s)
+            continue
+        ref = float(np.sum(num)) / float(np.sum(den))
+        bound = (np.sum(np.abs(num)) + abs(ref) * np.sum(np.abs(den))) / abs(np.sum(den))
+        assert abs(estimate(d, s) - ref) <= TABLE_RTOL * bound, kind
+
+    # The variance near the estimate, rounded to a multiple of 2**-10 so that
+    # the residual the operator path forms is exact too.
+    a_t_terms = apply_A(d, T0) * T0
+    t_a_t = float(np.sum(a_t_terms))
+    if abs(t_a_t) <= DENOMINATOR_RTOL * float(T @ T):
+        return
+    beta = np.round(estimate_sive(d, s) * 1024.0) / 1024.0
+    _, v_terms = operator_polynomials(d, Y0, T0, beta)
+    v0 = float(np.sum(v_terms[0]))
+    bound = (
+        np.sum(np.abs(v_terms[0])) + 2.0 * abs(v0) * np.sum(np.abs(a_t_terms)) / abs(t_a_t)
+    ) / t_a_t**2
+    assert abs(sive_variance(d, Y, T, beta) - v0 / t_a_t**2) <= TABLE_RTOL * bound
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_cases())
+def test_moment_table_matches_dense_oracle(case):
+    d, s, _, (offset_T, offset_Y) = case
+    # The dense operators would lose the digits an offset of 1e6 takes.
+    Y, T = s.outcome - offset_Y, s.treatment - offset_T
+    s = Sample(Y, T)
+    dense = assemble(d)
+    for kind, estimate in ESTIMATORS.items():
+        den = operator_ratio_terms(kind, d, T) * T
+        if abs(np.sum(den)) < 1e-6 * np.sum(np.abs(den)):
+            continue  # a near-zero denominator: the ratio has no 8 stable digits
+        ref = oracle_estimate(kind, dense, Y, T)
+        assert abs(estimate(d, s) - ref) <= 1e-8 * max(1.0, abs(ref)), kind
+    den = apply_A(d, T) * T
+    if abs(np.sum(den)) < 1e-6 * np.sum(np.abs(den)):
+        return
+    beta_hat = estimate_sive(d, s)
+    ref = oracle_variance(dense, Y, T, beta_hat)
+    assert abs(sive_variance(d, Y, T, beta_hat) - ref) <= 1e-8 * abs(ref)
