@@ -15,6 +15,9 @@ Naming convention used throughout the package:
 All of these are block diagonal over groups or cells, so every application
 below is O(n): one cell sum, then per-cell coefficients gathered by cell id
 (``design.cell``).  Dense n-by-n matrices exist only in the reference module.
+Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
+reduces them to per-cell sums, which is how the estimators and the variance
+use them; the public operators are their per-observation reference.
 """
 
 from __future__ import annotations
@@ -272,9 +275,9 @@ class _CellMoments:
     never formed: ``e`` is ``(Y - mean_Y) - center u``, so offsets in Y and T
     cancel before any product is taken, whatever the center.
 
-    Within a cell, ``(P T)_i`` is the constant ``alpha`` and ``(A T)_i`` is
-    ``alpha - d u_i`` with d the cell's entry of D; likewise ``beta`` and
-    ``(A R)_i = beta - d e_i``.
+    Within a cell, ``(P T)_i`` is a constant ``pt`` and ``(A T)_i`` is
+    ``pt - d u_i`` with d the cell's entry of D; likewise ``(A R)_i`` is
+    ``pr - d e_i``.
     """
 
     def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray,
@@ -305,11 +308,13 @@ class _CellMoments:
         gap_Y = self.mean_Y[1::2] - self.mean_Y[0::2]
         return gap_T, gap_Y - self.center * gap_T if self.center else gap_Y
 
-    def p_alpha(self) -> np.ndarray:
-        """Per cell, ``-m_g/n_g`` (inactive) or ``1 - m_g/n_g`` (active): P applied
-        to a vector is this times the group's gap of cell means."""
+    def p_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell, the constant values of PT and PR: the group's gap of cell
+        means times ``-m_g/n_g`` (inactive cell) or ``1 - m_g/n_g`` (active)."""
         share = self.design.treated_counts / self.design.group_sizes.astype(np.float64)
-        return _per_cell(-share, 1.0 - share)
+        factor = _per_cell(-share, 1.0 - share)
+        gap_T, gap_R = self.group_gaps()
+        return factor * np.repeat(gap_T, 2), factor * np.repeat(gap_R, 2)
 
     def p_form(self) -> tuple[float, float]:
         """``(T'PR, T'PT)``: per group ``m_g (n_g - m_g) / n_g`` times the gaps."""

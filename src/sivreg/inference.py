@@ -11,6 +11,15 @@ Hadamard square of the cell-demeaning operator; cells of size 2 make that
 inverse singular and are routed to a rescaled fallback that biases the
 variance upward (conservative).  Evaluating everything at a hypothesized
 beta_0 instead of the estimate yields the identification-robust score test.
+
+Nothing here is computed one observation at a time.  Within a cell the
+Hartley estimate is ``w1 x_i - w2 sum_c x``, and AT and Ar are a cell
+constant minus a multiple of the within-cell deviation, so every dot product
+above is a polynomial in per-cell power sums of the deviations of T and r.
+One pass over the data builds those sums (``blockops._CellMoments``); the
+score, its variance and their coefficients in beta_0 are O(G) arithmetic on
+them.  ``hartley_sigma`` keeps the per-observation estimates as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from scipy.special import ndtr, ndtri
 
 from .blockops import (
     _apply_A_hadamard,
+    _cell_counts,
     _cell_D,
     _CellMoments,
     _check_vector,
@@ -143,42 +153,39 @@ def _robust_polynomials(
     terms are the score and variance at ``beta0 = center``.
 
     Each dot product is summed per cell from the moment table: with
-    ``a = alpha - d u`` and ``b = beta - d e`` in a cell, a product such as
-    ``u^2 b^2`` sums to ``beta^2 s20 - 2 beta d s21 + d^2 s22``, and a Hartley
+    ``a = pt - d u`` and ``b = pr - d e`` in a cell, a product such as
+    ``u^2 b^2`` sums to ``pr^2 s20 - 2 pr d s21 + d^2 s22``, and a Hartley
     estimate ``w1 x_i - w2 X`` dotted with f gives ``w1 sum(x f) - w2 X F``.
     """
-    t = _CellMoments(design, T, Y, center)
-    if (t.k == 1.0).any():
-        i = int(np.argmax(t.k[design.cell] == 1.0))
+    lone = _cell_counts(design) == 1
+    if lone.any():
+        i = int(np.argmax(lone[design.cell]))
         raise DesignError(
             f"observation {i} is alone in its cell; every cell needs size >= 2"
         )
+    t = _CellMoments(design, T, Y, center)
     d = _cell_D(design)
     t_a_r, t_a_t = t.a_form()
-    gap_T, gap_R = t.group_gaps()
-    alpha = t.p_alpha() * np.repeat(gap_T, 2)
-    beta = t.p_alpha() * np.repeat(gap_R, 2)
+    pt, pr = t.p_values()
     w1, w2 = _hartley_weights(t.k)
 
     def hartley(x_sum, xf_sum, f_sum):
         return float(w1 @ xf_sum - w2 @ (x_sum * f_sum))
 
-    ad, bd, dd = alpha * d, beta * d, d * d
-    aa = t.k * alpha * alpha + dd * t.s20
-    bb = t.k * beta * beta + dd * t.s02
-    ab = t.k * alpha * beta + dd * t.s11
+    td, rd, dd = pt * d, pr * d, d * d
+    aa = t.k * pt * pt + dd * t.s20
+    bb = t.k * pr * pr + dd * t.s02
+    ab = t.k * pt * pr + dd * t.s11
     v0 = (
-        hartley(t.s20, beta * beta * t.s20 - 2.0 * bd * t.s21 + dd * t.s22, bb)
-        + hartley(t.s02, alpha * alpha * t.s02 - 2.0 * ad * t.s12 + dd * t.s22, aa)
-        + 2.0 * hartley(
-            t.s11, alpha * beta * t.s11 - ad * t.s12 - bd * t.s21 + dd * t.s22, ab
-        )
+        hartley(t.s20, pr * pr * t.s20 - 2.0 * rd * t.s21 + dd * t.s22, bb)
+        + hartley(t.s02, pt * pt * t.s02 - 2.0 * td * t.s12 + dd * t.s22, aa)
+        + 2.0 * hartley(t.s11, pt * pr * t.s11 - td * t.s12 - rd * t.s21 + dd * t.s22, ab)
     )
     v1 = -4.0 * (
-        hartley(t.s20, alpha * beta * t.s20 - ad * t.s21 - bd * t.s30 + dd * t.s31, ab)
-        + hartley(t.s11, alpha * alpha * t.s11 - 2.0 * ad * t.s21 + dd * t.s31, aa)
+        hartley(t.s20, pt * pr * t.s20 - td * t.s21 - rd * t.s30 + dd * t.s31, ab)
+        + hartley(t.s11, pt * pt * t.s11 - 2.0 * td * t.s21 + dd * t.s31, aa)
     )
-    v2 = 4.0 * hartley(t.s20, alpha * alpha * t.s20 - 2.0 * ad * t.s30 + dd * t.s40, aa)
+    v2 = 4.0 * hartley(t.s20, pt * pt * t.s20 - 2.0 * td * t.s30 + dd * t.s40, aa)
     return np.array([t_a_r, -t_a_t]), np.array([v0, v1, v2])
 
 

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sivreg import (
@@ -13,18 +15,28 @@ from sivreg import (
     Sample,
     SmallCellError,
     apply_A,
+    apply_M_W,
+    apply_P,
     build_design,
     chao_variance,
     confidence_interval,
+    estimate_jive1,
+    estimate_jive2,
     estimate_sive,
+    estimate_tsls,
+    filter_design,
     first_stage_strength,
     hartley_sigma,
+    projection_diag_P,
     robust_ci,
     robust_test,
     sive_report,
     sive_variance,
     t_test,
+    validate_group_sizes,
 )
+from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
+from sivreg.oracle import assemble, oracle_estimate, oracle_variance
 
 from conftest import random_design, strong_sample
 
@@ -406,22 +418,6 @@ def test_import_does_not_load_scipy_stats():
 
 
 # --- The per-cell moment table against the operator path and the oracle ---
-
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
-
-from sivreg import (
-    apply_M_W,
-    apply_P,
-    estimate_jive1,
-    estimate_jive2,
-    estimate_tsls,
-    filter_design,
-    projection_diag_P,
-    validate_group_sizes,
-)
-from sivreg.oracle import assemble, oracle_estimate, oracle_variance
-from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
 
 TABLE_RTOL = 1e-12
 
