@@ -25,9 +25,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
-from .blockops import SmallCellError
+from .blockops import SmallCellError, _cell_means, apply_M_W, apply_P
 from .design import (
     DesignError,
     GroupAudit,
@@ -49,6 +48,7 @@ from .estimators import (
 from .inference import (
     InferenceReport,
     NonpositiveVarianceError,
+    _normal_report,
     robust_ci,
     sive_report,
 )
@@ -306,53 +306,55 @@ def _audit_dict(raw_design: SaturatedDesign, audit: GroupAudit) -> dict:
     }
 
 
-def _group_dummies(design: SaturatedDesign) -> np.ndarray:
-    W = np.zeros((design.n, design.G))
-    W[np.arange(design.n), design.group_of] = 1.0
-    return W
+def _within(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
+    """``M_W v`` after shifting each group by one of its values, so a group
+    constant leaves no rounding residue for the rank checks to take for
+    variation."""
+    shift = np.empty(design.G)
+    shift[design.group_of] = v
+    return apply_M_W(design, v - shift[design.group_of])
 
 
 def _generic_fit(
     spec: SpecChoice, schema: DatasetSchema, prep: _Prepared
 ) -> tuple[float, float]:
+    """Treatment coefficient and HC0 variance of the spec's textbook 2SLS,
+    on at most 2 + p columns.  Group dummies W as controls are partialled out
+    by within-group demeaning (Frisch-Waugh-Lovell: same coefficient and
+    residuals); interactions ``W q`` as instruments enter through the fitted
+    treatment, which gives the same projected regressors."""
     design, sample = prep.design, prep.sample
-    q = design.instrument.astype(np.float64)[:, None]
-    ones = np.ones((design.n, 1))
+    Y, T = sample.outcome, sample.treatment
+    q = design.instrument.astype(np.float64)
+    if spec in (SpecChoice.SATURATED_CONTROLS, SpecChoice.FULLY_SATURATED):
+        Y, T = _within(design, Y), _within(design, T)
+        if spec is SpecChoice.SATURATED_CONTROLS:
+            Z, zname = apply_M_W(design, q), "instrument"
+        else:
+            # P T is the fit of the demeaned T on the demeaned interactions.
+            Z, zname = apply_P(design, T), "fitted treatment"
+        return estimate_tsls_generic(Y, T, Z[:, None], None, [zname], [])
 
-    def covariate_matrix() -> np.ndarray:
-        bad = [c for c in schema.covariate_cols if not prep.numeric[c]]
-        if bad:
-            raise CliValidationError(
-                f"covariate columns {', '.join(bad)} are not numeric; "
-                f"spec {spec.value!r} enters covariates linearly"
-            )
-        if not schema.covariate_cols:
-            return np.empty((design.n, 0))
-        keys = np.asarray(
-            [design.group_keys[g] for g in design.group_of], dtype=np.float64
+    bad = [c for c in schema.covariate_cols if not prep.numeric[c]]
+    if bad:
+        raise CliValidationError(
+            f"covariate columns {', '.join(bad)} are not numeric; "
+            f"spec {spec.value!r} enters covariates linearly"
         )
-        return keys
-
+    x = np.asarray(design.group_keys, dtype=np.float64)[design.group_of]
+    C = np.column_stack([np.ones(design.n), x])
     if spec is SpecChoice.NOT_SATURATED:
-        Zm, znames = q, ["instrument"]
-        Cm = np.hstack([ones, covariate_matrix()])
-        cnames = ["intercept", *schema.covariate_cols]
-    elif spec is SpecChoice.SATURATED_INSTRUMENTS:
-        W = _group_dummies(design)
-        Zm, znames = W * q, [f"instrument:group{g}" for g in range(design.G)]
-        Cm = np.hstack([ones, covariate_matrix()])
-        cnames = ["intercept", *schema.covariate_cols]
-    elif spec is SpecChoice.SATURATED_CONTROLS:
-        Zm, znames = q, ["instrument"]
-        Cm = _group_dummies(design)
-        cnames = [f"group{g}" for g in range(design.G)]
+        Z, zname = q, "instrument"
     else:
-        W = _group_dummies(design)
-        Zm, znames = W * q, [f"instrument:group{g}" for g in range(design.G)]
-        Cm = W
-        cnames = [f"group{g}" for g in range(design.G)]
+        # x is constant within groups, so the span of [W q, 1, x] is the
+        # active-cell dummies on active rows plus [1, x] on inactive rows:
+        # the fitted T is the active-cell mean there and an OLS fit here.
+        inactive = design.instrument == 0
+        coef = np.linalg.lstsq(C[inactive], T[inactive], rcond=None)[0]
+        Z = np.where(inactive, C @ coef, _cell_means(design, T)[design.cell])
+        zname = "fitted treatment"
     return estimate_tsls_generic(
-        sample.outcome, sample.treatment, Zm, Cm, znames, cnames
+        Y, T, Z[:, None], C, [zname], ["intercept", *schema.covariate_cols]
     )
 
 
@@ -369,8 +371,8 @@ def cmd_estimate(
 ) -> dict:
     """Estimate one spec/estimator combination and report inference as JSON.
 
-    The blockwise estimators require the fully saturated spec; the other
-    specs run the explicit-matrix two-stage path.  The saturated TSLS and
+    The blockwise estimators require the fully saturated spec; every spec
+    runs the generic two-stage path (``estimate_tsls_generic``).  The saturated TSLS and
     jackknife baselines carry no variance theory here, so their variance
     fields are null.  ``reference`` re-computes blockwise results with the
     dense reference implementation and attaches them.
@@ -382,6 +384,10 @@ def cmd_estimate(
             f"unsupported combination: estimator {estimator.value!r} under "
             f"spec {spec.value!r} (blockwise estimators need "
             f"'{SpecChoice.FULLY_SATURATED.value}')"
+        )
+    if reference and not blockwise:
+        raise CliValidationError(
+            "--reference is available only for the blockwise estimators"
         )
     prep = _prepare(csv_path, schema, min_active, min_inactive, binarize)
     design, sample = prep.design, prep.sample
@@ -401,18 +407,8 @@ def cmd_estimate(
         )
     else:
         beta, var = _generic_fit(spec, schema, prep)
-        se = math.sqrt(var)
-        z = float(ndtri(1.0 - alpha / 2.0))
-        report = InferenceReport(
-            beta_hat=beta,
-            variance=var,
-            std_error=se,
-            ci_low=beta - z * se,
-            ci_high=beta + z * se,
-            beta0=0.0,
-            t_stat=beta / se if se > 0.0 else None,
-            fs_diag=first_stage_strength(design, treatment=sample.treatment),
-        )
+        fs_diag = first_stage_strength(design, treatment=sample.treatment)
+        report = _normal_report(beta, var, alpha, 0.0, fs_diag)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -426,10 +422,6 @@ def cmd_estimate(
         "estimate": report.to_json_dict(),
     }
     if reference:
-        if not blockwise:
-            raise CliValidationError(
-                "--reference is available only for the blockwise estimators"
-            )
         dense = assemble(design)
         ref_beta = oracle_estimate(
             estimator, dense, sample.outcome, sample.treatment

@@ -261,21 +261,13 @@ def estimate_tsls_generic(
     return float(beta[0]), float(cov[0, 0])
 
 
-def _broadcast_group(values, G: int, name: str) -> np.ndarray:
+def _broadcast(values, length: int, label: str, name: str) -> np.ndarray:
+    """``values`` as a float array of ``length`` (named ``label``); a scalar is repeated."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
-        return np.full(G, float(arr))
-    if arr.shape != (G,):
-        raise ValueError(f"{name} must be a scalar or have length G={G}")
-    return arr
-
-
-def _broadcast_obs(values, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must be a scalar or have length n={n}")
+        return np.full(length, float(arr))
+    if arr.shape != (length,):
+        raise ValueError(f"{name} must be a scalar or have length {label}={length}")
     return arr
 
 
@@ -288,8 +280,8 @@ def population_moments(
     operator matching ``kind``, evaluated at the realized group counts.
     """
     G, n = design.G, design.n
-    pi = _broadcast_group(inputs.pi, G, "pi")
-    tau = _broadcast_group(inputs.tau, G, "tau")
+    pi = _broadcast(inputs.pi, G, "G", "pi")
+    tau = _broadcast(inputs.tau, G, "G", "tau")
     p_tilde = design.group_sizes / n
     share = design.treated_counts / design.group_sizes.astype(np.float64)
     v_tilde = share * (1.0 - share)
@@ -301,8 +293,8 @@ def population_moments(
     if kind is EstimatorKind.TSLS_SATURATED:
         if inputs.sigma_ue is None or inputs.sigma_uu is None:
             raise ValueError("the TSLS estimand needs sigma_ue and sigma_uu")
-        sigma_ue = _broadcast_obs(inputs.sigma_ue, n, "sigma_ue")
-        sigma_uu = _broadcast_obs(inputs.sigma_uu, n, "sigma_uu")
+        sigma_ue = _broadcast(inputs.sigma_ue, n, "n", "sigma_ue")
+        sigma_uu = _broadcast(inputs.sigma_uu, n, "n", "sigma_uu")
         p_diag = projection_diag_P(design)
         num = float(base @ tau) + float(sigma_ue @ p_diag) / n
         den = float(base.sum()) + float(sigma_uu @ p_diag) / n
@@ -312,8 +304,8 @@ def population_moments(
         if inputs.psi is None or inputs.phi is None:
             raise ValueError("the JIVE1 estimand needs psi and phi")
         _require_nondegenerate(design)
-        psi = _broadcast_group(inputs.psi, G, "psi")
-        phi = _broadcast_group(inputs.phi, G, "phi")
+        psi = _broadcast(inputs.psi, G, "G", "psi")
+        phi = _broadcast(inputs.phi, G, "G", "phi")
         m = design.treated_counts.astype(np.float64)
         inv_m = 1.0 / m
         b_y = float((p_tilde * pi * (phi + tau * psi) * v_tilde * inv_m).sum())
@@ -327,8 +319,8 @@ def population_moments(
     if kind is EstimatorKind.JIVE2:
         if inputs.sigma_ue is None or inputs.sigma_uu is None:
             raise ValueError("the JIVE2 estimand needs sigma_ue and sigma_uu")
-        sigma_ue = _broadcast_obs(inputs.sigma_ue, n, "sigma_ue")
-        sigma_uu = _broadcast_obs(inputs.sigma_uu, n, "sigma_uu")
+        sigma_ue = _broadcast(inputs.sigma_ue, n, "n", "sigma_ue")
+        sigma_uu = _broadcast(inputs.sigma_uu, n, "n", "sigma_uu")
         p_diag = projection_diag_P(design)
         n_of = design.group_sizes[design.group_of].astype(np.float64)
         weight = 2.0 * p_diag / n_of - 1.0 / n_of**2
@@ -355,7 +347,7 @@ def population_estimand(
     num, den = population_moments(kind, design, inputs)
     if den == 0.0:
         if kind is EstimatorKind.SIVE:
-            tau = _broadcast_group(inputs.tau, design.G, "tau")
+            tau = _broadcast(inputs.tau, design.G, "G", "tau")
             if float(np.ptp(tau)) == 0.0:
                 return float(tau[0])
         raise EstimationError(
@@ -379,7 +371,7 @@ def first_stage_strength(
         _require_nondegenerate(design)
         means = _cell_means(design, _check_vector(design, treatment))
         pi = means[1::2] - means[0::2]
-    pi = _broadcast_group(pi, design.G, "pi")
+    pi = _broadcast(pi, design.G, "G", "pi")
     share = design.treated_counts / design.group_sizes.astype(np.float64)
     fs = float((design.group_sizes / design.n * pi**2 * share * (1.0 - share)).sum())
     return {"FS": fs, "mu_n": design.n / design.G * fs}

@@ -456,20 +456,15 @@ class InferenceReport:
         }
 
 
-def sive_report(
-    design: SaturatedDesign,
-    sample: Sample,
-    alpha: float = 0.05,
-    beta0: float = 0.0,
+def _normal_report(
+    beta_hat: float, variance: float, alpha: float, beta0: float, fs_diag: dict
 ) -> InferenceReport:
-    """Full inference report for the saturated jackknife estimator.
+    """Normal-theory interval and t statistic of ``beta = beta0`` at ``beta_hat``.
 
     An exactly zero variance (noiseless data) degenerates gracefully: zero
     standard error, a point interval, and no t statistic.  A negative
     variance estimate is surfaced as an error.
     """
-    beta_hat = estimate_sive(design, sample)
-    variance = sive_variance(design, sample.outcome, sample.treatment, beta_hat)
     if variance < 0.0:
         raise NonpositiveVarianceError(
             f"variance estimate {variance} is negative; "
@@ -489,5 +484,22 @@ def sive_report(
         ci_high=ci_high,
         beta0=beta0,
         t_stat=t_stat,
-        fs_diag=first_stage_strength(design, treatment=sample.treatment),
+        fs_diag=fs_diag,
     )
+
+
+def sive_report(
+    design: SaturatedDesign,
+    sample: Sample,
+    alpha: float = 0.05,
+    beta0: float = 0.0,
+) -> InferenceReport:
+    """Full inference report for the saturated jackknife estimator.
+
+    The interval and test follow ``_normal_report``: a zero variance gives a
+    point interval and no t statistic, a negative one an error.
+    """
+    beta_hat = estimate_sive(design, sample)
+    variance = sive_variance(design, sample.outcome, sample.treatment, beta_hat)
+    fs_diag = first_stage_strength(design, treatment=sample.treatment)
+    return _normal_report(beta_hat, variance, alpha, beta0, fs_diag)

@@ -5,14 +5,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sivreg
-from sivreg import DatasetSchema, SpecChoice, cmd_audit, cmd_estimate, cmd_robust_ci
-from sivreg.cli import _json_ready, main
+from sivreg import (
+    DatasetSchema,
+    EstimatorKind,
+    SpecChoice,
+    cmd_audit,
+    cmd_estimate,
+    cmd_robust_ci,
+    estimate_tsls_generic,
+)
+from sivreg.cli import _generic_fit, _json_ready, _prepare, main
 
 from conftest import random_design, strong_sample
 
@@ -170,6 +179,139 @@ def test_estimate_linear_spec_needs_numeric_covariates(tmp_path, capsys):
     )
     assert code == 2
     assert "numeric" in err
+
+
+TWO_COVARIATES = ["--outcome", "y", "--treatment", "t", "--instrument", "z",
+                  "--covariates", "a,b"]
+
+
+def two_covariate_data(rng, G=24, dropped=3, size_range=(6, 14), constant_t=False):
+    """Rows ``[y, t, z, a, b]`` in shuffled order and each row's group.
+
+    Group g has its own numeric covariates (a, b); the first ``dropped``
+    groups have a single active row, so the default size filter drops them.
+    Y carries an offset of 50.  With ``constant_t`` the treatment is one
+    random value per group.
+    """
+    rows, groups = [], []
+    for g in range(G):
+        a, b = float(g % 5), 0.75 * (g // 5)
+        n_g = int(rng.integers(size_range[0], size_range[1] + 1))
+        m_g = 1 if g < dropped else int(rng.integers(2, n_g - 1))
+        z = rng.permutation([1] * m_g + [0] * (n_g - m_g))
+        u = rng.uniform(0.5, 1.5) * rng.standard_normal(n_g)
+        if constant_t:
+            t = np.full(n_g, rng.uniform(-1.0, 1.0))
+        else:
+            t = 0.3 * a - 0.2 * b + rng.uniform(0.5, 1.5) * z + u
+        y = 50.0 + 0.4 * a + b + rng.uniform(0.5, 1.5) * t + 0.5 * u
+        y += rng.standard_normal(n_g)
+        rows += [[y[i], t[i], int(z[i]), a, b] for i in range(n_g)]
+        groups += [g] * n_g
+    perm = rng.permutation(len(rows))
+    return [rows[i] for i in perm], np.array(groups)[perm]
+
+
+def dense_generic_reference(rows, groups, spec, dropped=3):
+    """``estimate_tsls_generic`` on explicit group-dummy matrices W."""
+    arr = np.array(rows, dtype=np.float64)
+    kept = groups >= dropped
+    Y, T, q, a, b = arr[kept].T
+    _, g = np.unique(groups[kept], return_inverse=True)
+    W = (g[:, None] == np.arange(g.max() + 1)).astype(np.float64)
+    linear = np.column_stack([np.ones(Y.size), a, b])
+    Z, C = {
+        SpecChoice.NOT_SATURATED: (q[:, None], linear),
+        SpecChoice.SATURATED_INSTRUMENTS: (W * q[:, None], linear),
+        SpecChoice.SATURATED_CONTROLS: (q[:, None], W),
+        SpecChoice.FULLY_SATURATED: (W * q[:, None], W),
+    }[spec]
+    return estimate_tsls_generic(Y, T, Z, C)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_generic_specs_match_explicit_dummy_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    rows, groups = two_covariate_data(rng)
+    data = write_csv(tmp_path / "gen.csv", ["y", "t", "z", "a", "b"], rows)
+    schema = DatasetSchema("y", "t", "z", ("a", "b"))
+    for spec in SpecChoice:
+        payload = cmd_estimate(
+            data, schema, spec=spec, estimator=EstimatorKind.TSLS_GENERIC
+        )
+        assert payload["design_summary"]["G"] == 24 - 3
+        est = payload["estimate"]
+        beta, var = dense_generic_reference(rows, groups, spec)
+        assert abs(est["beta_hat"] - beta) <= 1e-10 * abs(beta), spec
+        assert abs(est["variance"] - var) <= 1e-10 * var, spec
+
+
+def test_generic_treatment_constant_within_groups(tmp_path, capsys):
+    rows, _ = two_covariate_data(np.random.default_rng(5), constant_t=True)
+    data = write_csv(tmp_path / "flat.csv", ["y", "t", "z", "a", "b"], rows)
+    messages = {
+        "saturated-controls": "projected regressors are rank deficient",
+        "fully-saturated": "no instrument column survives collinearity "
+        "elimination; dropped: fitted treatment",
+    }
+    for spec, message in messages.items():
+        code, out, err = run(
+            ["estimate", "--data", data, *TWO_COVARIATES, "--spec", spec,
+             "--estimator", "tsls-generic"], capsys
+        )
+        assert code == 3 and out == "", spec
+        assert message in err, err
+    code, out, err = run(
+        ["estimate", "--data", data, *TWO_COVARIATES,
+         "--spec", "saturated-instruments", "--estimator", "tsls-generic"], capsys
+    )
+    assert code == 0, err
+    assert np.isfinite(json.loads(out)["estimate"]["beta_hat"])
+
+
+def test_generic_string_covariates(tmp_path, capsys):
+    rows, groups = two_covariate_data(np.random.default_rng(6))
+    named = [row[:3] + [f"region{g}"] for row, g in zip(rows, groups)]
+    numeric = write_csv(tmp_path / "num.csv", ["y", "t", "z", "a", "b"], rows)
+    strings = write_csv(tmp_path / "str.csv", ["y", "t", "z", "w"], named)
+    for spec in ("saturated-controls", "fully-saturated"):
+        argv = ["--spec", spec, "--estimator", "tsls-generic"]
+        code, out, err = run(["estimate", "--data", strings, *BASE, *argv], capsys)
+        assert code == 0, err
+        _, ref, _ = run(["estimate", "--data", numeric, *TWO_COVARIATES, *argv], capsys)
+        assert json.loads(out)["estimate"] == json.loads(ref)["estimate"]
+    err = validation_error(
+        ["estimate", "--data", strings, *BASE, "--spec", "saturated-instruments",
+         "--estimator", "tsls-generic"], capsys
+    )
+    assert "not numeric" in err
+
+
+def test_generic_fit_builds_no_group_dummy_matrix(tmp_path):
+    rows, _ = two_covariate_data(np.random.default_rng(8), G=400, size_range=(40, 60))
+    data = write_csv(tmp_path / "big.csv", ["y", "t", "z", "a", "b"], rows)
+    schema = DatasetSchema("y", "t", "z", ("a", "b"))
+    prep = _prepare(data, schema, 2, 2, ())
+    bound = prep.design.n * prep.design.G * 8 / 4
+    for spec in SpecChoice:
+        # Untraced first: lazy imports and cached design fields are not the fit's.
+        _generic_fit(spec, schema, prep)
+        tracemalloc.start()
+        try:
+            _generic_fit(spec, schema, prep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (spec, peak, bound)
+
+
+def test_estimate_generic_reference_rejected_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    err = validation_error(
+        ["estimate", "--data", missing, *BASE, "--estimator", "tsls-generic",
+         "--reference"], capsys
+    )
+    assert err == "--reference is available only for the blockwise estimators"
 
 
 def test_estimate_weak_denominator_exits_numerical(tmp_path, capsys):
