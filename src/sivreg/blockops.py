@@ -99,26 +99,18 @@ def cell_sizes(design: SaturatedDesign) -> np.ndarray:
     return _cell_counts(design)[design.cell]
 
 
-def _require_nondegenerate(design: SaturatedDesign) -> None:
-    m = design.treated_counts
-    bad = (m == 0) | (m == design.group_sizes)
-    if bad.any():
-        g = int(np.argmax(bad))
-        raise DegenerateGroupError(
-            f"group {g} has m_g={int(m[g])} of n_g={int(design.group_sizes[g])}; "
-            "need 0 < m_g < n_g"
-        )
-
-
-def _require_group_sizes(design: SaturatedDesign) -> None:
+def _require_cells(design: SaturatedDesign, minimum: int, error: type) -> None:
+    """Raise ``error`` naming the first group with a cell of fewer than ``minimum``
+    observations: 1 for P (``DegenerateGroupError``), 2 for D and A
+    (``GroupSizeError``)."""
     m = design.treated_counts
     k = design.group_sizes - m
-    bad = (m < 2) | (k < 2)
+    bad = (m < minimum) | (k < minimum)
     if bad.any():
         g = int(np.argmax(bad))
-        raise GroupSizeError(
+        raise error(
             f"group {g} has m_g={int(m[g])} and n_g - m_g={int(k[g])}; "
-            "need m_g >= 2 and n_g - m_g >= 2"
+            f"need m_g >= {minimum} and n_g - m_g >= {minimum}"
         )
 
 
@@ -133,7 +125,7 @@ def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
 
 def _cell_P_diag(design: SaturatedDesign) -> np.ndarray:
     """Per-cell value of the diagonal of P (length 2G)."""
-    _require_nondegenerate(design)
+    _require_cells(design, 1, DegenerateGroupError)
     n = design.group_sizes.astype(np.float64)
     m = design.treated_counts.astype(np.float64)
     return _per_cell((m / n) / (n - m), 1.0 / m - 1.0 / n)
@@ -149,7 +141,7 @@ def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
 
 def _cell_D(design: SaturatedDesign) -> np.ndarray:
     """Per-cell value of the diagonal of D (length 2G)."""
-    _require_group_sizes(design)
+    _require_cells(design, 2, GroupSizeError)
     n = design.group_sizes.astype(np.float64)
     m = design.treated_counts.astype(np.float64)
     k = n - m
@@ -169,6 +161,13 @@ def apply_M_WZ(design: SaturatedDesign, v) -> np.ndarray:
     return v - _cell_means(design, v)[design.cell]
 
 
+def _p_factor(design: SaturatedDesign) -> np.ndarray:
+    """Per cell, ``-m_g/n_g`` (inactive) or ``1 - m_g/n_g`` (active): within
+    group g, P maps v to this factor times the gap of v's cell means."""
+    share = design.treated_counts / design.group_sizes.astype(np.float64)
+    return _per_cell(-share, 1.0 - share)
+
+
 def apply_P(design: SaturatedDesign, v) -> np.ndarray:
     """Apply P.
 
@@ -177,11 +176,9 @@ def apply_P(design: SaturatedDesign, v) -> np.ndarray:
     cell means of v.
     """
     v = _check_vector(design, v)
-    _require_nondegenerate(design)
+    _require_cells(design, 1, DegenerateGroupError)
     means = _cell_means(design, v)
-    c = means[1::2] - means[0::2]
-    share = design.treated_counts / design.group_sizes.astype(np.float64)
-    return _per_cell(-c * share, c * (1.0 - share))[design.cell]
+    return (_p_factor(design) * np.repeat(means[1::2] - means[0::2], 2))[design.cell]
 
 
 def apply_A(design: SaturatedDesign, v) -> np.ndarray:
@@ -194,13 +191,12 @@ def apply_A(design: SaturatedDesign, v) -> np.ndarray:
 def _apply_A_hadamard(design: SaturatedDesign, w: np.ndarray) -> np.ndarray:
     """Apply the elementwise square of A.
 
-    In group g, ``A_ij`` is ``(n_g - c) / (n_g (c - 1))`` for two distinct
-    members of one cell of size c and ``-1 / n_g`` across the two cells.
+    In group g, ``A_ij`` is the cell's entry of D, ``(n_g - c) / (n_g (c - 1))``,
+    for two distinct members of one cell of size c and ``-1 / n_g`` across
+    the two cells.
     """
+    own = _cell_D(design) ** 2
     n = design.group_sizes.astype(np.float64)
-    m = design.treated_counts.astype(np.float64)
-    k = n - m
-    own = _per_cell((m / (n * (k - 1.0))) ** 2, (k / (n * (m - 1.0))) ** 2)
     s = _cell_sum(design, w)
     c = design.cell
     return own[c] * (s[c] - w) + (1.0 / n**2)[design.group_of] * s[c ^ 1]
@@ -252,7 +248,7 @@ def apply_MM_inv_W(design: SaturatedDesign, v) -> np.ndarray:
 
 def trace_A_squared(design: SaturatedDesign) -> float:
     """Closed-form tr(A^2); lies in [G, 3G] whenever A exists."""
-    _require_group_sizes(design)
+    _require_cells(design, 2, GroupSizeError)
     n_g = design.group_sizes.astype(np.float64)
     m_g = design.treated_counts.astype(np.float64)
     k_g = n_g - m_g
@@ -311,14 +307,13 @@ class _CellMoments:
     def p_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Per cell, the constant values of PT and PR: the group's gap of cell
         means times ``-m_g/n_g`` (inactive cell) or ``1 - m_g/n_g`` (active)."""
-        share = self.design.treated_counts / self.design.group_sizes.astype(np.float64)
-        factor = _per_cell(-share, 1.0 - share)
+        factor = _p_factor(self.design)
         gap_T, gap_R = self.group_gaps()
         return factor * np.repeat(gap_T, 2), factor * np.repeat(gap_R, 2)
 
     def p_form(self) -> tuple[float, float]:
         """``(T'PR, T'PT)``: per group ``m_g (n_g - m_g) / n_g`` times the gaps."""
-        _require_nondegenerate(self.design)
+        _require_cells(self.design, 1, DegenerateGroupError)
         n = self.design.group_sizes.astype(np.float64)
         m = self.design.treated_counts.astype(np.float64)
         weight = m * (n - m) / n

@@ -40,14 +40,13 @@ from .design import (
 from .estimators import (
     EstimationError,
     EstimatorKind,
-    WeakDenominatorError,
     _point_estimate,
     estimate_tsls_generic,
     first_stage_strength,
 )
 from .inference import (
     InferenceReport,
-    NonpositiveVarianceError,
+    _check_alpha,
     _normal_report,
     robust_ci,
     sive_report,
@@ -579,11 +578,6 @@ def cmd_simulate(config_path, out_dir, seed=None) -> dict:
     return manifest
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise CliValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-
-
 def _json_ready(obj):
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
@@ -758,10 +752,7 @@ def main(argv=None) -> int:
         payload = args.handler(args)
         out_file = None if getattr(args, "out_is_dir", False) else args.out
         _emit(payload, out_file)
-    except (WeakDenominatorError, NonpositiveVarianceError, SmallCellError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except EstimationError as exc:
+    except (EstimationError, SmallCellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DesignError, CliValidationError, ValueError) as exc:

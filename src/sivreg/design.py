@@ -68,10 +68,14 @@ def _int_array(values, name: str) -> np.ndarray:
 class SaturatedDesign:
     """Immutable saturated design.
 
+    Only ``group_of`` and ``instrument`` are needed: the per-group counts are
+    derived from them, and counts that are passed must equal the derived ones.
+
     Attributes
     ----------
     group_of : ndarray of int, shape (n,)
-        Group index of each observation, in ``[0, G)``.
+        Group index of each observation; the indices used are exactly
+        ``0, ..., G-1``.
     instrument : ndarray of int, shape (n,)
         Binary instrument flag per observation.
     group_sizes : ndarray of int, shape (G,)
@@ -87,15 +91,13 @@ class SaturatedDesign:
 
     group_of: np.ndarray
     instrument: np.ndarray
-    group_sizes: np.ndarray
-    treated_counts: np.ndarray
+    group_sizes: np.ndarray | None = None
+    treated_counts: np.ndarray | None = None
     group_keys: tuple | None = None
 
     def __post_init__(self) -> None:
         group_of = _int_array(self.group_of, "group_of")
         instrument = _int_array(self.instrument, "instrument")
-        group_sizes = _int_array(self.group_sizes, "group_sizes")
-        treated_counts = _int_array(self.treated_counts, "treated_counts")
         if group_of.ndim != 1 or instrument.ndim != 1:
             raise DesignError("group_of and instrument must be 1-dimensional")
         if group_of.shape != instrument.shape:
@@ -111,26 +113,27 @@ class SaturatedDesign:
             raise DesignError(
                 f"instrument entries must be 0 or 1 (found {instrument[i].item()} at row {i})"
             )
-        G = group_sizes.size
-        if treated_counts.size != G:
-            raise DesignError("group_sizes and treated_counts must have equal length")
-        if group_of.min() < 0 or group_of.max() >= G:
-            raise DesignError(f"group indices must lie in [0, {G})")
-        # Counts must be exactly recomputable from the per-observation arrays.
-        sizes = np.bincount(group_of, minlength=G)
-        treated = np.bincount(group_of[instrument == 1], minlength=G)
-        if not np.array_equal(sizes, group_sizes):
-            raise DesignError("group_sizes disagree with group_of")
-        if not np.array_equal(treated, treated_counts):
-            raise DesignError("treated_counts disagree with group_of and instrument")
-        if (group_sizes < 1).any():
-            raise DesignError("every group must contain at least one observation")
+        if group_of.min() < 0:
+            raise DesignError("group indices must be non-negative")
+        G = int(group_of.max()) + 1
+        counts = {
+            "group_sizes": np.bincount(group_of, minlength=G),
+            "treated_counts": np.bincount(group_of[instrument == 1], minlength=G),
+        }
+        if not counts["group_sizes"].all():
+            g = int(np.argmin(counts["group_sizes"]))
+            raise DesignError(
+                f"group indices must cover [0, {G}) but group {g} has no observations"
+            )
+        for name, derived in counts.items():
+            given = getattr(self, name)
+            if given is not None and not np.array_equal(_int_array(given, name), derived):
+                raise DesignError(f"{name} disagree with group_of and instrument")
+            object.__setattr__(self, name, _readonly(derived))
         if self.group_keys is not None and len(self.group_keys) != G:
             raise DesignError(f"group_keys must have one entry per group ({G})")
         object.__setattr__(self, "group_of", _readonly(group_of))
         object.__setattr__(self, "instrument", _readonly(instrument))
-        object.__setattr__(self, "group_sizes", _readonly(group_sizes))
-        object.__setattr__(self, "treated_counts", _readonly(treated_counts))
 
     @property
     def n(self) -> int:
@@ -315,13 +318,8 @@ def _design_from_columns(columns, instrument) -> SaturatedDesign:
         else list(map(column.__getitem__, picks))
         for column in columns
     ]
-    return SaturatedDesign(
-        group_of=group_of,
-        instrument=instrument,
-        group_sizes=np.bincount(group_of, minlength=G),
-        treated_counts=np.bincount(group_of[instrument == 1], minlength=G),
-        group_keys=tuple(zip(*per_column)) if columns else ((),) * G,
-    )
+    keys = tuple(zip(*per_column)) if columns else ((),) * G
+    return SaturatedDesign(group_of, instrument, group_keys=keys)
 
 
 def validate_group_sizes(
@@ -360,6 +358,13 @@ def _size_reason(n_g: int, m_g: int, min_active: int, min_inactive: int) -> str:
     return "; ".join(reasons)
 
 
+def _check_sample(design: SaturatedDesign, sample: Sample) -> None:
+    if sample.n != design.n:
+        raise DesignError(
+            f"sample has {sample.n} rows but design has {design.n} observations"
+        )
+
+
 def filter_design(
     design: SaturatedDesign, audit: GroupAudit, sample: Sample
 ) -> tuple[SaturatedDesign, Sample]:
@@ -376,10 +381,7 @@ def filter_design(
     DesignError
         If the sample length does not match the design.
     """
-    if sample.n != design.n:
-        raise DesignError(
-            f"sample has {sample.n} rows but design has {design.n} observations"
-        )
+    _check_sample(design, sample)
     if not audit.kept_groups:
         raise EmptyDesignError("every group violates the size thresholds")
     if not audit.violations:
@@ -391,18 +393,12 @@ def filter_design(
 
     old_to_new = np.full(design.G, -1, dtype=np.int64)
     old_to_new[list(audit.kept_groups)] = np.arange(len(audit.kept_groups))
-    new_group_of = old_to_new[design.group_of[row_mask]]
-    new_instrument = design.instrument[row_mask]
-    G_new = len(audit.kept_groups)
     new_keys = None
     if design.group_keys is not None:
         new_keys = tuple(design.group_keys[g] for g in audit.kept_groups)
-
     filtered = SaturatedDesign(
-        group_of=new_group_of,
-        instrument=new_instrument,
-        group_sizes=np.bincount(new_group_of, minlength=G_new),
-        treated_counts=np.bincount(new_group_of[new_instrument == 1], minlength=G_new),
+        old_to_new[design.group_of[row_mask]],
+        design.instrument[row_mask],
         group_keys=new_keys,
     )
     return filtered, Sample(sample.outcome[row_mask], sample.treatment[row_mask])

@@ -26,14 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockops import (
+    DegenerateGroupError,
     projection_diag_P,
     _cell_means,
     _cell_P_diag,
     _CellMoments,
     _check_vector,
-    _require_nondegenerate,
+    _require_cells,
 )
-from .design import DesignError, Sample, SaturatedDesign
+from .design import Sample, SaturatedDesign, _check_sample
 
 __all__ = [
     "EstimatorKind",
@@ -96,21 +97,18 @@ class PopulationInputs:
     phi: object = None
 
 
-def _check_sample(design: SaturatedDesign, sample: Sample) -> None:
-    if sample.n != design.n:
-        raise DesignError(
-            f"sample has {sample.n} rows but design has {design.n} observations"
-        )
-
-
-def _ratio(sample: Sample, num: float, den: float) -> float:
-    T = sample.treatment
+def _require_identified(den: float, T: np.ndarray) -> None:
+    """Refuse a quadratic-form denominator ``T' Op T`` at most 1e-12 ||T||^2."""
     if abs(den) <= DENOMINATOR_RTOL * float(T @ T):
         raise WeakDenominatorError(
             "quadratic-form denominator is numerically zero relative to ||T||^2; "
             "identification is too weak for a point estimate, use the "
             "identification-robust test instead"
         )
+
+
+def _ratio(sample: Sample, num: float, den: float) -> float:
+    _require_identified(den, sample.treatment)
     return num / den
 
 
@@ -303,7 +301,7 @@ def population_moments(
     if kind is EstimatorKind.JIVE1:
         if inputs.psi is None or inputs.phi is None:
             raise ValueError("the JIVE1 estimand needs psi and phi")
-        _require_nondegenerate(design)
+        _require_cells(design, 1, DegenerateGroupError)
         psi = _broadcast(inputs.psi, G, "G", "psi")
         phi = _broadcast(inputs.phi, G, "G", "phi")
         m = design.treated_counts.astype(np.float64)
@@ -368,7 +366,7 @@ def first_stage_strength(
     if (pi is None) == (treatment is None):
         raise ValueError("provide exactly one of pi or treatment")
     if pi is None:
-        _require_nondegenerate(design)
+        _require_cells(design, 1, DegenerateGroupError)
         means = _cell_means(design, _check_vector(design, treatment))
         pi = means[1::2] - means[0::2]
     pi = _broadcast(pi, design.G, "G", "pi")

@@ -32,7 +32,6 @@ from scipy.special import ndtr, ndtri
 
 from .blockops import (
     _apply_A_hadamard,
-    _cell_counts,
     _cell_D,
     _CellMoments,
     _check_vector,
@@ -44,9 +43,8 @@ from .blockops import (
 )
 from .design import DesignError, Sample, SaturatedDesign
 from .estimators import (
-    DENOMINATOR_RTOL,
     EstimationError,
-    WeakDenominatorError,
+    _require_identified,
     estimate_sive,
     first_stage_strength,
 )
@@ -157,14 +155,8 @@ def _robust_polynomials(
     ``u^2 b^2`` sums to ``pr^2 s20 - 2 pr d s21 + d^2 s22``, and a Hartley
     estimate ``w1 x_i - w2 X`` dotted with f gives ``w1 sum(x f) - w2 X F``.
     """
-    lone = _cell_counts(design) == 1
-    if lone.any():
-        i = int(np.argmax(lone[design.cell]))
-        raise DesignError(
-            f"observation {i} is alone in its cell; every cell needs size >= 2"
-        )
-    t = _CellMoments(design, T, Y, center)
     d = _cell_D(design)
+    t = _CellMoments(design, T, Y, center)
     t_a_r, t_a_t = t.a_form()
     pt, pr = t.p_values()
     w1, w2 = _hartley_weights(t.k)
@@ -194,10 +186,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
-def _require_identified(t_a_t: float, T: np.ndarray) -> None:
-    if abs(t_a_t) <= DENOMINATOR_RTOL * float(T @ T):
-        raise WeakDenominatorError(
-            "T'AT is numerically zero; use the identification-robust test"
+def _require_positive(variance: float) -> None:
+    if not variance > 0.0:
+        raise NonpositiveVarianceError(
+            f"variance estimate {variance} is not positive; "
+            "use the identification-robust test (robust_test / robust_ci)"
         )
 
 
@@ -226,11 +219,7 @@ def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) 
     Returns ``{"t", "reject", "p"}``.
     """
     _check_alpha(alpha)
-    if not variance > 0.0:
-        raise NonpositiveVarianceError(
-            f"variance estimate {variance} is not positive; "
-            "use the identification-robust test (robust_test / robust_ci)"
-        )
+    _require_positive(variance)
     t = (beta_hat - beta0) / np.sqrt(variance)
     p = 2.0 * float(ndtr(-abs(t)))
     return {"t": float(t), "reject": bool(p < alpha), "p": p}
@@ -241,11 +230,7 @@ def confidence_interval(
 ) -> tuple[float, float]:
     """Symmetric two-sided interval ``beta_hat +/- z_{1-alpha/2} sqrt(variance)``."""
     _check_alpha(alpha)
-    if not variance > 0.0:
-        raise NonpositiveVarianceError(
-            f"variance estimate {variance} is not positive; "
-            "use the identification-robust test (robust_test / robust_ci)"
-        )
+    _require_positive(variance)
     half = _critical_value(alpha, two_sided=True) * float(np.sqrt(variance))
     return beta_hat - half, beta_hat + half
 

@@ -28,7 +28,6 @@ from .design import (
     Sample,
     SaturatedDesign,
     _readonly,
-    build_design,
     filter_design,
     validate_group_sizes,
 )
@@ -172,17 +171,22 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 
 
 @functools.lru_cache(maxsize=32)
-def _covariate_layout(n: int, L: int, n_hetero: int) -> tuple[np.ndarray, np.ndarray]:
-    """Covariate X of each observation and the rows with the shifted effect.
+def _covariate_layout(n: int, L: int, n_hetero: int) -> tuple:
+    """Covariate X, the rows with the shifted effect, and the grouping of X.
 
-    Neither depends on the draw, so both are computed once per (n, L,
+    None of these depends on the draw, so all are computed once per (n, L,
     n_hetero) and returned read-only: X cycles through the first L
-    radical-inverse points, and the shifted rows are the n_hetero smallest X
-    (ties in row order).
+    radical-inverse points, the shifted rows are the n_hetero smallest X
+    (ties in row order), and since the points are distinct, row i is in group
+    ``i mod L`` keyed by its point, as ``build_design(x, q)`` would number it.
+    Returns ``(x, hetero_rows, group_of, group_keys)``.
     """
     points = np.array([halton(i, 2) for i in range(1, L + 1)])
-    x = points[np.arange(n) % L]
-    return _readonly(x), _readonly(np.argsort(x, kind="stable")[:n_hetero])
+    group_of = np.arange(n) % L
+    x = points[group_of]
+    keys = tuple((point,) for point in points[:n].tolist())
+    hetero_rows = np.argsort(x, kind="stable")[:n_hetero]
+    return _readonly(x), _readonly(hetero_rows), _readonly(group_of), keys
 
 
 def generate_sample(config: SimConfig, seed=None) -> SimDraw:
@@ -196,7 +200,7 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     rng = np.random.default_rng(config.master_seed if seed is None else seed)
     n = config.n
 
-    x, hetero_rows = _covariate_layout(n, config.L, config.n_hetero)
+    x, hetero_rows, group_of, keys = _covariate_layout(n, config.L, config.n_hetero)
     q = (rng.random(n) < propensity(x)).astype(np.int64)
 
     z = rng.standard_normal((2, n))
@@ -211,7 +215,7 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
 
     y = outcome_level(x) + config.beta * gamma * t + eps
 
-    raw = build_design(x, q)
+    raw = SaturatedDesign(group_of, q, group_keys=keys)
     audit = validate_group_sizes(raw, min_active=2, min_inactive=2)
     design, sample = filter_design(raw, audit, Sample(outcome=y, treatment=t))
 
@@ -251,33 +255,22 @@ def _median_se(errors: list) -> float:
     return float(x[upper] - x[lower]) / (2.0 * float(ndtri(0.975)))
 
 
-def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> list:
+def _rows(
+    experiment: str, cell: SimConfig, label: str, metrics, used: int, requested: int
+) -> list:
+    """One row per ``(metric, value, mc_se)`` over ``used`` draws, then the
+    cell's attrition row over all ``requested``."""
     base = {
-        "experiment": "bias",
+        "experiment": experiment,
         "L": cell.L,
         "p1": cell.p1,
         "h": cell.h,
         "estimator": label,
     }
-    rows = []
-    used = len(errors)
-    if used:
-        med = float(np.median(errors))
-        se = _median_se(errors) if used > 1 else None
-    else:
-        med, se = None, None
-    rows.append(
-        dict(base, metric="median_bias", value=med, mc_se=se, replications=used)
-    )
-    rows.append(
-        dict(
-            base,
-            metric="abs_median_bias",
-            value=None if med is None else abs(med),
-            mc_se=se,
-            replications=used,
-        )
-    )
+    rows = [
+        dict(base, metric=metric, value=value, mc_se=se, replications=used)
+        for metric, value, se in metrics
+    ]
     rows.append(
         dict(
             base,
@@ -290,30 +283,28 @@ def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> l
     return rows
 
 
+def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> list:
+    used = len(errors)
+    if used:
+        med = float(np.median(errors))
+        se = _median_se(errors) if used > 1 else None
+    else:
+        med, se = None, None
+    metrics = [
+        ("median_bias", med, se),
+        ("abs_median_bias", None if med is None else abs(med), se),
+    ]
+    return _rows("bias", cell, label, metrics, used, requested)
+
+
 def _rate_rows(cell: SimConfig, label: str, hits: list, requested: int) -> list:
-    base = {
-        "experiment": "size",
-        "L": cell.L,
-        "p1": cell.p1,
-        "h": cell.h,
-        "estimator": label,
-    }
     used = len(hits)
     if used:
         rate = float(np.mean(hits))
         se = math.sqrt(rate * (1.0 - rate) / used)
     else:
         rate, se = None, None
-    return [
-        dict(base, metric="reject_rate", value=rate, mc_se=se, replications=used),
-        dict(
-            base,
-            metric="attrition",
-            value=(requested - used) / requested,
-            mc_se=None,
-            replications=requested,
-        ),
-    ]
+    return _rows("size", cell, label, [("reject_rate", rate, se)], used, requested)
 
 
 def _run_grid(

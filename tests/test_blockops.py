@@ -54,6 +54,21 @@ def test_projection_diag_degenerate_group_named():
         projection_diag_P(d)
 
 
+def test_cell_requirement_messages_name_group_and_both_counts():
+    d = build_design([[0]] * 5 + [[1]] * 4, [1, 1, 0, 0, 0, 1, 1, 1, 1])
+    with pytest.raises(
+        DegenerateGroupError,
+        match=r"^group 1 has m_g=4 and n_g - m_g=0; need m_g >= 1 and n_g - m_g >= 1$",
+    ):
+        apply_P(d, np.ones(d.n))
+    d = build_design([[0]] * 5 + [[1]] * 4, [1, 1, 0, 0, 0, 1, 0, 0, 0])
+    with pytest.raises(
+        GroupSizeError,
+        match=r"^group 1 has m_g=1 and n_g - m_g=3; need m_g >= 2 and n_g - m_g >= 2$",
+    ):
+        sive_diag_D(d)
+
+
 def test_sive_diag_unbalanced_group():
     d = one_group(5, 2)
     np.testing.assert_allclose(sive_diag_D(d), [0.6, 0.6, 0.2, 0.2, 0.2])

@@ -129,6 +129,27 @@ def test_design_rejects_inconsistent_counts():
         )
 
 
+def test_design_derives_counts_and_checks_given_ones():
+    group_of, instrument = [0, 1, 0, 2, 1, 2, 0], [1, 0, 0, 1, 1, 1, 1]
+    derived = SaturatedDesign(group_of, instrument, group_keys=("a", "b", "c"))
+    given = SaturatedDesign(
+        group_of, instrument, group_sizes=[3, 2, 2], treated_counts=[2, 1, 2]
+    )
+    for d in (derived, given):
+        assert d.G == 3
+        assert d.group_sizes.tolist() == [3, 2, 2]
+        assert d.treated_counts.tolist() == [2, 1, 2]
+        assert d.group_sizes.dtype == np.int64 and not d.group_sizes.flags.writeable
+    with pytest.raises(DesignError, match="group_sizes disagree"):
+        SaturatedDesign(group_of, instrument, group_sizes=[3, 2, 2, 0])
+    with pytest.raises(DesignError, match="treated_counts disagree"):
+        SaturatedDesign(group_of, instrument, treated_counts=[2, 2, 1])
+    with pytest.raises(DesignError, match=r"cover \[0, 3\) but group 1 has no"):
+        SaturatedDesign([0, 2, 0, 2], [1, 0, 0, 1])
+    with pytest.raises(DesignError, match="non-negative"):
+        SaturatedDesign([0, -1], [1, 0])
+
+
 def test_to_json_dict_round_trips_arrays():
     d = build_design([[0], [1], [0], [1]], [1, 1, 0, 0])
     payload = d.to_json_dict()

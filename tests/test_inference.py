@@ -131,6 +131,16 @@ def test_t_test_requires_positive_variance():
         confidence_interval(1.0, -1.0)
 
 
+def test_sive_variance_group_constant_treatment_is_weak():
+    # A annihilates group constants, so T'AT is exactly zero
+    rng = np.random.default_rng(3)
+    d = random_design(rng)
+    T = (d.group_of % 2).astype(float)
+    Y = rng.standard_normal(d.n)
+    with pytest.raises(WeakDenominatorError, match="numerically zero"):
+        sive_variance(d, Y, T, 0.5)
+
+
 def test_confidence_interval_frozen_values():
     lo, hi = confidence_interval(0.125, 0.342**2, alpha=0.05)
     assert abs(lo - (-0.546)) < 1e-3

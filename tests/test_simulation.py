@@ -150,13 +150,29 @@ def test_heterogeneity_goes_to_smallest_covariate_values():
 def test_covariate_layout_is_computed_once_and_read_only():
     from sivreg.simulation import _covariate_layout
 
-    x, rows = _covariate_layout(50, 7, 20)
+    x, rows, group_of, keys = _covariate_layout(50, 7, 20)
     again = _covariate_layout(50, 7, 20)
-    assert again[0] is x and again[1] is rows
-    assert not x.flags.writeable and not rows.flags.writeable
+    assert all(a is b for a, b in zip(again, (x, rows, group_of, keys)))
+    assert not any(a.flags.writeable for a in (x, rows, group_of))
     points = [halton(i, 2) for i in range(1, 8)]
     assert x.tolist() == [points[i % 7] for i in range(50)]
     assert rows.tolist() == np.argsort(x, kind="stable")[:20].tolist()
+    assert group_of.tolist() == [i % 7 for i in range(50)]
+    assert keys == tuple((p,) for p in points)
+
+
+@pytest.mark.parametrize("n, L", [(40, 1), (5, 9), (3000, 300)])
+def test_covariate_layout_design_matches_build_design(n, L):
+    from sivreg import SaturatedDesign, build_design
+    from sivreg.simulation import _covariate_layout
+
+    x, _, group_of, keys = _covariate_layout(n, L, 0)
+    q = np.random.default_rng(n + L).integers(0, 2, n)
+    mine, built = SaturatedDesign(group_of, q, group_keys=keys), build_design(x, q)
+    assert mine.group_of.tolist() == built.group_of.tolist()
+    assert mine.group_keys == built.group_keys
+    assert mine.group_sizes.tolist() == built.group_sizes.tolist()
+    assert mine.treated_counts.tolist() == built.treated_counts.tolist()
 
 
 def test_bias_rows_have_fixed_shape():
