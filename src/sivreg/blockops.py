@@ -16,7 +16,7 @@ All of these are block diagonal over groups or cells, so every application
 below is O(n): one cell sum, then per-cell coefficients gathered by cell id
 (``design.cell``).  Dense n-by-n matrices exist only in the reference module.
 Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
-reduces them to per-cell sums, which is how the estimators and the variance
+reduces them to per-cell sums, which is how the estimators and both variances
 use them; the public operators are their per-observation reference.
 """
 
@@ -188,18 +188,16 @@ def apply_A(design: SaturatedDesign, v) -> np.ndarray:
     return apply_P(design, v) - apply_M_WZ(design, d * apply_M_WZ(design, v))
 
 
-def _apply_A_hadamard(design: SaturatedDesign, w: np.ndarray) -> np.ndarray:
-    """Apply the elementwise square of A.
-
-    In group g, ``A_ij`` is the cell's entry of D, ``(n_g - c) / (n_g (c - 1))``,
-    for two distinct members of one cell of size c and ``-1 / n_g`` across
-    the two cells.
+def _hartley_weights(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of size k, ``(w1, w2)`` with the inverse Hadamard square of
+    the block's demeaner acting as ``w1 x_i - w2 sum x``: ``k/(k-2)`` and
+    ``1/((k-1)(k-2))`` for k >= 3.  A block of size 2 gets ``(4, 0)``, the
+    variance estimators' rescaled fallback ``4 x_i``.
     """
-    own = _cell_D(design) ** 2
-    n = design.group_sizes.astype(np.float64)
-    s = _cell_sum(design, w)
-    c = design.cell
-    return own[c] * (s[c] - w) + (1.0 / n**2)[design.group_of] * s[c ^ 1]
+    big = k >= 3
+    w1 = np.divide(k, k - 2.0, out=np.full(k.size, 4.0), where=big)
+    w2 = np.divide(1.0, (k - 1.0) * (k - 2.0), out=np.zeros(k.size), where=big)
+    return w1, w2
 
 
 def apply_MM_inv(design: SaturatedDesign, v) -> np.ndarray:
@@ -220,9 +218,8 @@ def apply_MM_inv(design: SaturatedDesign, v) -> np.ndarray:
             f"cell (group {int(design.group_of[i])}, status {int(design.instrument[i])}) "
             f"has size {int(k[design.cell[i]])} <= 2, so the Hadamard-square block is singular"
         )
-    scale = np.divide(k, k - 2.0, out=np.zeros(k.size), where=big)
-    shift = np.divide(_cell_sum(design, v), k * (k - 1.0), out=np.zeros(k.size), where=big)
-    return scale[design.cell] * (v - shift[design.cell])
+    w1, w2 = _hartley_weights(k)
+    return w1[design.cell] * v - (w2 * _cell_sum(design, v))[design.cell]
 
 
 def apply_MM_inv_W(design: SaturatedDesign, v) -> np.ndarray:
@@ -239,11 +236,9 @@ def apply_MM_inv_W(design: SaturatedDesign, v) -> np.ndarray:
             f"group {g} has size {int(design.group_sizes[g])} <= 2, so the "
             "Hadamard-square of M_W is singular"
         )
-    k = design.group_sizes.astype(np.float64)
-    scale = k / (k - 2.0)
-    shift = _group_sum(design, v) / (k * (k - 1.0))
+    w1, w2 = _hartley_weights(design.group_sizes)
     g = design.group_of
-    return scale[g] * (v - shift[g])
+    return w1[g] * v - (w2 * _group_sum(design, v))[g]
 
 
 def trace_A_squared(design: SaturatedDesign) -> float:
@@ -259,13 +254,13 @@ def trace_A_squared(design: SaturatedDesign) -> float:
 class _CellMoments:
     """Per-cell sufficient statistics of a treatment T and ``R = Y - center T``.
 
-    Every quadratic form of the estimators and the variance is block diagonal
+    Every quadratic form of the estimators and the variances is block diagonal
     over cells, so it reduces to a few numbers per cell, each one cell sum
     over the n observations: the counts ``k``, the means ``mean_T`` and
     ``mean_Y``, and the power sums ``s<j><l> = sum u^j e^l`` of the
     within-cell deviations ``u = T - mean_T`` and ``e`` of R.
     ``order=2`` collects ``s20`` and ``s11``, all the ratio estimators need;
-    ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variance.
+    ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variances.
     Arrays have length 2G and are indexed by cell id.  Sums are formed one
     column at a time, so only a few n-vectors are alive at once.  R itself is
     never formed: ``e`` is ``(Y - mean_Y) - center u``, so offsets in Y and T

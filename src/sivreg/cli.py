@@ -40,6 +40,7 @@ from .design import (
 from .estimators import (
     EstimationError,
     EstimatorKind,
+    _moments,
     _point_estimate,
     estimate_tsls_generic,
     first_stage_strength,
@@ -235,10 +236,10 @@ def _covariate_column(columns: dict, col: str):
     return numbers
 
 
-def _raw_design(columns: dict, schema: DatasetSchema) -> tuple[SaturatedDesign, list]:
+def _raw_design(columns: dict, schema: DatasetSchema) -> SaturatedDesign:
     instrument = _binary_column(columns, schema.instrument_col)
     covariates = [_covariate_column(columns, c) for c in schema.covariate_cols]
-    return _design_from_columns(covariates, instrument), covariates
+    return _design_from_columns(covariates, instrument)
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,6 @@ class _Prepared:
     design: SaturatedDesign
     sample: Sample
     audit: GroupAudit
-    numeric: dict
 
 
 def _prepare(
@@ -268,23 +268,14 @@ def _prepare(
         *schema.covariate_cols,
     ]
     columns = _load_columns(csv_path, needed, binarize)
-    raw_design, covariates = _raw_design(columns, schema)
+    raw_design = _raw_design(columns, schema)
     sample = Sample(
         outcome=_float_column(columns, schema.outcome_col),
         treatment=_float_column(columns, schema.treatment_col),
     )
     audit = validate_group_sizes(raw_design, min_active, min_inactive)
     design, sample = filter_design(raw_design, audit, sample)
-    return _Prepared(
-        raw_design=raw_design,
-        design=design,
-        sample=sample,
-        audit=audit,
-        numeric={
-            c: isinstance(v, np.ndarray)
-            for c, v in zip(schema.covariate_cols, covariates)
-        },
-    )
+    return _Prepared(raw_design=raw_design, design=design, sample=sample, audit=audit)
 
 
 def _audit_dict(raw_design: SaturatedDesign, audit: GroupAudit) -> dict:
@@ -334,7 +325,9 @@ def _generic_fit(
             Z, zname = apply_P(design, T), "fitted treatment"
         return estimate_tsls_generic(Y, T, Z[:, None], None, [zname], [])
 
-    bad = [c for c in schema.covariate_cols if not prep.numeric[c]]
+    # A string column keys its groups by str values, a numeric one by floats.
+    key = design.group_keys[0]
+    bad = [c for c, v in zip(schema.covariate_cols, key) if isinstance(v, str)]
     if bad:
         raise CliValidationError(
             f"covariate columns {', '.join(bad)} are not numeric; "
@@ -395,7 +388,7 @@ def cmd_estimate(
         report = sive_report(design, sample, alpha=alpha)
     elif blockwise:
         report = InferenceReport(
-            beta_hat=_point_estimate(estimator, design, sample),
+            beta_hat=_point_estimate(estimator, *_moments(design, sample)),
             variance=None,
             std_error=None,
             ci_low=None,
@@ -487,7 +480,7 @@ def cmd_audit(
     columns = _load_columns(
         csv_path, [schema.instrument_col, *schema.covariate_cols], binarize
     )
-    raw_design, _ = _raw_design(columns, schema)
+    raw_design = _raw_design(columns, schema)
     audit = validate_group_sizes(raw_design, min_active, min_inactive)
 
     filtered = None

@@ -107,74 +107,81 @@ def _require_identified(den: float, T: np.ndarray) -> None:
         )
 
 
-def _ratio(sample: Sample, num: float, den: float) -> float:
-    _require_identified(den, sample.treatment)
-    return num / den
-
-
-def _moments(design: SaturatedDesign, sample: Sample) -> _CellMoments:
+def _moments(design: SaturatedDesign, sample: Sample) -> tuple[_CellMoments, np.ndarray]:
+    """The second-order table of a sample at center 0, and its treatment."""
     _check_sample(design, sample)
-    return _CellMoments(design, sample.treatment, sample.outcome, order=2)
+    T = sample.treatment
+    return _CellMoments(design, T, sample.outcome, order=2), T
 
 
-def estimate_sive(design: SaturatedDesign, sample: Sample) -> float:
-    """``T'AY / T'AT`` from the per-cell moments."""
-    return _ratio(sample, *_moments(design, sample).a_form())
-
-
-def estimate_tsls(design: SaturatedDesign, sample: Sample) -> float:
-    """``T'PY / T'PT`` on the saturated design."""
-    return _ratio(sample, *_moments(design, sample).p_form())
-
-
-def estimate_jive1(design: SaturatedDesign, sample: Sample) -> float:
-    """Ratio with the diagonal of P removed.
+def _jive1_form(t: _CellMoments) -> tuple[float, float]:
+    """The P forms with the diagonal of P removed.
 
     ``sum_i P_ii T_i Y_i`` is, per cell, ``P_cc (s11 + k mean_T mean_Y)``.
     """
-    t = _moments(design, sample)
-    p_diag = _cell_P_diag(design)
+    p_diag = _cell_P_diag(t.design)
     num, den = t.p_form()
     num -= float(p_diag @ (t.s11 + t.k * t.mean_T * t.mean_Y))
     den -= float(p_diag @ (t.s20 + t.k * t.mean_T * t.mean_T))
-    return _ratio(sample, num, den)
+    return num, den
 
 
-def estimate_jive2(design: SaturatedDesign, sample: Sample) -> float:
-    """Ratio with ``M_W (P - D_P) M_W``; demeans before removing the diagonal.
+def _jive2_form(t: _CellMoments) -> tuple[float, float]:
+    """The forms of ``M_W (P - D_P) M_W``; demeans before removing the diagonal.
 
     P absorbs the group demeaning, and a cell's mean deviates from its
     group's by its share of the gap of cell means, so the removed diagonal is
     ``P_cc s11`` per cell plus ``(m_g^3 + (n_g - m_g)^3) / n_g^3`` times the
     product of the gaps per group.
     """
-    t = _moments(design, sample)
-    p_diag = _cell_P_diag(design)
+    p_diag = _cell_P_diag(t.design)
     num, den = t.p_form()
-    n = design.group_sizes.astype(np.float64)
-    m = design.treated_counts.astype(np.float64)
+    n = t.design.group_sizes.astype(np.float64)
+    m = t.design.treated_counts.astype(np.float64)
     between = (m**3 + (n - m) ** 3) / n**3
     gap_T, gap_Y = t.group_gaps()
     num -= float(p_diag @ t.s11) + float(between @ (gap_T * gap_Y))
     den -= float(p_diag @ t.s20) + float(between @ (gap_T * gap_T))
-    return _ratio(sample, num, den)
+    return num, den
 
 
-def _point_estimate(
-    kind: EstimatorKind, design: SaturatedDesign, sample: Sample
-) -> float:
-    """Point estimate of one of the four blockwise estimators."""
-    # An if-chain rather than a module-level dict: the functions are looked up
-    # when called, so a wrapper rebound over them (a profiler's) is seen.
-    if kind is EstimatorKind.SIVE:
-        return estimate_sive(design, sample)
-    if kind is EstimatorKind.TSLS_SATURATED:
-        return estimate_tsls(design, sample)
-    if kind is EstimatorKind.JIVE1:
-        return estimate_jive1(design, sample)
-    if kind is EstimatorKind.JIVE2:
-        return estimate_jive2(design, sample)
-    raise ValueError(f"not a blockwise estimator: {kind!r}")
+# Each blockwise estimator as its ``(T' Op Y, T' Op T)`` on a moment table.
+_FORMS = {
+    EstimatorKind.SIVE: _CellMoments.a_form,
+    EstimatorKind.TSLS_SATURATED: _CellMoments.p_form,
+    EstimatorKind.JIVE1: _jive1_form,
+    EstimatorKind.JIVE2: _jive2_form,
+}
+
+
+def _point_estimate(kind: EstimatorKind, table: _CellMoments, T: np.ndarray) -> float:
+    """Point estimate of one of the four blockwise estimators from a moment
+    table at center 0 of the treatment ``T``."""
+    if kind not in _FORMS:
+        raise ValueError(f"not a blockwise estimator: {kind!r}")
+    num, den = _FORMS[kind](table)
+    _require_identified(den, T)
+    return num / den
+
+
+def estimate_sive(design: SaturatedDesign, sample: Sample) -> float:
+    """``T'AY / T'AT`` from the per-cell moments."""
+    return _point_estimate(EstimatorKind.SIVE, *_moments(design, sample))
+
+
+def estimate_tsls(design: SaturatedDesign, sample: Sample) -> float:
+    """``T'PY / T'PT`` on the saturated design."""
+    return _point_estimate(EstimatorKind.TSLS_SATURATED, *_moments(design, sample))
+
+
+def estimate_jive1(design: SaturatedDesign, sample: Sample) -> float:
+    """Ratio with the diagonal of P removed."""
+    return _point_estimate(EstimatorKind.JIVE1, *_moments(design, sample))
+
+
+def estimate_jive2(design: SaturatedDesign, sample: Sample) -> float:
+    """Ratio with ``M_W (P - D_P) M_W``."""
+    return _point_estimate(EstimatorKind.JIVE2, *_moments(design, sample))
 
 
 def _drop_collinear(columns: np.ndarray, names: list) -> tuple[np.ndarray, list, list]:

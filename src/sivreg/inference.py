@@ -24,21 +24,19 @@ reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polymul, polyval
 from scipy.special import ndtr, ndtri
 
 from .blockops import (
-    _apply_A_hadamard,
     _cell_D,
+    _cell_sum,
     _CellMoments,
     _check_vector,
-    apply_A,
+    _hartley_weights,
     apply_M_WZ,
-    apply_MM_inv,
-    apply_MM_inv_W,
     cell_sizes,
 )
 from .design import DesignError, Sample, SaturatedDesign
@@ -108,38 +106,22 @@ def hartley_sigma(design: SaturatedDesign, treatment, residual) -> SigmaEstimate
         )
     ut = apply_M_WZ(design, treatment)
     rt = apply_M_WZ(design, residual)
-    uu = ut * ut
-    vv = rt * rt
-    uv = rt * ut
-    big = k >= 3
-    sigma_u2 = np.where(big, apply_MM_inv(design, np.where(big, uu, 0.0)), 4.0 * uu)
-    sigma_v2 = np.where(big, apply_MM_inv(design, np.where(big, vv, 0.0)), 4.0 * vv)
-    sigma_uv = np.where(big, apply_MM_inv(design, np.where(big, uv, 0.0)), 4.0 * uv)
+    w1, w2 = _hartley_weights(k)
+
+    def estimate(x):
+        return w1 * x - w2 * _cell_sum(design, x)[design.cell]
+
     return SigmaEstimates(
-        sigma_u2=sigma_u2,
-        sigma_v2=sigma_v2,
-        sigma_uv=sigma_uv,
-        used_fallback=~big,
+        sigma_u2=estimate(ut * ut),
+        sigma_v2=estimate(rt * rt),
+        sigma_uv=estimate(rt * ut),
+        used_fallback=k < 3,
     )
 
 
-def _hartley_weights(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell ``(w1, w2)`` with ``hartley_sigma``'s estimate ``w1 x_i - w2 sum_c x``.
-
-    ``k/(k-2)`` and ``1/((k-1)(k-2))`` for a cell of size k >= 3; the size-2
-    fallback ``4 x_i`` is ``(4, 0)``.
-    """
-    big = k >= 3
-    w1 = np.divide(k, k - 2.0, out=np.full(k.size, 4.0), where=big)
-    w2 = np.divide(1.0, (k - 1.0) * (k - 2.0), out=np.zeros(k.size), where=big)
-    return w1, w2
-
-
-def _robust_polynomials(
-    design: SaturatedDesign, Y: np.ndarray, T: np.ndarray, center: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+def _robust_polynomials(t: _CellMoments) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients, lowest degree first, of the score and its variance in
-    ``d = beta0 - center``.
+    ``d = beta0 - center``, from a fourth-order table at ``center``.
 
     With ``R = Y - T center``, ``a = AT`` and ``b = AR`` the score is
     ``S = a'R - d a'T``, so ``T'AT`` is ``-score[1]``.  The moment estimates
@@ -155,8 +137,7 @@ def _robust_polynomials(
     ``u^2 b^2`` sums to ``pr^2 s20 - 2 pr d s21 + d^2 s22``, and a Hartley
     estimate ``w1 x_i - w2 X`` dotted with f gives ``w1 sum(x f) - w2 X F``.
     """
-    d = _cell_D(design)
-    t = _CellMoments(design, T, Y, center)
+    d = _cell_D(t.design)
     t_a_r, t_a_t = t.a_form()
     pt, pr = t.p_values()
     w1, w2 = _hartley_weights(t.k)
@@ -207,7 +188,12 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     the consumers rather than truncated here.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    score, variance = _robust_polynomials(design, Y, T, center=beta)
+    return _sive_variance(_CellMoments(design, T, Y, beta), T)
+
+
+def _sive_variance(t: _CellMoments, T: np.ndarray) -> float:
+    """``sive_variance`` from a fourth-order table at ``center = beta``."""
+    score, variance = _robust_polynomials(t)
     t_a_t = -float(score[1])
     _require_identified(t_a_t, T)
     return float(variance[0]) / t_a_t**2
@@ -252,7 +238,7 @@ def robust_test(
     """
     _check_alpha(alpha)
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    score_poly, var_poly = _robust_polynomials(design, Y, T, center=beta0)
+    score_poly, var_poly = _robust_polynomials(_CellMoments(design, T, Y, beta0))
     score, var = float(score_poly[0]), float(var_poly[0])
     if var > 0.0:
         stat = score / np.sqrt(var)
@@ -292,7 +278,7 @@ def _robust_set(
     is constant between breakpoints, so one probe per gap and per ray
     decides the rest.  Endpoints may be infinite.
     """
-    score, variance = _robust_polynomials(design, Y, T)
+    score, variance = _robust_polynomials(_CellMoments(design, T, Y))
     q = polymul(score, score) - crit**2 * variance
     points = _real_roots(variance) + _real_roots(q)
     if score[1] != 0.0:
@@ -394,20 +380,40 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
 
     ``V_c = (T'A D_1 A T + (e*u)' J (A*A) J (e*u)) / (T'AT)^2`` where J is the
     inverse Hadamard square of the group demeaner, ``D_1 = diag(J (e*e))``,
-    and e, u are the cell-demeaned residual and treatment.  Requires every
-    group to have at least 3 observations; unlike the main estimator it is not
-    robust to within-group effect heterogeneity.
+    and e, u are the cell-demeaned residual and treatment.  Requires what A
+    requires (``GroupSizeError`` otherwise); unlike the main estimator it is
+    not robust to within-group effect heterogeneity.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    eps = apply_M_WZ(design, Y - beta_hat * T)
-    u = apply_M_WZ(design, T)
-    d1 = apply_MM_inv_W(design, eps * eps)
-    a_t = apply_A(design, T)
-    t_a_t = float(a_t @ T)
+    return _chao_variance(_CellMoments(design, T, Y, beta_hat), T)
+
+
+def _chao_variance(t: _CellMoments, T: np.ndarray) -> float:
+    """``chao_variance`` from a fourth-order table at ``center = beta_hat``.
+
+    In a cell ``(AT)_i = pt - d u_i``, and J acts as ``w1 x_i - w2 X_g`` with
+    the Hartley weights of whole groups (k = n_g) and ``X_g`` the group total
+    of x.  So ``D_1 = w1 e^2 - w2 S02_g`` and ``J(e*u) = w1 e u - w2 S11_g``.
+    ``A*A`` is ``d^2`` between two members of a cell and ``1/n_g^2`` across
+    the group's two cells, so with ``W_c`` the cell sum of ``J(e*u)`` the
+    second term is ``d^2 (W_c^2 - sum_c J(e*u)^2)`` per cell plus
+    ``2 W_0 W_1 / n_g^2`` per group.
+    """
+    d = _cell_D(t.design)
+    t_a_t = t.a_form()[1]
     _require_identified(t_a_t, T)
-    term1 = float(d1 @ (a_t * a_t))
-    w = apply_MM_inv_W(design, eps * u)
-    term2 = float(w @ _apply_A_hadamard(design, w))
+    pt, _ = t.p_values()
+    w1, w2 = (np.repeat(w, 2) for w in _hartley_weights(t.design.group_sizes))
+    s02_g, s11_g = (np.repeat(s.reshape(-1, 2).sum(axis=1), 2) for s in (t.s02, t.s11))
+    aa = t.k * pt * pt + d * d * t.s20
+    term1 = float(w1 @ (pt * pt * t.s02 - 2.0 * pt * d * t.s12 + d * d * t.s22))
+    term1 -= float((w2 * s02_g) @ aa)
+    shift = w2 * s11_g
+    w_sum = w1 * t.s11 - shift * t.k
+    w_sq = w1 * w1 * t.s22 - 2.0 * w1 * shift * t.s11 + shift * shift * t.k
+    n = t.design.group_sizes.astype(np.float64)
+    term2 = float((d * d) @ (w_sum * w_sum - w_sq))
+    term2 += 2.0 * float((w_sum[0::2] * w_sum[1::2]) @ (1.0 / n**2))
     return (term1 + term2) / t_a_t**2
 
 
@@ -429,16 +435,7 @@ class InferenceReport:
     fs_diag: dict | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta_hat": self.beta_hat,
-            "variance": self.variance,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "beta0": self.beta0,
-            "t_stat": self.t_stat,
-            "fs_diag": self.fs_diag,
-        }
+        return asdict(self)
 
 
 def _normal_report(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import bdtr, ndtr, ndtri
 
+from .blockops import _CellMoments
 from .design import (
     DesignError,
     GroupAudit,
@@ -38,7 +39,7 @@ from .estimators import (
     _point_estimate,
     population_estimand,
 )
-from .inference import chao_variance, sive_variance, t_test
+from .inference import _chao_variance, _sive_variance, t_test
 
 __all__ = [
     "SimConfig",
@@ -319,9 +320,11 @@ def _run_grid(
 
     Each draw gives every estimator's error and every variant's t-test, both
     against that draw's own ``beta_sive``; the SIVE estimate serves both.  A
-    failed draw is attrition for everything, a failed estimate for its own
-    estimator (SIVE's also for every variant), and a failed variance or test
-    for its own variant.
+    draw builds one moment table at center 0 for every estimator and, when
+    variants are requested and SIVE succeeded, one at SIVE's estimate for
+    both variances.  A failed draw is attrition for everything, a failed
+    estimate for its own estimator (SIVE's also for every variant), and a
+    failed variance or test for its own variant.
     """
     for kind in estimators:
         if kind not in DEFAULT_ESTIMATORS:
@@ -340,26 +343,28 @@ def _run_grid(
         for rep in range(cell.replications):
             try:
                 draw = generate_sample(cell, replication_seed(cell.master_seed, rep))
+                Y, T = draw.sample.outcome, draw.sample.treatment
+                table = _CellMoments(draw.design, T, Y, order=2)
             except (DesignError, EstimationError):
                 continue
-            design, sample = draw.design, draw.sample
             truth = draw.truth["beta_sive"]
             estimates = {}
             for kind in kinds:
                 try:
-                    estimates[kind] = _point_estimate(kind, design, sample)
+                    estimates[kind] = _point_estimate(kind, table, T)
                 except (DesignError, EstimationError):
                     pass
             for kind in estimators:
                 if kind in estimates:
                     errors[kind].append(estimates[kind] - truth)
             beta_hat = estimates.get(EstimatorKind.SIVE)
-            if beta_hat is None:
+            if beta_hat is None or not variants:
                 continue
+            at_beta_hat = _CellMoments(draw.design, T, Y, beta_hat)
             for variant in variants:
-                variance = sive_variance if variant == "vhat" else chao_variance
+                variance = _sive_variance if variant == "vhat" else _chao_variance
                 try:
-                    var = variance(design, sample.outcome, sample.treatment, beta_hat)
+                    var = variance(at_beta_hat, T)
                     res = t_test(beta_hat, var, truth, alpha)
                 except (DesignError, EstimationError):
                     continue

@@ -13,6 +13,8 @@ from sivreg import (
     DesignError,
     NonpositiveVarianceError,
     Sample,
+    SaturatedDesign,
+    SimConfig,
     SmallCellError,
     apply_A,
     apply_M_W,
@@ -26,8 +28,10 @@ from sivreg import (
     estimate_tsls,
     filter_design,
     first_stage_strength,
+    generate_sample,
     hartley_sigma,
     projection_diag_P,
+    replication_seed,
     robust_ci,
     robust_test,
     sive_report,
@@ -35,8 +39,10 @@ from sivreg import (
     t_test,
     validate_group_sizes,
 )
+from sivreg.blockops import GroupSizeError, _CellMoments
 from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
-from sivreg.oracle import assemble, oracle_estimate, oracle_variance
+from sivreg.oracle import assemble, oracle_chao_variance, oracle_estimate, oracle_variance
+from sivreg.simulation import _run_grid
 
 from conftest import random_design, strong_sample
 
@@ -351,9 +357,9 @@ def test_robust_polynomials_are_exact():
     for pi in (0.0, 1.0):
         d = random_design(rng, G=4, size_range=(5, 12))
         Y, T = weak_or_strong_sample(rng, d, pi)
-        score, variance = _robust_polynomials(d, Y, T)
+        score, variance = _robust_polynomials(_CellMoments(d, T, Y))
         for beta in (-50.0, -1.0, 0.0, 0.3, 2.0, 1000.0):
-            s_at, v_at = _robust_polynomials(d, Y, T, center=beta)
+            s_at, v_at = _robust_polynomials(_CellMoments(d, T, Y, center=beta))
             s, v = s_at[0], v_at[0]
             assert abs(score[0] + score[1] * beta - s) <= 1e-10 * abs(s)
             v_poly = np.polynomial.polynomial.polyval(beta, variance)
@@ -541,7 +547,7 @@ def test_moment_table_matches_operator_path(case):
     Y, T = s.outcome, s.treatment
     Y0, T0 = Y - offset_Y, T - offset_T
     for center in (0.0, 0.25, 37.0, slope):
-        score, variance = _robust_polynomials(d, Y, T, center)
+        score, variance = _robust_polynomials(_CellMoments(d, T, Y, center))
         ref_score, ref_variance = operator_polynomials(d, Y0, T0, center)
         for value, terms in zip([*score, *variance], [*ref_score, *ref_variance]):
             assert_sum_close(float(value), terms)
@@ -597,3 +603,84 @@ def test_moment_table_matches_dense_oracle(case):
     beta_hat = estimate_sive(d, s)
     ref = oracle_variance(dense, Y, T, beta_hat)
     assert abs(sive_variance(d, Y, T, beta_hat) - ref) <= 1e-8 * abs(ref)
+
+
+def _dense_chao_by_blocks(d, Y, T, beta, rows_per_block=400):
+    """``chao_variance`` from the dense reference, a few whole groups at a time.
+
+    Every operator in it is block diagonal over groups, so the numerator is
+    the sum over blocks of groups of each block's ``oracle_chao_variance``
+    times its ``(T'AT)^2``.  Blocks hold several groups because one group's
+    T'AT can be exactly 0 (a single treated row: A has a zero diagonal).
+    """
+    num = den = 0.0
+    block_of = (np.cumsum(d.group_sizes) // rows_per_block)[d.group_of]
+    for b in np.unique(block_of):
+        rows = np.flatnonzero(block_of == b)
+        groups = d.group_of[rows]
+        block = SaturatedDesign(groups - groups.min(), d.instrument[rows])
+        dense = assemble(block, cap=rows.size)
+        y, t = Y[rows], T[rows]
+        t_a_t = float(t @ dense.A @ t)
+        num += oracle_chao_variance(dense, y, t, beta) * t_a_t**2
+        den += t_a_t
+    return num / den**2
+
+
+@pytest.mark.parametrize("L", [25, 300])
+def test_chao_variance_matches_dense_reference_at_paper_scale(L):
+    # n = 3000 is past the dense oracle's cap for the whole design.
+    cfg = SimConfig(n=3000, L=L, p1=0.49)
+    for rep in range(3):
+        draw = generate_sample(cfg, replication_seed(7, rep))
+        d, s = draw.design, draw.sample
+        beta = estimate_sive(d, s)
+        fast = chao_variance(d, s.outcome, s.treatment, beta)
+        ref = _dense_chao_by_blocks(d, s.outcome, s.treatment, beta)
+        assert abs(fast - ref) <= 1e-8 * abs(ref), (L, rep, fast, ref)
+
+
+def test_chao_variance_on_group_of_size_two_is_group_size_error():
+    d = build_design([[0]] * 2 + [[1]] * 8, [1, 0] + [1, 1, 1, 1, 0, 0, 0, 0])
+    rng = np.random.default_rng(44)
+    Y, T = rng.standard_normal(d.n), rng.standard_normal(d.n)
+    with pytest.raises(GroupSizeError):
+        chao_variance(d, Y, T, 0.5)
+
+
+def test_moment_table_pass_counts(monkeypatch):
+    # One table per statistic, two for the report (center 0 and beta_hat),
+    # and in the Monte Carlo one per center per draw, shared by all four
+    # estimators and both variances.
+    calls = []
+    real_init = _CellMoments.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CellMoments, "__init__", counted)
+    rng = np.random.default_rng(45)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    Y, T = s.outcome, s.treatment
+
+    def passes(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    for estimate in (estimate_sive, estimate_tsls, estimate_jive1, estimate_jive2):
+        assert passes(lambda: estimate(d, s)) == 1, estimate.__name__
+    assert passes(lambda: sive_variance(d, Y, T, 0.7)) == 1
+    assert passes(lambda: chao_variance(d, Y, T, 0.7)) == 1
+    assert passes(lambda: robust_test(d, Y, T, 0.7)) == 1
+    assert passes(lambda: sive_report(d, s)) == 2
+
+    cfg = SimConfig(n=400, L=2, p1=0.69, replications=4, master_seed=3)
+    for variants, per_draw in ((("vhat", "chao"), 2), ((), 1)):
+        calls.clear()
+        bias_rows, size_rows = _run_grid(cfg, variants=variants)
+        rows = bias_rows + size_rows
+        assert all(r["value"] == 0.0 for r in rows if r["metric"] == "attrition")
+        assert len(calls) == per_draw * cfg.replications

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, norm
 
-from sivreg import estimators, simulation
+from sivreg import simulation
 from sivreg.cli import cmd_simulate
 from sivreg.estimators import EstimatorKind, WeakDenominatorError
 from sivreg.simulation import (
@@ -353,21 +353,21 @@ def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
 ):
     failing_reps = {1, 3}
     doomed = []
-    real_draw, real_sive = simulation.generate_sample, estimators.estimate_sive
+    real_draw, real_estimate = simulation.generate_sample, simulation._point_estimate
 
     def draw(cell, seed):
         result = real_draw(cell, seed)
         if seed.spawn_key[0] in failing_reps:
-            doomed.append(result.sample)
+            doomed.append(result.sample.treatment)
         return result
 
-    def sive(design, sample):
-        if any(sample is s for s in doomed):
+    def estimate(kind, table, T):
+        if kind is EstimatorKind.SIVE and any(T is t for t in doomed):
             raise WeakDenominatorError("forced failure")
-        return real_sive(design, sample)
+        return real_estimate(kind, table, T)
 
     monkeypatch.setattr(simulation, "generate_sample", draw)
-    monkeypatch.setattr(estimators, "estimate_sive", sive)
+    monkeypatch.setattr(simulation, "_point_estimate", estimate)
     out = _simulate(tmp_path, n=300, L=[1], p1=[0.69], replications=5, master_seed=12)
     rows = []
     for name in ("bias.json", "size.json"):
