@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignError, SaturatedDesign
+from .design import DesignError, SaturatedDesign, _require_finite
 
 __all__ = [
     "DegenerateGroupError",
@@ -59,6 +59,7 @@ def _check_vector(design: SaturatedDesign, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size != design.n:
         raise DesignError(f"vector has shape {v.shape}, expected ({design.n},)")
+    _require_finite(v, "vector")
     return v
 
 

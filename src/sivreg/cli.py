@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockops import SmallCellError, _cell_means, apply_M_W, apply_P
+from .blockops import _cell_means, apply_M_W, apply_P
 from .design import (
     DesignError,
     GroupAudit,
@@ -119,7 +119,7 @@ def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
     data row i is the i-th non-blank line after the header.  Wanted names
     that are not in the header are left out of the result.
     """
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -162,29 +162,33 @@ def _load_columns(csv_path, needed, binarize) -> dict:
     return columns
 
 
-def _cell_float(cell: str, col: str, i: int) -> float:
-    cell = cell.strip()
-    if not cell:
-        raise CliValidationError(f"column {col!r}, data row {i}: missing value")
-    try:
-        return float(cell)
-    except ValueError:
-        raise CliValidationError(
-            f"column {col!r}, data row {i}: cannot parse {cell!r} as a number"
-        ) from None
+def _float_column(columns: dict, col: str, strings_ok: bool = False):
+    """The column's stripped cells as float64.
 
-
-def _float_column(columns: dict, col: str) -> np.ndarray:
+    A blank cell is an error, and so is a cell that is not a number, unless
+    ``strings_ok``: then the stripped cells are returned as they are.  An
+    error names the first bad row.
+    """
     values = columns[col]
     if isinstance(values, np.ndarray):  # recoded by --binarize
         return values
     try:
         return np.array(list(map(float, map(str.strip, values))))
     except ValueError:
-        # Only to name the first bad cell in the error message.
-        for i, cell in enumerate(values, start=1):
-            _cell_float(cell, col, i)
-        raise
+        cells = list(map(str.strip, values))
+    if strings_ok and "" not in cells:
+        return cells
+    # Only to name the first bad cell in the error message.
+    for i, cell in enumerate(cells, start=1):
+        if not cell:
+            raise CliValidationError(f"column {col!r}, data row {i}: missing value")
+        try:
+            float(cell)
+        except ValueError:
+            if not strings_ok:
+                raise CliValidationError(
+                    f"column {col!r}, data row {i}: cannot parse {cell!r} as a number"
+                ) from None
 
 
 def _binary_column(columns: dict, col: str) -> np.ndarray:
@@ -216,24 +220,14 @@ def _parse_binarize(specs) -> list[tuple[str, float]]:
 
 def _covariate_column(columns: dict, col: str):
     """A float array if every cell parses as a number, else the stripped cells."""
-    values = columns[col]
-    if isinstance(values, np.ndarray):  # recoded by --binarize
-        return values
-    cells = list(map(str.strip, values))
-    if "" in cells:
-        raise CliValidationError(
-            f"column {col!r}, data row {cells.index('') + 1}: missing value"
-        )
-    try:
-        numbers = np.array(list(map(float, cells)))
-    except ValueError:
-        return cells
-    nan = np.flatnonzero(np.isnan(numbers))
-    if nan.size:
-        raise CliValidationError(
-            f"column {col!r}, data row {nan[0] + 1}: NaN is not a covariate value"
-        )
-    return numbers
+    values = _float_column(columns, col, strings_ok=True)
+    if isinstance(values, np.ndarray):
+        nan = np.flatnonzero(np.isnan(values))
+        if nan.size:
+            raise CliValidationError(
+                f"column {col!r}, data row {nan[0] + 1}: NaN is not a covariate value"
+            )
+    return values
 
 
 def _raw_design(columns: dict, schema: DatasetSchema) -> SaturatedDesign:
@@ -251,23 +245,14 @@ class _Prepared:
 
 
 def _prepare(
-    csv_path,
-    schema: DatasetSchema,
-    min_active: int,
-    min_inactive: int,
-    binarize,
+    csv_path, schema: DatasetSchema, min_active: int, min_inactive: int, binarize
 ) -> _Prepared:
     if not schema.outcome_col or not schema.treatment_col:
         raise CliValidationError(
             "outcome and treatment columns are required for this command"
         )
-    needed = [
-        schema.outcome_col,
-        schema.treatment_col,
-        schema.instrument_col,
-        *schema.covariate_cols,
-    ]
-    columns = _load_columns(csv_path, needed, binarize)
+    needed = [schema.outcome_col, schema.treatment_col, schema.instrument_col]
+    columns = _load_columns(csv_path, [*needed, *schema.covariate_cols], binarize)
     raw_design = _raw_design(columns, schema)
     sample = Sample(
         outcome=_float_column(columns, schema.outcome_col),
@@ -293,6 +278,20 @@ def _audit_dict(raw_design: SaturatedDesign, audit: GroupAudit) -> dict:
     return {
         "violations": violations,
         "kept_groups": [int(g) for g in audit.kept_groups],
+    }
+
+
+def _report_head(command, prep: _Prepared, alpha, min_active, min_inactive, **labels):
+    """The keys ``estimate`` and ``robust-ci`` reports open with, in order;
+    ``labels`` go between the command and ``alpha``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        **labels,
+        "alpha": alpha,
+        "thresholds": {"min_active": min_active, "min_inactive": min_inactive},
+        "design_summary": design_summary(prep.design),
+        "audit": _audit_dict(prep.raw_design, prep.audit),
     }
 
 
@@ -387,32 +386,27 @@ def cmd_estimate(
     if estimator is EstimatorKind.SIVE:
         report = sive_report(design, sample, alpha=alpha)
     elif blockwise:
+        table, T = _moments(design, sample)
         report = InferenceReport(
-            beta_hat=_point_estimate(estimator, *_moments(design, sample)),
+            beta_hat=_point_estimate(estimator, table, T),
             variance=None,
             std_error=None,
             ci_low=None,
             ci_high=None,
             beta0=None,
             t_stat=None,
-            fs_diag=first_stage_strength(design, treatment=sample.treatment),
+            fs_diag=first_stage_strength(design, pi=table.group_gaps()[0]),
         )
     else:
         beta, var = _generic_fit(spec, schema, prep)
         fs_diag = first_stage_strength(design, treatment=sample.treatment)
         report = _normal_report(beta, var, alpha, 0.0, fs_diag)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "estimate",
-        "spec": spec.value,
-        "estimator": estimator.value,
-        "alpha": alpha,
-        "thresholds": {"min_active": min_active, "min_inactive": min_inactive},
-        "design_summary": design_summary(design),
-        "audit": _audit_dict(prep.raw_design, prep.audit),
-        "estimate": report.to_json_dict(),
-    }
+    payload = _report_head(
+        "estimate", prep, alpha, min_active, min_inactive,
+        spec=spec.value, estimator=estimator.value,
+    )
+    payload["estimate"] = report.to_json_dict()
     if reference:
         dense = assemble(design)
         ref_beta = oracle_estimate(
@@ -446,22 +440,11 @@ def cmd_robust_ci(
     """
     _check_alpha(alpha)
     prep = _prepare(csv_path, schema, min_active, min_inactive, binarize)
-    result = robust_ci(
-        prep.design,
-        prep.sample.outcome,
-        prep.sample.treatment,
-        grid=grid,
-        alpha=alpha,
-    )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "robust-ci",
-        "alpha": alpha,
-        "thresholds": {"min_active": min_active, "min_inactive": min_inactive},
-        "design_summary": design_summary(prep.design),
-        "audit": _audit_dict(prep.raw_design, prep.audit),
-        "robust_ci": result,
-    }
+    Y, T = prep.sample.outcome, prep.sample.treatment
+    result = robust_ci(prep.design, Y, T, grid=grid, alpha=alpha)
+    payload = _report_head("robust-ci", prep, alpha, min_active, min_inactive)
+    payload["robust_ci"] = result
+    return payload
 
 
 def cmd_audit(
@@ -594,16 +577,22 @@ def _emit(payload: dict, out_file) -> None:
         sys.stdout.write(text)
 
 
-def _schema_from_args(args) -> DatasetSchema:
-    covariates = []
-    if getattr(args, "covariates", None):
-        covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
-    return DatasetSchema(
+def _data_kwargs(args) -> dict:
+    """The dataset arguments of ``estimate``, ``robust-ci`` and ``audit``."""
+    covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    schema = DatasetSchema(
         outcome_col=getattr(args, "outcome", None),
         treatment_col=getattr(args, "treatment", None),
         instrument_col=args.instrument,
         covariate_cols=tuple(covariates),
     )
+    return {
+        "csv_path": args.data,
+        "schema": schema,
+        "min_active": args.min_active,
+        "min_inactive": args.min_inactive,
+        "binarize": args.binarize or (),
+    }
 
 
 def _grid_from_args(args) -> dict | None:
@@ -643,47 +632,6 @@ def _add_data_flags(p: argparse.ArgumentParser, with_outcome: bool) -> None:
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
-def _handle_estimate(args) -> dict:
-    return cmd_estimate(
-        args.data,
-        _schema_from_args(args),
-        spec=SpecChoice(args.spec),
-        estimator=EstimatorKind(args.estimator),
-        alpha=args.alpha,
-        min_active=args.min_active,
-        min_inactive=args.min_inactive,
-        binarize=args.binarize or (),
-        reference=args.reference,
-    )
-
-
-def _handle_robust_ci(args) -> dict:
-    return cmd_robust_ci(
-        args.data,
-        _schema_from_args(args),
-        grid=_grid_from_args(args),
-        alpha=args.alpha,
-        min_active=args.min_active,
-        min_inactive=args.min_inactive,
-        binarize=args.binarize or (),
-    )
-
-
-def _handle_simulate(args) -> dict:
-    return cmd_simulate(args.config, args.out, seed=args.seed)
-
-
-def _handle_audit(args) -> dict:
-    return cmd_audit(
-        args.data,
-        _schema_from_args(args),
-        min_active=args.min_active,
-        min_inactive=args.min_inactive,
-        binarize=args.binarize or (),
-        dump_design=args.dump_design,
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sivreg",
@@ -709,7 +657,15 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attach dense reference recomputation (blockwise estimators only)",
     )
-    est.set_defaults(handler=_handle_estimate)
+    est.set_defaults(
+        handler=lambda args: cmd_estimate(
+            **_data_kwargs(args),
+            spec=SpecChoice(args.spec),
+            estimator=EstimatorKind(args.estimator),
+            alpha=args.alpha,
+            reference=args.reference,
+        )
+    )
 
     rci = sub.add_parser(
         "robust-ci", help="identification-robust confidence set, exact endpoints"
@@ -719,13 +675,20 @@ def _build_parser() -> argparse.ArgumentParser:
     rci.add_argument("--grid-low", type=float, default=None, dest="grid_low")
     rci.add_argument("--grid-high", type=float, default=None, dest="grid_high")
     rci.add_argument("--grid-step", type=float, default=None, dest="grid_step")
-    rci.set_defaults(handler=_handle_robust_ci)
+    rci.set_defaults(
+        handler=lambda args: cmd_robust_ci(
+            **_data_kwargs(args), grid=_grid_from_args(args), alpha=args.alpha
+        )
+    )
 
     sim = sub.add_parser("simulate", help="run bias and size experiment grids")
     sim.add_argument("--config", required=True, help="JSON config path")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override master_seed")
-    sim.set_defaults(handler=_handle_simulate, out_is_dir=True)
+    sim.set_defaults(
+        handler=lambda args: cmd_simulate(args.config, args.out, seed=args.seed),
+        out_is_dir=True,
+    )
 
     aud = sub.add_parser("audit", help="group-size audit and design summary")
     _add_data_flags(aud, with_outcome=False)
@@ -735,7 +698,9 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="dump_design",
         help="also write the filtered design as JSON to this path",
     )
-    aud.set_defaults(handler=_handle_audit)
+    aud.set_defaults(
+        handler=lambda args: cmd_audit(**_data_kwargs(args), dump_design=args.dump_design)
+    )
     return parser
 
 
@@ -745,7 +710,7 @@ def main(argv=None) -> int:
         payload = args.handler(args)
         out_file = None if getattr(args, "out_is_dir", False) else args.out
         _emit(payload, out_file)
-    except (EstimationError, SmallCellError) as exc:
+    except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DesignError, CliValidationError, ValueError) as exc:

@@ -157,6 +157,11 @@ class SaturatedDesign:
         }
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise DesignError(f"{name} contains non-finite entries")
+
+
 @dataclass(frozen=True)
 class Sample:
     """Outcome and treatment vectors aligned to a design.
@@ -178,10 +183,8 @@ class Sample:
                 f"length mismatch: outcome has {outcome.size} entries, "
                 f"treatment has {treatment.size}"
             )
-        if not np.isfinite(outcome).all():
-            raise DesignError("outcome contains non-finite entries")
-        if not np.isfinite(treatment).all():
-            raise DesignError("treatment contains non-finite entries")
+        _require_finite(outcome, "outcome")
+        _require_finite(treatment, "treatment")
         object.__setattr__(self, "outcome", _readonly(outcome))
         object.__setattr__(self, "treatment", _readonly(treatment))
 

@@ -42,8 +42,10 @@ from .blockops import (
 from .design import DesignError, Sample, SaturatedDesign
 from .estimators import (
     EstimationError,
+    EstimatorKind,
+    _moments,
+    _point_estimate,
     _require_identified,
-    estimate_sive,
     first_stage_strength,
 )
 
@@ -221,6 +223,16 @@ def confidence_interval(
     return beta_hat - half, beta_hat + half
 
 
+def _accepts(score: float, variance: float, crit: float, two_sided: bool) -> bool:
+    """The robust test's decision: it rejects only where the variance is
+    positive and the studentized score (its absolute value if two-sided)
+    exceeds ``crit``."""
+    if not variance > 0.0:
+        return True
+    stat = score / np.sqrt(variance)
+    return not (abs(stat) if two_sided else stat) > crit
+
+
 def robust_test(
     design: SaturatedDesign,
     Y,
@@ -240,13 +252,8 @@ def robust_test(
     Y, T = _check_vector(design, Y), _check_vector(design, T)
     score_poly, var_poly = _robust_polynomials(_CellMoments(design, T, Y, beta0))
     score, var = float(score_poly[0]), float(var_poly[0])
-    if var > 0.0:
-        stat = score / np.sqrt(var)
-        crit = _critical_value(alpha, two_sided)
-        reject = abs(stat) > crit if two_sided else stat > crit
-    else:
-        reject = False
-    return {"score": score, "variance_at_beta0": var, "reject": bool(reject)}
+    reject = not _accepts(score, var, _critical_value(alpha, two_sided), two_sided)
+    return {"score": score, "variance_at_beta0": var, "reject": reject}
 
 
 def _real_roots(c: np.ndarray) -> list[float]:
@@ -268,29 +275,24 @@ def _real_roots(c: np.ndarray) -> list[float]:
 
 
 def _robust_set(
-    design: SaturatedDesign, Y: np.ndarray, T: np.ndarray, crit: float, two_sided: bool
+    table: _CellMoments, crit: float, two_sided: bool
 ) -> list[tuple[float, float]]:
-    """Exact set of beta0 that the robust test does not reject, as closed intervals.
+    """Exact set of beta0 that the robust test does not reject, as closed
+    intervals, from a fourth-order table at center 0.
 
-    The test accepts where ``V <= 0`` or ``Q = S^2 - crit^2 V <= 0``, and the
-    one-sided test also where ``S <= 0``.  Every breakpoint (a real root of V
-    or Q, or the zero ``a'Y / a'T`` of S) is itself accepted, and membership
-    is constant between breakpoints, so one probe per gap and per ray
-    decides the rest.  Endpoints may be infinite.
+    The decision (``_accepts``) can change only where V or ``Q = S^2 -
+    crit^2 V`` changes sign.  With ``crit > 0`` every such breakpoint (a real
+    root of V or Q) is itself accepted, and membership is constant between
+    breakpoints, so one probe per gap and per ray decides the rest.
+    Endpoints may be infinite.
     """
-    score, variance = _robust_polynomials(_CellMoments(design, T, Y))
+    score, variance = _robust_polynomials(table)
     q = polymul(score, score) - crit**2 * variance
     points = _real_roots(variance) + _real_roots(q)
-    if score[1] != 0.0:
-        points.append(-score[0] / score[1])
     points = sorted({p for p in points if np.isfinite(p)})
 
     def accepted(beta: float) -> bool:
-        return bool(
-            polyval(beta, variance) <= 0.0
-            or polyval(beta, q) <= 0.0
-            or (not two_sided and polyval(beta, score) <= 0.0)
-        )
+        return _accepts(polyval(beta, score), polyval(beta, variance), crit, two_sided)
 
     if not points:
         return [(-np.inf, np.inf)] if accepted(0.0) else []
@@ -325,23 +327,27 @@ def robust_ci(
     The set of hypothesized values the robust test does not reject is solved
     in closed form: the score is linear and its variance estimate exactly
     quadratic in beta0, so the endpoints are roots of two quadratics, found
-    from one pass of the operators.  The set can be bounded, a union of two
+    from one moment table at 0.  The set can be bounded, a union of two
     rays, the whole line or empty.  ``unbounded`` flags an exact set that
-    extends to infinity.
+    extends to infinity.  A one-sided set needs ``alpha < 0.5``.
 
     ``grid`` is the reporting window ``{"low", "high", "step"}``: the exact
     set is clipped to ``[low, high]``, and ``unbounded_within_grid`` flags
     acceptance at either window edge.  ``step`` no longer affects the set; it
     is validated and echoed (default: the range divided by 400) only for
     compatibility.  Without a grid, the window defaults to the point estimate
-    plus/minus 10 standard errors, which requires the standard variance to
-    exist.  The result lists the maximal intervals of the clipped set, which
-    may be empty, disjoint or single points.
+    (read from the same table) plus/minus 10 standard errors, which requires
+    the standard variance to exist.  The result lists the maximal intervals
+    of the clipped set, which may be empty, disjoint or single points.
     """
     _check_alpha(alpha)
     Y, T = _check_vector(design, Y), _check_vector(design, T)
+    crit = _critical_value(alpha, two_sided)
+    if not crit > 0.0:
+        raise ValueError("a one-sided robust confidence set needs alpha < 0.5")
+    table = _CellMoments(design, T, Y)
     if grid is None:
-        beta_hat = estimate_sive(design, Sample(Y, T))
+        beta_hat = _point_estimate(EstimatorKind.SIVE, table, T)
         variance = sive_variance(design, Y, T, beta_hat)
         if not variance > 0.0:
             raise NonpositiveVarianceError(
@@ -358,7 +364,7 @@ def robust_ci(
     if step <= 0.0:
         raise ValueError("grid step must be positive")
 
-    exact = _robust_set(design, Y, T, _critical_value(alpha, two_sided), two_sided)
+    exact = _robust_set(table, crit, two_sided)
     intervals = [
         (float(max(lo, low)), float(min(hi, high)))
         for lo, hi in exact
@@ -481,7 +487,8 @@ def sive_report(
     The interval and test follow ``_normal_report``: a zero variance gives a
     point interval and no t statistic, a negative one an error.
     """
-    beta_hat = estimate_sive(design, sample)
-    variance = sive_variance(design, sample.outcome, sample.treatment, beta_hat)
-    fs_diag = first_stage_strength(design, treatment=sample.treatment)
+    table, T = _moments(design, sample)
+    beta_hat = _point_estimate(EstimatorKind.SIVE, table, T)
+    variance = sive_variance(design, sample.outcome, T, beta_hat)
+    fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
     return _normal_report(beta_hat, variance, alpha, beta0, fs_diag)

@@ -725,3 +725,104 @@ def test_ingest_nan_covariate_is_a_validation_error(tmp_path, capsys):
     data = write_csv(tmp_path / "nan.csv", ["y", "t", "z", "w"], rows)
     err = validation_error(["estimate", "--data", data, *BASE], capsys)
     assert err == "column 'w', data row 5: NaN is not a covariate value"
+
+
+_DATA_OPTIONS = [
+    (("--data",), "data", None, None, True),
+    (("--outcome",), "outcome", None, None, True),
+    (("--treatment",), "treatment", None, None, True),
+    (("--instrument",), "instrument", None, None, True),
+    (("--covariates",), "covariates", "", None, False),
+    (("--binarize",), "binarize", None, None, False),
+    (("--min-active",), "min_active", 2, None, False),
+    (("--min-inactive",), "min_inactive", 2, None, False),
+    (("--out",), "out", None, None, False),
+]
+
+
+def test_parser_options_are_pinned():
+    # Every subcommand's option strings, dests, defaults, choices and
+    # required flags, in declaration order.
+    import argparse
+
+    from sivreg.cli import _build_parser
+
+    (sub,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    found = {
+        name: [
+            (tuple(a.option_strings), a.dest, a.default,
+             None if a.choices is None else tuple(a.choices), a.required)
+            for a in parser._actions
+            if a.dest != "help"
+        ]
+        for name, parser in sub.choices.items()
+    }
+    alpha = (("--alpha",), "alpha", 0.05, None, False)
+    audit_data = [o for o in _DATA_OPTIONS if o[1] not in ("outcome", "treatment")]
+    assert found == {
+        "estimate": [
+            *_DATA_OPTIONS,
+            (("--spec",), "spec", "fully-saturated",
+             ("not-saturated", "fully-saturated", "saturated-instruments",
+              "saturated-controls"), False),
+            (("--estimator",), "estimator", "sive",
+             ("tsls-saturated", "jive1", "jive2", "sive", "tsls-generic"), False),
+            alpha,
+            (("--reference",), "reference", False, None, False),
+        ],
+        "robust-ci": [
+            *_DATA_OPTIONS,
+            alpha,
+            (("--grid-low",), "grid_low", None, None, False),
+            (("--grid-high",), "grid_high", None, None, False),
+            (("--grid-step",), "grid_step", None, None, False),
+        ],
+        "simulate": [
+            (("--config",), "config", None, None, True),
+            (("--out",), "out", None, None, True),
+            (("--seed",), "seed", None, None, False),
+        ],
+        "audit": [
+            *audit_data,
+            (("--dump-design",), "dump_design", None, None, False),
+        ],
+    }
+
+
+def test_ingest_accepts_a_utf8_byte_order_mark(tmp_path, capsys):
+    # Spreadsheet programs save CSV with a BOM; it must not become part of
+    # the first column's name.
+    plain = noisy_csv(tmp_path, name="plain.csv")
+    text = Path(plain).read_text(encoding="utf-8")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for argv in (["estimate", *BASE], ["robust-ci", *BASE],
+                 ["audit", "--instrument", "z", "--covariates", "w"]):
+        _, out_plain, _ = run([argv[0], "--data", plain, *argv[1:]], capsys)
+        code, out_bom, err = run([argv[0], "--data", str(bom), *argv[1:]], capsys)
+        assert code == 0, err
+        assert out_bom == out_plain
+
+
+def test_estimate_negative_variance_exits_numerical(tmp_path, capsys):
+    # A weak first stage (pi = 0.3) whose SIVE variance estimate is negative.
+    rng = np.random.default_rng(146)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d, tau=1.0, pi=0.3)
+    from sivreg import estimate_sive, sive_variance
+
+    variance = sive_variance(d, s.outcome, s.treatment, estimate_sive(d, s))
+    assert variance < 0.0
+    rows = [
+        [s.outcome[i], s.treatment[i], int(d.instrument[i]), int(d.group_of[i])]
+        for i in range(d.n)
+    ]
+    data = write_csv(tmp_path / "negative.csv", ["y", "t", "z", "w"], rows)
+    code, out, err = run(["estimate", "--data", data, *BASE], capsys)
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: variance estimate {variance} is negative; "
+        "use the identification-robust test (robust_test / robust_ci)\n"
+    )

@@ -684,3 +684,101 @@ def test_moment_table_pass_counts(monkeypatch):
         rows = bias_rows + size_rows
         assert all(r["value"] == 0.0 for r in rows if r["metric"] == "attrition")
         assert len(calls) == per_draw * cfg.replications
+
+
+_VECTOR_ENTRY_POINTS = {
+    "sive_variance": lambda d, Y, T: sive_variance(d, Y, T, 0.5),
+    "chao_variance": lambda d, Y, T: chao_variance(d, Y, T, 0.5),
+    "robust_test": lambda d, Y, T: robust_test(d, Y, T, 0.5),
+    "robust_ci_window": lambda d, Y, T: robust_ci(d, Y, T, grid={"low": -5, "high": 5}),
+    "robust_ci_default": lambda d, Y, T: robust_ci(d, Y, T),
+    "first_stage_strength": lambda d, Y, T: first_stage_strength(d, treatment=T),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry, vector",
+    [
+        (entry, vector)
+        for entry in _VECTOR_ENTRY_POINTS
+        for vector in ("Y", "T")
+        if not (entry == "first_stage_strength" and vector == "Y")
+    ],
+)
+def test_non_finite_vectors_are_rejected(entry, vector, bad):
+    # A NaN used to read as "every beta rejected" (empty set), a NaN score
+    # that is not rejected, or a NaN variance.
+    rng = np.random.default_rng(46)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    vectors = {"Y": s.outcome.copy(), "T": s.treatment.copy()}
+    vectors[vector][3] = bad
+    with pytest.raises(DesignError, match="non-finite"):
+        _VECTOR_ENTRY_POINTS[entry](d, vectors["Y"], vectors["T"])
+
+
+def test_entry_points_read_each_moment_table_once(monkeypatch, tmp_path):
+    # The report and the command line's blockwise estimators share their
+    # center-0 table between the estimate and the first-stage strength, and
+    # robust_ci without a window takes the point estimate from the
+    # fourth-order table at 0 it solves the set on.
+    import sivreg
+    from sivreg.cli import DatasetSchema, cmd_estimate
+
+    tables, standalone = [], []
+    real_init = _CellMoments.__init__
+
+    def counted_init(self, *args, **kwargs):
+        tables.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CellMoments, "__init__", counted_init)
+    # Cell-mean passes outside the moment tables go through these names.
+    for module in (sivreg.estimators, sivreg.inference, sivreg.cli):
+        if hasattr(module, "_cell_means"):
+            real = module._cell_means
+
+            def counted_means(*args, _real=real, **kwargs):
+                standalone.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "_cell_means", counted_means)
+    rng = np.random.default_rng(47)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    Y, T = s.outcome, s.treatment
+
+    def passes(call):
+        tables.clear()
+        standalone.clear()
+        call()
+        return len(tables), len(standalone)
+
+    assert passes(lambda: sive_report(d, s)) == (2, 0)
+    assert passes(lambda: robust_ci(d, Y, T)) == (2, 0)
+    assert passes(lambda: robust_ci(d, Y, T, grid={"low": -5, "high": 5})) == (1, 0)
+    assert passes(lambda: first_stage_strength(d, treatment=T)) == (0, 1)
+
+    data = tmp_path / "data.csv"
+    data.write_text("y,t,z,w\n" + "".join(
+        f"{y!r},{t!r},{z},{w}\n"
+        for y, t, z, w in zip(Y.tolist(), T.tolist(), d.instrument, d.group_of)
+    ))
+    schema = DatasetSchema("y", "t", "z", ("w",))
+    for kind in EstimatorKind:
+        if kind is not EstimatorKind.TSLS_GENERIC:
+            tables_per_estimate = 2 if kind is EstimatorKind.SIVE else 1
+            assert passes(lambda: cmd_estimate(data, schema, estimator=kind)) == (
+                tables_per_estimate, 0
+            ), kind
+
+
+def test_one_sided_robust_ci_needs_alpha_below_half():
+    rng = np.random.default_rng(48)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    window = {"low": -5, "high": 5}
+    with pytest.raises(ValueError, match="alpha < 0.5"):
+        robust_ci(d, s.outcome, s.treatment, grid=window, alpha=0.6, two_sided=False)
+    assert robust_ci(d, s.outcome, s.treatment, grid=window, alpha=0.6)["intervals"]

@@ -381,3 +381,43 @@ def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
         "sive_vhat": 0.4,
         "sive_chao": 0.4,
     }
+
+
+def test_failed_variance_or_t_test_is_attrition_for_that_variant_only(
+    monkeypatch, tmp_path
+):
+    # The comparison variance raises on draws 0 and 2; the main variance is
+    # negative on draw 4, so its t-test raises there.
+    doomed = {}
+    real_draw = simulation.generate_sample
+    real_sive, real_chao = simulation._sive_variance, simulation._chao_variance
+
+    def draw(cell, seed):
+        result = real_draw(cell, seed)
+        doomed[id(result.sample.treatment)] = seed.spawn_key[0]
+        return result
+
+    def chao(table, T):
+        if doomed[id(T)] in (0, 2):
+            raise WeakDenominatorError("forced failure")
+        return real_chao(table, T)
+
+    def sive(table, T):
+        return -1.0 if doomed[id(T)] == 4 else real_sive(table, T)
+
+    monkeypatch.setattr(simulation, "generate_sample", draw)
+    monkeypatch.setattr(simulation, "_chao_variance", chao)
+    monkeypatch.setattr(simulation, "_sive_variance", sive)
+    out = _simulate(tmp_path, n=300, L=[1], p1=[0.69], replications=5, master_seed=12)
+    rows = []
+    for name in ("bias.json", "size.json"):
+        rows += json.loads((out / name).read_text())["rows"]
+    attrition = {r["estimator"]: r["value"] for r in rows if r["metric"] == "attrition"}
+    assert attrition == {
+        "sive": 0.0,
+        "tsls-saturated": 0.0,
+        "jive1": 0.0,
+        "jive2": 0.0,
+        "sive_vhat": 0.2,
+        "sive_chao": 0.4,
+    }
