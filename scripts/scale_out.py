@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Wall time and peak memory of ``sivreg estimate`` on a large CSV.
+
+Usage: python scripts/scale_out.py [--rows N] [--seed S] [--dir DIR]
+
+Writes a seeded CSV with the columns ``id,y,t,educ,a,b,region`` (1000
+covariate groups: integer a and b, string region; ``educ > 12`` exactly when
+the instrument is on), then runs ``python -m sivreg estimate`` on it in a
+child process, with this checkout's ``src`` on the path.  Prints one JSON
+line: rows, CSV size, the child's exit code, its wall time and its peak RSS
+(``RUSAGE_CHILDREN``; the CSV is written in this process, not a child).
+Without ``--dir`` the CSV and the report go to a temporary directory that is
+removed afterwards.  Exit status: the child's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LEVELS = 10  # levels of each of a, b and region
+CHUNK = 100_000
+
+
+def write_csv(path: Path, rows: int, seed: int) -> None:
+    """A seeded sample over LEVELS**3 groups, written CHUNK rows at a time."""
+    rng = np.random.default_rng(seed)
+    groups = LEVELS**3
+    propensity = rng.uniform(0.3, 0.7, groups)
+    base = rng.uniform(0.15, 0.35, groups)
+    complier = rng.uniform(0.2, 0.45, groups)
+    effect = 0.2 + 0.1 * rng.standard_normal(groups)
+    level = rng.normal(1.0, 0.5, groups)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("id,y,t,educ,a,b,region\n")
+        for start in range(0, rows, CHUNK):
+            k = min(CHUNK, rows - start)
+            code = rng.integers(0, groups, k)
+            z = rng.random(k) < propensity[code]
+            latent = rng.random(k)
+            t = (latent < base[code] + complier[code] * z).astype(np.int64)
+            y = level[code] + effect[code] * t + 1.2 * (latent - 0.5) + rng.standard_normal(k)
+            educ = np.where(z, rng.integers(13, 21, k), rng.integers(8, 13, k))
+            a, b, r = code // LEVELS**2, (code // LEVELS) % LEVELS, code % LEVELS
+            fh.writelines(
+                f"{i},{yi!r},{ti},{ei},{ai},{bi},region_{ri:02d}\n"
+                for i, yi, ti, ei, ai, bi, ri in zip(
+                    range(start, start + k), y.tolist(), t.tolist(), educ.tolist(),
+                    a.tolist(), b.tolist(), r.tolist(),
+                )
+            )
+
+
+def measure(work: Path, rows: int, seed: int) -> dict:
+    data, report = work / "scale_out.csv", work / "scale_out.json"
+    write_csv(data, rows, seed)
+    argv = [
+        sys.executable, "-m", "sivreg", "estimate", "--data", str(data),
+        "--outcome", "y", "--treatment", "t", "--instrument", "educ",
+        "--binarize", "educ:12", "--covariates", "a,b,region", "--out", str(report),
+    ]
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    start = time.perf_counter()
+    child = subprocess.run(argv, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    result = {
+        "rows": rows,
+        "seed": seed,
+        "csv_mb": round(data.stat().st_size / 2**20, 1),
+        "exit_code": child.returncode,
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": round(peak_kb / 1024, 1),
+    }
+    if child.returncode:
+        result["stderr"] = child.stderr.strip()
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rows", type=int, default=1_000_000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dir", default=None, help="keep the CSV and report here")
+    args = parser.parse_args(argv)
+    if args.rows < 1:
+        parser.error("--rows must be at least 1")
+    kept = contextlib.nullcontext(args.dir) if args.dir else tempfile.TemporaryDirectory()
+    with kept as work:
+        Path(work).mkdir(parents=True, exist_ok=True)
+        result = measure(Path(work), args.rows, args.seed)
+    print(json.dumps(result))
+    return result["exit_code"]
+
+
+if __name__ == "__main__":
+    sys.exit(main())

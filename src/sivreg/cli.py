@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -115,6 +116,8 @@ class DatasetSchema:
 def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
     """One ``csv.reader`` pass keeping the cells of the wanted header columns.
 
+    This is the checked path: it alone raises the row-shape and file-level
+    errors, and it reads every file that ``_tokenized_columns`` hands over.
     Blank lines are skipped and not counted, as ``csv.DictReader`` does, so
     data row i is the i-th non-blank line after the header.  Wanted names
     that are not in the header are left out of the result.
@@ -146,19 +149,89 @@ def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
     return columns
 
 
+def _tokenized_columns(csv_path, wanted) -> dict | None:
+    """The wanted columns read by numpy's C tokenizer, or None to hand the
+    file over to ``_read_columns``.
+
+    The header and the first data row are read with ``csv`` to type each
+    column: float64 for a wanted column whose first cell is a number, object
+    for any other wanted column, one character for an unused one.
+    ``np.loadtxt`` reads every column, so a row with too many or too few
+    fields raises, as does a number it cannot parse.  A blank cell or a line
+    break inside a text cell of a wanted column is handed over too, so every
+    error message comes from ``_read_columns`` and its readers.  Numbers come
+    back as the float64 arrays ``_float_column`` would build, text as
+    stripped cells.
+    """
+    try:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            # skiprows counts lines, so the header must be one line.
+            if not header or reader.line_num != 1 or len(set(header)) != len(header):
+                return None
+            first = next(filter(None, reader), None)
+        if first is None or len(first) != len(header):
+            return None
+        numeric = [c in wanted and _is_number(cell) for c, cell in zip(header, first)]
+        # An unused column is never read; one character is the cheapest to keep.
+        kinds = [
+            "f8" if num else "O" if c in wanted else "U1" for c, num in zip(header, numeric)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # e.g. "no data"
+            table = np.loadtxt(
+                csv_path,
+                dtype=[(f"f{j}", kind) for j, kind in enumerate(kinds)],
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                encoding="utf-8-sig",
+                skiprows=1,
+                ndmin=1,
+            )
+    except (OSError, ValueError, UserWarning, csv.Error):
+        return None
+    columns = {}
+    for c in wanted:
+        if c in columns or c not in header:
+            continue
+        j = header.index(c)
+        values = table[f"f{j}"]
+        if numeric[j]:
+            columns[c] = values.copy()
+            continue
+        cells = list(map(str.strip, values.tolist()))
+        # loadtxt reads the file with universal newlines, so a quoted line
+        # break may differ from the csv cell's.
+        if "" in cells or "\n" in "".join(cells):
+            return None
+        columns[c] = cells
+    return columns
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell.strip())
+    except ValueError:
+        return False
+    return True
+
+
 def _load_columns(csv_path, needed, binarize) -> dict:
     """Read the needed columns and the ``--binarize`` ones, then recode the latter."""
     # Only the column names here: a malformed spec is reported after the
     # row-shape and missing-column errors.
     recoded = [str(spec).rpartition(":")[0] for spec in binarize or ()]
-    columns = _read_columns(csv_path, [*needed, *recoded])
+    wanted = [*needed, *recoded]
+    columns = _tokenized_columns(csv_path, wanted) or _read_columns(csv_path, wanted)
     missing = [c for c in needed if c not in columns]
     if missing:
         raise CliValidationError(f"missing columns: {', '.join(missing)}")
     for col, threshold in _parse_binarize(binarize):
         if col not in columns:
             raise CliValidationError(f"--binarize column {col!r} not in header")
-        columns[col] = (_float_column(columns, col) > threshold).astype(np.float64)
+        columns[col] = (_finite_column(columns, col) > threshold).astype(np.float64)
     return columns
 
 
@@ -170,7 +243,7 @@ def _float_column(columns: dict, col: str, strings_ok: bool = False):
     error names the first bad row.
     """
     values = columns[col]
-    if isinstance(values, np.ndarray):  # recoded by --binarize
+    if isinstance(values, np.ndarray):  # tokenized, or recoded by --binarize
         return values
     try:
         return np.array(list(map(float, map(str.strip, values))))
@@ -189,6 +262,24 @@ def _float_column(columns: dict, col: str, strings_ok: bool = False):
                 raise CliValidationError(
                     f"column {col!r}, data row {i}: cannot parse {cell!r} as a number"
                 ) from None
+
+
+def _reject_first(col: str, values: np.ndarray, bad: np.ndarray, message: str) -> None:
+    """Name the first row flagged in ``bad``; ``message`` may format its value."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        i = int(rows[0])
+        raise CliValidationError(
+            f"column {col!r}, data row {i + 1}: {message.format(values[i])}"
+        )
+
+
+def _finite_column(columns: dict, col: str) -> np.ndarray:
+    """``_float_column`` for the outcome, the treatment and a ``--binarize``
+    column, which must hold finite numbers."""
+    values = _float_column(columns, col)
+    _reject_first(col, values, ~np.isfinite(values), "{} is not a finite number")
+    return values
 
 
 def _binary_column(columns: dict, col: str) -> np.ndarray:
@@ -222,11 +313,7 @@ def _covariate_column(columns: dict, col: str):
     """A float array if every cell parses as a number, else the stripped cells."""
     values = _float_column(columns, col, strings_ok=True)
     if isinstance(values, np.ndarray):
-        nan = np.flatnonzero(np.isnan(values))
-        if nan.size:
-            raise CliValidationError(
-                f"column {col!r}, data row {nan[0] + 1}: NaN is not a covariate value"
-            )
+        _reject_first(col, values, np.isnan(values), "NaN is not a covariate value")
     return values
 
 
@@ -255,8 +342,8 @@ def _prepare(
     columns = _load_columns(csv_path, [*needed, *schema.covariate_cols], binarize)
     raw_design = _raw_design(columns, schema)
     sample = Sample(
-        outcome=_float_column(columns, schema.outcome_col),
-        treatment=_float_column(columns, schema.treatment_col),
+        outcome=_finite_column(columns, schema.outcome_col),
+        treatment=_finite_column(columns, schema.treatment_col),
     )
     audit = validate_group_sizes(raw_design, min_active, min_inactive)
     design, sample = filter_design(raw_design, audit, sample)

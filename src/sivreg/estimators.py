@@ -209,8 +209,11 @@ def estimate_tsls_generic(
     """Textbook two-stage least squares on explicit design matrices.
 
     Collinear columns are dropped by pivoted QR elimination (controls first,
-    then instruments against the surviving controls).  Returns the treatment
-    coefficient and its HC0 sandwich variance.
+    then instruments against the surviving controls).  A constant control
+    column, the intercept, is partialled out first by centring the other
+    columns, which leaves the coefficient, the residuals and the HC0 variance
+    as they are.  Returns the treatment coefficient and its HC0 sandwich
+    variance.
 
     Raises
     ------
@@ -233,8 +236,19 @@ def estimate_tsls_generic(
         instrument_names = [f"instrument[{j}]" for j in range(Zin.shape[1])]
     if control_names is None:
         control_names = [f"control[{j}]" for j in range(C.shape[1])]
+    control_names = list(control_names)
 
-    C, kept_control_names, dropped = _drop_collinear(C, list(control_names))
+    constant = np.flatnonzero((C == C[:1]).all(axis=0) & (C[0] != 0)) if C.size else []
+    if len(constant):
+        # Frisch-Waugh-Lovell: centring every other column partials out the
+        # intercept, so offsets in Y or T cost the QR no digits.  Of several
+        # constant columns the largest is kept, as the pivoting would.
+        j = int(constant[np.argmax(np.abs(C[0, constant]))])
+        C = np.delete(C, j, axis=1)
+        del control_names[j]
+        Y, T, Zin, C = (v - v.mean(axis=0) for v in (Y, T, Zin, C))
+
+    C, kept_control_names, dropped = _drop_collinear(C, control_names)
     # Instruments collinear with the controls carry no identifying variation.
     combined, kept_names, dropped_z = _drop_collinear(
         np.hstack([C, Zin]), kept_control_names + list(instrument_names)

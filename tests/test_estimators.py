@@ -275,3 +275,46 @@ def test_sample_length_checked():
     d = two_groups()
     with pytest.raises(Exception, match="rows"):
         estimate_sive(d, Sample(np.zeros(3), np.zeros(3)))
+
+
+def offset_iv_data(n=1800, seed=7):
+    """A binary instrument and an outcome with an offset of 50."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 2, n).astype(float)
+    u = rng.standard_normal(n)
+    T = 0.8 * z + u
+    Y = 50.0 + 0.7 * T + 0.5 * u + rng.standard_normal(n)
+    return Y, T, z
+
+
+def longdouble_iv_ratio(Y, T, z):
+    """cov(z, Y) / cov(z, T) in extended precision."""
+    Y, T, z = (v.astype(np.longdouble) for v in (Y, T, z))
+    zc = z - z.mean()
+    return (zc @ (Y - Y.mean())) / (zc @ (T - T.mean()))
+
+
+def test_generic_intercept_is_partialled_out_before_the_qr():
+    # With an intercept the exactly identified 2SLS is the covariance ratio;
+    # uncentred columns lose about 1e-12 of it to the offset of Y.
+    Y, T, z = offset_iv_data()
+    ref = longdouble_iv_ratio(Y, T, z)
+    for C in (np.ones(Y.size), np.full((Y.size, 1), 3.0)):
+        beta, var = estimate_tsls_generic(Y, T, z[:, None], C)
+        assert abs(float((beta - ref) / ref)) <= 1e-13
+        assert var > 0.0
+
+
+def test_generic_not_saturated_cli_spec_is_accurate_with_an_offset(tmp_path):
+    from sivreg import DatasetSchema, SpecChoice, cmd_estimate
+
+    Y, T, z = offset_iv_data()
+    lines = ["y,t,z"] + [f"{y!r},{t!r},{int(q)}" for y, t, q in zip(Y.tolist(), T.tolist(), z)]
+    data = tmp_path / "offset.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    payload = cmd_estimate(
+        str(data), DatasetSchema("y", "t", "z"), spec=SpecChoice.NOT_SATURATED,
+        estimator=EstimatorKind.TSLS_GENERIC,
+    )
+    ref = longdouble_iv_ratio(Y, T, z)
+    assert abs(float((payload["estimate"]["beta_hat"] - ref) / ref)) <= 1e-13

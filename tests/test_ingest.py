@@ -1,0 +1,281 @@
+"""CSV ingest: numpy's tokenizer against the csv.reader path, and the
+finiteness rule both paths share."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from sivreg import cli
+from sivreg.cli import _float_column, _read_columns, _tokenized_columns, main
+
+from conftest import random_design, strong_sample
+
+NAMES = ["y", "t", "z", "w", "note"]
+NUMBERS = ["0", "1", "-2.5", "3", "0.125"]
+ODD_NUMBERS = ["1_0", "nan", "-nan", "inf", "-inf", "Infinity", "+1.5", ".5", "1e5",
+               "١", "1\x1c"]
+TEXT = ["abc", "a b", "region_01", "été", 'x"y', "", "1,5", "a\nb", "a\r\nb"]
+PADS = ["", "", "", " ", "  ", "\t", "\xa0"]
+
+
+def quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def cells(draw, numeric):
+    if numeric:
+        base = draw(st.sampled_from(NUMBERS * 4 + ODD_NUMBERS + TEXT[:2]))
+    else:
+        base = draw(st.sampled_from(TEXT + NUMBERS[:2]))
+    cell = draw(st.sampled_from(PADS)) + base + draw(st.sampled_from(PADS))
+    needs_quotes = any(ch in cell for ch in ',"\r\n')
+    style = draw(st.sampled_from(["plain", "plain", "quoted"]))
+    if style == "quoted" or (needs_quotes and draw(st.booleans())):
+        return quoted(cell)
+    return cell  # unquoted: a comma splits it, a line break ends the row
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with its wanted columns: line ends, blank and whitespace lines,
+    ragged rows, quoting, padded and unusual numbers, BOM, final newline."""
+    header = draw(st.permutations(NAMES))[: draw(st.integers(1, 4))]
+    numeric = [draw(st.booleans()) or name in "ytz" for name in header]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 5))):
+        row = [draw(cells(num)) for num in numeric]
+        shape = draw(st.sampled_from(["ok"] * 8 + ["more", "fewer"]))
+        if shape == "more":
+            row.append(draw(cells(True)))
+        elif shape == "fewer":
+            row.pop()
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1))
+        lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    if draw(st.booleans()):
+        text = "﻿" + text
+    wanted = draw(st.lists(st.sampled_from([*NAMES, "absent"]), max_size=4))
+    return text, wanted
+
+
+def read_csv_path(path, wanted):
+    """What the csv.reader path returns, or the error it raises."""
+    try:
+        return _read_columns(path, wanted)
+    except Exception as exc:  # the tokenizer must then have handed over
+        return exc
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+def test_tokenizer_agrees_with_csv_reader_or_hands_over(tmp_path, case):
+    text, wanted = case
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _tokenized_columns(str(path), wanted)
+    if fast is None:
+        event("handed over")
+        return
+    event("tokenized")
+    expected = read_csv_path(str(path), wanted)
+    assert not isinstance(expected, Exception), expected
+    assert list(fast) == list(expected)
+    for col, values in fast.items():
+        if isinstance(values, np.ndarray):
+            ref = _float_column(expected, col)
+            assert isinstance(ref, np.ndarray), col
+            assert values.dtype == np.float64 and values.shape == ref.shape
+            assert np.array_equal(values.view(np.int64), ref.view(np.int64)), col
+        else:
+            assert values == [cell.strip() for cell in expected[col]], col
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y,t,w\n1,0,a\n2,1,b\n",
+        "﻿y,t,w\r\n1,0,a\r\n\r\n2,1,b",  # BOM, CRLF, blank line, no final newline
+        "y,t,w\r1,0,a\r2,1,b\r",  # CR-only line ends
+        'y,t,w,note\n 1 ,\t0,"b, c",x"y\n"2",1,  b ,"q ""r"""\n',  # padding and quotes
+        "y,t,w\n1,0,a\n",  # a single data row
+    ],
+)
+def test_tokenizer_reads_ordinary_files(tmp_path, text):
+    path = write(tmp_path, "ok.csv", text)
+    fast = _tokenized_columns(path, ["y", "t", "w"])
+    assert fast is not None
+    expected = _read_columns(path, ["y", "t", "w"])
+    for col in ("y", "t"):
+        assert fast[col].tolist() == _float_column(expected, col).tolist()
+    assert fast["w"] == [cell.strip() for cell in expected["w"]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y,w\n1,a\n1_0,b\n",  # loadtxt rejects 1_0, float() accepts it
+        "y,w\n1,a\n١,b\n",  # a non-ASCII digit
+        "y,w\n1,a\n2,b,c\n",  # too many fields
+        "y,w\n1,a\n2\n",  # too few fields
+        "y,w\n1,a\nx,b\n",  # a numeric-looking first row, then a string
+        "y,w\n1,a\n2, \n",  # a blank text cell
+        'y,w\r\n1,"a\r\nb"\r\n',  # loadtxt's universal newlines would give "a\nb"
+        '"y\n",w\n1,a\n',  # a header over two lines
+        "y,w,w\n1,a,b\n",  # duplicate names
+        "y,w\n\n\n",  # no data rows
+        "",  # empty file
+    ],
+)
+def test_tokenizer_hands_over(tmp_path, text):
+    assert _tokenized_columns(write(tmp_path, "odd.csv", text), ["y", "w"]) is None
+
+
+def test_loadtxt_rejects_underscores_that_float_accepts(tmp_path):
+    # Known disagreement: the csv path reads "1_0" as 10, so the tokenizer
+    # must hand such a file over rather than report it.
+    assert float("1_0") == 10.0
+    with pytest.raises(ValueError):
+        np.loadtxt(["1_0"], delimiter=",", comments=None)
+    path = write(tmp_path, "u.csv", "y\n1_0\n2\n")
+    assert _tokenized_columns(path, ["y"]) is None
+    assert _float_column(_read_columns(path, ["y"]), "y").tolist() == [10.0, 2.0]
+
+
+def test_loadtxt_with_usecols_accepts_ragged_rows():
+    # Known disagreement: with usecols, loadtxt reads rows with too many or
+    # too few fields, which the csv path rejects; hence no usecols.
+    lines = ["1,2", "3,4,5", "6"]
+    assert np.loadtxt(lines, delimiter=",", comments=None, usecols=[0]).tolist() == [
+        1.0, 3.0, 6.0
+    ]
+    with pytest.raises(ValueError):
+        np.loadtxt(lines, delimiter=",", comments=None)
+
+
+# --- the command line with and without the tokenizer -------------------------
+
+
+def run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def both_paths(argv, capsys, monkeypatch):
+    """Exit code, stdout and stderr with the tokenizer, then without it."""
+    first = run(argv, capsys)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_tokenized_columns", lambda csv_path, wanted: None)
+        second = run(argv, capsys)
+    return first, second
+
+
+def noisy_text(seed=50, region=False, end="\n"):
+    rng = np.random.default_rng(seed)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d, tau=1.0, pi=1.2)
+    lines = ["id,y,t,z,w"]
+    columns = zip(s.outcome.tolist(), s.treatment.tolist(), d.instrument.tolist(),
+                  d.group_of.tolist())
+    for i, (y, t, z, g) in enumerate(columns):
+        lines.append(f"{i},{y!r},{t!r},{z},{f'r{g}' if region else g}")
+    return end.join(lines) + end
+
+
+BASE = ["--outcome", "y", "--treatment", "t", "--instrument", "z", "--covariates", "w"]
+
+
+@pytest.mark.parametrize("region", [False, True])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_cli_outputs_equal_with_and_without_tokenizer(tmp_path, capsys, monkeypatch,
+                                                       region, end):
+    data = write(tmp_path, "d.csv", noisy_text(region=region, end=end))
+    assert _tokenized_columns(data, ["y", "t", "z", "w"]) is not None
+    for argv in (["estimate", *BASE], ["estimate", *BASE, "--estimator", "jive2"],
+                 ["robust-ci", *BASE], ["audit", "--instrument", "z", "--covariates", "w"]):
+        first, second = both_paths([argv[0], "--data", data, *argv[1:]], capsys, monkeypatch)
+        assert first[0] == 0, first[2]
+        assert first == second
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y,t,z,w\n1,0,1,0\n1,0,1,0,9\n",
+        "y,t,z,w\n1,0,1,0\n\n1,x,1,0\n",
+        "y,t,z,w\n1,0,1,0\n1, ,1,0\n",
+        "y,t,z,w\n1,0,1,0\n1,0,2,0\n",
+        "y,t,z\n1,0,1\n",
+        "y,t,z,w\nx,0,1,\n",
+        "y,t,z,w\n1,0,1,0\n1,inf,1,0\n",
+        "y,t,z,w\n1,0,1,nan\n",
+    ],
+)
+def test_cli_errors_equal_with_and_without_tokenizer(tmp_path, capsys, monkeypatch, text):
+    data = write(tmp_path, "bad.csv", text)
+    first, second = both_paths(["estimate", "--data", data, *BASE], capsys, monkeypatch)
+    assert first[0] == 2 and first[2].startswith("error: ")
+    assert first == second
+
+
+# --- non-finite numbers ------------------------------------------------------
+
+SIX_ROWS = [("1.5", "1", "1", "0"), ("2", "1", "1", "0"), ("0.5", "0", "0", "0"),
+            ("1", "0", "0", "0"), ("2.5", "1", "1", "0"), ("0", "0", "0", "0")]
+
+
+def six_row_csv(tmp_path, column, value):
+    """The six rows, plus a column ``e`` of years of schooling, with ``value``
+    in ``column`` on data row 2."""
+    rows = [dict(zip("ytzw", row), e=str(8 + 2 * i)) for i, row in enumerate(SIX_ROWS)]
+    rows[1][column] = value
+    lines = ["y,t,z,w,e"] + [",".join(r[c] for c in "ytzwe") for r in rows]
+    return write(tmp_path, f"nonfinite_{column}.csv", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("y", "inf", "column 'y', data row 2: inf is not a finite number"),
+        ("y", "nan", "column 'y', data row 2: nan is not a finite number"),
+        ("t", "-inf", "column 't', data row 2: -inf is not a finite number"),
+        ("t", "-Infinity", "column 't', data row 2: -inf is not a finite number"),
+    ],
+)
+def test_nonfinite_outcome_or_treatment_names_column_and_row(
+    tmp_path, capsys, monkeypatch, column, value, message
+):
+    data = six_row_csv(tmp_path, column, value)
+    first, second = both_paths(["estimate", "--data", data, *BASE], capsys, monkeypatch)
+    assert first == second == (2, "", f"error: {message}\n")
+
+
+def test_nonfinite_binarize_column_names_column_and_row(tmp_path, capsys, monkeypatch):
+    # nan > 12 is false, so the row would silently become instrument 0.
+    data = six_row_csv(tmp_path, "e", "nan")
+    message = "error: column 'e', data row 2: nan is not a finite number\n"
+    roles = ["--instrument", "e", "--covariates", "w", "--binarize", "e:12"]
+    for argv in (["estimate", "--outcome", "y", "--treatment", "t", *roles],
+                 ["robust-ci", "--outcome", "y", "--treatment", "t", *roles],
+                 ["audit", *roles]):
+        argv = [argv[0], "--data", data, *argv[1:]]
+        first, second = both_paths(argv, capsys, monkeypatch)
+        assert first == second == (2, "", message)
+
+
+def test_nonfinite_outcome_comes_before_treatment(tmp_path, capsys):
+    rows = "\n".join(["1,0,1,0", "1,0,1,0", "inf,nan,0,0", "1,0,0,0"])
+    data = write(tmp_path, "both.csv", f"y,t,z,w\n{rows}\n")
+    code, _, err = run(["estimate", "--data", data, *BASE], capsys)
+    assert code == 2
+    assert err == "error: column 'y', data row 3: inf is not a finite number\n"

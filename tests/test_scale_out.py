@@ -1,0 +1,25 @@
+"""The scale-out script at a small size."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scale_out.py"
+
+
+def test_scale_out_runs_estimate_on_a_generated_csv(tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--rows", "2000", "--seed", "3", "--dir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["rows"] == 2000 and result["exit_code"] == 0
+    assert result["wall_s"] > 0.0 and result["peak_rss_mb"] > 0.0
+    header = (tmp_path / "scale_out.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+    assert header == "id,y,t,educ,a,b,region"
+    report = json.loads((tmp_path / "scale_out.json").read_text(encoding="utf-8"))
+    # 2000 rows over 1000 groups: the size filter keeps only some of them
+    assert 0 < report["design_summary"]["n"] <= 2000
+    assert report["estimate"]["beta_hat"] is not None
