@@ -15,6 +15,7 @@ inputs and flags produce byte-identical output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import enum
 import hashlib
@@ -113,6 +114,20 @@ class DatasetSchema:
             )
 
 
+# The csv module refuses cells longer than 131,072 characters by default;
+# numpy's tokenizer has no such limit, and neither path may have one.
+_FIELD_LIMIT = sys.maxsize
+
+
+@contextlib.contextmanager
+def _csv_field_limit():
+    previous = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(previous)
+
+
 def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
     """One ``csv.reader`` pass keeping the cells of the wanted header columns.
 
@@ -120,30 +135,38 @@ def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
     errors, and it reads every file that ``_tokenized_columns`` hands over.
     Blank lines are skipped and not counted, as ``csv.DictReader`` does, so
     data row i is the i-th non-blank line after the header.  Wanted names
-    that are not in the header are left out of the result.
+    that are not in the header are left out of the result.  A ``csv.Error``
+    is reported as a validation error naming the row it stopped in.
     """
-    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+    i = -1  # the header is row 0
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh, _csv_field_limit():
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CliValidationError(f"{csv_path}: empty file; a header row is required")
-        if len(set(header)) != len(header):
-            raise CliValidationError(f"{csv_path}: duplicate column names in header")
-        columns = {c: [] for c in wanted if c in header}
-        slots = [(header.index(c), cells.append) for c, cells in columns.items()]
-        width = len(header)
-        i = 0
-        for row in reader:
-            if not row:
-                continue
-            i += 1
-            if len(row) != width:
-                side = "more" if len(row) > width else "fewer"
+        try:
+            header = next(reader, None)
+            if header is None:
                 raise CliValidationError(
-                    f"data row {i}: {side} fields than header columns"
+                    f"{csv_path}: empty file; a header row is required"
                 )
-            for j, append in slots:
-                append(row[j])
+            if len(set(header)) != len(header):
+                raise CliValidationError(f"{csv_path}: duplicate column names in header")
+            columns = {c: [] for c in wanted if c in header}
+            slots = [(header.index(c), cells.append) for c, cells in columns.items()]
+            width = len(header)
+            i = 0
+            for row in reader:
+                if not row:
+                    continue
+                i += 1
+                if len(row) != width:
+                    side = "more" if len(row) > width else "fewer"
+                    raise CliValidationError(
+                        f"data row {i}: {side} fields than header columns"
+                    )
+                for j, append in slots:
+                    append(row[j])
+        except csv.Error as exc:
+            where = f"data row {i + 1}" if i >= 0 else "header row"
+            raise CliValidationError(f"{csv_path}: {where}: {exc}") from None
     if not i:
         raise CliValidationError(f"{csv_path}: no data rows")
     return columns
@@ -164,7 +187,7 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
     stripped cells.
     """
     try:
-        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh, _csv_field_limit():
             reader = csv.reader(fh)
             header = next(reader, None)
             # skiprows counts lines, so the header must be one line.

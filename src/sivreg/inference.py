@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polymul, polyval
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .blockops import (
     _cell_D,
     _cell_sum,
@@ -178,7 +178,7 @@ def _require_positive(variance: float) -> None:
 
 
 def _critical_value(alpha: float, two_sided: bool) -> float:
-    return float(ndtri(1.0 - alpha / 2.0 if two_sided else 1.0 - alpha))
+    return ndtri(1.0 - alpha / 2.0 if two_sided else 1.0 - alpha)
 
 
 def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
@@ -209,7 +209,7 @@ def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) 
     _check_alpha(alpha)
     _require_positive(variance)
     t = (beta_hat - beta0) / np.sqrt(variance)
-    p = 2.0 * float(ndtr(-abs(t)))
+    p = 2.0 * ndtr(-abs(t))
     return {"t": float(t), "reject": bool(p < alpha), "p": p}
 
 

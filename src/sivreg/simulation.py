@@ -20,8 +20,8 @@ import csv as _csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, ndtr, ndtri
 
+from ._normal import ndtri
 from .blockops import _CellMoments
 from .design import (
     DesignError,
@@ -208,8 +208,9 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     u = z[0]
     eps = config.rho * z[0] + math.sqrt(1.0 - config.rho**2) * z[1]
 
-    threshold = np.where(q == 1, config.p1, config.p0)
-    t = (ndtr(u) <= threshold).astype(np.float64)
+    # ndtr(u) <= p, with ndtr inverted once per instrument arm.
+    quantile = np.where(q == 1, ndtri(config.p1), ndtri(config.p0))
+    t = (u <= quantile).astype(np.float64)
 
     gamma = np.ones(n)
     gamma[hetero_rows] = 1.0 + config.h
@@ -250,10 +251,25 @@ def _median_se(errors: list) -> float:
     errors, where a normal-theory sd/sqrt(n) formula is driven by the tails.
     """
     x = np.sort(np.asarray(errors, dtype=np.float64))
-    quantile = int(np.searchsorted(bdtr(np.arange(x.size + 1), x.size, 0.5), 0.025))
-    lower = max(quantile - 1, 0)
+    lower = max(_binomial_half_quantile(x.size) - 1, 0)
     upper = x.size - 1 - lower
-    return float(x[upper] - x[lower]) / (2.0 * float(ndtri(0.975)))
+    return float(x[upper] - x[lower]) / (2.0 * ndtri(0.975))
+
+
+def _binomial_half_quantile(n: int) -> int:
+    """The 2.5% quantile of Binomial(n, 1/2), in exact integer arithmetic.
+
+    It is the first k with P(X <= k) >= 0.025, that is with
+    40 * sum_{j <= k} C(n, j) >= 2**n.  Floats would overflow 2**n past
+    n = 1023.
+    """
+    target = 1 << n
+    k, term, total = 0, 1, 1
+    while 40 * total < target:
+        term = term * (n - k) // (k + 1)
+        k += 1
+        total += term
+    return k
 
 
 def _rows(

@@ -1,5 +1,6 @@
 """Variance estimation, tests, intervals and the robust procedure."""
 
+import json
 import subprocess
 import sys
 
@@ -431,6 +432,43 @@ def test_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False False"
+
+
+DEFAULT_COMMANDS = """
+import json, sys
+import sivreg
+from sivreg.cli import main
+
+data, config, out = sys.argv[1:]
+base = ["--data", data, "--outcome", "y", "--treatment", "t", "--instrument", "z",
+        "--covariates", "w"]
+codes = [main(["estimate", *base, "--estimator", kind])
+         for kind in ("sive", "tsls-saturated", "jive1", "jive2")]
+codes.append(main(["robust-ci", *base]))
+codes.append(main(["audit", "--data", data, "--instrument", "z", "--covariates", "w"]))
+codes.append(main(["simulate", "--config", config, "--out", out]))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+generic = main(["estimate", *base, "--estimator", "tsls-generic"])
+print(json.dumps({"codes": codes, "scipy": loaded, "generic": generic}))
+"""
+
+
+def test_default_commands_do_not_load_scipy(tmp_path):
+    rng = np.random.default_rng(46)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    rows = zip(s.outcome.tolist(), s.treatment.tolist(), d.instrument.tolist(),
+               d.group_of.tolist())
+    data = tmp_path / "d.csv"
+    data.write_text("y,t,z,w\n" + "".join(f"{y!r},{t!r},{z},{g}\n" for y, t, z, g in rows))
+    config = tmp_path / "sim.json"
+    config.write_text('{"n": 160, "L": [1, 2], "replications": 3, "master_seed": 11}')
+    out = subprocess.run(
+        [sys.executable, "-c", DEFAULT_COMMANDS, str(data), str(config), str(tmp_path / "sim")],
+        capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0] * 7, "scipy": [], "generic": 0}, out.stderr
 
 
 # --- The per-cell moment table against the operator path and the oracle ---

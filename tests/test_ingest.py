@@ -1,6 +1,8 @@
 """CSV ingest: numpy's tokenizer against the csv.reader path, and the
 finiteness rule both paths share."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -226,6 +228,39 @@ def test_cli_errors_equal_with_and_without_tokenizer(tmp_path, capsys, monkeypat
     first, second = both_paths(["estimate", "--data", data, *BASE], capsys, monkeypatch)
     assert first[0] == 2 and first[2].startswith("error: ")
     assert first == second
+
+
+@pytest.mark.parametrize("row", [1, 7])
+def test_cli_outputs_equal_with_a_cell_past_the_csv_field_limit(tmp_path, capsys,
+                                                                monkeypatch, row):
+    # 200,000 characters in the unused id column, past the csv module's
+    # default limit of 131,072 per cell.
+    lines = noisy_text().splitlines()
+    lines[row] = "x" * 200_000 + lines[row][lines[row].index(","):]
+    data = write(tmp_path, "long.csv", "\n".join(lines) + "\n")
+    limit = csv.field_size_limit()
+    assert _tokenized_columns(data, ["y", "t", "z", "w"]) is not None
+    for argv in (["estimate", *BASE], ["robust-ci", *BASE],
+                 ["audit", "--instrument", "z", "--covariates", "w"]):
+        first, second = both_paths([argv[0], "--data", data, *argv[1:]], capsys, monkeypatch)
+        assert first[0] == 0, first[2]
+        assert first == second
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [("y,t,z,w\n1,0,1,0\n\n1,0,1,123456789\n", "data row 2"),
+     ("y,t,z,w123456789\n1,0,1,0\n", "header row")],
+)
+def test_csv_error_is_a_validation_error_naming_the_row(tmp_path, capsys, monkeypatch,
+                                                         text, where):
+    data = write(tmp_path, "d.csv", text)
+    monkeypatch.setattr(cli, "_FIELD_LIMIT", 8)
+    monkeypatch.setattr(cli, "_tokenized_columns", lambda csv_path, wanted: None)
+    code, out, err = run(["estimate", "--data", data, *BASE], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {data}: {where}: field larger than field limit (8)\n"
 
 
 # --- non-finite numbers ------------------------------------------------------
