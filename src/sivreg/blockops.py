@@ -17,14 +17,19 @@ below is O(n): one cell sum, then per-cell coefficients gathered by cell id
 (``design.cell``).  Dense n-by-n matrices exist only in the reference module.
 Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
 reduces them to per-cell sums, which is how the estimators and both variances
-use them; the public operators are their per-observation reference.
+use them; the public operators are their per-observation reference.  The
+table and its per-cell helpers also take a stack of R designs
+(``design._DesignStack``), with a leading axis of length R on every array, and
+``_dot`` reduces both shapes alike.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .design import DesignError, SaturatedDesign, _require_finite
+from .design import DesignError, SaturatedDesign, _DesignStack, _require_finite
 
 __all__ = [
     "DegenerateGroupError",
@@ -63,15 +68,27 @@ def _check_vector(design: SaturatedDesign, v) -> np.ndarray:
     return v
 
 
+def _dot(x: np.ndarray, y: np.ndarray):
+    """Inner product over the last axis, for each index of the leading ones.
+
+    On vectors it is bit-equal to ``x @ y``, and on stacks to ``@`` row by
+    row, so one design is the stack with no leading axis.  That holds for
+    stacks in C order, as every table array is; an F-ordered operand (say,
+    from a broadcast view) can sum in another order.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _cell_sum(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
-    """Sum of v over each cell, indexed by cell id (length 2G).
+    """Sum of v over each cell, indexed by cell id (length 2G; (R, 2G) for a
+    stack, whose flat cell ids cover all R designs in one pass).
 
     ``np.add.at`` rather than ``np.bincount``: bincount copies a read-only
     input (the design's cell ids, a Sample's vectors), an n-sized allocation
     per call.  Both add in observation order, so the sums are identical.
     """
-    out = np.zeros(2 * design.G)
-    np.add.at(out, design.cell, v)
+    out = np.zeros(v.shape[:-1] + (2 * design.G,))
+    np.add.at(out.reshape(-1), design.cell.reshape(-1), v.reshape(-1))
     return out
 
 
@@ -81,7 +98,10 @@ def _group_sum(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
 
 def _per_cell(inactive, active) -> np.ndarray:
     """Interleave per-group values into a per-cell array (length 2G)."""
-    return np.column_stack((inactive, active)).ravel()
+    shape = inactive.shape[:-1] + (2 * inactive.shape[-1],)
+    out = np.empty(shape, dtype=np.result_type(inactive, active))
+    out[..., 0::2], out[..., 1::2] = inactive, active
+    return out
 
 
 def _cell_counts(design: SaturatedDesign) -> np.ndarray:
@@ -92,7 +112,7 @@ def _cell_counts(design: SaturatedDesign) -> np.ndarray:
 def _cell_means(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
     """Mean of v over each cell; zero for an empty cell."""
     k = _cell_counts(design)
-    return np.divide(_cell_sum(design, v), k, out=np.zeros(k.size), where=k > 0)
+    return np.divide(_cell_sum(design, v), k, out=np.zeros(k.shape), where=k > 0)
 
 
 def cell_sizes(design: SaturatedDesign) -> np.ndarray:
@@ -100,10 +120,28 @@ def cell_sizes(design: SaturatedDesign) -> np.ndarray:
     return _cell_counts(design)[design.cell]
 
 
-def _require_cells(design: SaturatedDesign, minimum: int, error: type) -> None:
+def _keep(design) -> np.ndarray | None:
+    """The groups a stack of designs keeps; None for one design, all of whose
+    groups count."""
+    return design.keep if isinstance(design, _DesignStack) else None
+
+
+def _kept_ratio(num, den, keep: np.ndarray | None) -> np.ndarray:
+    """``num / den`` per group; zero, without dividing, in a group a stack
+    dropped (``keep`` False), whose cells may be empty."""
+    if keep is None:
+        return num / den
+    return np.divide(num, den, out=np.zeros(keep.shape), where=keep)
+
+
+def _require_cells(design: SaturatedDesign, minimum: int, error: type) -> np.ndarray | None:
     """Raise ``error`` naming the first group with a cell of fewer than ``minimum``
     observations: 1 for P (``DegenerateGroupError``), 2 for D and A
-    (``GroupSizeError``)."""
+    (``GroupSizeError``).  A stack's kept groups have two or more per cell,
+    so it is not checked; its keep mask is returned (None for a design)."""
+    keep = _keep(design)
+    if keep is not None:
+        return keep
     m = design.treated_counts
     k = design.group_sizes - m
     bad = (m < minimum) | (k < minimum)
@@ -113,6 +151,7 @@ def _require_cells(design: SaturatedDesign, minimum: int, error: type) -> None:
             f"group {g} has m_g={int(m[g])} and n_g - m_g={int(k[g])}; "
             f"need m_g >= {minimum} and n_g - m_g >= {minimum}"
         )
+    return None
 
 
 def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
@@ -126,10 +165,13 @@ def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
 
 def _cell_P_diag(design: SaturatedDesign) -> np.ndarray:
     """Per-cell value of the diagonal of P (length 2G)."""
-    _require_cells(design, 1, DegenerateGroupError)
+    keep = _require_cells(design, 1, DegenerateGroupError)
     n = design.group_sizes.astype(np.float64)
     m = design.treated_counts.astype(np.float64)
-    return _per_cell((m / n) / (n - m), 1.0 / m - 1.0 / n)
+    return _per_cell(
+        _kept_ratio(m / n, n - m, keep),
+        _kept_ratio(1.0, m, keep) - _kept_ratio(1.0, n, keep),
+    )
 
 
 def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
@@ -142,11 +184,11 @@ def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
 
 def _cell_D(design: SaturatedDesign) -> np.ndarray:
     """Per-cell value of the diagonal of D (length 2G)."""
-    _require_cells(design, 2, GroupSizeError)
+    keep = _require_cells(design, 2, GroupSizeError)
     n = design.group_sizes.astype(np.float64)
     m = design.treated_counts.astype(np.float64)
     k = n - m
-    return _per_cell(m / (k - 1.0) / n, k / (m - 1.0) / n)
+    return _per_cell(_kept_ratio(m, k - 1.0, keep) / n, _kept_ratio(k, m - 1.0, keep) / n)
 
 
 def apply_M_W(design: SaturatedDesign, v) -> np.ndarray:
@@ -196,8 +238,8 @@ def _hartley_weights(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     variance estimators' rescaled fallback ``4 x_i``.
     """
     big = k >= 3
-    w1 = np.divide(k, k - 2.0, out=np.full(k.size, 4.0), where=big)
-    w2 = np.divide(1.0, (k - 1.0) * (k - 2.0), out=np.zeros(k.size), where=big)
+    w1 = np.divide(k, k - 2.0, out=np.full(k.shape, 4.0), where=big)
+    w2 = np.divide(1.0, (k - 1.0) * (k - 2.0), out=np.zeros(k.shape), where=big)
     return w1, w2
 
 
@@ -267,6 +309,10 @@ class _CellMoments:
     never formed: ``e`` is ``(Y - mean_Y) - center u``, so offsets in Y and T
     cancel before any product is taken, whatever the center.
 
+    On a stack of R designs, T and Y are (R, n), ``center`` is a scalar or
+    one per design, shape (R, 1), every array gains the leading axis, and
+    each form returns one value per design.
+
     Within a cell, ``(P T)_i`` is a constant ``pt`` and ``(A T)_i`` is
     ``pt - d u_i`` with d the cell's entry of D; likewise ``(A R)_i`` is
     ``pr - d e_i``.
@@ -277,17 +323,26 @@ class _CellMoments:
         self.design = design
         self.k = _cell_counts(design).astype(np.float64)
         self.center = center
+        self.centered = bool(np.any(center))
         self.mean_T = _cell_means(design, T)
         self.mean_Y = _cell_means(design, Y)
-        u = T - self.mean_T[design.cell]
-        e = Y - self.mean_Y[design.cell]
-        if center:
+        # At most four n-vectors are alive at once: u, e, one product and
+        # a temporary (u goes once s30 is formed).
+        u = self.mean_T.reshape(-1)[design.cell]
+        np.subtract(T, u, out=u)
+        e = self.mean_Y.reshape(-1)[design.cell]
+        np.subtract(Y, e, out=e)
+        if self.centered:
             e -= center * u
-        uu, ue = u * u, u * e
-        self.s20, self.s11 = _cell_sum(design, uu), _cell_sum(design, ue)
+        uu = u * u
+        self.s20 = _cell_sum(design, uu)
+        if order > 2:
+            self.s30 = _cell_sum(design, uu * u)
+        ue = u * e
+        del u
+        self.s11 = _cell_sum(design, ue)
         if order > 2:
             self.s02 = _cell_sum(design, e * e)
-            self.s30 = _cell_sum(design, uu * u)
             self.s21 = _cell_sum(design, uu * e)
             self.s12 = _cell_sum(design, ue * e)
             self.s40 = _cell_sum(design, uu * uu)
@@ -296,28 +351,32 @@ class _CellMoments:
 
     def group_gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Per group, active minus inactive cell mean of T and of R."""
-        gap_T = self.mean_T[1::2] - self.mean_T[0::2]
-        gap_Y = self.mean_Y[1::2] - self.mean_Y[0::2]
-        return gap_T, gap_Y - self.center * gap_T if self.center else gap_Y
+        gap_T = self.mean_T[..., 1::2] - self.mean_T[..., 0::2]
+        gap_Y = self.mean_Y[..., 1::2] - self.mean_Y[..., 0::2]
+        return gap_T, gap_Y - self.center * gap_T if self.centered else gap_Y
 
     def p_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Per cell, the constant values of PT and PR: the group's gap of cell
         means times ``-m_g/n_g`` (inactive cell) or ``1 - m_g/n_g`` (active)."""
         factor = _p_factor(self.design)
         gap_T, gap_R = self.group_gaps()
-        return factor * np.repeat(gap_T, 2), factor * np.repeat(gap_R, 2)
+        return factor * np.repeat(gap_T, 2, axis=-1), factor * np.repeat(gap_R, 2, axis=-1)
 
-    def p_form(self) -> tuple[float, float]:
+    def p_form(self) -> tuple:
         """``(T'PR, T'PT)``: per group ``m_g (n_g - m_g) / n_g`` times the gaps."""
         _require_cells(self.design, 1, DegenerateGroupError)
         n = self.design.group_sizes.astype(np.float64)
         m = self.design.treated_counts.astype(np.float64)
         weight = m * (n - m) / n
         gap_T, gap_R = self.group_gaps()
-        return float(weight @ (gap_T * gap_R)), float(weight @ (gap_T * gap_T))
+        return _dot(weight, gap_T * gap_R), _dot(weight, gap_T * gap_T)
 
-    def a_form(self) -> tuple[float, float]:
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Per cell, the diagonal of D (``_cell_D``)."""
+        return _cell_D(self.design)
+
+    def a_form(self) -> tuple:
         """``(T'AR, T'AT)``: the P forms less ``sum_c d_c s11`` and ``sum_c d_c s20``."""
-        d = _cell_D(self.design)
         t_p_r, t_p_t = self.p_form()
-        return t_p_r - float(d @ self.s11), t_p_t - float(d @ self.s20)
+        return t_p_r - _dot(self.d, self.s11), t_p_t - _dot(self.d, self.s20)

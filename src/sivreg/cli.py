@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,7 @@ from .inference import (
     sive_report,
 )
 from .oracle import assemble, oracle_estimate, oracle_variance
-from .simulation import SimConfig, _run_grid, summarize
+from .simulation import SimConfig, _require_number, _run_grid, summarize
 
 __all__ = [
     "SpecChoice",
@@ -625,11 +625,12 @@ def cmd_simulate(config_path, out_dir, seed=None) -> dict:
     def as_list(value):
         return list(value) if isinstance(value, (list, tuple)) else [value]
 
-    L_values = [int(v) for v in as_list(raw.get("L", SimConfig.L))]
-    p1_values = [float(v) for v in as_list(raw.get("p1", SimConfig.p1))]
+    L_values = as_list(raw.get("L", SimConfig.L))
+    p1_values = as_list(raw.get("p1", SimConfig.p1))
     if not L_values or not p1_values:
         raise CliValidationError("L and p1 must each have at least one value")
-    alpha = float(raw.get("alpha", 0.05))
+    alpha = raw.get("alpha", 0.05)
+    _require_number("alpha", alpha)
     _check_alpha(alpha)
     scalars = {
         k: raw[k] for k in _CONFIG_FIELDS if k in raw and k not in ("L", "p1")
@@ -637,6 +638,9 @@ def cmd_simulate(config_path, out_dir, seed=None) -> dict:
     if seed is not None:
         scalars["master_seed"] = int(seed)
     base = SimConfig(L=L_values[0], p1=p1_values[0], **scalars)
+    # SimConfig checks and normalizes every grid value, before any output.
+    L_values = [replace(base, L=v).L for v in L_values]
+    p1_values = [replace(base, p1=v).p1 for v in p1_values]
 
     config_dict = {f: getattr(base, f) for f in _CONFIG_FIELDS}
     config_dict["L"] = L_values

@@ -157,6 +157,36 @@ class SaturatedDesign:
         }
 
 
+class _DesignStack:
+    """R designs on one grouping, one instrument draw each, stacked along a
+    leading axis: the Monte Carlo's batches for ``blockops._CellMoments``.
+
+    The size filter is a mask here, not a row deletion, so every design keeps
+    the grouping's shape.  ``keep[r, g]`` marks the groups that design r keeps
+    (both cells of size >= 2, as ``validate_group_sizes`` by default), and a
+    dropped group carries zero weight in every statistic: the vectors summed
+    over its rows must be zero there, and a per-cell weight that would divide
+    by one of its counts is zero.  Per-group arrays are (R, G), per-cell
+    ones (R, 2G); ``cell[r, i]`` is observation i's cell as a flat id
+    ``r * 2G + 2 group_of[i] + instrument[r, i]``, and ``n`` the kept
+    observation count of each design, shape (R, 1).
+    """
+
+    def __init__(self, group_of: np.ndarray, instrument: np.ndarray):
+        R = instrument.shape[0]
+        self.G = G = int(group_of.max()) + 1
+        group = group_of + G * np.arange(R)[:, None]
+        self.cell = 2 * group + instrument
+        counts = np.bincount(self.cell.ravel(), minlength=R * 2 * G).reshape(R, G, 2)
+        # A real (R, G) array, not a broadcast view: arrays derived from a
+        # view come out F-ordered, and blockops._dot needs C order.
+        self.group_sizes = np.tile(np.bincount(group_of, minlength=G), (R, 1))
+        self.treated_counts = m = counts[..., 1]
+        self.keep = (m >= 2) & (counts[..., 0] >= 2)
+        self.kept_rows = np.take(self.keep, group)
+        self.n = np.where(self.keep, self.group_sizes, 0).sum(axis=1, keepdims=True)
+
+
 def _require_finite(values: np.ndarray, name: str) -> None:
     if not np.isfinite(values).all():
         raise DesignError(f"{name} contains non-finite entries")

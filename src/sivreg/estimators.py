@@ -12,7 +12,9 @@ T`` that differ only in the operator:
 
 All four operators are block diagonal over cells, so each ratio is O(G)
 arithmetic on the cell means and second-order sums of one pass over the data
-(``blockops._CellMoments``).
+(``blockops._CellMoments``).  The forms run as they are on a stack of designs,
+one value per design; there a denominator that is not identified gives NaN
+where a single design raises.
 
 The population_* functions evaluate the corresponding estimands at the
 realized group counts, which is what the Monte Carlo harness uses as truth.
@@ -32,6 +34,9 @@ from .blockops import (
     _cell_P_diag,
     _CellMoments,
     _check_vector,
+    _dot,
+    _keep,
+    _kept_ratio,
     _require_cells,
 )
 from .design import Sample, SaturatedDesign, _check_sample
@@ -97,14 +102,29 @@ class PopulationInputs:
     phi: object = None
 
 
-def _require_identified(den: float, T: np.ndarray) -> None:
-    """Refuse a quadratic-form denominator ``T' Op T`` at most 1e-12 ||T||^2."""
-    if abs(den) <= DENOMINATOR_RTOL * float(T @ T):
+def _identified_ratio(num, den, T: np.ndarray, power: int = 1):
+    """``num / den**power`` for a quadratic-form denominator ``den = T' Op T``,
+    NaN (per design of a stack) where ``|den|`` is at most 1e-12 ||T||^2.
+
+    The power is ``np.float_power``, which rounds a square as the scalar
+    ``**`` does; ``**`` on an array squares by multiplication.
+    """
+    ok = ~(np.abs(den) <= DENOMINATOR_RTOL * _dot(T, T))
+    return np.divide(
+        num, np.float_power(den, power), out=np.full(np.shape(den), np.nan), where=ok
+    )
+
+
+def _single(value) -> float:
+    """One design's value of a ratio from ``_identified_ratio``, raising where
+    the denominator is not identified."""
+    if np.isnan(value):
         raise WeakDenominatorError(
             "quadratic-form denominator is numerically zero relative to ||T||^2; "
             "identification is too weak for a point estimate, use the "
             "identification-robust test instead"
         )
+    return float(value)
 
 
 def _moments(design: SaturatedDesign, sample: Sample) -> tuple[_CellMoments, np.ndarray]:
@@ -114,19 +134,19 @@ def _moments(design: SaturatedDesign, sample: Sample) -> tuple[_CellMoments, np.
     return _CellMoments(design, T, sample.outcome, order=2), T
 
 
-def _jive1_form(t: _CellMoments) -> tuple[float, float]:
+def _jive1_form(t: _CellMoments) -> tuple:
     """The P forms with the diagonal of P removed.
 
     ``sum_i P_ii T_i Y_i`` is, per cell, ``P_cc (s11 + k mean_T mean_Y)``.
     """
     p_diag = _cell_P_diag(t.design)
     num, den = t.p_form()
-    num -= float(p_diag @ (t.s11 + t.k * t.mean_T * t.mean_Y))
-    den -= float(p_diag @ (t.s20 + t.k * t.mean_T * t.mean_T))
+    num -= _dot(p_diag, t.s11 + t.k * t.mean_T * t.mean_Y)
+    den -= _dot(p_diag, t.s20 + t.k * t.mean_T * t.mean_T)
     return num, den
 
 
-def _jive2_form(t: _CellMoments) -> tuple[float, float]:
+def _jive2_form(t: _CellMoments) -> tuple:
     """The forms of ``M_W (P - D_P) M_W``; demeans before removing the diagonal.
 
     P absorbs the group demeaning, and a cell's mean deviates from its
@@ -140,8 +160,8 @@ def _jive2_form(t: _CellMoments) -> tuple[float, float]:
     m = t.design.treated_counts.astype(np.float64)
     between = (m**3 + (n - m) ** 3) / n**3
     gap_T, gap_Y = t.group_gaps()
-    num -= float(p_diag @ t.s11) + float(between @ (gap_T * gap_Y))
-    den -= float(p_diag @ t.s20) + float(between @ (gap_T * gap_T))
+    num -= _dot(p_diag, t.s11) + _dot(between, gap_T * gap_Y)
+    den -= _dot(p_diag, t.s20) + _dot(between, gap_T * gap_T)
     return num, den
 
 
@@ -154,14 +174,18 @@ _FORMS = {
 }
 
 
-def _point_estimate(kind: EstimatorKind, table: _CellMoments, T: np.ndarray) -> float:
-    """Point estimate of one of the four blockwise estimators from a moment
-    table at center 0 of the treatment ``T``."""
+def _estimates(kind: EstimatorKind, table: _CellMoments, T: np.ndarray):
+    """Estimate of one of the four blockwise estimators from a moment table at
+    center 0 of the treatment ``T``; on a stack one per design, NaN where the
+    denominator is not identified."""
     if kind not in _FORMS:
         raise ValueError(f"not a blockwise estimator: {kind!r}")
-    num, den = _FORMS[kind](table)
-    _require_identified(den, T)
-    return num / den
+    return _identified_ratio(*_FORMS[kind](table), T)
+
+
+def _point_estimate(kind: EstimatorKind, table: _CellMoments, T: np.ndarray) -> float:
+    """``_estimates`` of one design."""
+    return _single(_estimates(kind, table, T))
 
 
 def estimate_sive(design: SaturatedDesign, sample: Sample) -> float:
@@ -296,18 +320,19 @@ def population_moments(
     """Numerator and denominator of the population estimand.
 
     Both are scaled as ``E[T' Op Y] / n`` and ``E[T' Op T] / n`` for the
-    operator matching ``kind``, evaluated at the realized group counts.
+    operator matching ``kind``, evaluated at the realized group counts.  The
+    SIVE moments also take a stack of designs, one pair per design.
     """
     G, n = design.G, design.n
     pi = _broadcast(inputs.pi, G, "G", "pi")
     tau = _broadcast(inputs.tau, G, "G", "tau")
-    p_tilde = design.group_sizes / n
+    p_tilde = _kept_ratio(design.group_sizes, n, _keep(design))
     share = design.treated_counts / design.group_sizes.astype(np.float64)
     v_tilde = share * (1.0 - share)
     base = p_tilde * pi**2 * v_tilde
 
     if kind is EstimatorKind.SIVE:
-        return float(base @ tau), float(base.sum())
+        return _dot(base, tau), base.sum(axis=-1)
 
     if kind is EstimatorKind.TSLS_SATURATED:
         if inputs.sigma_ue is None or inputs.sigma_uu is None:
@@ -366,13 +391,23 @@ def population_estimand(
     num, den = population_moments(kind, design, inputs)
     if den == 0.0:
         if kind is EstimatorKind.SIVE:
-            tau = _broadcast(inputs.tau, design.G, "G", "tau")
-            if float(np.ptp(tau)) == 0.0:
-                return float(tau[0])
+            shared = _shared_effect(_broadcast(inputs.tau, design.G, "G", "tau"))
+            if not np.isnan(shared):
+                return float(shared)
         raise EstimationError(
             f"the {kind.value} estimand is undefined: its denominator is zero"
         )
-    return num / den
+    return float(num / den)
+
+
+def _shared_effect(tau: np.ndarray, keep: np.ndarray | None = None):
+    """The effect every (kept) group has, NaN if they differ: the SIVE
+    estimand when no group has a first stage, since every weighting agrees."""
+    if keep is None:
+        keep = np.ones(tau.shape, dtype=bool)
+    low = np.where(keep, tau, np.inf).min(axis=-1)
+    high = np.where(keep, tau, -np.inf).max(axis=-1)
+    return np.where(low == high, low, np.nan)
 
 
 def first_stage_strength(

@@ -19,7 +19,8 @@ above is a polynomial in per-cell power sums of the deviations of T and r.
 One pass over the data builds those sums (``blockops._CellMoments``); the
 score, its variance and their coefficients in beta_0 are O(G) arithmetic on
 them.  ``hartley_sigma`` keeps the per-observation estimates as the
-reference the tests compare against.
+reference the tests compare against.  The two variances also run on a stack
+of designs' tables, one value per design (NaN where T'AT is not identified).
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from numpy.polynomial.polynomial import polymul, polyval
 
 from ._normal import ndtr, ndtri
 from .blockops import (
-    _cell_D,
     _cell_sum,
     _CellMoments,
     _check_vector,
+    _dot,
     _hartley_weights,
     apply_M_WZ,
     cell_sizes,
@@ -43,9 +44,10 @@ from .design import DesignError, Sample, SaturatedDesign
 from .estimators import (
     EstimationError,
     EstimatorKind,
+    _identified_ratio,
     _moments,
     _point_estimate,
-    _require_identified,
+    _single,
     first_stage_strength,
 )
 
@@ -139,13 +141,13 @@ def _robust_polynomials(t: _CellMoments) -> tuple[np.ndarray, np.ndarray]:
     ``u^2 b^2`` sums to ``pr^2 s20 - 2 pr d s21 + d^2 s22``, and a Hartley
     estimate ``w1 x_i - w2 X`` dotted with f gives ``w1 sum(x f) - w2 X F``.
     """
-    d = _cell_D(t.design)
+    d = t.d
     t_a_r, t_a_t = t.a_form()
     pt, pr = t.p_values()
     w1, w2 = _hartley_weights(t.k)
 
     def hartley(x_sum, xf_sum, f_sum):
-        return float(w1 @ xf_sum - w2 @ (x_sum * f_sum))
+        return _dot(w1, xf_sum) - _dot(w2, x_sum * f_sum)
 
     td, rd, dd = pt * d, pr * d, d * d
     aa = t.k * pt * pt + dd * t.s20
@@ -190,15 +192,13 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     the consumers rather than truncated here.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _sive_variance(_CellMoments(design, T, Y, beta), T)
+    return _single(_sive_variance(_CellMoments(design, T, Y, beta), T))
 
 
-def _sive_variance(t: _CellMoments, T: np.ndarray) -> float:
+def _sive_variance(t: _CellMoments, T: np.ndarray):
     """``sive_variance`` from a fourth-order table at ``center = beta``."""
     score, variance = _robust_polynomials(t)
-    t_a_t = -float(score[1])
-    _require_identified(t_a_t, T)
-    return float(variance[0]) / t_a_t**2
+    return _identified_ratio(variance[0], -score[1], T, power=2)
 
 
 def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) -> dict:
@@ -391,10 +391,10 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     not robust to within-group effect heterogeneity.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _chao_variance(_CellMoments(design, T, Y, beta_hat), T)
+    return _single(_chao_variance(_CellMoments(design, T, Y, beta_hat), T))
 
 
-def _chao_variance(t: _CellMoments, T: np.ndarray) -> float:
+def _chao_variance(t: _CellMoments, T: np.ndarray):
     """``chao_variance`` from a fourth-order table at ``center = beta_hat``.
 
     In a cell ``(AT)_i = pt - d u_i``, and J acts as ``w1 x_i - w2 X_g`` with
@@ -405,22 +405,24 @@ def _chao_variance(t: _CellMoments, T: np.ndarray) -> float:
     second term is ``d^2 (W_c^2 - sum_c J(e*u)^2)`` per cell plus
     ``2 W_0 W_1 / n_g^2`` per group.
     """
-    d = _cell_D(t.design)
+    d = t.d
     t_a_t = t.a_form()[1]
-    _require_identified(t_a_t, T)
     pt, _ = t.p_values()
-    w1, w2 = (np.repeat(w, 2) for w in _hartley_weights(t.design.group_sizes))
-    s02_g, s11_g = (np.repeat(s.reshape(-1, 2).sum(axis=1), 2) for s in (t.s02, t.s11))
+    w1, w2 = (np.repeat(w, 2, axis=-1) for w in _hartley_weights(t.design.group_sizes))
+    s02_g, s11_g = (
+        np.repeat(s.reshape(s.shape[:-1] + (-1, 2)).sum(axis=-1), 2, axis=-1)
+        for s in (t.s02, t.s11)
+    )
     aa = t.k * pt * pt + d * d * t.s20
-    term1 = float(w1 @ (pt * pt * t.s02 - 2.0 * pt * d * t.s12 + d * d * t.s22))
-    term1 -= float((w2 * s02_g) @ aa)
+    term1 = _dot(w1, pt * pt * t.s02 - 2.0 * pt * d * t.s12 + d * d * t.s22)
+    term1 -= _dot(w2 * s02_g, aa)
     shift = w2 * s11_g
     w_sum = w1 * t.s11 - shift * t.k
     w_sq = w1 * w1 * t.s22 - 2.0 * w1 * shift * t.s11 + shift * shift * t.k
     n = t.design.group_sizes.astype(np.float64)
-    term2 = float((d * d) @ (w_sum * w_sum - w_sq))
-    term2 += 2.0 * float((w_sum[0::2] * w_sum[1::2]) @ (1.0 / n**2))
-    return (term1 + term2) / t_a_t**2
+    term2 = _dot(d * d, w_sum * w_sum - w_sq)
+    term2 += 2.0 * _dot(w_sum[..., 0::2] * w_sum[..., 1::2], 1.0 / n**2)
+    return _identified_ratio(term1 + term2, t_a_t, T, power=2)
 
 
 @dataclass(frozen=True)

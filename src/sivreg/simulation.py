@@ -7,6 +7,11 @@ is ``p1 - p0``.  Outcomes combine a smooth X-effect, a (possibly
 heterogeneous) treatment effect, and an error correlated with the latent
 treatment shock.  Experiments sweep the number of covariate values L and the
 treated threshold p1, recording median bias and test size per grid cell.
+
+A grid cell's replications run in chunks: each chunk's draws are stacked
+along a leading axis (``design._DesignStack``) and go through the same moment
+tables, estimators and variances as one design, with each failed check a flag
+per replication.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import csv as _csv
 from dataclasses import dataclass
 
@@ -24,10 +30,10 @@ import numpy as np
 from ._normal import ndtri
 from .blockops import _CellMoments
 from .design import (
-    DesignError,
     GroupAudit,
     Sample,
     SaturatedDesign,
+    _DesignStack,
     _readonly,
     filter_design,
     validate_group_sizes,
@@ -36,8 +42,10 @@ from .estimators import (
     EstimationError,
     EstimatorKind,
     PopulationInputs,
-    _point_estimate,
+    _estimates,
+    _shared_effect,
     population_estimand,
+    population_moments,
 )
 from .inference import _chao_variance, _sive_variance, t_test
 
@@ -58,6 +66,10 @@ __all__ = [
 # Propensity clamp: the cubic is only guaranteed inside (0,1) for part of the
 # unit interval, so Bernoulli draws use probabilities in [CLAMP, 1-CLAMP].
 CLAMP = 0.01
+
+# Rows per chunk of stacked replications: a chunk holds max(1, ROWS // n)
+# draws, which bounds the batch's temporaries to a few ROWS-long arrays.
+ROWS = 12_000
 
 SUMMARY_COLUMNS = (
     "experiment",
@@ -100,6 +112,12 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "L", "n_hetero", "replications", "master_seed"):
+            value = getattr(self, name)
+            if not (name == "n_hetero" and value is None):  # None: resolved below
+                object.__setattr__(self, name, _integer(name, value))
+        for name in ("p0", "p1", "rho", "beta", "h"):
+            _require_number(name, getattr(self, name))
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.L < 1:
@@ -116,6 +134,25 @@ class SimConfig:
             raise ValueError("n_hetero must lie in [0, n]")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, a fraction or a non-number raises."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_number(name: str, value) -> None:
+    """Raise unless ``value`` is a finite real number (and not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +227,49 @@ def _covariate_layout(n: int, L: int, n_hetero: int) -> tuple:
     return _readonly(x), _readonly(hetero_rows), _readonly(group_of), keys
 
 
+@functools.lru_cache(maxsize=32)
+def _covariate_levels(n: int, L: int, n_hetero: int) -> tuple:
+    """``(propensity(x), outcome_level(x))`` on the layout's X, which no draw
+    changes: computed once per layout and returned read-only."""
+    x = _covariate_layout(n, L, n_hetero)[0]
+    return _readonly(propensity(x)), _readonly(outcome_level(x))
+
+
+def _effect_scale(config: SimConfig) -> np.ndarray:
+    """Per row, the treatment effect in units of beta: 1 + h on the n_hetero
+    rows with the smallest X, 1 elsewhere."""
+    gamma = np.ones(config.n)
+    gamma[_covariate_layout(config.n, config.L, config.n_hetero)[1]] = 1.0 + config.h
+    return gamma
+
+
+def _group_effects(config: SimConfig) -> np.ndarray:
+    """Per group before filtering, its effect ``tau``: beta times the group
+    mean of the effect scale."""
+    group_of = _covariate_layout(config.n, config.L, config.n_hetero)[2]
+    gamma_sum = np.bincount(group_of, weights=_effect_scale(config))
+    return config.beta * (gamma_sum / np.bincount(group_of))
+
+
+def _draw(config: SimConfig, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Instrument q, treatment T and outcome Y of one draw from
+    ``default_rng(seed)``, on every row of the layout (before the size
+    filter)."""
+    rng = np.random.default_rng(seed)
+    n = config.n
+    prop, level = _covariate_levels(n, config.L, config.n_hetero)
+    q = (rng.random(n) < prop).astype(np.int64)
+
+    z = rng.standard_normal((2, n))
+    eps = config.rho * z[0] + math.sqrt(1.0 - config.rho**2) * z[1]
+
+    # ndtr(u) <= p, with ndtr inverted once per instrument arm.
+    quantile = np.where(q == 1, ndtri(config.p1), ndtri(config.p0))
+    t = (z[0] <= quantile).astype(np.float64)
+    y = level + config.beta * _effect_scale(config) * t + eps
+    return q, t, y
+
+
 def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     """Draw one dataset and compute its population truth.
 
@@ -198,31 +278,13 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     as possible.  Groups with fewer than two treated-eligible or two
     ineligible observations are dropped before anything else is computed.
     """
-    rng = np.random.default_rng(config.master_seed if seed is None else seed)
-    n = config.n
-
-    x, hetero_rows, group_of, keys = _covariate_layout(n, config.L, config.n_hetero)
-    q = (rng.random(n) < propensity(x)).astype(np.int64)
-
-    z = rng.standard_normal((2, n))
-    u = z[0]
-    eps = config.rho * z[0] + math.sqrt(1.0 - config.rho**2) * z[1]
-
-    # ndtr(u) <= p, with ndtr inverted once per instrument arm.
-    quantile = np.where(q == 1, ndtri(config.p1), ndtri(config.p0))
-    t = (u <= quantile).astype(np.float64)
-
-    gamma = np.ones(n)
-    gamma[hetero_rows] = 1.0 + config.h
-
-    y = outcome_level(x) + config.beta * gamma * t + eps
-
+    q, t, y = _draw(config, config.master_seed if seed is None else seed)
+    _, _, group_of, keys = _covariate_layout(config.n, config.L, config.n_hetero)
     raw = SaturatedDesign(group_of, q, group_keys=keys)
     audit = validate_group_sizes(raw, min_active=2, min_inactive=2)
     design, sample = filter_design(raw, audit, Sample(outcome=y, treatment=t))
 
-    gamma_sum = np.bincount(raw.group_of, weights=gamma, minlength=raw.G)
-    tau = config.beta * (gamma_sum / raw.group_sizes)[list(audit.kept_groups)]
+    tau = _group_effects(config)[list(audit.kept_groups)]
     pi = np.full(design.G, config.p1 - config.p0)
     truth = {
         "pi": pi,
@@ -234,12 +296,38 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     return SimDraw(design=design, sample=sample, truth=truth, audit=audit)
 
 
-def _cell_configs(config: SimConfig, L_values, p1_values):
+def _draw_stack(cell: SimConfig, reps: range) -> tuple:
+    """Replications ``reps`` of ``cell``, stacked, with their population truth.
+
+    Returns ``(stack, T, Y, truth, valid)``, T and Y of shape (R, n).  They
+    are zero on the rows of the groups a draw drops, and on every row of a
+    draw with a non-finite entry (one a Sample would refuse).  ``valid``
+    marks the draws that are finite, keep a group and have a defined
+    ``beta_sive``; the others are attrition for everything.
+    """
+    shape = (len(reps), cell.n)
+    q, T, Y = np.empty(shape, np.int64), np.empty(shape), np.empty(shape)
+    for i, rep in enumerate(reps):
+        q[i], T[i], Y[i] = _draw(cell, replication_seed(cell.master_seed, rep))
+    stack = _DesignStack(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
+    finite = np.isfinite(T).all(axis=1) & np.isfinite(Y).all(axis=1)
+    dropped = ~(stack.kept_rows & finite[:, None])
+    T[dropped] = 0.0
+    Y[dropped] = 0.0
+
+    tau = _group_effects(cell)
+    inputs = PopulationInputs(pi=cell.p1 - cell.p0, tau=tau)
+    num, den = population_moments(EstimatorKind.SIVE, stack, inputs)
+    truth = np.divide(num, den, out=_shared_effect(tau, stack.keep), where=den != 0.0)
+    valid = finite & stack.keep.any(axis=1) & ~np.isnan(truth)
+    return stack, T, Y, truth, valid
+
+
+def _cell_configs(config: SimConfig, L_values, p1_values) -> list:
+    """One validated config per grid cell, L major."""
     Ls = tuple(L_values) if L_values is not None else (config.L,)
     p1s = tuple(p1_values) if p1_values is not None else (config.p1,)
-    for L in Ls:
-        for p1 in p1s:
-            yield dataclasses.replace(config, L=int(L), p1=float(p1))
+    return [dataclasses.replace(config, L=L, p1=p1) for L in Ls for p1 in p1s]
 
 
 def _median_se(errors: list) -> float:
@@ -324,6 +412,64 @@ def _rate_rows(cell: SimConfig, label: str, hits: list, requested: int) -> list:
     return _rows("size", cell, label, [("reject_rate", rate, se)], used, requested)
 
 
+def _replications(cell: SimConfig, estimators: tuple, variants: tuple, alpha: float):
+    """Each estimator's errors and each variant's t-test rejections (1.0 or
+    0.0) over the cell's replications that yield them, in replication order.
+
+    The replications run in chunks of max(1, ROWS // n) stacked draws
+    (``_run_chunk``), each freed before the next is drawn.
+    """
+    errors = {kind: [] for kind in estimators}
+    hits = {variant: [] for variant in variants}
+    size = max(1, ROWS // cell.n)
+    for start in range(0, cell.replications, size):
+        reps = range(start, min(start + size, cell.replications))
+        _run_chunk(cell, reps, errors, hits, alpha)
+    return errors, hits
+
+
+def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: float):
+    """Append the errors and rejections of replications ``reps`` to ``errors``
+    (per estimator) and ``hits`` (per variant).
+
+    The chunk builds one moment table at center 0 for every estimator and,
+    when variants are requested, one at each draw's SIVE estimate for both
+    variances.  Errors and tests are against each draw's own ``beta_sive``.
+    A failed draw is attrition for everything, a failed estimate for its own
+    estimator (SIVE's also for every variant), and a failed variance or test
+    for its own variant.
+    """
+    kinds = tuple(errors)
+    if hits and EstimatorKind.SIVE not in kinds:
+        kinds += (EstimatorKind.SIVE,)
+    stack, T, Y, truth, valid = _draw_stack(cell, reps)
+    table = _CellMoments(stack, T, Y, order=2)
+    estimates = {kind: _estimates(kind, table, T) for kind in kinds}
+    for kind in errors:
+        ok = valid & ~np.isnan(estimates[kind])
+        errors[kind] += (estimates[kind][ok] - truth[ok]).tolist()
+    if not hits:
+        return
+    beta_hat = estimates[EstimatorKind.SIVE]
+    ok = valid & ~np.isnan(beta_hat)
+    if not ok.any():
+        return
+    at_beta_hat = _CellMoments(stack, T, Y, np.where(ok, beta_hat, 0.0)[:, None])
+    for variant in hits:
+        variance = _sive_variance if variant == "vhat" else _chao_variance
+        tests = zip(
+            beta_hat[ok].tolist(),
+            variance(at_beta_hat, T)[ok].tolist(),
+            truth[ok].tolist(),
+        )
+        for b, var, truth_b in tests:
+            try:
+                res = t_test(b, var, truth_b, alpha)
+            except EstimationError:
+                continue
+            hits[variant].append(1.0 if res["reject"] else 0.0)
+
+
 def _run_grid(
     config: SimConfig,
     L_values=None,
@@ -334,13 +480,9 @@ def _run_grid(
 ) -> tuple[list, list]:
     """Bias rows and size rows from one draw per (cell, replication).
 
-    Each draw gives every estimator's error and every variant's t-test, both
-    against that draw's own ``beta_sive``; the SIVE estimate serves both.  A
-    draw builds one moment table at center 0 for every estimator and, when
-    variants are requested and SIVE succeeded, one at SIVE's estimate for
-    both variances.  A failed draw is attrition for everything, a failed
-    estimate for its own estimator (SIVE's also for every variant), and a
-    failed variance or test for its own variant.
+    Each draw gives every estimator's error and every variant's t-test (see
+    ``_replications``).  The arguments and every grid cell's config are
+    checked before the first draw.
     """
     for kind in estimators:
         if kind not in DEFAULT_ESTIMATORS:
@@ -348,43 +490,10 @@ def _run_grid(
     for variant in variants:
         if variant not in _VARIANTS:
             raise ValueError(f"unknown variance variant: {variant!r}")
-    kinds = tuple(estimators)
-    if variants and EstimatorKind.SIVE not in kinds:
-        kinds += (EstimatorKind.SIVE,)
 
     bias_rows, size_rows = [], []
     for cell in _cell_configs(config, L_values, p1_values):
-        errors = {kind: [] for kind in estimators}
-        hits = {variant: [] for variant in variants}
-        for rep in range(cell.replications):
-            try:
-                draw = generate_sample(cell, replication_seed(cell.master_seed, rep))
-                Y, T = draw.sample.outcome, draw.sample.treatment
-                table = _CellMoments(draw.design, T, Y, order=2)
-            except (DesignError, EstimationError):
-                continue
-            truth = draw.truth["beta_sive"]
-            estimates = {}
-            for kind in kinds:
-                try:
-                    estimates[kind] = _point_estimate(kind, table, T)
-                except (DesignError, EstimationError):
-                    pass
-            for kind in estimators:
-                if kind in estimates:
-                    errors[kind].append(estimates[kind] - truth)
-            beta_hat = estimates.get(EstimatorKind.SIVE)
-            if beta_hat is None or not variants:
-                continue
-            at_beta_hat = _CellMoments(draw.design, T, Y, beta_hat)
-            for variant in variants:
-                variance = _sive_variance if variant == "vhat" else _chao_variance
-                try:
-                    var = variance(at_beta_hat, T)
-                    res = t_test(beta_hat, var, truth, alpha)
-                except (DesignError, EstimationError):
-                    continue
-                hits[variant].append(1.0 if res["reject"] else 0.0)
+        errors, hits = _replications(cell, tuple(estimators), tuple(variants), alpha)
         for kind in estimators:
             bias_rows += _median_rows(cell, kind.value, errors[kind], cell.replications)
         for variant in variants:

@@ -289,3 +289,20 @@ def test_operators_are_linear(seed):
         left = op(d, a * v + b * w)
         right = a * op(d, v) + b * op(d, w)
         np.testing.assert_allclose(left, right, atol=1e-10)
+
+
+def test_dot_is_matmul_on_vectors_and_row_by_row():
+    # One design's forms must keep the bits of ``x @ y``, and a stack's rows
+    # the bits of each design's, strided views (every other cell) included.
+    from sivreg.blockops import _dot
+
+    rng = np.random.default_rng(48)
+    for size in (1, 2, 3, 7, 64, 301, 2000):
+        R = int(rng.integers(1, 6))
+        x = rng.standard_normal((R, 2 * size)) * 10.0 ** rng.integers(-3, 4, (R, 1))
+        y = rng.standard_normal((R, 2 * size))
+        for a, b in ((x, y), (x[:, 1::2], y[:, ::2]), (x, y[0])):
+            got = _dot(a, b)
+            want = [a[r] @ (b[r] if b.ndim == 2 else b) for r in range(R)]
+            assert got.tolist() == want
+            assert [_dot(a[r], b[r] if b.ndim == 2 else b) for r in range(R)] == want

@@ -43,6 +43,7 @@ from sivreg import (
 from sivreg.blockops import GroupSizeError, _CellMoments
 from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
 from sivreg.oracle import assemble, oracle_chao_variance, oracle_estimate, oracle_variance
+from sivreg import simulation
 from sivreg.simulation import _run_grid
 
 from conftest import random_design, strong_sample
@@ -688,8 +689,8 @@ def test_chao_variance_on_group_of_size_two_is_group_size_error():
 
 def test_moment_table_pass_counts(monkeypatch):
     # One table per statistic, two for the report (center 0 and beta_hat),
-    # and in the Monte Carlo one per center per draw, shared by all four
-    # estimators and both variances.
+    # and in the Monte Carlo one per center per chunk of stacked draws,
+    # shared by all four estimators and both variances.
     calls = []
     real_init = _CellMoments.__init__
 
@@ -716,12 +717,15 @@ def test_moment_table_pass_counts(monkeypatch):
     assert passes(lambda: sive_report(d, s)) == 2
 
     cfg = SimConfig(n=400, L=2, p1=0.69, replications=4, master_seed=3)
-    for variants, per_draw in ((("vhat", "chao"), 2), ((), 1)):
-        calls.clear()
-        bias_rows, size_rows = _run_grid(cfg, variants=variants)
-        rows = bias_rows + size_rows
-        assert all(r["value"] == 0.0 for r in rows if r["metric"] == "attrition")
-        assert len(calls) == per_draw * cfg.replications
+    # Chunks of one draw each, then of three (the second holds one draw).
+    for rows_per_chunk, chunks in ((cfg.n, cfg.replications), (3 * cfg.n, 2)):
+        monkeypatch.setattr(simulation, "ROWS", rows_per_chunk)
+        for variants, per_chunk in ((("vhat", "chao"), 2), ((), 1)):
+            calls.clear()
+            bias_rows, size_rows = _run_grid(cfg, variants=variants)
+            rows = bias_rows + size_rows
+            assert all(r["value"] == 0.0 for r in rows if r["metric"] == "attrition")
+            assert len(calls) == per_chunk * chunks
 
 
 _VECTOR_ENTRY_POINTS = {

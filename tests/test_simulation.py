@@ -7,8 +7,8 @@ import pytest
 from scipy.stats import binom, norm
 
 from sivreg import simulation
-from sivreg.cli import cmd_simulate
-from sivreg.estimators import EstimatorKind, WeakDenominatorError
+from sivreg.cli import cmd_simulate, main
+from sivreg.estimators import EstimatorKind
 from sivreg.simulation import (
     SUMMARY_COLUMNS,
     SimConfig,
@@ -76,6 +76,42 @@ def test_config_validation():
         SimConfig(n=100, n_hetero=101)
     with pytest.raises(ValueError):
         SimConfig(L=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("replications", 2.5),
+        ("master_seed", 1.5),
+        ("n", 300.5),
+        ("n", "300"),
+        ("L", [2.7]),
+        ("replications", True),
+        ("h", float("nan")),
+        ("beta", float("inf")),
+        ("alpha", "0.1"),
+    ],
+)
+def test_simulate_rejects_bad_config_value(tmp_path, capsys, field, value):
+    # Each of these used to end in a traceback (exit 1), run on a truncated
+    # or coerced value, or count every replication as attrition.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 200, "replications": 2, field: value}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_integers_are_normalized_and_every_grid_value_checked(tmp_path):
+    cfg = SimConfig(n=300.0, L=np.int64(4), replications=2.0, beta=1)
+    assert (cfg.n, cfg.L, cfg.replications, cfg.beta) == (300, 4, 2, 1)
+    assert all(type(v) is int for v in (cfg.n, cfg.L, cfg.replications, cfg.beta))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 200, "L": [2, 3.5], "replications": 2}))
+    with pytest.raises(ValueError, match="L must be an integer, got 3.5"):
+        cmd_simulate(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_hetero_count_defaults():
@@ -227,7 +263,7 @@ def test_bias_rejects_generic_estimator_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a sample before validating the estimators")
 
-    monkeypatch.setattr(simulation, "generate_sample", no_draw)
+    monkeypatch.setattr(simulation, "_draw", no_draw)
     cfg = SimConfig(n=300, replications=2)
     with pytest.raises(ValueError, match="blockwise"):
         run_bias_experiment(cfg, estimators=(EstimatorKind.TSLS_GENERIC,))
@@ -319,14 +355,14 @@ def _simulate(tmp_path, **config):
 
 
 def test_simulate_draws_each_replication_once(monkeypatch, tmp_path):
-    real = simulation.generate_sample
+    real = simulation._draw
     keys = []
 
     def counted(cell, seed):
         keys.append((cell.L, cell.p1, seed.spawn_key))
         return real(cell, seed)
 
-    monkeypatch.setattr(simulation, "generate_sample", counted)
+    monkeypatch.setattr(simulation, "_draw", counted)
     _simulate(tmp_path, n=200, L=[1, 2], p1=[0.49, 0.69], replications=3)
     assert len(keys) == 2 * 2 * 3
     assert len(set(keys)) == len(keys)
@@ -351,23 +387,26 @@ def test_simulate_files_equal_separate_experiments(tmp_path):
 def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
     monkeypatch, tmp_path
 ):
+    # A chunk's estimates are one per stacked draw, NaN for a failed one;
+    # the draws are told apart by their treatment rows.
     failing_reps = {1, 3}
     doomed = []
-    real_draw, real_estimate = simulation.generate_sample, simulation._point_estimate
+    real_draw, real_estimate = simulation._draw, simulation._estimates
 
     def draw(cell, seed):
         result = real_draw(cell, seed)
         if seed.spawn_key[0] in failing_reps:
-            doomed.append(result.sample.treatment)
+            doomed.append(result[1].tobytes())
         return result
 
     def estimate(kind, table, T):
-        if kind is EstimatorKind.SIVE and any(T is t for t in doomed):
-            raise WeakDenominatorError("forced failure")
-        return real_estimate(kind, table, T)
+        result = real_estimate(kind, table, T)
+        if kind is EstimatorKind.SIVE:
+            result[[row.tobytes() in doomed for row in T]] = np.nan
+        return result
 
-    monkeypatch.setattr(simulation, "generate_sample", draw)
-    monkeypatch.setattr(simulation, "_point_estimate", estimate)
+    monkeypatch.setattr(simulation, "_draw", draw)
+    monkeypatch.setattr(simulation, "_estimates", estimate)
     out = _simulate(tmp_path, n=300, L=[1], p1=[0.69], replications=5, master_seed=12)
     rows = []
     for name in ("bias.json", "size.json"):
@@ -386,26 +425,31 @@ def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
 def test_failed_variance_or_t_test_is_attrition_for_that_variant_only(
     monkeypatch, tmp_path
 ):
-    # The comparison variance raises on draws 0 and 2; the main variance is
-    # negative on draw 4, so its t-test raises there.
+    # The comparison variance fails (NaN) on draws 0 and 2; the main variance
+    # is negative on draw 4, so its t-test raises there.
     doomed = {}
-    real_draw = simulation.generate_sample
+    real_draw = simulation._draw
     real_sive, real_chao = simulation._sive_variance, simulation._chao_variance
 
     def draw(cell, seed):
         result = real_draw(cell, seed)
-        doomed[id(result.sample.treatment)] = seed.spawn_key[0]
+        doomed[result[1].tobytes()] = seed.spawn_key[0]
         return result
 
+    def reps(T):
+        return np.array([doomed[row.tobytes()] for row in T])
+
     def chao(table, T):
-        if doomed[id(T)] in (0, 2):
-            raise WeakDenominatorError("forced failure")
-        return real_chao(table, T)
+        result = real_chao(table, T)
+        result[np.isin(reps(T), (0, 2))] = np.nan
+        return result
 
     def sive(table, T):
-        return -1.0 if doomed[id(T)] == 4 else real_sive(table, T)
+        result = real_sive(table, T)
+        result[reps(T) == 4] = -1.0
+        return result
 
-    monkeypatch.setattr(simulation, "generate_sample", draw)
+    monkeypatch.setattr(simulation, "_draw", draw)
     monkeypatch.setattr(simulation, "_chao_variance", chao)
     monkeypatch.setattr(simulation, "_sive_variance", sive)
     out = _simulate(tmp_path, n=300, L=[1], p1=[0.69], replications=5, master_seed=12)

@@ -1,0 +1,166 @@
+"""The chunked Monte Carlo against the per-draw reference.
+
+``per_draw_reference`` runs the grid one draw at a time, each on its own
+filtered design.  The batch stacks a chunk's draws and masks the groups each
+draw drops, so where no draw drops a group it must reproduce the reference
+bit for bit; elsewhere the dot products over groups run over zero-padded
+rows and may differ in the last bits.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from sivreg import simulation
+from sivreg.blockops import _CellMoments
+from sivreg.design import DesignError
+from sivreg.estimators import EstimationError, _estimates
+from sivreg.inference import _chao_variance, _sive_variance
+from sivreg.simulation import (
+    DEFAULT_ESTIMATORS,
+    _VARIANTS,
+    SimConfig,
+    _draw_stack,
+    _replications,
+    _run_grid,
+    generate_sample,
+    replication_seed,
+    summarize,
+)
+
+from per_draw_reference import per_draw_replications, per_draw_run_grid
+
+SECOND_ORDER = ("k", "mean_T", "mean_Y", "s20", "s11")
+FOURTH_ORDER = SECOND_ORDER + ("s02", "s30", "s21", "s12", "s40", "s31", "s22")
+
+
+@st.composite
+def grid_cells(draw):
+    """A small, weak or unidentified (p1 = p0 = 0.22) grid cell, and a chunk
+    size that does not divide its replication count unless that is 1."""
+    n = draw(st.integers(40, 400))
+    per_chunk = draw(st.integers(1, 6))
+    replications = draw(st.integers(1, 13))
+    assume(replications == 1 or replications % per_chunk)
+    cell = SimConfig(
+        n=n,
+        L=draw(st.integers(1, 60)),
+        p1=draw(st.sampled_from([0.22, 0.24, 0.3])),
+        h=draw(st.sampled_from([0.0, 2.0])),
+        n_hetero=draw(st.integers(0, n)),
+        replications=replications,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return cell, per_chunk
+
+
+def _drops(cell: SimConfig) -> bool:
+    """Whether any replication of the cell drops a group."""
+    return not _draw_stack(cell, range(cell.replications))[0].keep.all()
+
+
+def _agree(got, want, exact: bool) -> None:
+    """Bit-equal where the draw keeps every group; else to 1e-9 relative.
+
+    A ratio's denominator may cancel down to 1e-12 ||T||^2, so last-bit
+    differences in its zero-padded sums grow by up to that cancellation;
+    over 1,500 random cells the largest relative gap seen was 2e-11.
+    """
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_cells())
+def test_stacked_tables_equal_per_draw_tables(case):
+    # The tables, and the estimates and variances read off them, per draw.
+    cell, per_chunk = case
+    reps = range(min(per_chunk, cell.replications))
+    stack, T, Y, truth, valid = _draw_stack(cell, reps)
+    centers = 0.37 + np.arange(len(reps))
+    stacked = (
+        (_CellMoments(stack, T, Y, order=2), 0.0 * centers, 2, SECOND_ORDER),
+        (_CellMoments(stack, T, Y, centers[:, None]), centers, 4, FOURTH_ORDER),
+    )
+    for i, rep in enumerate(reps):
+        try:
+            draw = generate_sample(cell, replication_seed(cell.master_seed, rep))
+        except (DesignError, EstimationError):
+            assert not valid[i]
+            continue
+        assert valid[i]
+        assert abs(truth[i] - draw.truth["beta_sive"]) <= 1e-12 * abs(truth[i])
+        kept = np.flatnonzero(stack.keep[i])
+        assert kept.tolist() == list(draw.audit.kept_groups)
+        cells = np.column_stack((2 * kept, 2 * kept + 1)).ravel()
+        dropped = np.setdiff1d(np.arange(2 * stack.G), cells)
+        d, s = draw.design, draw.sample
+        refs = []
+        for table, center, order, names in stacked:
+            ref = _CellMoments(d, s.treatment, s.outcome, center[i], order=order)
+            refs.append(ref)
+            for name in names:
+                got, want = getattr(table, name)[i], getattr(ref, name)
+                scale = max(float(np.abs(want).max()), 1e-300)
+                assert np.abs(got[cells] - want).max() <= 1e-12 * scale, name
+                if name != "k":
+                    assert not got[dropped].any(), name
+        exact = bool(stack.keep[i].all())
+        (table2, *_), (table4, *_) = stacked
+        for kind in DEFAULT_ESTIMATORS:
+            got = _estimates(kind, table2, T)[i]
+            _agree(got, _estimates(kind, refs[0], s.treatment), exact)
+        for variance in (_sive_variance, _chao_variance):
+            _agree(variance(table4, T)[i], variance(refs[1], s.treatment), exact)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_cells())
+def test_chunked_replications_match_per_draw(case):
+    cell, per_chunk = case
+    with mock.patch.object(simulation, "ROWS", per_chunk * cell.n):
+        errors, hits = _replications(cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
+    want_errors, want_hits = per_draw_replications(
+        cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05
+    )
+    assert hits == want_hits
+    exact = not _drops(cell)
+    for kind in DEFAULT_ESTIMATORS:
+        got, want = np.array(errors[kind]), np.array(want_errors[kind])
+        assert got.shape == want.shape, kind
+        _agree(got, want, exact)
+
+
+def test_rows_byte_identical_where_no_group_is_dropped():
+    # n = 3000 keeps every group at L = 25 (seed 3) and drops some at L = 300
+    # in every replication; p1 = 0.3 is weak.
+    cfg = SimConfig(n=3000, replications=12, master_seed=3)
+    Ls, p1s = [25, 300], [0.3, 0.49]
+    bias, size = _run_grid(cfg, Ls, p1s)
+    want_bias, want_size = per_draw_run_grid(cfg, Ls, p1s)
+    assert summarize(size) == summarize(want_size)
+    for got, want in zip(bias, want_bias):
+        cell = SimConfig(n=3000, L=got["L"], p1=got["p1"], replications=12, master_seed=3)
+        if got["metric"] == "attrition" or not _drops(cell):
+            assert summarize([got]) == summarize([want])
+        else:
+            for key in ("value", "mc_se"):
+                assert abs(got[key] - want[key]) <= 1e-12
+    assert not _drops(SimConfig(n=3000, L=25, p1=0.49, replications=12, master_seed=3))
+    assert _drops(SimConfig(n=3000, L=300, p1=0.49, replications=12, master_seed=3))
+
+
+def test_non_finite_draw_is_attrition_for_everything():
+    # beta (1 + h) overflows, so every draw's outcome holds inf or NaN: a
+    # Sample would refuse it, and the stack flags the draw and zeroes its rows.
+    cell = SimConfig(n=60, L=2, beta=1e308, h=10.0, n_hetero=30, replications=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, T, Y, _, valid = _draw_stack(cell, range(cell.replications))
+        bias, size = _run_grid(cell)
+    assert not valid.any()
+    assert not T.any() and not Y.any()
+    assert all(r["value"] == 1.0 for r in bias + size if r["metric"] == "attrition")
