@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Wall time and peak memory of ``sivreg estimate`` on a large CSV.
 
-Usage: python scripts/scale_out.py [--rows N] [--seed S] [--dir DIR]
+Usage: python scripts/scale_out.py [--rows N] [--seed S] [--repeat K] [--dir DIR]
 
 Writes a seeded CSV with the columns ``id,y,t,educ,a,b,region`` (1000
 covariate groups: integer a and b, string region; ``educ > 12`` exactly when
 the instrument is on), then runs ``python -m sivreg estimate`` on it in a
-child process, with this checkout's ``src`` on the path.  Prints one JSON
-line: rows, CSV size, the child's exit code, its wall time and its peak RSS
-(``RUSAGE_CHILDREN``; the CSV is written in this process, not a child).
+child process K times (default 1), with this checkout's ``src`` on the path.
+Prints one JSON line: rows, CSV size, the children's exit code (the first
+non-zero one; later runs are skipped), the median and each wall time, and the
+largest peak RSS of any child (``RUSAGE_CHILDREN``; the CSV is written in
+this process, not a child).
 Without ``--dir`` the CSV and the report go to a temporary directory that is
 removed afterwards.  Exit status: the child's.
 """
@@ -20,6 +22,7 @@ import contextlib
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -62,7 +65,7 @@ def write_csv(path: Path, rows: int, seed: int) -> None:
             )
 
 
-def measure(work: Path, rows: int, seed: int) -> dict:
+def measure(work: Path, rows: int, seed: int, repeat: int = 1) -> dict:
     data, report = work / "scale_out.csv", work / "scale_out.json"
     write_csv(data, rows, seed)
     argv = [
@@ -72,16 +75,23 @@ def measure(work: Path, rows: int, seed: int) -> dict:
     ]
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    start = time.perf_counter()
-    child = subprocess.run(argv, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    walls = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        child = subprocess.run(argv, env=env, capture_output=True, text=True)
+        walls.append(time.perf_counter() - start)
+        if child.returncode:
+            break
+    # The largest peak of any child waited for, so of all K runs.
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     result = {
         "rows": rows,
         "seed": seed,
         "csv_mb": round(data.stat().st_size / 2**20, 1),
         "exit_code": child.returncode,
-        "wall_s": round(wall, 3),
+        "repeat": repeat,
+        "wall_s": round(statistics.median(walls), 3),
+        "wall_runs_s": [round(w, 3) for w in walls],
         "peak_rss_mb": round(peak_kb / 1024, 1),
     }
     if child.returncode:
@@ -93,14 +103,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="run the child this many times on the one CSV")
     parser.add_argument("--dir", default=None, help="keep the CSV and report here")
     args = parser.parse_args(argv)
     if args.rows < 1:
         parser.error("--rows must be at least 1")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     kept = contextlib.nullcontext(args.dir) if args.dir else tempfile.TemporaryDirectory()
     with kept as work:
         Path(work).mkdir(parents=True, exist_ok=True)
-        result = measure(Path(work), args.rows, args.seed)
+        result = measure(Path(work), args.rows, args.seed, args.repeat)
     print(json.dumps(result))
     return result["exit_code"]
 

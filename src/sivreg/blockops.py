@@ -307,7 +307,10 @@ class _CellMoments:
     Arrays have length 2G and are indexed by cell id.  Sums are formed one
     column at a time, so only a few n-vectors are alive at once.  R itself is
     never formed: ``e`` is ``(Y - mean_Y) - center u``, so offsets in Y and T
-    cancel before any product is taken, whatever the center.
+    cancel before any product is taken, whatever the center.  The counts,
+    the means and ``s20`` do not depend on the center, so a table of the
+    same design, T and Y passed as ``base`` lends them, and only the other
+    sums are formed.
 
     On a stack of R designs, T and Y are (R, n), ``center`` is a scalar or
     one per design, shape (R, 1), every array gains the leading axis, and
@@ -319,13 +322,16 @@ class _CellMoments:
     """
 
     def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray,
-                 center: float = 0.0, order: int = 4):
+                 center: float = 0.0, order: int = 4, base: _CellMoments | None = None):
         self.design = design
-        self.k = _cell_counts(design).astype(np.float64)
         self.center = center
         self.centered = bool(np.any(center))
-        self.mean_T = _cell_means(design, T)
-        self.mean_Y = _cell_means(design, Y)
+        if base is None:
+            self.k = _cell_counts(design).astype(np.float64)
+            self.mean_T = _cell_means(design, T)
+            self.mean_Y = _cell_means(design, Y)
+        else:
+            self.k, self.mean_T, self.mean_Y = base.k, base.mean_T, base.mean_Y
         # At most four n-vectors are alive at once: u, e, one product and
         # a temporary (u goes once s30 is formed).
         u = self.mean_T.reshape(-1)[design.cell]
@@ -335,7 +341,7 @@ class _CellMoments:
         if self.centered:
             e -= center * u
         uu = u * u
-        self.s20 = _cell_sum(design, uu)
+        self.s20 = _cell_sum(design, uu) if base is None else base.s20
         if order > 2:
             self.s30 = _cell_sum(design, uu * u)
         ue = u * e

@@ -34,6 +34,9 @@ from .design import (
     GroupAudit,
     Sample,
     SaturatedDesign,
+    _code,
+    _Coded,
+    _coder,
     _design_from_columns,
     design_summary,
     filter_design,
@@ -177,14 +180,17 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
     file over to ``_read_columns``.
 
     The header and the first data row are read with ``csv`` to type each
-    column: float64 for a wanted column whose first cell is a number, object
-    for any other wanted column, one character for an unused one.
+    column: float64 for a wanted column whose first cell is a number, text
+    for any other wanted column, one character for an unused one.  A text
+    column is coded as it is read: its converter numbers the distinct raw
+    cells in order of first appearance, so the strip and the checks below
+    run once per distinct cell.
     ``np.loadtxt`` reads every column, so a row with too many or too few
     fields raises, as does a number it cannot parse.  A blank cell or a line
     break inside a text cell of a wanted column is handed over too, so every
     error message comes from ``_read_columns`` and its readers.  Numbers come
-    back as the float64 arrays ``_float_column`` would build, text as
-    stripped cells.
+    back as the float64 arrays ``_float_column`` would build, text as its
+    stripped cells coded (``_Coded``).
     """
     try:
         with open(csv_path, newline="", encoding="utf-8-sig") as fh, _csv_field_limit():
@@ -197,9 +203,12 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
         if first is None or len(first) != len(header):
             return None
         numeric = [c in wanted and _is_number(cell) for c, cell in zip(header, first)]
+        text = {
+            j: _coder() for j, c in enumerate(header) if c in wanted and not numeric[j]
+        }
         # An unused column is never read; one character is the cheapest to keep.
         kinds = [
-            "f8" if num else "O" if c in wanted else "U1" for c, num in zip(header, numeric)
+            "f8" if num else "i8" if j in text else "U1" for j, num in enumerate(numeric)
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # e.g. "no data"
@@ -212,6 +221,7 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
                 encoding="utf-8-sig",
                 skiprows=1,
                 ndmin=1,
+                converters={j: index.__getitem__ for j, index in text.items()},
             )
     except (OSError, ValueError, UserWarning, csv.Error):
         return None
@@ -224,12 +234,12 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
         if numeric[j]:
             columns[c] = values.copy()
             continue
-        cells = list(map(str.strip, values.tolist()))
+        coded = _Coded(values.copy(), list(text[j])).relabel(str.strip)
         # loadtxt reads the file with universal newlines, so a quoted line
         # break may differ from the csv cell's.
-        if "" in cells or "\n" in "".join(cells):
+        if "" in coded.labels or "\n" in "".join(coded.labels):
             return None
-        columns[c] = cells
+        columns[c] = coded
     return columns
 
 
@@ -262,18 +272,25 @@ def _float_column(columns: dict, col: str, strings_ok: bool = False):
     """The column's stripped cells as float64.
 
     A blank cell is an error, and so is a cell that is not a number, unless
-    ``strings_ok``: then the stripped cells are returned as they are.  An
-    error names the first bad row.
+    ``strings_ok``: then the stripped cells are returned coded (``_Coded``).
+    An error names the first bad row.
     """
     values = columns[col]
     if isinstance(values, np.ndarray):  # tokenized, or recoded by --binarize
         return values
+    if isinstance(values, _Coded):  # tokenized text, already stripped and checked
+        if strings_ok:
+            return values
+        values = values.cells()
     try:
         return np.array(list(map(float, map(str.strip, values))))
     except ValueError:
-        cells = list(map(str.strip, values))
-    if strings_ok and "" not in cells:
-        return cells
+        pass
+    if strings_ok:
+        coded = _code(values).relabel(str.strip)
+        if "" not in coded.labels:
+            return coded
+    cells = list(map(str.strip, values))
     # Only to name the first bad cell in the error message.
     for i, cell in enumerate(cells, start=1):
         if not cell:
@@ -333,7 +350,8 @@ def _parse_binarize(specs) -> list[tuple[str, float]]:
 
 
 def _covariate_column(columns: dict, col: str):
-    """A float array if every cell parses as a number, else the stripped cells."""
+    """A float array if every cell parses as a number, else the stripped cells
+    coded."""
     values = _float_column(columns, col, strings_ok=True)
     if isinstance(values, np.ndarray):
         _reject_first(col, values, np.isnan(values), "NaN is not a covariate value")

@@ -9,8 +9,11 @@ the per-observation group index, the instrument flags and the per-group counts
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,54 +308,108 @@ def _as_column(values):
     return values
 
 
+class _Coded(NamedTuple):
+    """A column as ``codes`` into its distinct values ``labels``, which are
+    numbered in order of first appearance: row i holds ``labels[codes[i]]``."""
+
+    codes: np.ndarray
+    labels: list
+
+    def cells(self, rows=slice(None)) -> list:
+        return list(map(self.labels.__getitem__, self.codes[rows].tolist()))
+
+    def relabel(self, fn) -> _Coded:
+        """``fn`` applied to every cell, at one call per label: labels that
+        ``fn`` maps to equal values merge, keeping first-appearance order."""
+        index: dict = {}
+        remap = [index.setdefault(fn(v), len(index)) for v in self.labels]
+        if len(index) == len(remap):  # nothing merged: the codes stand
+            return _Coded(self.codes, list(index))
+        return _Coded(np.array(remap, dtype=np.int64)[self.codes], list(index))
+
+
+def _coder() -> defaultdict:
+    """A dict that numbers each new key it is asked for, from 0 up."""
+    return defaultdict(count().__next__)
+
+
+def _code(cells) -> _Coded:
+    """One dict pass: equal cells share a code, labelled by their first."""
+    index = _coder()
+    codes = np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
+    return _Coded(codes, list(index))
+
+
 def _factorize(column, j: int) -> tuple[np.ndarray, int]:
     """Codes in ``[0, k)`` equal exactly where the column's values are equal."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         uniques, codes = np.unique(column, return_inverse=True)
         nan_codes = np.flatnonzero(uniques != uniques)
     else:
-        uniques = {v: k for k, v in enumerate(dict.fromkeys(column))}
-        codes = np.fromiter(map(uniques.__getitem__, column), np.int64, len(column))
-        nan_codes = [k for v, k in uniques.items() if v != v]
+        codes, uniques = column if isinstance(column, _Coded) else _code(column)
+        nan_codes = [k for k, v in enumerate(uniques) if v != v]
     if len(nan_codes):
         i = int(np.argmax(np.isin(codes, nan_codes)))
         raise DesignError(f"covariate column {j} has a NaN at row {i}")
     return codes, len(uniques)
 
 
+# Largest product of column cardinalities that one int64 key can index.
+_KEY_SPAN = 2**63
+
+
 def _design_from_columns(columns, instrument) -> SaturatedDesign:
     """Group rows by their tuple of covariate values, one entry per column.
 
     ``instrument`` is an int64 array of 0/1 flags of length n, and each
-    column a numeric ndarray or a sequence of hashable values of length n.
-    Groups are numbered in order of first appearance and keyed by their
-    first row's values; no covariate columns make one group.
+    column a numeric ndarray, a ``_Coded`` column or a sequence of hashable
+    values of length n.  Groups are numbered in order of first appearance
+    and keyed by their first row's values; no covariate columns make one
+    group.
+
+    The columns fold into one int64 key per row in ``[0, span)``, compacted
+    by a sort only if the next fold could overflow or, at the end, if the
+    span exceeds n; the groups are then found by direct addressing.
     """
-    key = np.zeros(instrument.size, dtype=np.int64)
+    n = instrument.size
+    key = np.zeros(n, dtype=np.int64)
+    span = 1
     for j, column in enumerate(columns):
         codes, k = _factorize(column, j)
-        if j > 1:
-            # Two folds can reach n**2; compact to [0, n) so this one cannot
-            # overflow int64.
-            key = np.unique(key, return_inverse=True)[1]
+        if span * k > _KEY_SPAN:
+            key, span = _compact(key)
         key = key * k + codes
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    first = first[order]
+        span *= k
+    if span > n:
+        key, span = _compact(key)
+    # Each key's first row, then the keys present in order of it.
+    first = np.full(span, n, dtype=np.int64)
+    np.minimum.at(first, key, np.arange(n))
+    present = np.flatnonzero(first < n)
+    present = present[np.argsort(first[present])]
+    first = first[present]
     G = first.size
-    rank = np.empty(G, dtype=np.int64)
-    rank[order] = np.arange(G)
-    group_of = rank[inverse]
+    group_id = np.empty(span, dtype=np.int64)
+    group_id[present] = np.arange(G)
+    group_of = group_id[key]
 
-    picks = first.tolist()
-    per_column = [
-        column[first].tolist()
-        if isinstance(column, np.ndarray)
-        else list(map(column.__getitem__, picks))
-        for column in columns
-    ]
+    per_column = [_cells_at(column, first) for column in columns]
     keys = tuple(zip(*per_column)) if columns else ((),) * G
     return SaturatedDesign(group_of, instrument, group_keys=keys)
+
+
+def _compact(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """The key renumbered onto ``[0, distinct keys)``, and that count."""
+    uniques, inverse = np.unique(key, return_inverse=True)
+    return inverse, uniques.size
+
+
+def _cells_at(column, rows: np.ndarray) -> list:
+    if isinstance(column, np.ndarray):
+        return column[rows].tolist()
+    if isinstance(column, _Coded):
+        return column.cells(rows)
+    return list(map(column.__getitem__, rows.tolist()))
 
 
 def validate_group_sizes(

@@ -491,6 +491,7 @@ def sive_report(
     """
     table, T = _moments(design, sample)
     beta_hat = _point_estimate(EstimatorKind.SIVE, table, T)
-    variance = sive_variance(design, sample.outcome, T, beta_hat)
+    at_beta_hat = _CellMoments(design, T, sample.outcome, beta_hat, base=table)
+    variance = _single(_sive_variance(at_beta_hat, T))
     fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
     return _normal_report(beta_hat, variance, alpha, beta0, fs_diag)

@@ -433,8 +433,9 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     (per estimator) and ``hits`` (per variant).
 
     The chunk builds one moment table at center 0 for every estimator and,
-    when variants are requested, one at each draw's SIVE estimate for both
-    variances.  Errors and tests are against each draw's own ``beta_sive``.
+    when variants are requested, one on top of it at each draw's SIVE
+    estimate for both variances.  Errors and tests are against each draw's
+    own ``beta_sive``.
     A failed draw is attrition for everything, a failed estimate for its own
     estimator (SIVE's also for every variant), and a failed variance or test
     for its own variant.
@@ -454,7 +455,8 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     ok = valid & ~np.isnan(beta_hat)
     if not ok.any():
         return
-    at_beta_hat = _CellMoments(stack, T, Y, np.where(ok, beta_hat, 0.0)[:, None])
+    center = np.where(ok, beta_hat, 0.0)[:, None]
+    at_beta_hat = _CellMoments(stack, T, Y, center, base=table)
     for variant in hits:
         variance = _sive_variance if variant == "vhat" else _chao_variance
         tests = zip(

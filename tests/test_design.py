@@ -18,6 +18,8 @@ from sivreg import (
     validate_group_sizes,
 )
 
+from sivreg import design as design_module
+
 from conftest import random_design
 
 
@@ -450,10 +452,7 @@ def _covariate_inputs(draw):
     return rows, instrument
 
 
-@settings(max_examples=300, deadline=None)
-@given(_covariate_inputs())
-def test_build_design_matches_per_row_dict_loop(case):
-    rows, instrument = case
+def _assert_matches_reference(rows, instrument):
     group_of, keys, sizes, treated = _reference_design(rows, instrument)
     d = build_design(rows, instrument)
     np.testing.assert_array_equal(d.group_of, group_of)
@@ -463,3 +462,35 @@ def test_build_design_matches_per_row_dict_loop(case):
     for new, old in zip(d.group_keys, keys):
         assert isinstance(new, tuple) and len(new) == len(old)
         assert all(_same_value(a, b) for a, b in zip(new, old)), (new, old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_covariate_inputs())
+def test_build_design_matches_per_row_dict_loop(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_build_design_matches_per_row_dict_loop_at_scale(monkeypatch, wide):
+    # 1e5 shuffled rows: two numeric columns holding both -0.0 and 0.0, and a
+    # text column.  The wide case adds two columns of many values, so the
+    # cardinality product passes 2**63 and the key must be compacted before
+    # the last fold as well as after it.
+    n = 100_000
+    rng = np.random.default_rng(20 + wide)
+    pool = np.array([-0.0, 0.0, 1.0, -2.5, 7.0])
+    if wide:
+        pool = np.concatenate([pool, rng.standard_normal(60_000)])
+    columns = [rng.choice(pool, n), rng.choice(pool, n),
+               rng.choice(["north", "south", "east"], n)]
+    if wide:
+        columns += [rng.integers(0, 60_000, n), rng.integers(0, 60_000, n)]
+    columns = [c.tolist() for c in columns]
+    rows = list(zip(*columns))
+    rows = [rows[i] for i in rng.permutation(n)]
+    compactions = []
+    real_compact = design_module._compact
+    monkeypatch.setattr(design_module, "_compact",
+                        lambda key: compactions.append(1) or real_compact(key))
+    _assert_matches_reference(rows, rng.integers(0, 2, n))
+    assert len(compactions) == (2 if wide else 0)

@@ -43,7 +43,7 @@ from sivreg import (
 from sivreg.blockops import GroupSizeError, _CellMoments
 from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
 from sivreg.oracle import assemble, oracle_chao_variance, oracle_estimate, oracle_variance
-from sivreg import simulation
+from sivreg import blockops, simulation
 from sivreg.simulation import _run_grid
 
 from conftest import random_design, strong_sample
@@ -726,6 +726,34 @@ def test_moment_table_pass_counts(monkeypatch):
             rows = bias_rows + size_rows
             assert all(r["value"] == 0.0 for r in rows if r["metric"] == "attrition")
             assert len(calls) == per_chunk * chunks
+
+
+_TABLE_SUMS = ("k", "mean_T", "mean_Y", "s20", "s11", "s02", "s30", "s21", "s12",
+               "s40", "s31", "s22")
+
+
+def test_table_on_a_base_reuses_the_sums_free_of_the_center(monkeypatch):
+    # Counts, means and s20 do not depend on the center: a table at beta
+    # built on the center-0 table forms 8 cell sums, not 11, and is bit-equal
+    # to one built from scratch.  The report makes 4 + 8 sums.
+    sums = []
+    real_sum = blockops._cell_sum
+    monkeypatch.setattr(blockops, "_cell_sum", lambda *a: sums.append(1) or real_sum(*a))
+    rng = np.random.default_rng(46)
+    d = random_design(rng, G=6, size_range=(6, 14))
+    s = strong_sample(rng, d)
+    Y, T = s.outcome, s.treatment
+    base = _CellMoments(d, T, Y, order=2)
+    fresh = _CellMoments(d, T, Y, 0.7)
+    sums.clear()
+    shared = _CellMoments(d, T, Y, 0.7, base=base)
+    assert len(sums) == 8
+    for name in _TABLE_SUMS:
+        assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
+    sums.clear()
+    report = sive_report(d, s)
+    assert len(sums) == 12
+    assert report.variance == sive_variance(d, Y, T, report.beta_hat)
 
 
 _VECTOR_ENTRY_POINTS = {

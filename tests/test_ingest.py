@@ -2,6 +2,7 @@
 finiteness rule both paths share."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from sivreg import cli
 from sivreg.cli import _float_column, _read_columns, _tokenized_columns, main
+from sivreg.design import _Coded
 
 from conftest import random_design, strong_sample
 
@@ -93,7 +95,9 @@ def test_tokenizer_agrees_with_csv_reader_or_hands_over(tmp_path, case):
             assert values.dtype == np.float64 and values.shape == ref.shape
             assert np.array_equal(values.view(np.int64), ref.view(np.int64)), col
         else:
-            assert values == [cell.strip() for cell in expected[col]], col
+            # A text column comes back coded; compare it cell by cell.
+            assert isinstance(values, _Coded), col
+            assert values.cells() == [cell.strip() for cell in expected[col]], col
 
 
 def write(tmp_path, name, text):
@@ -119,7 +123,7 @@ def test_tokenizer_reads_ordinary_files(tmp_path, text):
     expected = _read_columns(path, ["y", "t", "w"])
     for col in ("y", "t"):
         assert fast[col].tolist() == _float_column(expected, col).tolist()
-    assert fast["w"] == [cell.strip() for cell in expected["w"]]
+    assert fast["w"].cells() == [cell.strip() for cell in expected["w"]]
 
 
 @pytest.mark.parametrize(
@@ -208,6 +212,40 @@ def test_cli_outputs_equal_with_and_without_tokenizer(tmp_path, capsys, monkeypa
         first, second = both_paths([argv[0], "--data", data, *argv[1:]], capsys, monkeypatch)
         assert first[0] == 0, first[2]
         assert first == second
+
+
+# Cells of one label that differ only by surrounding whitespace (quoted or
+# not), and numeric-looking cells below a text first row: group g's cells.
+PADDED = [[" x", "x", "x ", '"x  "'], ["1"], ["1.0"], ["b", "\tb", '" b"'], [" 2.5 "]]
+
+
+def padded_text(seed=51):
+    rng = np.random.default_rng(seed)
+    d = random_design(rng, G=len(PADDED), size_range=(8, 12))
+    s = strong_sample(rng, d, tau=1.0, pi=1.2)
+    lines = ["y,t,z,w"]
+    columns = zip(s.outcome.tolist(), s.treatment.tolist(), d.instrument.tolist(),
+                  d.group_of.tolist())
+    for i, (y, t, z, g) in enumerate(columns):
+        # Row 0 opens group 0, with a padded variant.
+        cell = PADDED[g][0 if i == 0 else int(rng.integers(len(PADDED[g])))]
+        lines.append(f"{y!r},{t!r},{z},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_outputs_equal_with_padded_text_cells(tmp_path, capsys, monkeypatch):
+    data = write(tmp_path, "padded.csv", padded_text())
+    fast = _tokenized_columns(data, ["y", "t", "z", "w"])
+    assert isinstance(fast["w"], _Coded)
+    assert fast["w"].labels == ["x", "1", "1.0", "b", "2.5"]
+    audit = ["audit", "--data", data, "--instrument", "z", "--covariates", "w"]
+    for argv in (["estimate", "--data", data, *BASE], audit, [*audit, "--min-active", "99"]):
+        first, second = both_paths(argv, capsys, monkeypatch)
+        assert first[0] == 0, first[2]
+        assert first == second
+    # Every group violates the last audit's threshold, so each key is listed.
+    keys = [v["key"] for v in json.loads(first[1])["audit"]["violations"]]
+    assert keys == [["x"], ["1"], ["1.0"], ["b"], ["2.5"]]
 
 
 @pytest.mark.parametrize(

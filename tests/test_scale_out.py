@@ -23,3 +23,23 @@ def test_scale_out_runs_estimate_on_a_generated_csv(tmp_path):
     # 2000 rows over 1000 groups: the size filter keeps only some of them
     assert 0 < report["design_summary"]["n"] <= 2000
     assert report["estimate"]["beta_hat"] is not None
+
+
+def test_scale_out_repeat_reports_the_median_wall_time(tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--rows", "2000", "--seed", "4", "--repeat", "3",
+         "--dir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["repeat"] == 3 and result["exit_code"] == 0
+    runs = result["wall_runs_s"]
+    assert len(runs) == 3 and result["wall_s"] == sorted(runs)[1]
+    assert result["peak_rss_mb"] > 0.0
+
+
+def test_scale_out_refuses_a_repeat_below_one():
+    out = subprocess.run([sys.executable, str(SCRIPT), "--repeat", "0"],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and "--repeat must be at least 1" in out.stderr
