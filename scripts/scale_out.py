@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Wall time and peak memory of ``sivreg estimate`` on a large CSV.
 
-Usage: python scripts/scale_out.py [--rows N] [--seed S] [--repeat K] [--dir DIR]
+Usage: python scripts/scale_out.py [--rows N] [--seed S] [--repeat K] [--levels L]
+                                   [--dir DIR]
 
-Writes a seeded CSV with the columns ``id,y,t,educ,a,b,region`` (1000
-covariate groups: integer a and b, string region; ``educ > 12`` exactly when
-the instrument is on), then runs ``python -m sivreg estimate`` on it in a
-child process K times (default 1), with this checkout's ``src`` on the path.
+Writes a seeded CSV with the columns ``id,y,t,educ,a,b,region`` (L**3
+covariate groups, 1000 by default: integer a and b and string region with L
+levels each; ``educ > 12`` exactly when the instrument is on), then runs
+``python -m sivreg estimate`` on it in a child process K times (default 1),
+with this checkout's ``src`` on the path.
 Prints one JSON line: rows, CSV size, the children's exit code (the first
 non-zero one; later runs are skipped), the median and each wall time, and the
 largest peak RSS of any child (``RUSAGE_CHILDREN``; the CSV is written in
@@ -32,14 +34,14 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-LEVELS = 10  # levels of each of a, b and region
+LEVELS = 10  # default levels of each of a, b and region
 CHUNK = 100_000
 
 
-def write_csv(path: Path, rows: int, seed: int) -> None:
-    """A seeded sample over LEVELS**3 groups, written CHUNK rows at a time."""
+def write_csv(path: Path, rows: int, seed: int, levels: int = LEVELS) -> None:
+    """A seeded sample over ``levels**3`` groups, written CHUNK rows at a time."""
     rng = np.random.default_rng(seed)
-    groups = LEVELS**3
+    groups = levels**3
     propensity = rng.uniform(0.3, 0.7, groups)
     base = rng.uniform(0.15, 0.35, groups)
     complier = rng.uniform(0.2, 0.45, groups)
@@ -55,7 +57,7 @@ def write_csv(path: Path, rows: int, seed: int) -> None:
             t = (latent < base[code] + complier[code] * z).astype(np.int64)
             y = level[code] + effect[code] * t + 1.2 * (latent - 0.5) + rng.standard_normal(k)
             educ = np.where(z, rng.integers(13, 21, k), rng.integers(8, 13, k))
-            a, b, r = code // LEVELS**2, (code // LEVELS) % LEVELS, code % LEVELS
+            a, b, r = code // levels**2, (code // levels) % levels, code % levels
             fh.writelines(
                 f"{i},{yi!r},{ti},{ei},{ai},{bi},region_{ri:02d}\n"
                 for i, yi, ti, ei, ai, bi, ri in zip(
@@ -65,9 +67,9 @@ def write_csv(path: Path, rows: int, seed: int) -> None:
             )
 
 
-def measure(work: Path, rows: int, seed: int, repeat: int = 1) -> dict:
+def measure(work: Path, rows: int, seed: int, repeat: int = 1, levels: int = LEVELS) -> dict:
     data, report = work / "scale_out.csv", work / "scale_out.json"
-    write_csv(data, rows, seed)
+    write_csv(data, rows, seed, levels)
     argv = [
         sys.executable, "-m", "sivreg", "estimate", "--data", str(data),
         "--outcome", "y", "--treatment", "t", "--instrument", "educ",
@@ -87,6 +89,7 @@ def measure(work: Path, rows: int, seed: int, repeat: int = 1) -> dict:
     result = {
         "rows": rows,
         "seed": seed,
+        "levels": levels,
         "csv_mb": round(data.stat().st_size / 2**20, 1),
         "exit_code": child.returncode,
         "repeat": repeat,
@@ -105,16 +108,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeat", type=int, default=1,
                         help="run the child this many times on the one CSV")
+    parser.add_argument("--levels", type=int, default=LEVELS,
+                        help="levels of each of a, b and region (levels**3 groups)")
     parser.add_argument("--dir", default=None, help="keep the CSV and report here")
     args = parser.parse_args(argv)
     if args.rows < 1:
         parser.error("--rows must be at least 1")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.levels < 1:
+        parser.error("--levels must be at least 1")
     kept = contextlib.nullcontext(args.dir) if args.dir else tempfile.TemporaryDirectory()
     with kept as work:
         Path(work).mkdir(parents=True, exist_ok=True)
-        result = measure(Path(work), args.rows, args.seed, args.repeat)
+        result = measure(Path(work), args.rows, args.seed, args.repeat, args.levels)
     print(json.dumps(result))
     return result["exit_code"]
 

@@ -21,6 +21,7 @@ import enum
 import hashlib
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -180,11 +181,16 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
     file over to ``_read_columns``.
 
     The header and the first data row are read with ``csv`` to type each
-    column: float64 for a wanted column whose first cell is a number, text
-    for any other wanted column, one character for an unused one.  A text
-    column is coded as it is read: its converter numbers the distinct raw
-    cells in order of first appearance, so the strip and the checks below
-    run once per distinct cell.
+    column: int64 for a wanted column whose first cell is an ASCII integer
+    literal, float64 for one whose first cell is another number, text for
+    any other wanted column, one character for an unused one.  An int64
+    column is cast to float64 afterwards, which is exact: an int64 rounds to
+    the double that strtod gives its digits.  If the read fails while a
+    column is typed int64 (say a later ``2.5``, or an integer past int64),
+    it is read once more with those columns as float64.  A text column is
+    coded as it is read: its converter numbers the distinct raw cells in
+    order of first appearance, so the strip and the checks below run once
+    per distinct cell.
     ``np.loadtxt`` reads every column, so a row with too many or too few
     fields raises, as does a number it cannot parse.  A blank cell or a line
     break inside a text cell of a wanted column is handed over too, so every
@@ -202,27 +208,15 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
             first = next(filter(None, reader), None)
         if first is None or len(first) != len(header):
             return None
-        numeric = [c in wanted and _is_number(cell) for c, cell in zip(header, first)]
-        text = {
-            j: _coder() for j, c in enumerate(header) if c in wanted and not numeric[j]
-        }
         # An unused column is never read; one character is the cheapest to keep.
-        kinds = [
-            "f8" if num else "i8" if j in text else "U1" for j, num in enumerate(numeric)
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # e.g. "no data"
-            table = np.loadtxt(
-                csv_path,
-                dtype=[(f"f{j}", kind) for j, kind in enumerate(kinds)],
-                delimiter=",",
-                comments=None,
-                quotechar='"',
-                encoding="utf-8-sig",
-                skiprows=1,
-                ndmin=1,
-                converters={j: index.__getitem__ for j, index in text.items()},
-            )
+        kinds = [_kind(cell) if c in wanted else "U1" for c, cell in zip(header, first)]
+        try:
+            table, text = _loadtxt(csv_path, kinds)
+        except (ValueError, UserWarning):
+            if "i8" not in kinds:
+                raise
+            kinds = ["f8" if kind == "i8" else kind for kind in kinds]
+            table, text = _loadtxt(csv_path, kinds)
     except (OSError, ValueError, UserWarning, csv.Error):
         return None
     columns = {}
@@ -231,8 +225,9 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
             continue
         j = header.index(c)
         values = table[f"f{j}"]
-        if numeric[j]:
-            columns[c] = values.copy()
+        if kinds[j] in ("i8", "f8"):
+            # float64, with a -0 cell read as +0.0, as an int64 one is
+            columns[c] = values + 0.0
             continue
         coded = _Coded(values.copy(), list(text[j])).relabel(str.strip)
         # loadtxt reads the file with universal newlines, so a quoted line
@@ -243,12 +238,41 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
     return columns
 
 
-def _is_number(cell: str) -> bool:
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _kind(cell: str) -> str:
+    """How a wanted column whose first cell is ``cell`` is read: "i8" for an
+    ASCII integer literal, "f8" for another number, "text" otherwise."""
+    cell = cell.strip()
+    if _INTEGER.fullmatch(cell):
+        return "i8"
     try:
-        float(cell.strip())
+        float(cell)
     except ValueError:
-        return False
-    return True
+        return "text"
+    return "f8"
+
+
+def _loadtxt(csv_path, kinds) -> tuple[np.ndarray, dict]:
+    """One ``np.loadtxt`` of every column, column j as ``kinds[j]``; a text
+    column ("text") is read as int64 codes through a fresh coder, returned by
+    column index."""
+    text = {j: _coder() for j, kind in enumerate(kinds) if kind == "text"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # e.g. "no data"
+        table = np.loadtxt(
+            csv_path,
+            dtype=[(f"f{j}", "i8" if j in text else kind) for j, kind in enumerate(kinds)],
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            encoding="utf-8-sig",
+            skiprows=1,
+            ndmin=1,
+            converters={j: index.__getitem__ for j, index in text.items()},
+        )
+    return table, text
 
 
 def _load_columns(csv_path, needed, binarize) -> dict:
@@ -283,7 +307,8 @@ def _float_column(columns: dict, col: str, strings_ok: bool = False):
             return values
         values = values.cells()
     try:
-        return np.array(list(map(float, map(str.strip, values))))
+        # + 0.0 reads a -0 cell as +0.0, as the tokenizer's int64 columns do.
+        return np.array(list(map(float, map(str.strip, values)))) + 0.0
     except ValueError:
         pass
     if strings_ok:

@@ -341,8 +341,16 @@ def _code(cells) -> _Coded:
 
 
 def _factorize(column, j: int) -> tuple[np.ndarray, int]:
-    """Codes in ``[0, k)`` equal exactly where the column's values are equal."""
+    """Codes in ``[0, k)`` equal exactly where the column's values are equal.
+
+    A numeric column gets the codes of ``np.unique(..., return_inverse=True)``,
+    which number its values in sorted order; ``_dense_codes`` gives them
+    without a sort where it can.
+    """
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        dense = _dense_codes(column)
+        if dense is not None:
+            return dense
         uniques, codes = np.unique(column, return_inverse=True)
         nan_codes = np.flatnonzero(uniques != uniques)
     else:
@@ -352,6 +360,33 @@ def _factorize(column, j: int) -> tuple[np.ndarray, int]:
         i = int(np.argmax(np.isin(codes, nan_codes)))
         raise DesignError(f"covariate column {j} has a NaN at row {i}")
     return codes, len(uniques)
+
+
+def _dense_codes(column: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """``np.unique``'s inverse and count for an int64 column, or a float64
+    one on the integer grid above its minimum, that spans at most n values;
+    None for any other column (NaN, infinite, non-integral, wide, or of
+    another dtype).
+
+    Each value's offset ``v - min`` is an index into a table of the span:
+    a bincount marks the offsets present, and their running count numbers
+    them in sorted order.  A float offset is rounding-free when ``offset +
+    min`` gives back v, so distinct values have distinct offsets.
+    """
+    n = column.size
+    if not n or column.dtype not in (np.int64, np.float64):
+        return None
+    lo, hi = column.min().item(), column.max().item()
+    if not hi - lo < n:  # also False where lo or hi is NaN or infinite
+        return None
+    offsets = column - lo
+    if column.dtype == np.float64:
+        as_int = offsets.astype(np.int64)
+        if not np.array_equal(as_int + lo, column):
+            return None
+        offsets = as_int
+    rank = np.cumsum(np.bincount(offsets) > 0) - 1
+    return rank[offsets], int(rank[-1]) + 1
 
 
 # Largest product of column cardinalities that one int64 key can index.

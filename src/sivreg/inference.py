@@ -278,13 +278,16 @@ def _robust_set(
     table: _CellMoments, crit: float, two_sided: bool
 ) -> list[tuple[float, float]]:
     """Exact set of beta0 that the robust test does not reject, as closed
-    intervals, from a fourth-order table at center 0.
+    intervals, from a fourth-order table at any center.
 
     The decision (``_accepts``) can change only where V or ``Q = S^2 -
     crit^2 V`` changes sign.  With ``crit > 0`` every such breakpoint (a real
     root of V or Q) is itself accepted, and membership is constant between
-    breakpoints, so one probe per gap and per ray decides the rest.
-    Endpoints may be infinite.
+    breakpoints, so one probe per gap and per ray decides the rest.  All of
+    this is solved in ``d = beta0 - center`` and shifted back at the end.
+    The center should lie where the set is reported: far from it, V's
+    coefficients cancel badly when T explains most of Y.  Endpoints may be
+    infinite.
     """
     score, variance = _robust_polynomials(table)
     q = polymul(score, score) - crit**2 * variance
@@ -311,7 +314,7 @@ def _robust_set(
             intervals[-1] = (intervals[-1][0], hi)
         else:
             intervals.append((lo, hi))
-    return intervals
+    return [(lo + table.center, hi + table.center) for lo, hi in intervals]
 
 
 def robust_ci(
@@ -327,28 +330,33 @@ def robust_ci(
     The set of hypothesized values the robust test does not reject is solved
     in closed form: the score is linear and its variance estimate exactly
     quadratic in beta0, so the endpoints are roots of two quadratics, found
-    from one moment table at 0.  The set can be bounded, a union of two
-    rays, the whole line or empty.  ``unbounded`` flags an exact set that
-    extends to infinity.  A one-sided set needs ``alpha < 0.5``.
+    from one moment table centred in the reporting window (below).  The set
+    can be bounded, a union of two rays, the whole line or empty.
+    ``unbounded`` flags an exact set that extends to infinity.  A one-sided
+    set needs ``alpha < 0.5``.
 
     ``grid`` is the reporting window ``{"low", "high", "step"}``: the exact
     set is clipped to ``[low, high]``, and ``unbounded_within_grid`` flags
     acceptance at either window edge.  ``step`` no longer affects the set; it
     is validated and echoed (default: the range divided by 400) only for
     compatibility.  Without a grid, the window defaults to the point estimate
-    (read from the same table) plus/minus 10 standard errors, which requires
-    the standard variance to exist.  The result lists the maximal intervals
-    of the clipped set, which may be empty, disjoint or single points.
+    plus/minus 10 standard errors, which requires the standard variance to
+    exist.  The set is solved on the table at the point estimate that gives
+    that variance, or, with a grid, on a table at the window's midpoint.
+    The result lists the maximal intervals of the clipped set, which may be
+    empty, disjoint or single points.
     """
     _check_alpha(alpha)
     Y, T = _check_vector(design, Y), _check_vector(design, T)
     crit = _critical_value(alpha, two_sided)
     if not crit > 0.0:
         raise ValueError("a one-sided robust confidence set needs alpha < 0.5")
-    table = _CellMoments(design, T, Y)
+    table = None
     if grid is None:
-        beta_hat = _point_estimate(EstimatorKind.SIVE, table, T)
-        variance = sive_variance(design, Y, T, beta_hat)
+        base = _CellMoments(design, T, Y, order=2)
+        beta_hat = _point_estimate(EstimatorKind.SIVE, base, T)
+        table = _CellMoments(design, T, Y, beta_hat, base=base)
+        variance = _single(_sive_variance(table, T))
         if not variance > 0.0:
             raise NonpositiveVarianceError(
                 "cannot derive a default grid: the variance estimate is not "
@@ -364,6 +372,8 @@ def robust_ci(
     if step <= 0.0:
         raise ValueError("grid step must be positive")
 
+    if table is None:
+        table = _CellMoments(design, T, Y, 0.5 * (low + high))
     exact = _robust_set(table, crit, two_sided)
     intervals = [
         (float(max(lo, low)), float(min(hi, high)))

@@ -494,3 +494,30 @@ def test_build_design_matches_per_row_dict_loop_at_scale(monkeypatch, wide):
                         lambda key: compactions.append(1) or real_compact(key))
     _assert_matches_reference(rows, rng.integers(0, 2, n))
     assert len(compactions) == (2 if wide else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_factorize_codes_a_numeric_column_as_np_unique(data):
+    # Integral int64 and float64 columns of n values spanning n - 1, n or
+    # n + 1 integers, negative and large ones among them, with -0.0 for some
+    # float zeros: the codes and count of np.unique(..., return_inverse=True),
+    # by direct addressing exactly where the int64 span is at most n.
+    n = data.draw(st.integers(2, 40), label="n")
+    span = data.draw(st.sampled_from([n - 1, n, n + 1]), label="span")
+    offsets = data.draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    offsets[:2] = [0, span - 1]  # the span is hit exactly
+    low = data.draw(st.sampled_from([-(2**62), -(2**52), -n, -1, 0, 5, 2**52]), label="low")
+    ints = np.array(offsets, dtype=np.int64) + low
+    floats = ints.astype(np.float64)
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    floats[(floats == 0.0) & np.array(signs)] = -0.0
+    for column in (ints, floats):
+        uniques, inverse = np.unique(column, return_inverse=True)
+        codes, k = design_module._factorize(column, 0)
+        assert codes.tolist() == inverse.tolist() and k == uniques.size
+    assert (design_module._dense_codes(ints) is not None) == (span <= n)
+    nan_row = data.draw(st.integers(0, n - 1), label="nan_row")
+    floats[[nan_row, -1]] = np.nan
+    with pytest.raises(DesignError, match=f"column 2 has a NaN at row {nan_row}$"):
+        design_module._factorize(floats, 2)

@@ -735,7 +735,8 @@ _TABLE_SUMS = ("k", "mean_T", "mean_Y", "s20", "s11", "s02", "s30", "s21", "s12"
 def test_table_on_a_base_reuses_the_sums_free_of_the_center(monkeypatch):
     # Counts, means and s20 do not depend on the center: a table at beta
     # built on the center-0 table forms 8 cell sums, not 11, and is bit-equal
-    # to one built from scratch.  The report makes 4 + 8 sums.
+    # to one built from scratch.  The report and robust_ci without a window
+    # make 4 + 8 sums, robust_ci with one 11.
     sums = []
     real_sum = blockops._cell_sum
     monkeypatch.setattr(blockops, "_cell_sum", lambda *a: sums.append(1) or real_sum(*a))
@@ -754,6 +755,10 @@ def test_table_on_a_base_reuses_the_sums_free_of_the_center(monkeypatch):
     report = sive_report(d, s)
     assert len(sums) == 12
     assert report.variance == sive_variance(d, Y, T, report.beta_hat)
+    for grid, count in ((None, 12), ({"low": -5.0, "high": 5.0}, 11)):
+        sums.clear()
+        robust_ci(d, Y, T, grid=grid)
+        assert len(sums) == count
 
 
 _VECTOR_ENTRY_POINTS = {
@@ -791,8 +796,8 @@ def test_non_finite_vectors_are_rejected(entry, vector, bad):
 def test_entry_points_read_each_moment_table_once(monkeypatch, tmp_path):
     # The report and the command line's blockwise estimators share their
     # center-0 table between the estimate and the first-stage strength, and
-    # robust_ci without a window takes the point estimate from the
-    # fourth-order table at 0 it solves the set on.
+    # robust_ci without a window solves the set on the table at the point
+    # estimate that gives the window's variance.
     import sivreg
     from sivreg.cli import DatasetSchema, cmd_estimate
 

@@ -16,7 +16,10 @@ from sivreg.design import _Coded
 from conftest import random_design, strong_sample
 
 NAMES = ["y", "t", "z", "w", "note"]
-NUMBERS = ["0", "1", "-2.5", "3", "0.125"]
+# The integer literals type a first-row column as int64; the last one is past
+# int64, and 2**53 + 1 rounds to 2**53 as float64.
+NUMBERS = ["0", "1", "-2.5", "3", "0.125", "-0", "+7", "007", "9007199254740993",
+           "99999999999999999999"]
 ODD_NUMBERS = ["1_0", "nan", "-nan", "inf", "-inf", "Infinity", "+1.5", ".5", "1e5",
                "١", "1\x1c"]
 TEXT = ["abc", "a b", "region_01", "été", 'x"y', "", "1,5", "a\nb", "a\r\nb"]
@@ -144,6 +147,19 @@ def test_tokenizer_reads_ordinary_files(tmp_path, text):
 )
 def test_tokenizer_hands_over(tmp_path, text):
     assert _tokenized_columns(write(tmp_path, "odd.csv", text), ["y", "w"]) is None
+
+
+@pytest.mark.parametrize("later", ["2.5", "99999999999999999999", "-0.0"])
+def test_integer_column_with_a_later_non_integer_is_still_tokenized(tmp_path, later):
+    # The first cell types y as int64; the read that fails on the later cell
+    # is done again with y as float64 instead of handing the file over.
+    path = write(tmp_path, "later.csv", f"y,w\n-0,a\n3,b\n{later},c\n")
+    fast = _tokenized_columns(path, ["y", "w"])
+    assert fast is not None
+    expected = _float_column(_read_columns(path, ["y"]), "y")
+    assert fast["y"].tobytes() == expected.tobytes()
+    assert fast["y"].tolist() == [0.0, 3.0, float(later)]
+    assert not np.signbit(fast["y"]).any()
 
 
 def test_loadtxt_rejects_underscores_that_float_accepts(tmp_path):

@@ -181,3 +181,38 @@ def test_robust_ci_endpoints_match_dense_score_test():
                 assert not accepts(end - inward * step)
                 checked += 1
     assert checked >= 2
+
+
+def test_robust_ci_endpoints_are_exact_when_treatment_explains_the_outcome():
+    # Y = 1e4 T + 1e-4 noise: expanded around 0, the score variance's
+    # coefficients cancel in their leading digits, and the set came out
+    # empty (seed 64) or with endpoints where the dense statistic is 2.4 and
+    # 2.9 (seed 66).  Centred in the reporting window, every finite endpoint
+    # is accepted just inside and rejected just outside.
+    crit = float(norm.ppf(0.975))
+    checked = 0
+    for seed in (64, 66):
+        rng = np.random.default_rng(seed)
+        d = random_design(rng, G=20, size_range=(16, 24))
+        s = strong_sample(rng, d)
+        T = s.treatment
+        Y = 1e4 * T + 1e-4 * s.outcome
+        dense = assemble(d)
+        t_a_t = float(T @ dense.A @ T)
+
+        def accepts(beta):
+            score = float(T @ dense.A @ (Y - beta * T))
+            var = oracle_variance(dense, Y, T, beta) * t_a_t**2
+            return not var > 0.0 or abs(score) <= crit * np.sqrt(var)
+
+        for grid in (None, {"low": 9999.0, "high": 10003.0}):
+            res = robust_ci(d, Y, T, grid=grid)
+            assert len(res["intervals"]) == 1
+            lo, hi = res["intervals"][0]
+            step = 1e-3 * (hi - lo)
+            for end, inward in ((lo, 1.0), (hi, -1.0)):
+                assert end not in (res["grid"]["low"], res["grid"]["high"])
+                assert accepts(end + inward * step)
+                assert not accepts(end - inward * step)
+                checked += 1
+    assert checked == 8

@@ -43,3 +43,20 @@ def test_scale_out_refuses_a_repeat_below_one():
     out = subprocess.run([sys.executable, str(SCRIPT), "--repeat", "0"],
                          capture_output=True, text=True)
     assert out.returncode == 2 and "--repeat must be at least 1" in out.stderr
+
+
+def test_scale_out_levels_sets_the_covariate_levels(tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--rows", "3000", "--seed", "5", "--levels", "3",
+         "--dir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["levels"] == 3
+    lines = (tmp_path / "scale_out.csv").read_text(encoding="utf-8").splitlines()[1:]
+    a, b, region = zip(*(line.split(",")[4:] for line in lines))
+    assert set(a) == set(b) == {"0", "1", "2"}
+    assert set(region) == {"region_00", "region_01", "region_02"}
+    report = json.loads((tmp_path / "scale_out.json").read_text(encoding="utf-8"))
+    # 3000 rows over 27 groups: every group passes the size filter
+    assert report["design_summary"]["G"] == 27
