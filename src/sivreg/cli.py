@@ -176,14 +176,16 @@ def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
     return columns
 
 
-def _tokenized_columns(csv_path, wanted) -> dict | None:
+def _tokenized_columns(csv_path, wanted, floats=()) -> dict | None:
     """The wanted columns read by numpy's C tokenizer, or None to hand the
     file over to ``_read_columns``.
 
     The header and the first data row are read with ``csv`` to type each
     column: int64 for a wanted column whose first cell is an ASCII integer
     literal, float64 for one whose first cell is another number, text for
-    any other wanted column, one character for an unused one.  An int64
+    any other wanted column, one character for an unused one.  A column
+    named in ``floats`` is never typed int64: a continuous one such as an
+    outcome may start with an integer and hold decimals later.  An int64
     column is cast to float64 afterwards, which is exact: an int64 rounds to
     the double that strtod gives its digits.  If the read fails while a
     column is typed int64 (say a later ``2.5``, or an integer past int64),
@@ -209,15 +211,16 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
         if first is None or len(first) != len(header):
             return None
         # An unused column is never read; one character is the cheapest to keep.
-        kinds = [_kind(cell) if c in wanted else "U1" for c, cell in zip(header, first)]
+        kinds = [_kind(cell, c not in floats) if c in wanted else "U1"
+                 for c, cell in zip(header, first)]
         try:
             table, text = _loadtxt(csv_path, kinds)
-        except (ValueError, UserWarning):
+        except (ValueError, UserWarning, DeprecationWarning):
             if "i8" not in kinds:
                 raise
             kinds = ["f8" if kind == "i8" else kind for kind in kinds]
             table, text = _loadtxt(csv_path, kinds)
-    except (OSError, ValueError, UserWarning, csv.Error):
+    except (OSError, ValueError, UserWarning, DeprecationWarning, csv.Error):
         return None
     columns = {}
     for c in wanted:
@@ -241,11 +244,12 @@ def _tokenized_columns(csv_path, wanted) -> dict | None:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _kind(cell: str) -> str:
+def _kind(cell: str, integer: bool = True) -> str:
     """How a wanted column whose first cell is ``cell`` is read: "i8" for an
-    ASCII integer literal, "f8" for another number, "text" otherwise."""
+    ASCII integer literal (if ``integer``), "f8" for another number, "text"
+    otherwise."""
     cell = cell.strip()
-    if _INTEGER.fullmatch(cell):
+    if integer and _INTEGER.fullmatch(cell):
         return "i8"
     try:
         float(cell)
@@ -257,10 +261,17 @@ def _kind(cell: str) -> str:
 def _loadtxt(csv_path, kinds) -> tuple[np.ndarray, dict]:
     """One ``np.loadtxt`` of every column, column j as ``kinds[j]``; a text
     column ("text") is read as int64 codes through a fresh coder, returned by
-    column index."""
+    column index.
+
+    Warnings are raised: a UserWarning for "no data", and the
+    DeprecationWarning with which numpy 1.23 and later 1.x releases read an
+    int64 cell such as ``2.5``, or one past int64, through a float and cast
+    it instead of failing.
+    """
     text = {j: _coder() for j, kind in enumerate(kinds) if kind == "text"}
     with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # e.g. "no data"
+        warnings.simplefilter("error", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
         table = np.loadtxt(
             csv_path,
             dtype=[(f"f{j}", "i8" if j in text else kind) for j, kind in enumerate(kinds)],
@@ -275,13 +286,15 @@ def _loadtxt(csv_path, kinds) -> tuple[np.ndarray, dict]:
     return table, text
 
 
-def _load_columns(csv_path, needed, binarize) -> dict:
-    """Read the needed columns and the ``--binarize`` ones, then recode the latter."""
+def _load_columns(csv_path, needed, binarize, floats=()) -> dict:
+    """Read the needed columns and the ``--binarize`` ones, then recode the
+    latter; ``floats`` names continuous columns (``_tokenized_columns``)."""
     # Only the column names here: a malformed spec is reported after the
     # row-shape and missing-column errors.
     recoded = [str(spec).rpartition(":")[0] for spec in binarize or ()]
     wanted = [*needed, *recoded]
-    columns = _tokenized_columns(csv_path, wanted) or _read_columns(csv_path, wanted)
+    columns = (_tokenized_columns(csv_path, wanted, floats)
+               or _read_columns(csv_path, wanted))
     missing = [c for c in needed if c not in columns]
     if missing:
         raise CliValidationError(f"missing columns: {', '.join(missing)}")
@@ -405,7 +418,9 @@ def _prepare(
             "outcome and treatment columns are required for this command"
         )
     needed = [schema.outcome_col, schema.treatment_col, schema.instrument_col]
-    columns = _load_columns(csv_path, [*needed, *schema.covariate_cols], binarize)
+    columns = _load_columns(
+        csv_path, [*needed, *schema.covariate_cols], binarize, [schema.outcome_col]
+    )
     raw_design = _raw_design(columns, schema)
     sample = Sample(
         outcome=_finite_column(columns, schema.outcome_col),

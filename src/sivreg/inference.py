@@ -275,10 +275,11 @@ def _real_roots(c: np.ndarray) -> list[float]:
 
 
 def _robust_set(
-    table: _CellMoments, crit: float, two_sided: bool
+    score: np.ndarray, variance: np.ndarray, center: float, crit: float, two_sided: bool
 ) -> list[tuple[float, float]]:
     """Exact set of beta0 that the robust test does not reject, as closed
-    intervals, from a fourth-order table at any center.
+    intervals, from the score and variance polynomials of
+    ``_robust_polynomials`` on a table at ``center``.
 
     The decision (``_accepts``) can change only where V or ``Q = S^2 -
     crit^2 V`` changes sign.  With ``crit > 0`` every such breakpoint (a real
@@ -289,7 +290,6 @@ def _robust_set(
     coefficients cancel badly when T explains most of Y.  Endpoints may be
     infinite.
     """
-    score, variance = _robust_polynomials(table)
     q = polymul(score, score) - crit**2 * variance
     points = _real_roots(variance) + _real_roots(q)
     points = sorted({p for p in points if np.isfinite(p)})
@@ -314,7 +314,7 @@ def _robust_set(
             intervals[-1] = (intervals[-1][0], hi)
         else:
             intervals.append((lo, hi))
-    return [(lo + table.center, hi + table.center) for lo, hi in intervals]
+    return [(lo + center, hi + center) for lo, hi in intervals]
 
 
 def robust_ci(
@@ -342,7 +342,8 @@ def robust_ci(
     compatibility.  Without a grid, the window defaults to the point estimate
     plus/minus 10 standard errors, which requires the standard variance to
     exist.  The set is solved on the table at the point estimate that gives
-    that variance, or, with a grid, on a table at the window's midpoint.
+    that variance, or, with a grid, on a table at the window's midpoint;
+    at 0 if that midpoint is infinite or the table there overflows.
     The result lists the maximal intervals of the clipped set, which may be
     empty, disjoint or single points.
     """
@@ -372,9 +373,18 @@ def robust_ci(
     if step <= 0.0:
         raise ValueError("grid step must be positive")
 
-    if table is None:
-        table = _CellMoments(design, T, Y, 0.5 * (low + high))
-    exact = _robust_set(table, crit, two_sided)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if table is None:
+            # Halves first, so that huge edges do not overflow the sum.
+            center = 0.5 * low + 0.5 * high
+            table = _CellMoments(design, T, Y, center if np.isfinite(center) else 0.0)
+        polynomials = _robust_polynomials(table)
+    if not np.isfinite(np.concatenate(polynomials)).all():
+        # Far from the data, R = Y - center T overflows: solve around 0, as
+        # any overflow there is the data's own, and is reported.
+        table = _CellMoments(design, T, Y, base=table)
+        polynomials = _robust_polynomials(table)
+    exact = _robust_set(*polynomials, table.center, crit, two_sided)
     intervals = [
         (float(max(lo, low)), float(min(hi, high)))
         for lo, hi in exact

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,36 @@ def test_robust_ci_far_grid_is_empty():
     res = robust_ci(d, s.outcome, s.treatment, grid={"low": 50.0, "high": 60.0, "step": 1.0})
     assert res["intervals"] == []
     assert res["unbounded_within_grid"] is False
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        (-np.inf, np.inf),
+        (-np.inf, 5.0),
+        (-5.0, np.inf),
+        (1e308, 1.7e308),  # their sum overflows
+        (-1e308, 1.7e308),  # a finite midpoint, but R = Y - center T overflows
+    ],
+)
+def test_robust_ci_infinite_or_huge_window_is_solved_around_zero(low, high):
+    # A window whose midpoint is infinite or overflows the table gives the
+    # exact set solved on the table at 0, clipped, without a warning.  The
+    # window [-100, 100] is solved there too, and holds the whole set.
+    rng = np.random.default_rng(3)
+    d = random_design(rng, G=200)
+    s = strong_sample(rng, d, pi=2.0)
+    Y, T = s.outcome, s.treatment
+    at_zero = robust_ci(d, Y, T, grid={"low": -100.0, "high": 100.0})
+    exact = at_zero["intervals"]
+    assert len(exact) == 1 and not at_zero["unbounded_within_grid"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = robust_ci(d, Y, T, grid={"low": low, "high": high, "step": 1.0})
+    assert res["intervals"] == [
+        (max(lo, low), min(hi, high)) for lo, hi in exact if lo <= high and hi >= low
+    ]
+    assert res["unbounded"] is False
 
 
 def test_robust_ci_default_grid_needs_positive_variance():

@@ -3,6 +3,7 @@ finiteness rule both paths share."""
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,50 @@ def test_integer_column_with_a_later_non_integer_is_still_tokenized(tmp_path, la
     assert not np.signbit(fast["y"]).any()
 
 
+@pytest.mark.parametrize("later", ["2.5", "99999999999999999999"])
+def test_integer_column_read_through_a_float_with_a_warning_is_retried(
+    tmp_path, monkeypatch, later
+):
+    # numpy 1.23 and later 1.x releases do not fail on such a cell in an
+    # int64 column: they read it through a float, cast it, and only issue a
+    # DeprecationWarning.  That warning must lead to the float64 retry too.
+    real = np.loadtxt
+
+    def warning_loadtxt(fname, dtype, converters, **kwargs):
+        wide = [(name, "f8" if kind == "i8" and int(name[1:]) not in converters else kind)
+                for name, kind in dtype]
+        table = real(fname, dtype=wide, converters=converters, **kwargs)
+        for (name, kind), (_, read_as) in zip(dtype, wide):
+            values = table[name]
+            if kind != read_as and not np.all((values == np.trunc(values))
+                                              & (np.abs(values) < 2.0**63)):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+        with np.errstate(invalid="ignore"):
+            return table.astype(dtype)  # truncated, or cast out of range
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = write(tmp_path, "later.csv", f"y,w\n1,a\n3,b\n{later},c\n")
+    fast = _tokenized_columns(path, ["y", "w"])
+    assert fast is not None
+    assert fast["y"].tolist() == [1.0, 3.0, float(later)]
+
+
+def test_outcome_column_is_never_typed_int64(tmp_path, monkeypatch):
+    # A continuous outcome whose first cell is an integer is read as float64
+    # at once, so a decimal anywhere later costs no second read.
+    kinds = []
+    real = cli._loadtxt
+    monkeypatch.setattr(cli, "_loadtxt", lambda path, k: kinds.append(k) or real(path, k))
+    outcomes = ["12"] + [f"{i}.5" for i in range(1, 40)]
+    rows = [f"{y},{i % 2},{i % 2},{i % 3}" for i, y in enumerate(outcomes)]
+    path = write(tmp_path, "y.csv", "y,t,z,g\n" + "\n".join(rows) + "\n")
+    assert main(["estimate", "--data", path, "--outcome", "y", "--treatment", "t",
+                 "--instrument", "z", "--covariates", "g", "--estimator", "tsls-saturated",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert kinds == [["f8", "i8", "i8", "i8"]]
+
+
 def test_loadtxt_rejects_underscores_that_float_accepts(tmp_path):
     # Known disagreement: the csv path reads "1_0" as 10, so the tokenizer
     # must hand such a file over rather than report it.
@@ -197,7 +242,7 @@ def both_paths(argv, capsys, monkeypatch):
     """Exit code, stdout and stderr with the tokenizer, then without it."""
     first = run(argv, capsys)
     with monkeypatch.context() as m:
-        m.setattr(cli, "_tokenized_columns", lambda csv_path, wanted: None)
+        m.setattr(cli, "_tokenized_columns", lambda csv_path, wanted, floats=(): None)
         second = run(argv, capsys)
     return first, second
 
@@ -311,7 +356,7 @@ def test_csv_error_is_a_validation_error_naming_the_row(tmp_path, capsys, monkey
                                                          text, where):
     data = write(tmp_path, "d.csv", text)
     monkeypatch.setattr(cli, "_FIELD_LIMIT", 8)
-    monkeypatch.setattr(cli, "_tokenized_columns", lambda csv_path, wanted: None)
+    monkeypatch.setattr(cli, "_tokenized_columns", lambda csv_path, wanted, floats=(): None)
     code, out, err = run(["estimate", "--data", data, *BASE], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {data}: {where}: field larger than field limit (8)\n"
