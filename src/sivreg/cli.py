@@ -20,7 +20,6 @@ import csv
 import enum
 import hashlib
 import json
-import math
 import re
 import sys
 import warnings
@@ -59,7 +58,14 @@ from .inference import (
     sive_report,
 )
 from .oracle import assemble, oracle_estimate, oracle_variance
-from .simulation import SimConfig, _require_number, _run_grid, summarize
+from .simulation import (
+    SCHEMA_VERSION,
+    SimConfig,
+    _json_ready,
+    _require_number,
+    _run_grid,
+    summarize,
+)
 
 __all__ = [
     "SpecChoice",
@@ -72,7 +78,6 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -132,8 +137,9 @@ def _csv_field_limit():
         csv.field_size_limit(previous)
 
 
-def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
-    """One ``csv.reader`` pass keeping the cells of the wanted header columns.
+def _read_columns(csv_path, wanted) -> dict[str, _Coded]:
+    """One ``csv.reader`` pass keeping the wanted header columns, each as its
+    stripped cells coded (``_Coded``), the form the tokenizer gives text in.
 
     This is the checked path: it alone raises the row-shape and file-level
     errors, and it reads every file that ``_tokenized_columns`` hands over.
@@ -173,7 +179,7 @@ def _read_columns(csv_path, wanted) -> dict[str, list[str]]:
             raise CliValidationError(f"{csv_path}: {where}: {exc}") from None
     if not i:
         raise CliValidationError(f"{csv_path}: no data rows")
-    return columns
+    return {c: _code(cells).relabel(str.strip) for c, cells in columns.items()}
 
 
 def _tokenized_columns(csv_path, wanted, floats=()) -> dict | None:
@@ -306,40 +312,32 @@ def _load_columns(csv_path, needed, binarize, floats=()) -> dict:
 
 
 def _float_column(columns: dict, col: str, strings_ok: bool = False):
-    """The column's stripped cells as float64.
+    """The column's stripped cells as float64, each distinct label converted
+    once.
 
     A blank cell is an error, and so is a cell that is not a number, unless
-    ``strings_ok``: then the stripped cells are returned coded (``_Coded``).
-    An error names the first bad row.
+    ``strings_ok``: then the coded cells are returned as they are.  An error
+    names the first row of the first bad label; labels are numbered in order
+    of first appearance, so that is the first bad row.
     """
     values = columns[col]
     if isinstance(values, np.ndarray):  # tokenized, or recoded by --binarize
         return values
-    if isinstance(values, _Coded):  # tokenized text, already stripped and checked
-        if strings_ok:
-            return values
-        values = values.cells()
-    try:
-        # + 0.0 reads a -0 cell as +0.0, as the tokenizer's int64 columns do.
-        return np.array(list(map(float, map(str.strip, values)))) + 0.0
-    except ValueError:
-        pass
-    if strings_ok:
-        coded = _code(values).relabel(str.strip)
-        if "" not in coded.labels:
-            return coded
-    cells = list(map(str.strip, values))
-    # Only to name the first bad cell in the error message.
-    for i, cell in enumerate(cells, start=1):
-        if not cell:
-            raise CliValidationError(f"column {col!r}, data row {i}: missing value")
+    codes, labels = values
+    numbers = []
+    for k, label in enumerate(labels):
         try:
-            float(cell)
+            numbers.append(float(label))
+            continue
         except ValueError:
-            if not strings_ok:
-                raise CliValidationError(
-                    f"column {col!r}, data row {i}: cannot parse {cell!r} as a number"
-                ) from None
+            if strings_ok and "" not in labels:
+                return values
+        k = labels.index("") if strings_ok else k
+        row = int(np.argmax(codes == k)) + 1
+        problem = f"cannot parse {labels[k]!r} as a number" if labels[k] else "missing value"
+        raise CliValidationError(f"column {col!r}, data row {row}: {problem}")
+    # + 0.0 reads a -0 cell as +0.0, as the tokenizer's int64 columns do.
+    return (np.array(numbers, dtype=np.float64) + 0.0)[codes]
 
 
 def _reject_first(col: str, values: np.ndarray, bad: np.ndarray, message: str) -> None:
@@ -694,7 +692,7 @@ def cmd_simulate(config_path, out_dir, seed=None) -> dict:
         k: raw[k] for k in _CONFIG_FIELDS if k in raw and k not in ("L", "p1")
     }
     if seed is not None:
-        scalars["master_seed"] = int(seed)
+        scalars["master_seed"] = seed
     base = SimConfig(L=L_values[0], p1=p1_values[0], **scalars)
     # SimConfig checks and normalizes every grid value, before any output.
     L_values = [replace(base, L=v).L for v in L_values]
@@ -724,21 +722,6 @@ def cmd_simulate(config_path, out_dir, seed=None) -> dict:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return manifest
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    return obj
 
 
 def _emit(payload: dict, out_file) -> None:

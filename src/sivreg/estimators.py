@@ -209,17 +209,30 @@ def estimate_jive2(design: SaturatedDesign, sample: Sample) -> float:
 
 
 def _drop_collinear(columns: np.ndarray, names: list) -> tuple[np.ndarray, list, list]:
-    """Keep a maximal independent column subset via pivoted QR."""
-    import scipy.linalg  # only the generic path needs it; keeps the import light
-
-    if columns.shape[1] == 0:
-        return columns, list(names), []
-    r = scipy.linalg.qr(columns, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r[0]))[: min(columns.shape)]
-    rank = int(np.sum(diag > PIVOT_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
-    kept_idx = sorted(r[1][:rank])
-    dropped = [names[j] for j in range(columns.shape[1]) if j not in set(kept_idx)]
-    return columns[:, kept_idx], [names[j] for j in kept_idx], dropped
+    """Keep a maximal independent column subset, in the original order, by
+    column-pivoted QR (Businger-Golub): pivot on the first column of largest
+    residual norm, as LAPACK's geqp3 does, project it out of the others, and
+    stop once that norm is at most ``PIVOT_RTOL`` times the first pivot's.
+    Elementwise steps and row-by-row sums keep equal columns' norms equal, so
+    of equal columns the first is kept."""
+    if not np.isfinite(columns).all():
+        raise ValueError("array must not contain infs or NaNs")
+    residual = columns.copy()
+    kept = []
+    first = None
+    for _ in range(min(columns.shape)):
+        norms = np.sqrt(np.square(residual).sum(axis=0))
+        norms[kept] = -1.0
+        j = int(np.argmax(norms))
+        first = norms[j] if first is None else first
+        if not norms[j] > PIVOT_RTOL * first:
+            break
+        q = residual[:, j, None] / norms[j]
+        residual -= q * (q * residual).sum(axis=0)
+        kept.append(j)
+    kept.sort()
+    dropped = [name for j, name in enumerate(names) if j not in kept]
+    return columns[:, kept], [names[j] for j in kept], dropped
 
 
 def estimate_tsls_generic(

@@ -338,10 +338,10 @@ def robust_ci(
     ``grid`` is the reporting window ``{"low", "high", "step"}``: the exact
     set is clipped to ``[low, high]``, and ``unbounded_within_grid`` flags
     acceptance at either window edge.  ``step`` no longer affects the set; it
-    is validated and echoed (default: the range divided by 400) only for
-    compatibility.  Without a grid, the window defaults to the point estimate
-    plus/minus 10 standard errors, which requires the standard variance to
-    exist.  The set is solved on the table at the point estimate that gives
+    must be finite and positive, and is echoed (default: the range divided by
+    400) only for compatibility.  Without a grid, the window defaults to the
+    point estimate plus/minus 10 standard errors, which requires the standard
+    variance to exist.  The set is solved on the table at the point estimate that gives
     that variance, or, with a grid, on a table at the window's midpoint;
     at 0 if that midpoint is infinite or the table there overflows.
     The result lists the maximal intervals of the clipped set, which may be
@@ -369,9 +369,10 @@ def robust_ci(
     high = float(grid["high"])
     if not high > low:
         raise ValueError(f"grid high {high} must exceed grid low {low}")
-    step = float(grid.get("step") or (high - low) / 400.0)
-    if step <= 0.0:
-        raise ValueError("grid step must be positive")
+    given = grid.get("step") is not None
+    step = float(grid["step"]) if given else (high - low) / 400.0
+    if given and not 0.0 < step < np.inf:
+        raise ValueError(f"grid step must be finite and positive, got {step}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         if table is None:

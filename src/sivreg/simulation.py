@@ -71,6 +71,9 @@ CLAMP = 0.01
 # draws, which bounds the batch's temporaries to a few ROWS-long arrays.
 ROWS = 12_000
 
+# The layout version every JSON report and artifact carries.
+SCHEMA_VERSION = 1
+
 SUMMARY_COLUMNS = (
     "experiment",
     "L",
@@ -539,13 +542,21 @@ def run_size_experiment(
     return _run_grid(config, L_values, p1_values, (), variance_variants, alpha)[1]
 
 
-def _clean(value):
-    if value is None:
-        return None
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    value = float(value)
-    return value if math.isfinite(value) else None
+def _json_ready(obj):
+    """``obj`` for ``json.dumps``: tuples as lists, an integer as an int, any
+    other real number as a float, or None if it is not finite."""
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
+        f = float(obj)
+        return f if math.isfinite(f) else None
+    return obj
 
 
 def summarize(rows, csv_path=None, json_path=None) -> tuple[str, str]:
@@ -555,21 +566,7 @@ def summarize(rows, csv_path=None, json_path=None) -> tuple[str, str]:
     are empty CSV fields and JSON nulls.  Numbers are written with full
     round-trip precision so the two artifacts carry identical values.
     """
-    normalized = []
-    for row in rows:
-        normalized.append(
-            {
-                "experiment": str(row["experiment"]),
-                "L": int(row["L"]),
-                "p1": _clean(row["p1"]),
-                "h": _clean(row["h"]),
-                "estimator": str(row["estimator"]),
-                "metric": str(row["metric"]),
-                "value": _clean(row["value"]),
-                "mc_se": _clean(row["mc_se"]),
-                "replications": int(row["replications"]),
-            }
-        )
+    normalized = [{c: _json_ready(row[c]) for c in SUMMARY_COLUMNS} for row in rows]
 
     buffer = io.StringIO()
     writer = _csv.writer(buffer, lineterminator="\n")
@@ -583,7 +580,7 @@ def summarize(rows, csv_path=None, json_path=None) -> tuple[str, str]:
     json_text = (
         json.dumps(
             {
-                "schema_version": 1,
+                "schema_version": SCHEMA_VERSION,
                 "columns": list(SUMMARY_COLUMNS),
                 "rows": normalized,
             },

@@ -19,6 +19,7 @@ from sivreg import (
     cmd_audit,
     cmd_estimate,
     cmd_robust_ci,
+    cmd_simulate,
     estimate_tsls_generic,
 )
 from sivreg.cli import _generic_fit, _json_ready, _prepare, main
@@ -416,6 +417,19 @@ def test_robust_ci_grid_flags_must_be_consistent(tmp_path, capsys):
     assert code == 2 and "grid" in err
 
 
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-1"])
+def test_robust_ci_refuses_a_grid_step_that_is_not_finite_and_positive(
+    tmp_path, capsys, step
+):
+    data = noisy_csv(tmp_path)
+    code, out, err = run(
+        ["robust-ci", "--data", data, *BASE,
+         "--grid-low", "-2", "--grid-high", "4", f"--grid-step={step}"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "grid step must be finite and positive" in err
+
+
 def test_robust_ci_noiseless_default_grid_is_numerical_failure(tmp_path, capsys):
     data = noiseless_csv(tmp_path)
     code, _, err = run(["robust-ci", "--data", data, *BASE], capsys)
@@ -523,6 +537,16 @@ def test_simulate_seed_override(tmp_path, capsys):
     manifest = json.loads(stdout)
     assert manifest["master_seed"] == 99
     assert manifest["config"]["master_seed"] == 99
+
+
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_simulate_seed_must_be_an_integer(tmp_path, seed):
+    # SimConfig checks the seed as given: no truncation to 2, no bool as 1.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SIM_CONFIG))
+    with pytest.raises(ValueError, match="master_seed must be an integer"):
+        cmd_simulate(cfg, tmp_path / "out", seed=seed)
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_config_validation(tmp_path, capsys):

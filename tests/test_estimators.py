@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sivreg import (
     EstimationError,
@@ -20,6 +23,8 @@ from sivreg import (
     population_estimand,
     population_moments,
 )
+
+from sivreg.estimators import PIVOT_RTOL, _drop_collinear
 
 from conftest import random_design, strong_sample
 
@@ -126,6 +131,64 @@ def test_generic_duplicate_instruments_are_dropped():
     b2, v2 = estimate_tsls_generic(Y, T, np.column_stack([z, z, 2.0 * z]))
     assert abs(b1 - b2) < 1e-10
     assert abs(v1 - v2) < 1e-8
+
+
+@st.composite
+def collinear_matrices(draw):
+    """Columns drawn fresh, or as a copy, a scaled copy, zeros or a combination
+    of two earlier columns, in a drawn order; possibly more than rows.
+
+    A combination's weights are drawn from the generator: with a weight of
+    1, ``c = a + w b`` leaves the residual of ``a`` once ``b`` is pivoted, a
+    tie with ``a`` that only rounding breaks.
+    """
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["fresh", "copy", "scaled", "zero", "combined"]))
+        pick = draw(st.integers(0, max(len(cols) - 1, 0)))
+        other = draw(st.integers(0, max(len(cols) - 1, 0)))
+        if kind == "zero":
+            cols.append(np.zeros(n))
+        elif kind == "fresh" or not cols:
+            cols.append(draw(st.sampled_from([1.0, 1e-3, 1e3])) * rng.standard_normal(n))
+        elif kind == "copy":
+            cols.append(cols[pick].copy())
+        elif kind == "scaled":
+            cols.append(draw(st.sampled_from([-1.0, 2.0, -3.0, 1e-6])) * cols[pick])
+        else:
+            w = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+            cols.append(w[0] * cols[pick] + w[1] * cols[other])
+    return np.column_stack(cols)[:, draw(st.permutations(range(len(cols))))]
+
+
+def scipy_kept(columns):
+    """The columns that the first pivots of ``scipy.linalg.qr(pivoting=True)``
+    keep, those whose diagonal of R exceeds ``PIVOT_RTOL`` times the first."""
+    r, pivots = scipy.linalg.qr(columns, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if not (diag.size and diag[0] > 0):
+        return []
+    return sorted(pivots[: int(np.sum(diag > PIVOT_RTOL * diag[0]))].tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(collinear_matrices())
+def test_drop_collinear_keeps_the_columns_scipy_pivoted_qr_keeps(columns):
+    # Equal columns, or a column and its negation, tie exactly.  scipy's BLAS
+    # breaks such a tie by rounding; _drop_collinear keeps the first of them.
+    first_equal = [
+        next(k for k in range(j + 1)
+             if np.array_equal(columns[:, k], c) or np.array_equal(columns[:, k], -c))
+        for j, c in enumerate(columns.T)
+    ]
+    names = [f"c{j}" for j in range(columns.shape[1])]
+    got, kept_names, dropped = _drop_collinear(columns, names)
+    kept = sorted({first_equal[j] for j in scipy_kept(columns)})
+    assert kept_names == [names[j] for j in kept]
+    assert dropped == [name for j, name in enumerate(names) if j not in kept]
+    assert np.array_equal(got, columns[:, kept])
 
 
 def test_generic_collinear_instruments_name_dropped_columns():

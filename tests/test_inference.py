@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -274,6 +274,15 @@ def test_robust_ci_step_defaults_to_range_over_400():
     assert abs(res["grid"]["step"] - 4.0 / 400) < 1e-12
 
 
+@pytest.mark.parametrize("step", [0.0, np.nan, np.inf, -1.0])
+def test_robust_ci_refuses_a_step_that_is_not_finite_and_positive(step):
+    rng = np.random.default_rng(28)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d, tau=1.0, pi=1.2)
+    with pytest.raises(ValueError, match="grid step must be finite and positive"):
+        robust_ci(d, s.outcome, s.treatment, grid={"low": -1.0, "high": 3.0, "step": step})
+
+
 def test_chao_zero_residual_is_zero():
     d = one_group(8, 4)
     z = d.instrument.astype(float)
@@ -479,9 +488,12 @@ codes = [main(["estimate", *base, "--estimator", kind])
 codes.append(main(["robust-ci", *base]))
 codes.append(main(["audit", "--data", data, "--instrument", "z", "--covariates", "w"]))
 codes.append(main(["simulate", "--config", config, "--out", out]))
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = scipy_modules()
 generic = main(["estimate", *base, "--estimator", "tsls-generic"])
-print(json.dumps({"codes": codes, "scipy": loaded, "generic": generic}))
+print(json.dumps({"codes": codes, "scipy": loaded, "generic": generic,
+                  "scipy_after_generic": scipy_modules()}))
 """
 
 
@@ -500,7 +512,9 @@ def test_default_commands_do_not_load_scipy(tmp_path):
         capture_output=True, text=True, check=True,
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0] * 7, "scipy": [], "generic": 0}, out.stderr
+    assert result == {
+        "codes": [0] * 7, "scipy": [], "generic": 0, "scipy_after_generic": []
+    }, out.stderr
 
 
 # --- The per-cell moment table against the operator path and the oracle ---
@@ -653,8 +667,24 @@ def test_moment_table_matches_operator_path(case):
     assert abs(sive_variance(d, Y, T, beta) - v0 / t_a_t**2) <= TABLE_RTOL * bound
 
 
+# One group of 8 rows whose two cells have equal means of T: the terms of
+# T'PT are all 0, and the dense T'PT is exactly 0.
+EQUAL_CELL_MEANS = (
+    build_design([0] * 8, [1, 1, 1, 1, 0, 0, 0, 1]),
+    Sample(
+        np.array([2346.28125, 1292.26953125, 613.9375, 375.4453125, 767.28515625,
+                  1676.3515625, 279.671875, -89.45703125]),
+        np.array([2.2890625, 1.26171875, 0.6015625, 0.3671875, 0.75, 1.63671875,
+                  0.2734375, -0.0859375]),
+    ),
+    1024.0,
+    (0.0, 0.0),
+)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(table_cases())
+@example(EQUAL_CELL_MEANS)
 def test_moment_table_matches_dense_oracle(case):
     d, s, _, (offset_T, offset_Y) = case
     # The dense operators would lose the digits an offset of 1e6 takes.
@@ -663,12 +693,16 @@ def test_moment_table_matches_dense_oracle(case):
     dense = assemble(d)
     for kind, estimate in ESTIMATORS.items():
         den = operator_ratio_terms(kind, d, T) * T
-        if abs(np.sum(den)) < 1e-6 * np.sum(np.abs(den)):
+        if abs(np.sum(den)) <= DENOMINATOR_RTOL * float(T @ T):
+            with pytest.raises(WeakDenominatorError):
+                estimate(d, s)
+            continue
+        if abs(np.sum(den)) <= 1e-6 * np.sum(np.abs(den)):
             continue  # a near-zero denominator: the ratio has no 8 stable digits
         ref = oracle_estimate(kind, dense, Y, T)
         assert abs(estimate(d, s) - ref) <= 1e-8 * max(1.0, abs(ref)), kind
     den = apply_A(d, T) * T
-    if abs(np.sum(den)) < 1e-6 * np.sum(np.abs(den)):
+    if abs(np.sum(den)) <= 1e-6 * np.sum(np.abs(den)):
         return
     beta_hat = estimate_sive(d, s)
     ref = oracle_variance(dense, Y, T, beta_hat)

@@ -11,8 +11,14 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from sivreg import cli
-from sivreg.cli import _float_column, _read_columns, _tokenized_columns, main
-from sivreg.design import _Coded
+from sivreg.cli import (
+    CliValidationError,
+    _float_column,
+    _read_columns,
+    _tokenized_columns,
+    main,
+)
+from sivreg.design import _code, _Coded
 
 from conftest import random_design, strong_sample
 
@@ -101,7 +107,7 @@ def test_tokenizer_agrees_with_csv_reader_or_hands_over(tmp_path, case):
         else:
             # A text column comes back coded; compare it cell by cell.
             assert isinstance(values, _Coded), col
-            assert values.cells() == [cell.strip() for cell in expected[col]], col
+            assert values.cells() == expected[col].cells(), col
 
 
 def write(tmp_path, name, text):
@@ -127,7 +133,7 @@ def test_tokenizer_reads_ordinary_files(tmp_path, text):
     expected = _read_columns(path, ["y", "t", "w"])
     for col in ("y", "t"):
         assert fast[col].tolist() == _float_column(expected, col).tolist()
-    assert fast["w"].cells() == [cell.strip() for cell in expected["w"]]
+    assert fast["w"].cells() == expected["w"].cells()
 
 
 @pytest.mark.parametrize(
@@ -216,6 +222,65 @@ def test_loadtxt_rejects_underscores_that_float_accepts(tmp_path):
     path = write(tmp_path, "u.csv", "y\n1_0\n2\n")
     assert _tokenized_columns(path, ["y"]) is None
     assert _float_column(_read_columns(path, ["y"]), "y").tolist() == [10.0, 2.0]
+
+
+def float_column_by_rows(cells, col, strings_ok=False):
+    """``_float_column`` on a list of raw cells, converted row by row: the
+    reference that the label-at-a-time conversion is pinned to."""
+    try:
+        # + 0.0 reads a -0 cell as +0.0.
+        return np.array(list(map(float, map(str.strip, cells)))) + 0.0
+    except ValueError:
+        pass
+    if strings_ok:
+        coded = _code(cells).relabel(str.strip)
+        if "" not in coded.labels:
+            return coded
+    for i, cell in enumerate(map(str.strip, cells), start=1):
+        if not cell:
+            raise CliValidationError(f"column {col!r}, data row {i}: missing value")
+        try:
+            float(cell)
+        except ValueError:
+            if not strings_ok:
+                raise CliValidationError(
+                    f"column {col!r}, data row {i}: cannot parse {cell!r} as a number"
+                ) from None
+
+
+def outcome(call):
+    """What ``call()`` returns, or the message of the validation error it raises."""
+    try:
+        return call()
+    except CliValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(PADS),
+            st.sampled_from(NUMBERS * 3 + ["1.0", "-0.0", "nan", "-inf", "abc", "a b", ""]),
+            st.sampled_from(PADS),
+        ).map("".join),
+        min_size=1,
+        max_size=12,
+    ),
+    st.booleans(),
+)
+def test_float_column_converts_each_label_as_rows_were_converted(cells, strings_ok):
+    # The form _read_columns gives every column.
+    columns = {"x": _code(cells).relabel(str.strip)}
+    got = outcome(lambda: _float_column(columns, "x", strings_ok))
+    want = outcome(lambda: float_column_by_rows(cells, "x", strings_ok))
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    elif isinstance(want, _Coded):
+        assert got.cells() == want.cells()
+    else:
+        assert got == want
 
 
 def test_loadtxt_with_usecols_accepts_ragged_rows():

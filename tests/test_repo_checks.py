@@ -4,6 +4,8 @@ import ast
 import importlib
 import inspect
 import json
+import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +49,31 @@ def test_benchmark_functions_exist_and_library_has_no_unused_imports():
         for name in _unused_relative_imports(path)
     ]
     assert not unused, f"unused relative imports: {unused}"
+
+
+def _third_party_imports(path: Path) -> set[str]:
+    """Top-level modules that ``path`` imports, function-level imports
+    included, other than the standard library's and the package's own."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    tops = {name.partition(".")[0] for name in names}
+    return tops - set(sys.stdlib_module_names) - {"__future__", "sivreg"}
+
+
+def test_library_imports_exactly_its_declared_dependencies():
+    # Each distribution named in pyproject.toml's dependencies is imported
+    # under its own name.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group() for req in re.findall(r'"([^"]+)"', block)
+    }
+    imported = set().union(
+        *(_third_party_imports(path) for path in (ROOT / "src" / "sivreg").glob("*.py"))
+    )
+    assert imported == declared
