@@ -18,9 +18,14 @@ below is O(n): one cell sum, then per-cell coefficients gathered by cell id
 Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
 reduces them to per-cell sums, which is how the estimators and both variances
 use them; the public operators are their per-observation reference.  The
-table and its per-cell helpers also take a stack of R designs
-(``design._DesignStack``), with a leading axis of length R on every array, and
-``_dot`` reduces both shapes alike.
+table is built one of two ways.  For a treatment that is exactly 0/1, one
+pass over the rows gathers per-(cell, arm) counts, means and centred sums
+of squares (``_ArmAtoms``), and the table at any center follows from them in
+O(G), so a second table of the same data costs no pass.  Any other treatment
+takes the per-row build, one cell sum per entry of the table.  The table and
+its per-cell helpers also take a stack of R designs (``design._DesignStack``),
+with a leading axis of length R on every array, and ``_dot`` reduces both
+shapes alike.
 """
 
 from __future__ import annotations
@@ -294,23 +299,82 @@ def trace_A_squared(design: SaturatedDesign) -> float:
     return float(per_group.sum())
 
 
+class _ArmAtoms:
+    """Per-(cell, arm) statistics of a treatment T that is exactly 0/1, and Y.
+
+    In a cell whose share of ones is p, the deviation u of T is ``-p`` in arm
+    0 and ``1 - p`` in arm 1, so at a center c the deviation of R in arm a is
+    ``e0 - c u_a``, with ``e0 = Y - mean_Y`` the deviation of Y.  Per arm,
+    the count ``k_a``, the mean of e0 and its centred sum of squares ``ss``
+    then give ``sum e = k_a delta`` and ``sum e^2 = ss + k_a delta^2`` with
+    ``delta = mean(e0) - c u_a`` (the pairwise merge of Chan, Golub and
+    LeVeque), so every power sum at every center is O(G) arithmetic on them.
+    Y is centred on its cell mean before the arm sums: arm sums of Y itself
+    would lose the digits an offset in Y takes.
+
+    One build reads the n rows for all of them: a count of the atom ids
+    ``cell + T * (number of cells)``, the cell sums of Y (the same as the
+    per-row table's), and two sums over atoms, of e0 and of the squares
+    about its arm means.  Per-atom arrays are (2, ...) with the arm first,
+    so that adding the two arms adds two contiguous blocks.  ``tt`` is
+    ``T'T``, the count of ones, exact as an integer below 2**53.
+    """
+
+    def __init__(self, design: SaturatedDesign, treated: np.ndarray, Y: np.ndarray):
+        k = _cell_counts(design)
+        shape = (2,) + k.shape
+        atom = (design.cell + k.size * treated).reshape(-1)
+
+        def atom_sum(weights=None):
+            return np.bincount(atom, weights, minlength=2 * k.size).reshape(shape)
+
+        self.counts = atom_sum().astype(np.float64)
+        self.k = k.astype(np.float64)
+        self.mean_T = np.divide(self.counts[1], k, out=np.zeros(k.shape), where=k > 0)
+        self.mean_Y = _cell_means(design, Y)
+        self.tt = self.counts[1].sum(axis=-1)
+        e0 = self.mean_Y.reshape(-1)[design.cell]
+        np.subtract(Y, e0, out=e0)
+        e0 = e0.reshape(-1)
+        self.mean_e0 = np.divide(
+            atom_sum(e0), self.counts, out=np.zeros(shape), where=self.counts > 0
+        )
+        e0 -= self.mean_e0.reshape(-1)[atom]
+        e0 *= e0
+        self.ss = atom_sum(e0)
+
+
+def _arm_atoms(design: SaturatedDesign, T: np.ndarray, Y: np.ndarray) -> _ArmAtoms | None:
+    """The ``_ArmAtoms`` of T and Y if ``T == 1`` equals T (so -0.0 reads as
+    0), else None."""
+    treated = T == 1.0
+    return _ArmAtoms(design, treated, Y) if np.array_equal(treated, T) else None
+
+
 class _CellMoments:
     """Per-cell sufficient statistics of a treatment T and ``R = Y - center T``.
 
     Every quadratic form of the estimators and the variances is block diagonal
-    over cells, so it reduces to a few numbers per cell, each one cell sum
-    over the n observations: the counts ``k``, the means ``mean_T`` and
-    ``mean_Y``, and the power sums ``s<j><l> = sum u^j e^l`` of the
-    within-cell deviations ``u = T - mean_T`` and ``e`` of R.
-    ``order=2`` collects ``s20`` and ``s11``, all the ratio estimators need;
-    ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variances.
-    Arrays have length 2G and are indexed by cell id.  Sums are formed one
-    column at a time, so only a few n-vectors are alive at once.  R itself is
-    never formed: ``e`` is ``(Y - mean_Y) - center u``, so offsets in Y and T
-    cancel before any product is taken, whatever the center.  The counts,
-    the means and ``s20`` do not depend on the center, so a table of the
-    same design, T and Y passed as ``base`` lends them, and only the other
-    sums are formed.
+    over cells, so it reduces to a few numbers per cell: the counts ``k``,
+    the means ``mean_T`` and ``mean_Y``, and the power sums
+    ``s<j><l> = sum u^j e^l`` of the within-cell deviations ``u = T - mean_T``
+    and ``e`` of R.  ``order=2`` collects ``s20`` and ``s11``, all the ratio
+    estimators need; ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22``
+    for the variances.  Arrays have length 2G and are indexed by cell id.
+    ``tt`` is ``T'T``, the scale the estimators' denominators are judged on.
+    R itself is never formed: ``e`` is ``(Y - mean_Y) - center u``, so
+    offsets in Y and T cancel before any product is taken, whatever the
+    center.
+
+    The table is built one of two ways.  When T is exactly 0/1 (the paper's
+    binary treatment), one pass over the n rows builds per-(cell, arm)
+    statistics (``_ArmAtoms``), and every sum at the table's center follows
+    from them in O(G); a table passed as ``base`` lends them, so a table at a
+    second center makes no pass over n.  Any other T takes the per-row build:
+    each sum is one cell sum over the n observations, formed one column at a
+    time, so only a few n-vectors are alive at once.  There the counts, the
+    means, ``tt`` and ``s20`` do not depend on the center, so a ``base`` of
+    the same design, T and Y lends them, and only the other sums are formed.
 
     On a stack of R designs, T and Y are (R, n), ``center`` is a scalar or
     one per design, shape (R, 1), every array gains the leading axis, and
@@ -326,12 +390,43 @@ class _CellMoments:
         self.design = design
         self.center = center
         self.centered = bool(np.any(center))
+        self.atoms = _arm_atoms(design, T, Y) if base is None else base.atoms
+        if self.atoms is None:
+            self._sum_rows(T, Y, order, base)
+        else:
+            self._merge_atoms(order)
+
+    def _merge_atoms(self, order: int) -> None:
+        """The sums from the per-arm statistics: in arm a, ``u_a`` is a
+        constant, ``sum e = k_a delta_a`` and ``sum e^2 = ss_a + k_a delta_a^2``."""
+        a = self.atoms
+        self.k, self.mean_T, self.mean_Y, self.tt = a.k, a.mean_T, a.mean_Y, a.tt
+        u = np.stack((-a.mean_T, 1.0 - a.mean_T))
+        delta = a.mean_e0 - self.center * u if self.centered else a.mean_e0
+        ku, e1 = a.counts * u, a.counts * delta
+        self.s20 = (ku * u).sum(axis=0)
+        self.s11 = (u * e1).sum(axis=0)
+        if order > 2:
+            uu, e2 = u * u, a.ss + e1 * delta
+            self.s02 = e2.sum(axis=0)
+            self.s30 = (ku * uu).sum(axis=0)
+            self.s21 = (uu * e1).sum(axis=0)
+            self.s12 = (u * e2).sum(axis=0)
+            self.s40 = (ku * uu * u).sum(axis=0)
+            self.s31 = (uu * u * e1).sum(axis=0)
+            self.s22 = (uu * e2).sum(axis=0)
+
+    def _sum_rows(self, T: np.ndarray, Y: np.ndarray, order: int,
+                  base: _CellMoments | None) -> None:
+        """The sums over the n rows, each one cell sum."""
+        design, center = self.design, self.center
         if base is None:
             self.k = _cell_counts(design).astype(np.float64)
             self.mean_T = _cell_means(design, T)
             self.mean_Y = _cell_means(design, Y)
+            self.tt = _dot(T, T)
         else:
-            self.k, self.mean_T, self.mean_Y = base.k, base.mean_T, base.mean_Y
+            self.k, self.mean_T, self.mean_Y, self.tt = base.k, base.mean_T, base.mean_Y, base.tt
         # At most four n-vectors are alive at once: u, e, one product and
         # a temporary (u goes once s30 is formed).
         u = self.mean_T.reshape(-1)[design.cell]

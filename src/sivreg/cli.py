@@ -552,9 +552,9 @@ def cmd_estimate(
     if estimator is EstimatorKind.SIVE:
         report = sive_report(design, sample, alpha=alpha)
     elif blockwise:
-        table, T = _moments(design, sample)
+        table = _moments(design, sample)
         report = InferenceReport(
-            beta_hat=_point_estimate(estimator, table, T),
+            beta_hat=_point_estimate(estimator, table),
             variance=None,
             std_error=None,
             ci_low=None,

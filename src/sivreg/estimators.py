@@ -102,14 +102,15 @@ class PopulationInputs:
     phi: object = None
 
 
-def _identified_ratio(num, den, T: np.ndarray, power: int = 1):
+def _identified_ratio(num, den, tt, power: int = 1):
     """``num / den**power`` for a quadratic-form denominator ``den = T' Op T``,
-    NaN (per design of a stack) where ``|den|`` is at most 1e-12 ||T||^2.
+    NaN (per design of a stack) where ``|den|`` is at most 1e-12 ``tt``, the
+    table's ||T||^2.
 
     The power is ``np.float_power``, which rounds a square as the scalar
     ``**`` does; ``**`` on an array squares by multiplication.
     """
-    ok = ~(np.abs(den) <= DENOMINATOR_RTOL * _dot(T, T))
+    ok = ~(np.abs(den) <= DENOMINATOR_RTOL * tt)
     return np.divide(
         num, np.float_power(den, power), out=np.full(np.shape(den), np.nan), where=ok
     )
@@ -127,11 +128,10 @@ def _single(value) -> float:
     return float(value)
 
 
-def _moments(design: SaturatedDesign, sample: Sample) -> tuple[_CellMoments, np.ndarray]:
-    """The second-order table of a sample at center 0, and its treatment."""
+def _moments(design: SaturatedDesign, sample: Sample) -> _CellMoments:
+    """The second-order table of a sample at center 0."""
     _check_sample(design, sample)
-    T = sample.treatment
-    return _CellMoments(design, T, sample.outcome, order=2), T
+    return _CellMoments(design, sample.treatment, sample.outcome, order=2)
 
 
 def _jive1_form(t: _CellMoments) -> tuple:
@@ -174,38 +174,38 @@ _FORMS = {
 }
 
 
-def _estimates(kind: EstimatorKind, table: _CellMoments, T: np.ndarray):
+def _estimates(kind: EstimatorKind, table: _CellMoments):
     """Estimate of one of the four blockwise estimators from a moment table at
-    center 0 of the treatment ``T``; on a stack one per design, NaN where the
-    denominator is not identified."""
+    center 0; on a stack one per design, NaN where the denominator is not
+    identified."""
     if kind not in _FORMS:
         raise ValueError(f"not a blockwise estimator: {kind!r}")
-    return _identified_ratio(*_FORMS[kind](table), T)
+    return _identified_ratio(*_FORMS[kind](table), table.tt)
 
 
-def _point_estimate(kind: EstimatorKind, table: _CellMoments, T: np.ndarray) -> float:
+def _point_estimate(kind: EstimatorKind, table: _CellMoments) -> float:
     """``_estimates`` of one design."""
-    return _single(_estimates(kind, table, T))
+    return _single(_estimates(kind, table))
 
 
 def estimate_sive(design: SaturatedDesign, sample: Sample) -> float:
     """``T'AY / T'AT`` from the per-cell moments."""
-    return _point_estimate(EstimatorKind.SIVE, *_moments(design, sample))
+    return _point_estimate(EstimatorKind.SIVE, _moments(design, sample))
 
 
 def estimate_tsls(design: SaturatedDesign, sample: Sample) -> float:
     """``T'PY / T'PT`` on the saturated design."""
-    return _point_estimate(EstimatorKind.TSLS_SATURATED, *_moments(design, sample))
+    return _point_estimate(EstimatorKind.TSLS_SATURATED, _moments(design, sample))
 
 
 def estimate_jive1(design: SaturatedDesign, sample: Sample) -> float:
     """Ratio with the diagonal of P removed."""
-    return _point_estimate(EstimatorKind.JIVE1, *_moments(design, sample))
+    return _point_estimate(EstimatorKind.JIVE1, _moments(design, sample))
 
 
 def estimate_jive2(design: SaturatedDesign, sample: Sample) -> float:
     """Ratio with ``M_W (P - D_P) M_W``."""
-    return _point_estimate(EstimatorKind.JIVE2, *_moments(design, sample))
+    return _point_estimate(EstimatorKind.JIVE2, _moments(design, sample))
 
 
 def _drop_collinear(columns: np.ndarray, names: list) -> tuple[np.ndarray, list, list]:

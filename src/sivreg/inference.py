@@ -192,13 +192,13 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     the consumers rather than truncated here.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_sive_variance(_CellMoments(design, T, Y, beta), T))
+    return _single(_sive_variance(_CellMoments(design, T, Y, beta)))
 
 
-def _sive_variance(t: _CellMoments, T: np.ndarray):
+def _sive_variance(t: _CellMoments):
     """``sive_variance`` from a fourth-order table at ``center = beta``."""
     score, variance = _robust_polynomials(t)
-    return _identified_ratio(variance[0], -score[1], T, power=2)
+    return _identified_ratio(variance[0], -score[1], t.tt, power=2)
 
 
 def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) -> dict:
@@ -338,10 +338,11 @@ def robust_ci(
     ``grid`` is the reporting window ``{"low", "high", "step"}``: the exact
     set is clipped to ``[low, high]``, and ``unbounded_within_grid`` flags
     acceptance at either window edge.  ``step`` no longer affects the set; it
-    must be finite and positive, and is echoed (default: the range divided by
-    400) only for compatibility.  Without a grid, the window defaults to the
-    point estimate plus/minus 10 standard errors, which requires the standard
-    variance to exist.  The set is solved on the table at the point estimate that gives
+    must be finite and positive, and is echoed only for compatibility
+    (default: the range divided by 400, finite for every finite window and
+    infinite for a window with an infinite edge).  Without a grid, the
+    window defaults to the point estimate plus/minus 10 standard errors,
+    which requires the standard variance to exist.  The set is solved on the table at the point estimate that gives
     that variance, or, with a grid, on a table at the window's midpoint;
     at 0 if that midpoint is infinite or the table there overflows.
     The result lists the maximal intervals of the clipped set, which may be
@@ -355,9 +356,9 @@ def robust_ci(
     table = None
     if grid is None:
         base = _CellMoments(design, T, Y, order=2)
-        beta_hat = _point_estimate(EstimatorKind.SIVE, base, T)
+        beta_hat = _point_estimate(EstimatorKind.SIVE, base)
         table = _CellMoments(design, T, Y, beta_hat, base=base)
-        variance = _single(_sive_variance(table, T))
+        variance = _single(_sive_variance(table))
         if not variance > 0.0:
             raise NonpositiveVarianceError(
                 "cannot derive a default grid: the variance estimate is not "
@@ -370,9 +371,15 @@ def robust_ci(
     if not high > low:
         raise ValueError(f"grid high {high} must exceed grid low {low}")
     given = grid.get("step") is not None
-    step = float(grid["step"]) if given else (high - low) / 400.0
-    if given and not 0.0 < step < np.inf:
-        raise ValueError(f"grid step must be finite and positive, got {step}")
+    if given:
+        step = float(grid["step"])
+        if not 0.0 < step < np.inf:
+            raise ValueError(f"grid step must be finite and positive, got {step}")
+    else:
+        step = (high - low) / 400.0
+        if not np.isfinite(step):
+            # The width overflows; the quotients of the edges do not.
+            step = high / 400.0 - low / 400.0
 
     with np.errstate(over="ignore", invalid="ignore"):
         if table is None:
@@ -412,10 +419,10 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     not robust to within-group effect heterogeneity.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_chao_variance(_CellMoments(design, T, Y, beta_hat), T))
+    return _single(_chao_variance(_CellMoments(design, T, Y, beta_hat)))
 
 
-def _chao_variance(t: _CellMoments, T: np.ndarray):
+def _chao_variance(t: _CellMoments):
     """``chao_variance`` from a fourth-order table at ``center = beta_hat``.
 
     In a cell ``(AT)_i = pt - d u_i``, and J acts as ``w1 x_i - w2 X_g`` with
@@ -443,7 +450,7 @@ def _chao_variance(t: _CellMoments, T: np.ndarray):
     n = t.design.group_sizes.astype(np.float64)
     term2 = _dot(d * d, w_sum * w_sum - w_sq)
     term2 += 2.0 * _dot(w_sum[..., 0::2] * w_sum[..., 1::2], 1.0 / n**2)
-    return _identified_ratio(term1 + term2, t_a_t, T, power=2)
+    return _identified_ratio(term1 + term2, t_a_t, t.tt, power=2)
 
 
 @dataclass(frozen=True)
@@ -510,9 +517,11 @@ def sive_report(
     The interval and test follow ``_normal_report``: a zero variance gives a
     point interval and no t statistic, a negative one an error.
     """
-    table, T = _moments(design, sample)
-    beta_hat = _point_estimate(EstimatorKind.SIVE, table, T)
-    at_beta_hat = _CellMoments(design, T, sample.outcome, beta_hat, base=table)
-    variance = _single(_sive_variance(at_beta_hat, T))
+    table = _moments(design, sample)
+    beta_hat = _point_estimate(EstimatorKind.SIVE, table)
+    at_beta_hat = _CellMoments(
+        design, sample.treatment, sample.outcome, beta_hat, base=table
+    )
+    variance = _single(_sive_variance(at_beta_hat))
     fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
     return _normal_report(beta_hat, variance, alpha, beta0, fs_diag)

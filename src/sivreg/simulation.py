@@ -448,7 +448,7 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
         kinds += (EstimatorKind.SIVE,)
     stack, T, Y, truth, valid = _draw_stack(cell, reps)
     table = _CellMoments(stack, T, Y, order=2)
-    estimates = {kind: _estimates(kind, table, T) for kind in kinds}
+    estimates = {kind: _estimates(kind, table) for kind in kinds}
     for kind in errors:
         ok = valid & ~np.isnan(estimates[kind])
         errors[kind] += (estimates[kind][ok] - truth[ok]).tolist()
@@ -464,7 +464,7 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
         variance = _sive_variance if variant == "vhat" else _chao_variance
         tests = zip(
             beta_hat[ok].tolist(),
-            variance(at_beta_hat, T)[ok].tolist(),
+            variance(at_beta_hat)[ok].tolist(),
             truth[ok].tolist(),
         )
         for b, var, truth_b in tests:

@@ -41,7 +41,7 @@ def per_draw_replications(cell, estimators, variants, alpha):
         estimates = {}
         for kind in kinds:
             try:
-                estimates[kind] = _point_estimate(kind, table, T)
+                estimates[kind] = _point_estimate(kind, table)
             except (DesignError, EstimationError):
                 pass
         for kind in estimators:
@@ -54,7 +54,7 @@ def per_draw_replications(cell, estimators, variants, alpha):
         for variant in variants:
             variance = _sive_variance if variant == "vhat" else _chao_variance
             try:
-                var = variance(at_beta_hat, T)
+                var = variance(at_beta_hat)
                 res = t_test(beta_hat, var, truth, alpha)
             except (DesignError, EstimationError):
                 continue

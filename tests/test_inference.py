@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from sivreg import (
     validate_group_sizes,
 )
 from sivreg.blockops import GroupSizeError, _CellMoments
+from sivreg.design import _DesignStack
 from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
 from sivreg.oracle import assemble, oracle_chao_variance, oracle_estimate, oracle_variance
 from sivreg import blockops, simulation
@@ -272,6 +274,25 @@ def test_robust_ci_step_defaults_to_range_over_400():
     s = strong_sample(rng, d, tau=1.0, pi=1.2)
     res = robust_ci(d, s.outcome, s.treatment, grid={"low": -1.0, "high": 3.0})
     assert abs(res["grid"]["step"] - 4.0 / 400) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(-1.0, 3.0), (-1e308, 1.7e308), (-1.7e308, 1.7e308), (-np.inf, np.inf), (0.0, np.inf)],
+)
+def test_robust_ci_default_step_is_finite_for_every_finite_window(low, high):
+    # A finite window whose width overflows used to echo an infinite step;
+    # a window with an infinite edge still does.
+    rng = np.random.default_rng(28)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d, tau=1.0, pi=1.2)
+    step = robust_ci(d, s.outcome, s.treatment, grid={"low": low, "high": high})["grid"]["step"]
+    if np.isfinite(high - low):
+        assert step == (high - low) / 400.0
+    elif np.isfinite(low) and np.isfinite(high):
+        assert step == high / 400.0 - low / 400.0 and np.isfinite(step)
+    else:
+        assert step == np.inf
 
 
 @pytest.mark.parametrize("step", [0.0, np.nan, np.inf, -1.0])
@@ -582,7 +603,7 @@ def exact_cell_data(rng, d, level, deviation):
 
 
 @st.composite
-def table_cases(draw):
+def table_cases(draw, binary=False):
     """A filtered design with data, covering the table's edge cases.
 
     Cells of size 2 take the Hartley fallback; groups with fewer than two
@@ -591,6 +612,8 @@ def table_cases(draw):
     center near it cancels most of Y.  The data are exact in binary (see
     exact_cell_data), so the deviations that enter both paths carry no
     rounding, and the comparison measures the table's arithmetic alone.
+    With ``binary`` T is 0/1 (some zeros as -0.0) with no offset, and a
+    cell's share of ones is 0, 0.3, 0.7 or 1, so some cells have one arm.
     """
     cells = draw(
         st.lists(
@@ -599,7 +622,7 @@ def table_cases(draw):
     )
     assume(any(m >= 2 and k >= 2 for m, k in cells))
     seed = draw(st.integers(0, 2**32 - 1))
-    offset_T = draw(st.sampled_from([0.0, 1e6]))
+    offset_T = 0.0 if binary else draw(st.sampled_from([0.0, 1e6]))
     offset_Y = draw(st.sampled_from([0.0, 1e6]))
     slope = draw(st.sampled_from([0.5, 1024.0]))
     rng = np.random.default_rng(seed)
@@ -612,7 +635,12 @@ def table_cases(draw):
     d, _ = filter_design(raw, validate_group_sizes(raw), Sample(np.zeros(raw.n), np.zeros(raw.n)))
     z = d.instrument.astype(float)
     u = rng.standard_normal(d.n)
-    T = exact_cell_data(rng, d, offset_T, rng.uniform(0.5, 2.0) * z + u)
+    if binary:
+        share = rng.choice([0.0, 0.3, 0.7, 1.0], size=2 * d.G)[d.cell]
+        T = (rng.random(d.n) < share).astype(float)
+        T[(T == 0.0) & (rng.random(d.n) < 0.5)] = -0.0
+    else:
+        T = exact_cell_data(rng, d, offset_T, rng.uniform(0.5, 2.0) * z + u)
     noise = 0.6 * u + rng.standard_normal(d.n)
     Y = exact_cell_data(rng, d, offset_Y, slope * (T - offset_T) + noise)
     return d, Sample(Y, T), slope, (offset_T, offset_Y)
@@ -683,7 +711,7 @@ EQUAL_CELL_MEANS = (
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(table_cases())
+@given(st.one_of(table_cases(), table_cases(binary=True)))
 @example(EQUAL_CELL_MEANS)
 def test_moment_table_matches_dense_oracle(case):
     d, s, _, (offset_T, offset_Y) = case
@@ -702,11 +730,123 @@ def test_moment_table_matches_dense_oracle(case):
         ref = oracle_estimate(kind, dense, Y, T)
         assert abs(estimate(d, s) - ref) <= 1e-8 * max(1.0, abs(ref)), kind
     den = apply_A(d, T) * T
-    if abs(np.sum(den)) <= 1e-6 * np.sum(np.abs(den)):
+    # Not identified (the raise is checked above), or no 8 stable digits.
+    if abs(np.sum(den)) <= max(DENOMINATOR_RTOL * float(T @ T), 1e-6 * np.sum(np.abs(den))):
         return
     beta_hat = estimate_sive(d, s)
     ref = oracle_variance(dense, Y, T, beta_hat)
     assert abs(sive_variance(d, Y, T, beta_hat) - ref) <= 1e-8 * abs(ref)
+
+
+_POWER_SUMS = ("s20", "s11", "s02", "s30", "s21", "s12", "s40", "s31", "s22")
+ATOM_CENTERS = (0.0, 0.25, 37.0)
+
+
+def row_table(design, T, Y, center=0.0, **kwargs):
+    """The table from the per-row sums, whatever T holds."""
+    with mock.patch.object(blockops, "_arm_atoms", lambda *args: None):
+        return _CellMoments(design, T, Y, center, **kwargs)
+
+
+def assert_atoms_match_rows(design, T, Y, center):
+    """The table from per-arm statistics against the per-row table at
+    ``center``: counts, means and ``tt`` bit for bit, and each power sum and
+    each coefficient of ``_robust_polynomials`` within 1e-12 of the absolute
+    sum of the terms the per-row table adds up.
+
+    Those terms bound what rounding can do to either table.  A power sum's
+    are ``|u^j e^l|``.  A coefficient's are its products with
+    ``a = pt - d u`` taken as ``|pt| + |d u|``, ``b = pr - d e`` as
+    ``|pr| + |d e|`` and a Hartley estimate ``w1 x_i - w2 X`` as
+    ``w1 |x_i| + w2 sum |x|``; where ``a`` cancels to 0, its terms do not.
+    """
+    from sivreg.blockops import _hartley_weights
+    from sivreg.inference import _robust_polynomials
+
+    atoms, rows = _CellMoments(design, T, Y, center), row_table(design, T, Y, center)
+    assert atoms.atoms is not None and rows.atoms is None
+    for name in ("k", "mean_T", "mean_Y", "tt"):
+        assert np.asarray(getattr(atoms, name)).tobytes() == np.asarray(
+            getattr(rows, name)
+        ).tobytes(), name
+
+    def gather(per_cell):
+        return per_cell.reshape(-1)[design.cell]
+
+    def cell_sum(x):
+        return np.bincount(design.cell.reshape(-1), x.reshape(-1), minlength=rows.k.size)
+
+    u = T - gather(rows.mean_T)
+    e = Y - gather(rows.mean_Y) - np.asarray(center) * u
+    for name in _POWER_SUMS:
+        scale = cell_sum(np.abs(u) ** int(name[1]) * np.abs(e) ** int(name[2]))
+        error = np.abs(getattr(atoms, name) - getattr(rows, name)).reshape(-1)
+        assert (error <= TABLE_RTOL * scale).all(), (name, center)
+
+    pt, pr = rows.p_values()
+    d = gather(rows.d)
+    a, b = gather(np.abs(pt)) + d * np.abs(u), gather(np.abs(pr)) + d * np.abs(e)
+    w1, w2 = _hartley_weights(rows.k)
+
+    def hartley(x):
+        return gather(w1) * x + gather(w2 * cell_sum(x).reshape(rows.k.shape))
+
+    s_uu, s_ee, s_ue = hartley(u * u), hartley(e * e), hartley(np.abs(u * e))
+    n = design.group_sizes.astype(np.float64)
+    m = design.treated_counts.astype(np.float64)
+    weight = m * (n - m) / n
+    gap_T, gap_R = rows.group_gaps()
+    scales = [
+        (weight * np.abs(gap_T * gap_R)).sum(axis=-1) + (d * np.abs(u * e)).sum(axis=-1),
+        (weight * gap_T * gap_T).sum(axis=-1) + (d * u * u).sum(axis=-1),
+        (s_uu * b * b + s_ee * a * a + 2.0 * s_ue * a * b).sum(axis=-1),
+        4.0 * (s_uu * a * b + s_ue * a * a).sum(axis=-1),
+        4.0 * (s_uu * a * a).sum(axis=-1),
+    ]
+    for got, want, scale in zip(
+        np.concatenate(_robust_polynomials(atoms)),
+        np.concatenate(_robust_polynomials(rows)),
+        scales,
+    ):
+        assert (np.abs(got - want) <= TABLE_RTOL * scale).all(), center
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_cases(binary=True))
+def test_atom_table_matches_row_table(case):
+    # The two builds share the cell means and the deviations of Y, so they
+    # differ only in how the sums are formed: per row, or merged from arms.
+    d, s, slope, _ = case
+    for center in ATOM_CENTERS + (slope,):
+        assert_atoms_match_rows(d, s.treatment, s.outcome, center)
+
+
+@st.composite
+def binary_stacks(draw):
+    """A stack of designs on one grouping with 0/1 T, zero where a design
+    drops a group (groups of 1 to 8 rows, so most designs drop some)."""
+    R = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset_Y = draw(st.sampled_from([0.0, 1e6]))
+    slope = draw(st.sampled_from([0.5, 1024.0]))
+    group_of = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    instrument = (rng.random((R, group_of.size)) < 0.5).astype(np.int64)
+    stack = _DesignStack(group_of, instrument)
+    T = (rng.random(instrument.shape) < 0.3 + 0.4 * instrument).astype(float)
+    Y = offset_Y + slope * T + rng.standard_normal(T.shape)
+    T[~stack.kept_rows] = 0.0
+    Y[~stack.kept_rows] = 0.0
+    return stack, T, Y, slope
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(binary_stacks())
+def test_atom_table_matches_row_table_on_a_stack(case):
+    stack, T, Y, slope = case
+    per_design = 0.25 + np.arange(T.shape[0])[:, None]
+    for center in ATOM_CENTERS + (slope, per_design):
+        assert_atoms_match_rows(stack, T, Y, center)
 
 
 def _dense_chao_by_blocks(d, Y, T, beta, rows_per_block=400):
@@ -824,6 +964,42 @@ def test_table_on_a_base_reuses_the_sums_free_of_the_center(monkeypatch):
         sums.clear()
         robust_ci(d, Y, T, grid=grid)
         assert len(sums) == count
+
+
+def test_a_binary_treatment_is_read_once_per_entry_point(monkeypatch):
+    # A 0/1 T: one build of per-arm statistics per entry point, whose one
+    # cell sum is the cell means of Y, and none for a table on a base.  A T
+    # with one other value takes the per-row build and its 12 and 11 sums.
+    builds, sums = [], []
+    real_init = blockops._ArmAtoms.__init__
+    monkeypatch.setattr(
+        blockops._ArmAtoms, "__init__", lambda self, *a: builds.append(1) or real_init(self, *a)
+    )
+    real_sum = blockops._cell_sum
+    monkeypatch.setattr(blockops, "_cell_sum", lambda *a: sums.append(1) or real_sum(*a))
+    rng = np.random.default_rng(46)
+    d = random_design(rng, G=6, size_range=(6, 14))
+    T = (rng.random(d.n) < 0.2 + 0.6 * d.instrument).astype(float)
+    Y = T + rng.standard_normal(d.n)
+    window = {"low": -5.0, "high": 5.0}
+
+    def passes(call):
+        builds.clear()
+        sums.clear()
+        call()
+        return len(builds), len(sums)
+
+    base = _CellMoments(d, T, Y, order=2)
+    assert passes(lambda: _CellMoments(d, T, Y, 0.7, base=base)) == (0, 0)
+    assert passes(lambda: sive_report(d, Sample(Y, T))) == (1, 1)
+    assert passes(lambda: robust_ci(d, Y, T)) == (1, 1)
+    assert passes(lambda: robust_ci(d, Y, T, grid=window)) == (1, 1)
+    for other in (0.5, 2.0):
+        T_other = T.copy()
+        T_other[3] = other
+        assert passes(lambda: sive_report(d, Sample(Y, T_other))) == (0, 12)
+        assert passes(lambda: robust_ci(d, Y, T_other)) == (0, 12)
+        assert passes(lambda: robust_ci(d, Y, T_other, grid=window)) == (0, 11)
 
 
 _VECTOR_ENTRY_POINTS = {

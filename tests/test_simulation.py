@@ -384,14 +384,30 @@ def test_simulate_files_equal_separate_experiments(tmp_path):
     assert any(r["metric"] == "attrition" and r["value"] > 0 for r in rows)
 
 
+def _record_chunks(monkeypatch) -> dict:
+    """Patch ``simulation._draw_stack`` to keep the treatment rows of the
+    chunk it last drew, under ``"T"`` of the returned dict."""
+    chunk = {}
+    real_draw_stack = simulation._draw_stack
+
+    def draw_stack(cell, reps):
+        result = real_draw_stack(cell, reps)
+        chunk["T"] = result[1]
+        return result
+
+    monkeypatch.setattr(simulation, "_draw_stack", draw_stack)
+    return chunk
+
+
 def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
     monkeypatch, tmp_path
 ):
     # A chunk's estimates are one per stacked draw, NaN for a failed one;
-    # the draws are told apart by their treatment rows.
+    # the draws are told apart by their treatment rows in the chunk's stack.
     failing_reps = {1, 3}
     doomed = []
     real_draw, real_estimate = simulation._draw, simulation._estimates
+    chunk = _record_chunks(monkeypatch)
 
     def draw(cell, seed):
         result = real_draw(cell, seed)
@@ -399,10 +415,10 @@ def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
             doomed.append(result[1].tobytes())
         return result
 
-    def estimate(kind, table, T):
-        result = real_estimate(kind, table, T)
+    def estimate(kind, table):
+        result = real_estimate(kind, table)
         if kind is EstimatorKind.SIVE:
-            result[[row.tobytes() in doomed for row in T]] = np.nan
+            result[[row.tobytes() in doomed for row in chunk["T"]]] = np.nan
         return result
 
     monkeypatch.setattr(simulation, "_draw", draw)
@@ -430,23 +446,24 @@ def test_failed_variance_or_t_test_is_attrition_for_that_variant_only(
     doomed = {}
     real_draw = simulation._draw
     real_sive, real_chao = simulation._sive_variance, simulation._chao_variance
+    chunk = _record_chunks(monkeypatch)
 
     def draw(cell, seed):
         result = real_draw(cell, seed)
         doomed[result[1].tobytes()] = seed.spawn_key[0]
         return result
 
-    def reps(T):
-        return np.array([doomed[row.tobytes()] for row in T])
+    def reps():
+        return np.array([doomed[row.tobytes()] for row in chunk["T"]])
 
-    def chao(table, T):
-        result = real_chao(table, T)
-        result[np.isin(reps(T), (0, 2))] = np.nan
+    def chao(table):
+        result = real_chao(table)
+        result[np.isin(reps(), (0, 2))] = np.nan
         return result
 
-    def sive(table, T):
-        result = real_sive(table, T)
-        result[reps(T) == 4] = -1.0
+    def sive(table):
+        result = real_sive(table)
+        result[reps() == 4] = -1.0
         return result
 
     monkeypatch.setattr(simulation, "_draw", draw)

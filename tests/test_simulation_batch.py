@@ -112,10 +112,10 @@ def test_stacked_tables_equal_per_draw_tables(case):
         exact = bool(stack.keep[i].all())
         (table2, *_), (table4, *_) = stacked
         for kind in DEFAULT_ESTIMATORS:
-            got = _estimates(kind, table2, T)[i]
-            _agree(got, _estimates(kind, refs[0], s.treatment), exact)
+            got = _estimates(kind, table2)[i]
+            _agree(got, _estimates(kind, refs[0]), exact)
         for variance in (_sive_variance, _chao_variance):
-            _agree(variance(table4, T)[i], variance(refs[1], s.treatment), exact)
+            _agree(variance(table4)[i], variance(refs[1]), exact)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
