@@ -30,7 +30,7 @@ shapes alike.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -63,6 +63,24 @@ class GroupSizeError(DesignError):
 
 class SmallCellError(DesignError):
     """A Hadamard-square block is singular because a cell (or group) has size <= 2."""
+
+
+def _memo(fn):
+    """``fn(obj)`` of a design or a moment table (neither changes), kept on
+    ``obj`` read-only from the first call; a raised check is not kept."""
+    key = "_memo" + fn.__name__
+
+    @wraps(fn)
+    def once(obj):
+        memo = vars(obj)
+        if key not in memo:
+            value = memo[key] = fn(obj)
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        return memo[key]
+
+    return once
 
 
 def _check_vector(design: SaturatedDesign, v) -> np.ndarray:
@@ -109,9 +127,11 @@ def _per_cell(inactive, active) -> np.ndarray:
     return out
 
 
+@_memo
 def _cell_counts(design: SaturatedDesign) -> np.ndarray:
+    """Per cell, its count of observations, as a float."""
     m = design.treated_counts
-    return _per_cell(design.group_sizes - m, m)
+    return _per_cell(design.group_sizes - m, m).astype(np.float64)
 
 
 def _cell_means(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
@@ -122,7 +142,7 @@ def _cell_means(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
 
 def cell_sizes(design: SaturatedDesign) -> np.ndarray:
     """Size of each observation's own cell (m_g if active, n_g - m_g if not)."""
-    return _cell_counts(design)[design.cell]
+    return _cell_counts(design)[design.cell].astype(np.int64)
 
 
 def _keep(design) -> np.ndarray | None:
@@ -168,6 +188,7 @@ def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
     return _cell_P_diag(design)[design.cell]
 
 
+@_memo
 def _cell_P_diag(design: SaturatedDesign) -> np.ndarray:
     """Per-cell value of the diagonal of P (length 2G)."""
     keep = _require_cells(design, 1, DegenerateGroupError)
@@ -187,6 +208,7 @@ def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
     return _cell_D(design)[design.cell]
 
 
+@_memo
 def _cell_D(design: SaturatedDesign) -> np.ndarray:
     """Per-cell value of the diagonal of D (length 2G)."""
     keep = _require_cells(design, 2, GroupSizeError)
@@ -209,11 +231,15 @@ def apply_M_WZ(design: SaturatedDesign, v) -> np.ndarray:
     return v - _cell_means(design, v)[design.cell]
 
 
-def _p_factor(design: SaturatedDesign) -> np.ndarray:
-    """Per cell, ``-m_g/n_g`` (inactive) or ``1 - m_g/n_g`` (active): within
-    group g, P maps v to this factor times the gap of v's cell means."""
-    share = design.treated_counts / design.group_sizes.astype(np.float64)
-    return _per_cell(-share, 1.0 - share)
+@_memo
+def _p_factor(design: SaturatedDesign) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, P's factor ``-m_g/n_g`` (inactive) or ``1 - m_g/n_g`` (active) of the
+    gap of cell means, and per group the P forms' weight ``m_g (n_g - m_g) / n_g``."""
+    _require_cells(design, 1, DegenerateGroupError)
+    n = design.group_sizes.astype(np.float64)
+    m = design.treated_counts.astype(np.float64)
+    share = m / n
+    return _per_cell(-share, 1.0 - share), m * (n - m) / n
 
 
 def apply_P(design: SaturatedDesign, v) -> np.ndarray:
@@ -224,9 +250,9 @@ def apply_P(design: SaturatedDesign, v) -> np.ndarray:
     cell means of v.
     """
     v = _check_vector(design, v)
-    _require_cells(design, 1, DegenerateGroupError)
+    factor = _p_factor(design)[0]
     means = _cell_means(design, v)
-    return (_p_factor(design) * np.repeat(means[1::2] - means[0::2], 2))[design.cell]
+    return (factor * np.repeat(means[1::2] - means[0::2], 2))[design.cell]
 
 
 def apply_A(design: SaturatedDesign, v) -> np.ndarray:
@@ -312,24 +338,22 @@ class _ArmAtoms:
     Y is centred on its cell mean before the arm sums: arm sums of Y itself
     would lose the digits an offset in Y takes.
 
-    One build reads the n rows for all of them: a count of the atom ids
-    ``cell + T * (number of cells)``, the cell sums of Y (the same as the
-    per-row table's), and two sums over atoms, of e0 and of the squares
-    about its arm means.  Per-atom arrays are (2, ...) with the arm first,
+    The build takes the atom ids ``cell + T * (number of cells)`` and reads
+    the n rows once for all of them: a count of the ids, the cell sums of Y
+    (the same as the per-row table's), and two sums over atoms, of e0 and of
+    the squares about its arm means.  Per-atom arrays are (2, ...) with the arm first,
     so that adding the two arms adds two contiguous blocks.  ``tt`` is
     ``T'T``, the count of ones, exact as an integer below 2**53.
     """
 
-    def __init__(self, design: SaturatedDesign, treated: np.ndarray, Y: np.ndarray):
+    def __init__(self, design: SaturatedDesign, atom: np.ndarray, Y: np.ndarray):
         k = _cell_counts(design)
         shape = (2,) + k.shape
-        atom = (design.cell + k.size * treated).reshape(-1)
 
         def atom_sum(weights=None):
             return np.bincount(atom, weights, minlength=2 * k.size).reshape(shape)
 
         self.counts = atom_sum().astype(np.float64)
-        self.k = k.astype(np.float64)
         self.mean_T = np.divide(self.counts[1], k, out=np.zeros(k.shape), where=k > 0)
         self.mean_Y = _cell_means(design, Y)
         self.tt = self.counts[1].sum(axis=-1)
@@ -345,44 +369,44 @@ class _ArmAtoms:
 
 
 def _arm_atoms(design: SaturatedDesign, T: np.ndarray, Y: np.ndarray) -> _ArmAtoms | None:
-    """The ``_ArmAtoms`` of T and Y if ``T == 1`` equals T (so -0.0 reads as
-    0), else None."""
+    """The ``_ArmAtoms`` of T and Y if every entry of T is 0, -0.0 or 1, else
+    None: exactly then do the entries equal to 0 or to 1 make up all of T."""
     treated = T == 1.0
-    return _ArmAtoms(design, treated, Y) if np.array_equal(treated, T) else None
+    if np.count_nonzero(treated) + np.count_nonzero(T == 0.0) < T.size:
+        return None
+    atom = (design.cell + _cell_counts(design).size * treated).reshape(-1)
+    del treated  # freed before the build, where a table's memory peaks
+    return _ArmAtoms(design, atom, Y)
 
 
 class _CellMoments:
     """Per-cell sufficient statistics of a treatment T and ``R = Y - center T``.
 
     Every quadratic form of the estimators and the variances is block diagonal
-    over cells, so it reduces to a few numbers per cell: the counts ``k``,
-    the means ``mean_T`` and ``mean_Y``, and the power sums
-    ``s<j><l> = sum u^j e^l`` of the within-cell deviations ``u = T - mean_T``
-    and ``e`` of R.  ``order=2`` collects ``s20`` and ``s11``, all the ratio
-    estimators need; ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22``
-    for the variances.  Arrays have length 2G and are indexed by cell id.
-    ``tt`` is ``T'T``, the scale the estimators' denominators are judged on.
-    R itself is never formed: ``e`` is ``(Y - mean_Y) - center u``, so
-    offsets in Y and T cancel before any product is taken, whatever the
-    center.
+    over cells, so it reduces to a few numbers per cell (arrays of length 2G,
+    indexed by cell id): the counts ``k``, the means ``mean_T`` and
+    ``mean_Y``, and the power sums ``s<j><l> = sum u^j e^l`` of the
+    within-cell deviations ``u = T - mean_T`` and ``e = (Y - mean_Y) -
+    center u`` of R, in which offsets in Y and T cancel before any product.
+    ``order=2`` collects ``s20`` and ``s11``, all the ratio estimators need;
+    ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variances.
+    ``tt`` is ``T'T``, the scale the denominators are judged on, formed when
+    first read.  Each form (``group_gaps``, ``p_values``, ``p_form``,
+    ``a_form``) is computed once per table and kept read-only.
 
-    The table is built one of two ways.  When T is exactly 0/1 (the paper's
-    binary treatment), one pass over the n rows builds per-(cell, arm)
-    statistics (``_ArmAtoms``), and every sum at the table's center follows
-    from them in O(G); a table passed as ``base`` lends them, so a table at a
-    second center makes no pass over n.  Any other T takes the per-row build:
-    each sum is one cell sum over the n observations, formed one column at a
-    time, so only a few n-vectors are alive at once.  There the counts, the
-    means, ``tt`` and ``s20`` do not depend on the center, so a ``base`` of
-    the same design, T and Y lends them, and only the other sums are formed.
+    A T that is exactly 0/1 (the paper's binary treatment) is read once into
+    per-(cell, arm) statistics (``_ArmAtoms``), from which every sum at any
+    center follows in O(G); a table passed as ``base`` lends them, so a
+    second center reads no rows.  Any other T takes the per-row build, one
+    cell sum per sum, formed a column at a time so that only a few n-vectors
+    are alive at once; a ``base`` lends what does not depend on the center
+    (counts, means, ``tt`` and ``s20``).
 
     On a stack of R designs, T and Y are (R, n), ``center`` is a scalar or
     one per design, shape (R, 1), every array gains the leading axis, and
-    each form returns one value per design.
-
-    Within a cell, ``(P T)_i`` is a constant ``pt`` and ``(A T)_i`` is
-    ``pt - d u_i`` with d the cell's entry of D; likewise ``(A R)_i`` is
-    ``pr - d e_i``.
+    each form returns one value per design.  Within a cell, ``(P T)_i`` is a
+    constant ``pt`` and ``(A T)_i`` is ``pt - d u_i`` with d the cell's
+    entry of D; likewise ``(A R)_i`` is ``pr - d e_i``.
     """
 
     def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray,
@@ -390,7 +414,9 @@ class _CellMoments:
         self.design = design
         self.center = center
         self.centered = bool(np.any(center))
+        self.k = _cell_counts(design)
         self.atoms = _arm_atoms(design, T, Y) if base is None else base.atoms
+        self._T, self._base = (T, base) if self.atoms is None else (None, None)
         if self.atoms is None:
             self._sum_rows(T, Y, order, base)
         else:
@@ -400,7 +426,7 @@ class _CellMoments:
         """The sums from the per-arm statistics: in arm a, ``u_a`` is a
         constant, ``sum e = k_a delta_a`` and ``sum e^2 = ss_a + k_a delta_a^2``."""
         a = self.atoms
-        self.k, self.mean_T, self.mean_Y, self.tt = a.k, a.mean_T, a.mean_Y, a.tt
+        self.mean_T, self.mean_Y = a.mean_T, a.mean_Y
         u = np.stack((-a.mean_T, 1.0 - a.mean_T))
         delta = a.mean_e0 - self.center * u if self.centered else a.mean_e0
         ku, e1 = a.counts * u, a.counts * delta
@@ -421,12 +447,10 @@ class _CellMoments:
         """The sums over the n rows, each one cell sum."""
         design, center = self.design, self.center
         if base is None:
-            self.k = _cell_counts(design).astype(np.float64)
             self.mean_T = _cell_means(design, T)
             self.mean_Y = _cell_means(design, Y)
-            self.tt = _dot(T, T)
         else:
-            self.k, self.mean_T, self.mean_Y, self.tt = base.k, base.mean_T, base.mean_Y, base.tt
+            self.mean_T, self.mean_Y = base.mean_T, base.mean_Y
         # At most four n-vectors are alive at once: u, e, one product and
         # a temporary (u goes once s30 is formed).
         u = self.mean_T.reshape(-1)[design.cell]
@@ -450,33 +474,40 @@ class _CellMoments:
             self.s31 = _cell_sum(design, uu * ue)
             self.s22 = _cell_sum(design, ue * ue)
 
+    @cached_property
+    def tt(self):
+        """``T'T``, formed at the first read: the atoms' or a base's if any."""
+        source = self.atoms or self._base
+        return _dot(self._T, self._T) if source is None else source.tt
+
+    @_memo
     def group_gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Per group, active minus inactive cell mean of T and of R."""
         gap_T = self.mean_T[..., 1::2] - self.mean_T[..., 0::2]
         gap_Y = self.mean_Y[..., 1::2] - self.mean_Y[..., 0::2]
         return gap_T, gap_Y - self.center * gap_T if self.centered else gap_Y
 
+    @_memo
     def p_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Per cell, the constant values of PT and PR: the group's gap of cell
         means times ``-m_g/n_g`` (inactive cell) or ``1 - m_g/n_g`` (active)."""
-        factor = _p_factor(self.design)
+        factor = _p_factor(self.design)[0]
         gap_T, gap_R = self.group_gaps()
         return factor * np.repeat(gap_T, 2, axis=-1), factor * np.repeat(gap_R, 2, axis=-1)
 
+    @_memo
     def p_form(self) -> tuple:
         """``(T'PR, T'PT)``: per group ``m_g (n_g - m_g) / n_g`` times the gaps."""
-        _require_cells(self.design, 1, DegenerateGroupError)
-        n = self.design.group_sizes.astype(np.float64)
-        m = self.design.treated_counts.astype(np.float64)
-        weight = m * (n - m) / n
+        weight = _p_factor(self.design)[1]
         gap_T, gap_R = self.group_gaps()
         return _dot(weight, gap_T * gap_R), _dot(weight, gap_T * gap_T)
 
-    @cached_property
+    @property
     def d(self) -> np.ndarray:
         """Per cell, the diagonal of D (``_cell_D``)."""
         return _cell_D(self.design)
 
+    @_memo
     def a_form(self) -> tuple:
         """``(T'AR, T'AT)``: the P forms less ``sum_c d_c s11`` and ``sum_c d_c s20``."""
         t_p_r, t_p_t = self.p_form()

@@ -181,12 +181,10 @@ class _DesignStack:
         group = group_of + G * np.arange(R)[:, None]
         self.cell = 2 * group + instrument
         counts = np.bincount(self.cell.ravel(), minlength=R * 2 * G).reshape(R, G, 2)
-        # A real (R, G) array, not a broadcast view: arrays derived from a
-        # view come out F-ordered, and blockops._dot needs C order.
-        self.group_sizes = np.tile(np.bincount(group_of, minlength=G), (R, 1))
+        self.group_sizes = counts.sum(axis=2)
         self.treated_counts = m = counts[..., 1]
         self.keep = (m >= 2) & (counts[..., 0] >= 2)
-        self.kept_rows = np.take(self.keep, group)
+        self.kept_rows = self.keep.reshape(-1)[group]
         self.n = np.where(self.keep, self.group_sizes, 0).sum(axis=1, keepdims=True)
 
 

@@ -37,6 +37,7 @@ from .blockops import (
     _dot,
     _keep,
     _kept_ratio,
+    _memo,
     _require_cells,
 )
 from .design import Sample, SaturatedDesign, _check_sample
@@ -110,10 +111,9 @@ def _identified_ratio(num, den, tt, power: int = 1):
     The power is ``np.float_power``, which rounds a square as the scalar
     ``**`` does; ``**`` on an array squares by multiplication.
     """
-    ok = ~(np.abs(den) <= DENOMINATOR_RTOL * tt)
-    return np.divide(
-        num, np.float_power(den, power), out=np.full(np.shape(den), np.nan), where=ok
-    )
+    ok = np.abs(den) > DENOMINATOR_RTOL * tt  # False at NaN, which stays NaN
+    scale = np.float_power(den, power)
+    return np.divide(num, scale, out=np.full(np.shape(den), np.nan), where=ok)
 
 
 def _single(value) -> float:
@@ -140,10 +140,16 @@ def _jive1_form(t: _CellMoments) -> tuple:
     ``sum_i P_ii T_i Y_i`` is, per cell, ``P_cc (s11 + k mean_T mean_Y)``.
     """
     p_diag = _cell_P_diag(t.design)
-    num, den = t.p_form()
-    num -= _dot(p_diag, t.s11 + t.k * t.mean_T * t.mean_Y)
-    den -= _dot(p_diag, t.s20 + t.k * t.mean_T * t.mean_T)
-    return num, den
+    num, den = t.p_form()  # kept on the table: read-only, so not ``-=``
+    num = num - _dot(p_diag, t.s11 + t.k * t.mean_T * t.mean_Y)
+    return num, den - _dot(p_diag, t.s20 + t.k * t.mean_T * t.mean_T)
+
+
+@_memo
+def _between(design: SaturatedDesign) -> np.ndarray:
+    """Per group, ``(m_g^3 + (n_g - m_g)^3) / n_g^3`` (JIVE2)."""
+    n, m = design.group_sizes.astype(np.float64), design.treated_counts.astype(np.float64)
+    return (m**3 + (n - m) ** 3) / n**3
 
 
 def _jive2_form(t: _CellMoments) -> tuple:
@@ -154,15 +160,11 @@ def _jive2_form(t: _CellMoments) -> tuple:
     ``P_cc s11`` per cell plus ``(m_g^3 + (n_g - m_g)^3) / n_g^3`` times the
     product of the gaps per group.
     """
-    p_diag = _cell_P_diag(t.design)
+    p_diag, between = _cell_P_diag(t.design), _between(t.design)
     num, den = t.p_form()
-    n = t.design.group_sizes.astype(np.float64)
-    m = t.design.treated_counts.astype(np.float64)
-    between = (m**3 + (n - m) ** 3) / n**3
     gap_T, gap_Y = t.group_gaps()
-    num -= _dot(p_diag, t.s11) + _dot(between, gap_T * gap_Y)
-    den -= _dot(p_diag, t.s20) + _dot(between, gap_T * gap_T)
-    return num, den
+    num = num - (_dot(p_diag, t.s11) + _dot(between, gap_T * gap_Y))
+    return num, den - (_dot(p_diag, t.s20) + _dot(between, gap_T * gap_T))
 
 
 # Each blockwise estimator as its ``(T' Op Y, T' Op T)`` on a moment table.

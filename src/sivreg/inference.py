@@ -37,6 +37,7 @@ from .blockops import (
     _check_vector,
     _dot,
     _hartley_weights,
+    _memo,
     apply_M_WZ,
     cell_sizes,
 )
@@ -135,35 +136,44 @@ def _robust_polynomials(t: _CellMoments) -> tuple[np.ndarray, np.ndarray]:
     ``V = v0 + v1 d + v2 d^2`` with ``v0 = s_uu.b^2 + s_ee.a^2 + 2 s_eu.ab``,
     ``v1 = -4 (s_uu.ab + s_eu.a^2)`` and ``v2 = 4 s_uu.a^2``.  The constant
     terms are the score and variance at ``beta0 = center``.
-
-    Each dot product is summed per cell from the moment table: with
-    ``a = pt - d u`` and ``b = pr - d e`` in a cell, a product such as
-    ``u^2 b^2`` sums to ``pr^2 s20 - 2 pr d s21 + d^2 s22``, and a Hartley
-    estimate ``w1 x_i - w2 X`` dotted with f gives ``w1 sum(x f) - w2 X F``.
     """
-    d = t.d
-    t_a_r, t_a_t = t.a_form()
-    pt, pr = t.p_values()
-    w1, w2 = _hartley_weights(t.k)
-
-    def hartley(x_sum, xf_sum, f_sum):
-        return _dot(w1, xf_sum) - _dot(w2, x_sum * f_sum)
-
+    d, (pt, pr), aa = t.d, t.p_values(), _aa(t)
     td, rd, dd = pt * d, pr * d, d * d
-    aa = t.k * pt * pt + dd * t.s20
-    bb = t.k * pr * pr + dd * t.s02
-    ab = t.k * pt * pr + dd * t.s11
-    v0 = (
-        hartley(t.s20, pr * pr * t.s20 - 2.0 * rd * t.s21 + dd * t.s22, bb)
-        + hartley(t.s02, pt * pt * t.s02 - 2.0 * td * t.s12 + dd * t.s22, aa)
-        + 2.0 * hartley(t.s11, pt * pr * t.s11 - td * t.s12 - rd * t.s21 + dd * t.s22, ab)
-    )
+    ab, w = t.k * pt * pr + dd * t.s11, _hartley_weights(t.k)
+    t_a_r, t_a_t = t.a_form()
     v1 = -4.0 * (
-        hartley(t.s20, pt * pr * t.s20 - td * t.s21 - rd * t.s30 + dd * t.s31, ab)
-        + hartley(t.s11, pt * pt * t.s11 - 2.0 * td * t.s21 + dd * t.s31, aa)
+        _hartley(w, t.s20, pt * pr * t.s20 - td * t.s21 - rd * t.s30 + dd * t.s31, ab)
+        + _hartley(w, t.s11, pt * pt * t.s11 - 2.0 * td * t.s21 + dd * t.s31, aa)
     )
-    v2 = 4.0 * hartley(t.s20, pt * pt * t.s20 - 2.0 * td * t.s30 + dd * t.s40, aa)
-    return np.array([t_a_r, -t_a_t]), np.array([v0, v1, v2])
+    v2 = 4.0 * _hartley(w, t.s20, pt * pt * t.s20 - 2.0 * td * t.s30 + dd * t.s40, aa)
+    return np.array([t_a_r, -t_a_t]), np.array([_variance_at_center(t), v1, v2])
+
+
+@_memo
+def _aa(t: _CellMoments) -> np.ndarray:
+    """Per cell, ``sum a^2 = k pt^2 + d^2 s20`` with ``a = AT = pt - d u``; both
+    variances read it.  Likewise ``b = AR = pr - d e``, and every product,
+    such as ``u^2 b^2``, sums per cell (``pr^2 s20 - 2 pr d s21 + d^2 s22``)."""
+    pt = t.p_values()[0]
+    return t.k * pt * pt + t.d * t.d * t.s20
+
+
+def _hartley(w: tuple, x_sum, xf_sum, f_sum):
+    """A Hartley estimate ``w1 x_i - w2 X`` dotted with f: ``w1 sum(x f) - w2 X F``."""
+    return _dot(w[0], xf_sum) - _dot(w[1], x_sum * f_sum)
+
+
+def _variance_at_center(t: _CellMoments):
+    """``v0`` of ``_robust_polynomials``: the variance at ``beta0 = center``."""
+    d, (pt, pr), aa = t.d, t.p_values(), _aa(t)
+    td, rd, dd = pt * d, pr * d, d * d
+    ab, bb = t.k * pt * pr + dd * t.s11, t.k * pr * pr + dd * t.s02
+    w = _hartley_weights(t.k)
+    return (
+        _hartley(w, t.s20, pr * pr * t.s20 - 2.0 * rd * t.s21 + dd * t.s22, bb)
+        + _hartley(w, t.s02, pt * pt * t.s02 - 2.0 * td * t.s12 + dd * t.s22, aa)
+        + 2.0 * _hartley(w, t.s11, pt * pr * t.s11 - td * t.s12 - rd * t.s21 + dd * t.s22, ab)
+    )
 
 
 def _check_alpha(alpha: float) -> None:
@@ -197,8 +207,7 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
 
 def _sive_variance(t: _CellMoments):
     """``sive_variance`` from a fourth-order table at ``center = beta``."""
-    score, variance = _robust_polynomials(t)
-    return _identified_ratio(variance[0], -score[1], t.tt, power=2)
+    return _identified_ratio(_variance_at_center(t), t.a_form()[1], t.tt, power=2)
 
 
 def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) -> dict:
@@ -250,8 +259,8 @@ def robust_test(
     """
     _check_alpha(alpha)
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    score_poly, var_poly = _robust_polynomials(_CellMoments(design, T, Y, beta0))
-    score, var = float(score_poly[0]), float(var_poly[0])
+    table = _CellMoments(design, T, Y, beta0)
+    var, score = float(_variance_at_center(table)), float(table.a_form()[0])
     reject = not _accepts(score, var, _critical_value(alpha, two_sided), two_sided)
     return {"score": score, "variance_at_beta0": var, "reject": reject}
 
@@ -433,15 +442,12 @@ def _chao_variance(t: _CellMoments):
     second term is ``d^2 (W_c^2 - sum_c J(e*u)^2)`` per cell plus
     ``2 W_0 W_1 / n_g^2`` per group.
     """
-    d = t.d
-    t_a_t = t.a_form()[1]
-    pt, _ = t.p_values()
+    d, pt, aa = t.d, t.p_values()[0], _aa(t)
     w1, w2 = (np.repeat(w, 2, axis=-1) for w in _hartley_weights(t.design.group_sizes))
     s02_g, s11_g = (
         np.repeat(s.reshape(s.shape[:-1] + (-1, 2)).sum(axis=-1), 2, axis=-1)
         for s in (t.s02, t.s11)
     )
-    aa = t.k * pt * pt + d * d * t.s20
     term1 = _dot(w1, pt * pt * t.s02 - 2.0 * pt * d * t.s12 + d * d * t.s22)
     term1 -= _dot(w2 * s02_g, aa)
     shift = w2 * s11_g
@@ -450,7 +456,7 @@ def _chao_variance(t: _CellMoments):
     n = t.design.group_sizes.astype(np.float64)
     term2 = _dot(d * d, w_sum * w_sum - w_sq)
     term2 += 2.0 * _dot(w_sum[..., 0::2] * w_sum[..., 1::2], 1.0 / n**2)
-    return _identified_ratio(term1 + term2, t_a_t, t.tt, power=2)
+    return _identified_ratio(term1 + term2, t.a_form()[1], t.tt, power=2)
 
 
 @dataclass(frozen=True)

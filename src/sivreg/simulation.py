@@ -231,46 +231,41 @@ def _covariate_layout(n: int, L: int, n_hetero: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=32)
-def _covariate_levels(n: int, L: int, n_hetero: int) -> tuple:
-    """``(propensity(x), outcome_level(x))`` on the layout's X, which no draw
-    changes: computed once per layout and returned read-only."""
-    x = _covariate_layout(n, L, n_hetero)[0]
-    return _readonly(propensity(x)), _readonly(outcome_level(x))
+def _cell_constants(n: int, L: int, n_hetero: int, h: float) -> tuple:
+    """What no draw of a cell changes, read-only: ``propensity(x)`` and
+    ``outcome_level(x)`` on the layout's X, the effect per row in units of
+    beta (1 + h on the n_hetero rows of smallest X, else 1) and its group means."""
+    x, hetero_rows, group_of, _ = _covariate_layout(n, L, n_hetero)
+    gamma = np.ones(n)
+    gamma[hetero_rows] = 1.0 + h
+    mean = np.bincount(group_of, weights=gamma) / np.bincount(group_of)
+    return tuple(map(_readonly, (propensity(x), outcome_level(x), gamma, mean)))
 
 
-def _effect_scale(config: SimConfig) -> np.ndarray:
-    """Per row, the treatment effect in units of beta: 1 + h on the n_hetero
-    rows with the smallest X, 1 elsewhere."""
-    gamma = np.ones(config.n)
-    gamma[_covariate_layout(config.n, config.L, config.n_hetero)[1]] = 1.0 + config.h
-    return gamma
-
-
-def _group_effects(config: SimConfig) -> np.ndarray:
-    """Per group before filtering, its effect ``tau``: beta times the group
-    mean of the effect scale."""
-    group_of = _covariate_layout(config.n, config.L, config.n_hetero)[2]
-    gamma_sum = np.bincount(group_of, weights=_effect_scale(config))
-    return config.beta * (gamma_sum / np.bincount(group_of))
-
-
-def _draw(config: SimConfig, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Instrument q, treatment T and outcome Y of one draw from
-    ``default_rng(seed)``, on every row of the layout (before the size
-    filter)."""
-    rng = np.random.default_rng(seed)
+def _draw(config: SimConfig, seeds: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Instrument q, treatment T and outcome Y, each (R, n), of one draw per
+    seed on every row of the layout (before the size filter).  Draw r fills
+    row r of the chunk's buffers in place from ``default_rng(seeds[r])``, n
+    uniforms and then 2n normals; q, T and Y are formed once, in place."""
     n = config.n
-    prop, level = _covariate_levels(n, config.L, config.n_hetero)
-    q = (rng.random(n) < prop).astype(np.int64)
-
-    z = rng.standard_normal((2, n))
-    eps = config.rho * z[0] + math.sqrt(1.0 - config.rho**2) * z[1]
-
+    U, Z0, Z1 = (np.empty((len(seeds), n)) for _ in range(3))
+    for u, z0, z1, seed in zip(U, Z0, Z1, seeds):
+        rng = np.random.default_rng(seed)
+        rng.random(out=u)
+        rng.standard_normal(out=z0)
+        rng.standard_normal(out=z1)
+    prop, level, gamma, _ = _cell_constants(n, config.L, config.n_hetero, config.h)
+    q = U < prop
     # ndtr(u) <= p, with ndtr inverted once per instrument arm.
-    quantile = np.where(q == 1, ndtri(config.p1), ndtri(config.p0))
-    t = (z[0] <= quantile).astype(np.float64)
-    y = level + config.beta * _effect_scale(config) * t + eps
-    return q, t, y
+    T = (Z0 <= np.take([ndtri(config.p0), ndtri(config.p1)], q)).astype(np.float64)
+    # eps = rho z0 + sqrt(1 - rho^2) z1 and Y = level + beta gamma T + eps,
+    # each sum with its terms swapped, which leaves every bit as it is.
+    Z1 *= math.sqrt(1.0 - config.rho**2)
+    Z1 += np.multiply(Z0, config.rho, out=Z0)
+    Y = np.multiply(config.beta * gamma, T, out=U)
+    Y += level
+    Y += Z1
+    return q, T, Y
 
 
 def generate_sample(config: SimConfig, seed=None) -> SimDraw:
@@ -281,13 +276,14 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     as possible.  Groups with fewer than two treated-eligible or two
     ineligible observations are dropped before anything else is computed.
     """
-    q, t, y = _draw(config, config.master_seed if seed is None else seed)
+    q, t, y = (v[0] for v in _draw(config, [config.master_seed if seed is None else seed]))
     _, _, group_of, keys = _covariate_layout(config.n, config.L, config.n_hetero)
     raw = SaturatedDesign(group_of, q, group_keys=keys)
     audit = validate_group_sizes(raw, min_active=2, min_inactive=2)
     design, sample = filter_design(raw, audit, Sample(outcome=y, treatment=t))
 
-    tau = _group_effects(config)[list(audit.kept_groups)]
+    tau = config.beta * _cell_constants(config.n, config.L, config.n_hetero, config.h)[3]
+    tau = tau[list(audit.kept_groups)]
     pi = np.full(design.G, config.p1 - config.p0)
     truth = {
         "pi": pi,
@@ -304,24 +300,22 @@ def _draw_stack(cell: SimConfig, reps: range) -> tuple:
 
     Returns ``(stack, T, Y, truth, valid)``, T and Y of shape (R, n).  They
     are zero on the rows of the groups a draw drops, and on every row of a
-    draw with a non-finite entry (one a Sample would refuse).  ``valid``
-    marks the draws that are finite, keep a group and have a defined
-    ``beta_sive``; the others are attrition for everything.
+    draw with a non-finite Y (which a Sample would refuse; T is 0/1).
+    ``valid`` marks the draws that are finite, keep a group and have a
+    defined ``beta_sive``; the others are attrition for everything.
     """
-    shape = (len(reps), cell.n)
-    q, T, Y = np.empty(shape, np.int64), np.empty(shape), np.empty(shape)
-    for i, rep in enumerate(reps):
-        q[i], T[i], Y[i] = _draw(cell, replication_seed(cell.master_seed, rep))
+    q, T, Y = _draw(cell, [replication_seed(cell.master_seed, rep) for rep in reps])
     stack = _DesignStack(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
-    finite = np.isfinite(T).all(axis=1) & np.isfinite(Y).all(axis=1)
+    finite = np.isfinite(Y).all(axis=1)
     dropped = ~(stack.kept_rows & finite[:, None])
-    T[dropped] = 0.0
-    Y[dropped] = 0.0
+    np.putmask(T, dropped, 0.0)
+    np.putmask(Y, dropped, 0.0)
 
-    tau = _group_effects(cell)
+    tau = cell.beta * _cell_constants(cell.n, cell.L, cell.n_hetero, cell.h)[3]
     inputs = PopulationInputs(pi=cell.p1 - cell.p0, tau=tau)
     num, den = population_moments(EstimatorKind.SIVE, stack, inputs)
-    truth = np.divide(num, den, out=_shared_effect(tau, stack.keep), where=den != 0.0)
+    out = _shared_effect(tau, stack.keep) if (den == 0.0).any() else np.empty(den.shape)
+    truth = np.divide(num, den, out=out, where=den != 0.0)
     valid = finite & stack.keep.any(axis=1) & ~np.isnan(truth)
     return stack, T, Y, truth, valid
 
@@ -435,11 +429,12 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     """Append the errors and rejections of replications ``reps`` to ``errors``
     (per estimator) and ``hits`` (per variant).
 
-    The chunk builds one moment table at center 0 for every estimator and,
-    when variants are requested, one on top of it at each draw's SIVE
-    estimate for both variances.  Errors and tests are against each draw's
-    own ``beta_sive``.
-    A failed draw is attrition for everything, a failed estimate for its own
+    The chunk's draws fill (R, n) buffers in place (``_draw``) and form one
+    stack, whose design constants are computed once.  It builds one moment
+    table at center 0 for every estimator and, when variants are requested,
+    one on top of it at each draw's SIVE estimate, whose forms both variances
+    share.  Errors and tests are against each draw's own ``beta_sive``.  A
+    failed draw is attrition for everything, a failed estimate for its own
     estimator (SIVE's also for every variant), and a failed variance or test
     for its own variant.
     """
@@ -447,7 +442,10 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     if hits and EstimatorKind.SIVE not in kinds:
         kinds += (EstimatorKind.SIVE,)
     stack, T, Y, truth, valid = _draw_stack(cell, reps)
+    # A drawn T is 0/1, so both tables come from the per-arm statistics
+    # (``blockops._ArmAtoms``) and the rows can go once the first is built.
     table = _CellMoments(stack, T, Y, order=2)
+    del T, Y
     estimates = {kind: _estimates(kind, table) for kind in kinds}
     for kind in errors:
         ok = valid & ~np.isnan(estimates[kind])
@@ -459,7 +457,7 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     if not ok.any():
         return
     center = np.where(ok, beta_hat, 0.0)[:, None]
-    at_beta_hat = _CellMoments(stack, T, Y, center, base=table)
+    at_beta_hat = _CellMoments(stack, None, None, center, base=table)
     for variant in hits:
         variance = _sive_variance if variant == "vhat" else _chao_variance
         tests = zip(

@@ -1098,3 +1098,151 @@ def test_one_sided_robust_ci_needs_alpha_below_half():
     with pytest.raises(ValueError, match="alpha < 0.5"):
         robust_ci(d, s.outcome, s.treatment, grid=window, alpha=0.6, two_sided=False)
     assert robust_ci(d, s.outcome, s.treatment, grid=window, alpha=0.6)["intervals"]
+
+
+def stack_of(d, rows):
+    """``d`` stacked len(rows) times, with one ``(T, Y)`` per design."""
+    R = len(rows)
+    stack = _DesignStack(d.group_of, np.tile(d.instrument, (R, 1)))
+    return stack, np.stack([T for T, _ in rows]), np.stack([Y for _, Y in rows])
+
+
+def assert_same_bits(got, want, label):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), label
+
+
+def assert_sive_variance_is_v0(design, T, Y, center):
+    """``_sive_variance`` against ``_robust_polynomials``'s v0 over
+    ``(T'AT)^2``, each on a table of its own and both on one table."""
+    from sivreg.estimators import _identified_ratio
+    from sivreg.inference import _robust_polynomials, _sive_variance
+
+    def via_polynomials(table):
+        score, variance = _robust_polynomials(table)
+        return _identified_ratio(variance[0], -score[1], table.tt, power=2)
+
+    want = via_polynomials(_CellMoments(design, T, Y, center))
+    assert_same_bits(_sive_variance(_CellMoments(design, T, Y, center)), want, center)
+    shared = _CellMoments(design, T, Y, center)
+    assert_same_bits(_sive_variance(shared), want, center)
+    assert_same_bits(via_polynomials(shared), want, center)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_cases(), st.booleans())
+def test_sive_variance_reads_v0_of_the_robust_polynomials(case, binary_kind):
+    # Both kinds of table: the continuous draw, and T thresholded to 0/1.
+    d, s, slope, _ = case
+    T = (s.treatment > np.median(s.treatment)).astype(float) if binary_kind else s.treatment
+    Y = s.outcome
+    stack, T2, Y2 = stack_of(d, [(T, Y), (T, Y[::-1].copy())])
+    for center in ATOM_CENTERS + (slope,):
+        assert_sive_variance_is_v0(d, T, Y, center)
+        assert_sive_variance_is_v0(stack, T2, Y2, center)
+    assert_sive_variance_is_v0(stack, T2, Y2, np.array([[0.25], [slope]]))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(binary_stacks())
+def test_sive_variance_reads_v0_on_a_stack_that_drops_groups(case):
+    stack, T, Y, slope = case
+    for center in ATOM_CENTERS + (slope, 0.25 + np.arange(T.shape[0])[:, None]):
+        assert_sive_variance_is_v0(stack, T, Y, center)
+
+
+def _constants_of(design, fresh=False):
+    """Every per-design constant that is computed once and kept; with
+    ``fresh``, each computed anew by the function the cache wraps."""
+    from sivreg.estimators import _between
+
+    functions = {
+        "counts": blockops._cell_counts,
+        "P diag": blockops._cell_P_diag,
+        "D": blockops._cell_D,
+        "P factor and weight": blockops._p_factor,
+        "JIVE2 between": _between,
+    }
+    return {name: (f.__wrapped__ if fresh else f)(design) for name, f in functions.items()}
+
+
+def _arrays(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+def assert_kept_read_only_and_fresh(first, again, fresh):
+    """``again`` is ``first`` (kept), every array in it is read-only, and it
+    equals ``fresh``, the same constants computed on a new object."""
+    for name in first:
+        assert again[name] is first[name], name
+        for arr, ref in zip(_arrays(first[name]), _arrays(fresh[name]), strict=True):
+            assert_same_bits(arr, ref, name)
+            if isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
+
+def _forms(table, fresh=False):
+    """A table's kept forms, and the sums of ``(AT)^2`` the variances share."""
+    from sivreg.inference import _aa
+
+    names = ("group_gaps", "p_values", "p_form", "a_form")
+    forms = {name: getattr(_CellMoments, name) for name in names}
+    forms["aa"] = _aa
+    return {name: (f.__wrapped__ if fresh else f)(table) for name, f in forms.items()}
+
+
+def _copies(forms):
+    return {name: tuple(map(np.copy, _arrays(value))) for name, value in forms.items()}
+
+
+def assert_forms_survive_every_reader(design, T, Y, remake):
+    """Run the four estimators and both variances on one fourth-order table
+    at center 0, then check that its forms are still their first values;
+    its design's constants and its forms are kept, read-only, and equal a
+    recomputation on a fresh design (``remake``) and a fresh table."""
+    from sivreg.estimators import _FORMS, _estimates
+    from sivreg.inference import _chao_variance, _sive_variance
+
+    table = _CellMoments(design, T, Y)
+    first_forms = _forms(table)
+    before = _copies(first_forms)
+    constants = _constants_of(design)
+    for kind in _FORMS:
+        _estimates(kind, table)
+    _sive_variance(table)
+    _chao_variance(table)
+    after = _forms(table)
+    for name, value in before.items():
+        for got, want in zip(_arrays(after[name]), value, strict=True):
+            assert_same_bits(got, want, name)
+    fresh_design = remake()
+    assert_kept_read_only_and_fresh(
+        constants, _constants_of(design), _constants_of(fresh_design, fresh=True)
+    )
+    fresh_table = _CellMoments(fresh_design, T, Y)
+    assert_kept_read_only_and_fresh(first_forms, after, _forms(fresh_table, fresh=True))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_cases(), st.booleans())
+def test_kept_constants_and_forms_are_read_only_and_survive_the_estimators(case, binary_kind):
+    d, s, _, _ = case
+    T = (s.treatment > np.median(s.treatment)).astype(float) if binary_kind else s.treatment
+    Y = s.outcome
+    assert_forms_survive_every_reader(d, T, Y, lambda: SaturatedDesign(d.group_of, d.instrument))
+    stack, T2, Y2 = stack_of(d, [(T, Y), (T[::-1].copy(), Y)])
+    assert_forms_survive_every_reader(
+        stack, T2, Y2, lambda: _DesignStack(d.group_of, np.tile(d.instrument, (2, 1)))
+    )
+
+
+def test_kept_constants_of_a_simulated_stack():
+    # A Monte Carlo chunk whose draws drop groups (L = 300 at n = 3000).
+    cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
+    stack, T, Y, _, _ = simulation._draw_stack(cell, range(4))
+    assert not stack.keep.all()
+    group_of = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2]
+    instrument = stack.cell % 2
+    assert_forms_survive_every_reader(stack, T, Y, lambda: _DesignStack(group_of, instrument))

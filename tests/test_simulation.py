@@ -358,9 +358,9 @@ def test_simulate_draws_each_replication_once(monkeypatch, tmp_path):
     real = simulation._draw
     keys = []
 
-    def counted(cell, seed):
-        keys.append((cell.L, cell.p1, seed.spawn_key))
-        return real(cell, seed)
+    def counted(cell, seeds):
+        keys.extend((cell.L, cell.p1, seed.spawn_key) for seed in seeds)
+        return real(cell, seeds)
 
     monkeypatch.setattr(simulation, "_draw", counted)
     _simulate(tmp_path, n=200, L=[1, 2], p1=[0.49, 0.69], replications=3)
@@ -409,10 +409,11 @@ def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
     real_draw, real_estimate = simulation._draw, simulation._estimates
     chunk = _record_chunks(monkeypatch)
 
-    def draw(cell, seed):
-        result = real_draw(cell, seed)
-        if seed.spawn_key[0] in failing_reps:
-            doomed.append(result[1].tobytes())
+    def draw(cell, seeds):
+        result = real_draw(cell, seeds)
+        for seed, row in zip(seeds, result[1]):
+            if seed.spawn_key[0] in failing_reps:
+                doomed.append(row.tobytes())
         return result
 
     def estimate(kind, table):
@@ -448,9 +449,10 @@ def test_failed_variance_or_t_test_is_attrition_for_that_variant_only(
     real_sive, real_chao = simulation._sive_variance, simulation._chao_variance
     chunk = _record_chunks(monkeypatch)
 
-    def draw(cell, seed):
-        result = real_draw(cell, seed)
-        doomed[result[1].tobytes()] = seed.spawn_key[0]
+    def draw(cell, seeds):
+        result = real_draw(cell, seeds)
+        for seed, row in zip(seeds, result[1]):
+            doomed[row.tobytes()] = seed.spawn_key[0]
         return result
 
     def reps():

@@ -10,10 +10,11 @@ rows and may differ in the last bits.
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sivreg import simulation
+from sivreg._normal import ndtri
 from sivreg.blockops import _CellMoments
 from sivreg.design import DesignError
 from sivreg.estimators import EstimationError, _estimates
@@ -26,6 +27,8 @@ from sivreg.simulation import (
     _replications,
     _run_grid,
     generate_sample,
+    outcome_level,
+    propensity,
     replication_seed,
     summarize,
 )
@@ -164,3 +167,87 @@ def test_non_finite_draw_is_attrition_for_everything():
     assert not valid.any()
     assert not T.any() and not Y.any()
     assert all(r["value"] == 1.0 for r in bias + size if r["metric"] == "attrition")
+
+
+def one_draw(cell: SimConfig, seed):
+    """q, T and Y of one replication as they were drawn before chunks were
+    filled in place: one generator, one (n,) and one (2, n) request."""
+    rng = np.random.default_rng(seed)
+    x, hetero_rows, _, _ = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)
+    q = (rng.random(cell.n) < propensity(x)).astype(np.int64)
+    z = rng.standard_normal((2, cell.n))
+    eps = cell.rho * z[0] + np.sqrt(1.0 - cell.rho**2) * z[1]
+    quantile = np.where(q == 1, ndtri(cell.p1), ndtri(cell.p0))
+    t = (z[0] <= quantile).astype(np.float64)
+    gamma = np.ones(cell.n)
+    gamma[hetero_rows] = 1.0 + cell.h
+    return q, t, outcome_level(x) + cell.beta * gamma * t + eps
+
+
+@st.composite
+def draw_chunks(draw):
+    """A cell (n = 1 included, n rarely a multiple of L) and a chunk of
+    consecutive replications starting anywhere; beta = 1e308 with h > 0
+    overflows Y to inf on the treated rows that get the shifted effect."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 300)))
+    cell = SimConfig(
+        n=n,
+        L=draw(st.integers(1, 40)),
+        p1=draw(st.sampled_from([0.05, 0.3, 0.49, 0.95])),
+        rho=draw(st.sampled_from([0.0, 0.527, -0.9, 0.999])),
+        beta=draw(st.sampled_from([0.2, -3.0, 1e308])),
+        h=draw(st.sampled_from([0.0, 2.0, 10.0])),
+        n_hetero=draw(st.integers(0, n)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    start = draw(st.integers(0, 10_000))
+    return cell, range(start, start + draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(draw_chunks())
+@example((SimConfig(n=60, L=7, beta=1e308, h=10.0, n_hetero=30, master_seed=2), range(5, 9)))
+@example((SimConfig(n=1, L=3, n_hetero=1, master_seed=1), range(7, 9)))
+def test_chunk_draws_equal_per_replication_draws(case):
+    # Filling a chunk's rows in place reads each replication's stream as the
+    # per-replication requests did, bit for bit; a draw whose Y overflows is
+    # still attrition for everything, with its rows zeroed.
+    cell, reps = case
+    seeds = [replication_seed(cell.master_seed, rep) for rep in reps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, T, Y = simulation._draw(cell, seeds)
+        stack, T_stack, Y_stack, _, valid = _draw_stack(cell, reps)
+        refs = [one_draw(cell, seed) for seed in seeds]
+    assert q.shape == T.shape == Y.shape == (len(reps), cell.n)
+    for i, (q_ref, t_ref, y_ref) in enumerate(refs):
+        assert np.array_equal(q[i], q_ref)
+        assert T[i].tobytes() == t_ref.tobytes()
+        assert Y[i].tobytes() == y_ref.tobytes()
+        finite = bool(np.isfinite(y_ref).all())
+        kept = stack.kept_rows[i] & finite
+        assert T_stack[i].tobytes() == np.where(kept, t_ref, 0.0).tobytes()
+        assert Y_stack[i].tobytes() == np.where(kept, y_ref, 0.0).tobytes()
+        if not finite:
+            assert not valid[i]
+            assert not T_stack[i].any() and not Y_stack[i].any()
+
+
+def test_generate_sample_draws_through_the_chunk_draw(monkeypatch):
+    cell = SimConfig(n=301, L=7, beta=0.7, h=2.0, n_hetero=100)
+    seed = replication_seed(5, 3)
+    calls = []
+    real_draw = simulation._draw
+
+    def draw(config, seeds):
+        calls.append(list(seeds))
+        return real_draw(config, seeds)
+
+    monkeypatch.setattr(simulation, "_draw", draw)
+    sample_draw = generate_sample(cell, seed)
+    assert calls == [[seed]]
+    q_ref, t_ref, y_ref = one_draw(cell, seed)
+    rows = np.isin(simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2],
+                   sample_draw.audit.kept_groups)
+    assert np.array_equal(sample_draw.design.instrument, q_ref[rows])
+    assert sample_draw.sample.treatment.tobytes() == t_ref[rows].tobytes()
+    assert sample_draw.sample.outcome.tobytes() == y_ref[rows].tobytes()
