@@ -17,20 +17,18 @@ below is O(n): one cell sum, then per-cell coefficients gathered by cell id
 (``design.cell``).  Dense n-by-n matrices exist only in the reference module.
 Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
 reduces them to per-cell sums, which is how the estimators and both variances
-use them; the public operators are their per-observation reference.  The
-table is built one of two ways.  For a treatment that is exactly 0/1, one
-pass over the rows gathers per-(cell, arm) counts, means and centred sums
-of squares (``_ArmAtoms``), and the table at any center follows from them in
-O(G), so a second table of the same data costs no pass.  Any other treatment
-takes the per-row build, one cell sum per entry of the table.  The table and
-its per-cell helpers also take a stack of R designs (``design._DesignStack``),
+use them; the public operators are their per-observation reference.  One
+pass over the rows gathers per-atom counts, means and centred sums of squares
+(``_Atoms``), per (cell, arm) for a 0/1 treatment and per row for any other,
+and one merge gives the table at any center from them.  The table and its
+per-cell helpers also take a stack of R designs (``design._DesignStack``),
 with a leading axis of length R on every array, and ``_dot`` reduces both
 shapes alike.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -325,37 +323,58 @@ def trace_A_squared(design: SaturatedDesign) -> float:
     return float(per_group.sum())
 
 
-class _ArmAtoms:
-    """Per-(cell, arm) statistics of a treatment T that is exactly 0/1, and Y.
+def _binary_arms(T: np.ndarray) -> np.ndarray | None:
+    """``T == 1`` if every entry of T is 0, -0.0 or 1, else None."""
+    treated = T == 1.0
+    return treated if np.count_nonzero(treated) + np.count_nonzero(T == 0.0) == T.size else None
 
-    In a cell whose share of ones is p, the deviation u of T is ``-p`` in arm
-    0 and ``1 - p`` in arm 1, so at a center c the deviation of R in arm a is
-    ``e0 - c u_a``, with ``e0 = Y - mean_Y`` the deviation of Y.  Per arm,
-    the count ``k_a``, the mean of e0 and its centred sum of squares ``ss``
-    then give ``sum e = k_a delta`` and ``sum e^2 = ss + k_a delta^2`` with
-    ``delta = mean(e0) - c u_a`` (the pairwise merge of Chan, Golub and
-    LeVeque), so every power sum at every center is O(G) arithmetic on them.
-    Y is centred on its cell mean before the arm sums: arm sums of Y itself
-    would lose the digits an offset in Y takes.
 
-    The build takes the atom ids ``cell + T * (number of cells)`` and reads
-    the n rows once for all of them: a count of the ids, the cell sums of Y
-    (the same as the per-row table's), and two sums over atoms, of e0 and of
-    the squares about its arm means.  Per-atom arrays are (2, ...) with the arm first,
-    so that adding the two arms adds two contiguous blocks.  ``tt`` is
-    ``T'T``, the count of ones, exact as an integer below 2**53.
+class _Atoms:
+    """Per-atom statistics of T and Y, read from the rows once.
+
+    An atom is a set of rows of a cell on which ``u = T - mean_T`` is
+    constant.  Per atom: the count ``k_a``, u, the mean of ``e0 = Y -
+    mean_Y`` and the centred sum of squares ``ss`` of e0.  At a center c,
+    ``sum e = k_a delta`` and ``sum e^2 = ss + k_a delta^2`` with ``delta =
+    mean(e0) - c u`` (the pairwise merge of Chan, Golub and LeVeque).  Y is
+    centred on its cell mean first: sums of Y itself would lose the digits
+    an offset in Y takes.  ``to_cells`` adds per-atom values up per cell;
+    ``tt`` is ``T'T``.
+
+    A T that is exactly 0/1 has one atom per (cell, arm), u being ``-p`` in
+    arm 0 and ``1 - p`` in arm 1 for the cell's share p of ones: a count of
+    the atom ids ``cell + T * (number of cells)``, the cell sums of Y and
+    two sums over atoms give them.  Arrays are (2, ...), arm first, so that
+    ``to_cells`` adds two contiguous blocks, and ``tt`` is the count of ones,
+    exact below 2**53.  Any other T has one atom per row, of count 1 and ss
+    0, kept as ``u`` and ``mean_e0``; ``counts`` and ``ss`` are then None,
+    so that the merge neither multiplies by 1 nor adds 0, and ``to_cells``
+    is the cell sum.
     """
 
-    def __init__(self, design: SaturatedDesign, atom: np.ndarray, Y: np.ndarray):
+    def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray):
         k = _cell_counts(design)
+        self.mean_Y = _cell_means(design, Y)
+        treated = _binary_arms(T)
+        if treated is None:
+            self.to_cells = lambda x: _cell_sum(design, x)
+            self.counts = self.ss = None
+            self.mean_T, self.tt = _cell_means(design, T), _dot(T, T)
+            self.u = self.mean_T.reshape(-1)[design.cell]
+            np.subtract(T, self.u, out=self.u)
+            self.mean_e0 = self.mean_Y.reshape(-1)[design.cell]
+            np.subtract(Y, self.mean_e0, out=self.mean_e0)
+            return
+        atom = (design.cell + k.size * treated).reshape(-1)
+        del treated  # freed before the build, where a table's memory peaks
         shape = (2,) + k.shape
 
         def atom_sum(weights=None):
             return np.bincount(atom, weights, minlength=2 * k.size).reshape(shape)
 
+        self.to_cells = lambda x: x.sum(axis=0)
         self.counts = atom_sum().astype(np.float64)
         self.mean_T = np.divide(self.counts[1], k, out=np.zeros(k.shape), where=k > 0)
-        self.mean_Y = _cell_means(design, Y)
         self.tt = self.counts[1].sum(axis=-1)
         e0 = self.mean_Y.reshape(-1)[design.cell]
         np.subtract(Y, e0, out=e0)
@@ -366,17 +385,6 @@ class _ArmAtoms:
         e0 -= self.mean_e0.reshape(-1)[atom]
         e0 *= e0
         self.ss = atom_sum(e0)
-
-
-def _arm_atoms(design: SaturatedDesign, T: np.ndarray, Y: np.ndarray) -> _ArmAtoms | None:
-    """The ``_ArmAtoms`` of T and Y if every entry of T is 0, -0.0 or 1, else
-    None: exactly then do the entries equal to 0 or to 1 make up all of T."""
-    treated = T == 1.0
-    if np.count_nonzero(treated) + np.count_nonzero(T == 0.0) < T.size:
-        return None
-    atom = (design.cell + _cell_counts(design).size * treated).reshape(-1)
-    del treated  # freed before the build, where a table's memory peaks
-    return _ArmAtoms(design, atom, Y)
 
 
 class _CellMoments:
@@ -390,17 +398,14 @@ class _CellMoments:
     center u`` of R, in which offsets in Y and T cancel before any product.
     ``order=2`` collects ``s20`` and ``s11``, all the ratio estimators need;
     ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variances.
-    ``tt`` is ``T'T``, the scale the denominators are judged on, formed when
-    first read.  Each form (``group_gaps``, ``p_values``, ``p_form``,
-    ``a_form``) is computed once per table and kept read-only.
+    ``tt`` is ``T'T``, the scale the denominators are judged on.  Each form
+    (``group_gaps``, ``p_values``, ``p_form``, ``a_form``) is computed once
+    per table and kept read-only.
 
-    A T that is exactly 0/1 (the paper's binary treatment) is read once into
-    per-(cell, arm) statistics (``_ArmAtoms``), from which every sum at any
-    center follows in O(G); a table passed as ``base`` lends them, so a
-    second center reads no rows.  Any other T takes the per-row build, one
-    cell sum per sum, formed a column at a time so that only a few n-vectors
-    are alive at once; a ``base`` lends what does not depend on the center
-    (counts, means, ``tt`` and ``s20``).
+    The sums are merged from ``_Atoms``: per (cell, arm) for a 0/1 T (the
+    paper's binary treatment), O(G) once the atoms exist, and per row for
+    any other T.  A ``base`` table lends its atoms and the center-free
+    ``s20``; T and Y are then not read (None will do).
 
     On a stack of R designs, T and Y are (R, n), ``center`` is a scalar or
     one per design, shape (R, 1), every array gains the leading axis, and
@@ -415,70 +420,33 @@ class _CellMoments:
         self.center = center
         self.centered = bool(np.any(center))
         self.k = _cell_counts(design)
-        self.atoms = _arm_atoms(design, T, Y) if base is None else base.atoms
-        self._T, self._base = (T, base) if self.atoms is None else (None, None)
-        if self.atoms is None:
-            self._sum_rows(T, Y, order, base)
-        else:
-            self._merge_atoms(order)
-
-    def _merge_atoms(self, order: int) -> None:
-        """The sums from the per-arm statistics: in arm a, ``u_a`` is a
-        constant, ``sum e = k_a delta_a`` and ``sum e^2 = ss_a + k_a delta_a^2``."""
-        a = self.atoms
-        self.mean_T, self.mean_Y = a.mean_T, a.mean_Y
-        u = np.stack((-a.mean_T, 1.0 - a.mean_T))
-        delta = a.mean_e0 - self.center * u if self.centered else a.mean_e0
-        ku, e1 = a.counts * u, a.counts * delta
-        self.s20 = (ku * u).sum(axis=0)
-        self.s11 = (u * e1).sum(axis=0)
-        if order > 2:
-            uu, e2 = u * u, a.ss + e1 * delta
-            self.s02 = e2.sum(axis=0)
-            self.s30 = (ku * uu).sum(axis=0)
-            self.s21 = (uu * e1).sum(axis=0)
-            self.s12 = (u * e2).sum(axis=0)
-            self.s40 = (ku * uu * u).sum(axis=0)
-            self.s31 = (uu * u * e1).sum(axis=0)
-            self.s22 = (uu * e2).sum(axis=0)
-
-    def _sum_rows(self, T: np.ndarray, Y: np.ndarray, order: int,
-                  base: _CellMoments | None) -> None:
-        """The sums over the n rows, each one cell sum."""
-        design, center = self.design, self.center
-        if base is None:
-            self.mean_T = _cell_means(design, T)
-            self.mean_Y = _cell_means(design, Y)
-        else:
-            self.mean_T, self.mean_Y = base.mean_T, base.mean_Y
-        # At most four n-vectors are alive at once: u, e, one product and
-        # a temporary (u goes once s30 is formed).
-        u = self.mean_T.reshape(-1)[design.cell]
-        np.subtract(T, u, out=u)
-        e = self.mean_Y.reshape(-1)[design.cell]
-        np.subtract(Y, e, out=e)
+        self.atoms = a = _Atoms(design, T, Y) if base is None else base.atoms
+        self.mean_T, self.mean_Y, self.tt = a.mean_T, a.mean_Y, a.tt
+        # A (cell, arm) atom's u is formed per table: O(G), and not kept.
+        u = a.u if a.counts is None else np.stack((-a.mean_T, 1.0 - a.mean_T))
+        to_cells, delta = a.to_cells, a.mean_e0
         if self.centered:
-            e -= center * u
-        uu = u * u
-        self.s20 = _cell_sum(design, uu) if base is None else base.s20
+            delta = center * u
+            np.subtract(a.mean_e0, delta, out=delta)
+        ku, e1 = (u, delta) if a.counts is None else (a.counts * u, a.counts * delta)
+        self.s20 = to_cells(ku * u) if base is None else base.s20
+        self.s11 = to_cells(u * e1)
         if order > 2:
-            self.s30 = _cell_sum(design, uu * u)
-        ue = u * e
-        del u
-        self.s11 = _cell_sum(design, ue)
-        if order > 2:
-            self.s02 = _cell_sum(design, e * e)
-            self.s21 = _cell_sum(design, uu * e)
-            self.s12 = _cell_sum(design, ue * e)
-            self.s40 = _cell_sum(design, uu * uu)
-            self.s31 = _cell_sum(design, uu * ue)
-            self.s22 = _cell_sum(design, ue * ue)
-
-    @cached_property
-    def tt(self):
-        """``T'T``, formed at the first read: the atoms' or a base's if any."""
-        source = self.atoms or self._base
-        return _dot(self._T, self._T) if source is None else source.tt
+            # Ordered so that at most five per-row arrays are alive at once:
+            # u, e0, uu, delta or e2, and one product.
+            uu = u * u
+            kuu = ku * uu
+            self.s30 = to_cells(kuu)
+            kuu *= u
+            self.s40 = to_cells(kuu)
+            del kuu
+            self.s21 = to_cells(uu * e1)
+            self.s31 = to_cells(uu * u * e1)
+            e2 = e1 * delta if a.ss is None else a.ss + e1 * delta
+            del ku, e1, delta
+            self.s02 = to_cells(e2)
+            self.s12 = to_cells(u * e2)
+            self.s22 = to_cells(uu * e2)
 
     @_memo
     def group_gaps(self) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -787,7 +788,9 @@ def _add_data_flags(p: argparse.ArgumentParser, with_outcome: bool) -> None:
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="sivreg",
         description="Saturated instrumental-variables estimation and inference.",

@@ -39,7 +39,6 @@ from .design import (
     validate_group_sizes,
 )
 from .estimators import (
-    EstimationError,
     EstimatorKind,
     PopulationInputs,
     _estimates,
@@ -435,15 +434,14 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     one on top of it at each draw's SIVE estimate, whose forms both variances
     share.  Errors and tests are against each draw's own ``beta_sive``.  A
     failed draw is attrition for everything, a failed estimate for its own
-    estimator (SIVE's also for every variant), and a failed variance or test
-    for its own variant.
+    estimator (SIVE's also for every variant), and a variance that is not
+    positive for its own variant.
     """
     kinds = tuple(errors)
     if hits and EstimatorKind.SIVE not in kinds:
         kinds += (EstimatorKind.SIVE,)
     stack, T, Y, truth, valid = _draw_stack(cell, reps)
-    # A drawn T is 0/1, so both tables come from the per-arm statistics
-    # (``blockops._ArmAtoms``) and the rows can go once the first is built.
+    # The table at beta_hat reuses this one's atoms, so the rows can go.
     table = _CellMoments(stack, T, Y, order=2)
     del T, Y
     estimates = {kind: _estimates(kind, table) for kind in kinds}
@@ -459,18 +457,13 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     center = np.where(ok, beta_hat, 0.0)[:, None]
     at_beta_hat = _CellMoments(stack, None, None, center, base=table)
     for variant in hits:
-        variance = _sive_variance if variant == "vhat" else _chao_variance
-        tests = zip(
-            beta_hat[ok].tolist(),
-            variance(at_beta_hat)[ok].tolist(),
-            truth[ok].tolist(),
-        )
-        for b, var, truth_b in tests:
-            try:
-                res = t_test(b, var, truth_b, alpha)
-            except EstimationError:
-                continue
-            hits[variant].append(1.0 if res["reject"] else 0.0)
+        variance = (_sive_variance if variant == "vhat" else _chao_variance)(at_beta_hat)
+        # t_test's own rule: a variance that is not positive (or NaN) is not tested.
+        tested = ok & (variance > 0.0)
+        for b, var, truth_b in zip(
+            beta_hat[tested].tolist(), variance[tested].tolist(), truth[tested].tolist()
+        ):
+            hits[variant].append(1.0 if t_test(b, var, truth_b, alpha)["reject"] else 0.0)
 
 
 def _run_grid(

@@ -74,6 +74,24 @@ def test_python_dash_m_runs_the_command_line():
     assert out.stdout.startswith("usage: sivreg")
 
 
+def test_one_parser_serves_a_usage_error_then_a_valid_call(tmp_path, capsys):
+    # main builds its parser once per process; a call that stops at a usage
+    # error leaves nothing on it that a later call could trip over (had the
+    # --binarize leaked, z would be all 0 and every group a violation).
+    from sivreg.cli import _build_parser
+
+    data = noisy_csv(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        main(["audit", "--data", data, "--binarize", "z:5"])
+    assert stop.value.code == 2
+    assert "--instrument" in capsys.readouterr().err
+    code, out, err = run(["audit", "--data", data, "--instrument", "z", "--covariates", "w"],
+                         capsys)
+    assert code == 0, err
+    assert json.loads(out)["audit"]["violations"] == []
+    assert _build_parser() is _build_parser()
+
+
 def test_estimate_noiseless_dataset(tmp_path, capsys):
     data = noiseless_csv(tmp_path)
     code, out, err = run(["estimate", "--data", data, *BASE], capsys)

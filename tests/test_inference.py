@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -743,16 +744,16 @@ ATOM_CENTERS = (0.0, 0.25, 37.0)
 
 
 def row_table(design, T, Y, center=0.0, **kwargs):
-    """The table from the per-row sums, whatever T holds."""
-    with mock.patch.object(blockops, "_arm_atoms", lambda *args: None):
+    """The table merged from one-row atoms, whatever T holds."""
+    with mock.patch.object(blockops, "_binary_arms", lambda T: None):
         return _CellMoments(design, T, Y, center, **kwargs)
 
 
 def assert_atoms_match_rows(design, T, Y, center):
-    """The table from per-arm statistics against the per-row table at
+    """The table from (cell, arm) atoms against the one from one-row atoms at
     ``center``: counts, means and ``tt`` bit for bit, and each power sum and
     each coefficient of ``_robust_polynomials`` within 1e-12 of the absolute
-    sum of the terms the per-row table adds up.
+    sum of the terms the one-row table adds up.
 
     Those terms bound what rounding can do to either table.  A power sum's
     are ``|u^j e^l|``.  A coefficient's are its products with
@@ -764,7 +765,7 @@ def assert_atoms_match_rows(design, T, Y, center):
     from sivreg.inference import _robust_polynomials
 
     atoms, rows = _CellMoments(design, T, Y, center), row_table(design, T, Y, center)
-    assert atoms.atoms is not None and rows.atoms is None
+    assert atoms.atoms.counts is not None and rows.atoms.counts is None
     for name in ("k", "mean_T", "mean_Y", "tt"):
         assert np.asarray(getattr(atoms, name)).tobytes() == np.asarray(
             getattr(rows, name)
@@ -814,7 +815,7 @@ def assert_atoms_match_rows(design, T, Y, center):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(table_cases(binary=True))
 def test_atom_table_matches_row_table(case):
-    # The two builds share the cell means and the deviations of Y, so they
+    # The two layouts share the cell means and the deviations of Y, so they
     # differ only in how the sums are formed: per row, or merged from arms.
     d, s, slope, _ = case
     for center in ATOM_CENTERS + (slope,):
@@ -937,51 +938,16 @@ _TABLE_SUMS = ("k", "mean_T", "mean_Y", "s20", "s11", "s02", "s30", "s21", "s12"
                "s40", "s31", "s22")
 
 
-def test_table_on_a_base_reuses_the_sums_free_of_the_center(monkeypatch):
-    # Counts, means and s20 do not depend on the center: a table at beta
-    # built on the center-0 table forms 8 cell sums, not 11, and is bit-equal
-    # to one built from scratch.  The report and robust_ci without a window
-    # make 4 + 8 sums, robust_ci with one 11.
-    sums = []
-    real_sum = blockops._cell_sum
-    monkeypatch.setattr(blockops, "_cell_sum", lambda *a: sums.append(1) or real_sum(*a))
-    rng = np.random.default_rng(46)
-    d = random_design(rng, G=6, size_range=(6, 14))
-    s = strong_sample(rng, d)
-    Y, T = s.outcome, s.treatment
-    base = _CellMoments(d, T, Y, order=2)
-    fresh = _CellMoments(d, T, Y, 0.7)
-    sums.clear()
-    shared = _CellMoments(d, T, Y, 0.7, base=base)
-    assert len(sums) == 8
-    for name in _TABLE_SUMS:
-        assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
-    sums.clear()
-    report = sive_report(d, s)
-    assert len(sums) == 12
-    assert report.variance == sive_variance(d, Y, T, report.beta_hat)
-    for grid, count in ((None, 12), ({"low": -5.0, "high": 5.0}, 11)):
-        sums.clear()
-        robust_ci(d, Y, T, grid=grid)
-        assert len(sums) == count
-
-
-def test_a_binary_treatment_is_read_once_per_entry_point(monkeypatch):
-    # A 0/1 T: one build of per-arm statistics per entry point, whose one
-    # cell sum is the cell means of Y, and none for a table on a base.  A T
-    # with one other value takes the per-row build and its 12 and 11 sums.
+def _count_builds_and_sums(monkeypatch):
+    """Patch in counters of ``_Atoms`` builds and cell sums; return
+    ``passes(call)``, the two counts ``call()`` makes."""
     builds, sums = [], []
-    real_init = blockops._ArmAtoms.__init__
+    real_init = blockops._Atoms.__init__
     monkeypatch.setattr(
-        blockops._ArmAtoms, "__init__", lambda self, *a: builds.append(1) or real_init(self, *a)
+        blockops._Atoms, "__init__", lambda self, *a: builds.append(1) or real_init(self, *a)
     )
     real_sum = blockops._cell_sum
     monkeypatch.setattr(blockops, "_cell_sum", lambda *a: sums.append(1) or real_sum(*a))
-    rng = np.random.default_rng(46)
-    d = random_design(rng, G=6, size_range=(6, 14))
-    T = (rng.random(d.n) < 0.2 + 0.6 * d.instrument).astype(float)
-    Y = T + rng.standard_normal(d.n)
-    window = {"low": -5.0, "high": 5.0}
 
     def passes(call):
         builds.clear()
@@ -989,17 +955,87 @@ def test_a_binary_treatment_is_read_once_per_entry_point(monkeypatch):
         call()
         return len(builds), len(sums)
 
-    base = _CellMoments(d, T, Y, order=2)
-    assert passes(lambda: _CellMoments(d, T, Y, 0.7, base=base)) == (0, 0)
-    assert passes(lambda: sive_report(d, Sample(Y, T))) == (1, 1)
-    assert passes(lambda: robust_ci(d, Y, T)) == (1, 1)
-    assert passes(lambda: robust_ci(d, Y, T, grid=window)) == (1, 1)
+    return passes
+
+
+def _binary_and_other_treatments(rng, d):
+    """Y and a 0/1 T, then the same T with one entry set to 0.5 or 2.0."""
+    T = (rng.random(d.n) < 0.2 + 0.6 * d.instrument).astype(float)
+    Y = T + rng.standard_normal(d.n)
+    yield Y, T
     for other in (0.5, 2.0):
         T_other = T.copy()
         T_other[3] = other
-        assert passes(lambda: sive_report(d, Sample(Y, T_other))) == (0, 12)
-        assert passes(lambda: robust_ci(d, Y, T_other)) == (0, 12)
-        assert passes(lambda: robust_ci(d, Y, T_other, grid=window)) == (0, 11)
+        yield Y, T_other
+
+
+def test_table_on_a_base_reuses_the_sums_free_of_the_center(monkeypatch):
+    # A table on a base reads neither T nor Y (None will do) and builds no
+    # atoms; it is bit-equal to one built from scratch at either center.
+    # From (cell, arm) atoms it forms no cell sum; from one-row atoms 8, not
+    # 11, as the means and s20 are lent.
+    passes = _count_builds_and_sums(monkeypatch)
+    rng = np.random.default_rng(46)
+    d = random_design(rng, G=6, size_range=(6, 14))
+    for Y, T in _binary_and_other_treatments(rng, d):
+        binary = set(np.unique(T)) <= {0.0, 1.0}
+        base = _CellMoments(d, T, Y, order=2)
+        for center in (0.7, 0.0):
+            fresh = _CellMoments(d, T, Y, center)
+            shared = []
+            assert passes(
+                lambda: shared.append(_CellMoments(d, None, None, center, base=base))
+            ) == (0, 0 if binary else 8)
+            for name in _TABLE_SUMS + ("tt",):
+                want = np.asarray(getattr(fresh, name)).tobytes()
+                assert np.asarray(getattr(shared[0], name)).tobytes() == want, name
+        report = sive_report(d, Sample(Y, T))
+        assert report.variance == sive_variance(d, Y, T, report.beta_hat)
+
+
+def test_a_binary_treatment_is_read_once_per_entry_point(monkeypatch):
+    # Every entry point builds its atoms once, whatever T holds.  From a 0/1
+    # T the one cell sum is the cell means of Y; from a T with one other
+    # value, one-row atoms give the report and robust_ci without a window
+    # 4 + 8 sums and robust_ci with one 2 + 9.
+    passes = _count_builds_and_sums(monkeypatch)
+    rng = np.random.default_rng(46)
+    d = random_design(rng, G=6, size_range=(6, 14))
+    window = {"low": -5.0, "high": 5.0}
+    for Y, T in _binary_and_other_treatments(rng, d):
+        binary = set(np.unique(T)) <= {0.0, 1.0}
+        assert passes(lambda: sive_report(d, Sample(Y, T))) == (1, 1 if binary else 12)
+        assert passes(lambda: robust_ci(d, Y, T)) == (1, 1 if binary else 12)
+        assert passes(lambda: robust_ci(d, Y, T, grid=window)) == (1, 1 if binary else 11)
+
+
+@pytest.mark.parametrize("binary, bound", [(False, 6), (True, 4)])
+def test_report_and_windowed_robust_ci_peak_in_n_vectors(binary, bound):
+    # The traced peak of sive_report plus robust_ci on a window, above what
+    # is allocated before, in n-vectors of float64 (5.27 for a continuous T,
+    # whose one-row atoms keep u and e0; 3.12 for a 0/1 T).  A first call
+    # keeps the design's constants, which are not counted.
+    rng = np.random.default_rng(11)
+    d = random_design(rng, G=1000, size_range=(60, 140))
+    s = strong_sample(rng, d)
+    if binary:
+        T = (rng.random(d.n) < 0.2 + 0.6 * d.instrument).astype(float)
+        s = Sample(T + rng.standard_normal(d.n), T)
+    window = {"low": -5.0, "high": 5.0}
+
+    def op():
+        sive_report(d, s)
+        robust_ci(d, s.outcome, s.treatment, grid=window)
+
+    op()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * d.n, peak / (8 * d.n)
 
 
 _VECTOR_ENTRY_POINTS = {
