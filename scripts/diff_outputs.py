@@ -3,8 +3,9 @@
 
 Usage: python scripts/diff_outputs.py A B
 
-A and B are two ``sivreg estimate`` JSON reports, or two ``sivreg simulate``
-output directories, whose ``.json`` and ``.csv`` files are compared by name.
+A and B are two sivreg JSON reports of any subcommand (``estimate``,
+``robust-ci``, ``audit``), or two ``sivreg simulate`` output directories,
+whose ``.json`` and ``.csv`` files are compared by name.
 For every numeric field the largest absolute and relative difference is
 printed; list positions are folded, so ``bias.json:rows[*].value`` covers the
 value of every row and ``bias.csv:value`` a whole CSV column.  Non-numeric

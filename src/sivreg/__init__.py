@@ -5,8 +5,10 @@ instrument with the group dummies, and provides a jackknife-style estimator
 whose bias does not grow with the number of groups, together with a variance
 estimator that is robust to treatment-effect heterogeneity, many instruments,
 and heteroskedasticity.  Saturated TSLS and JIVE baselines, population-level
-estimands, a dense reference implementation, a Monte Carlo harness, and a
-CSV/JSON command line round out the toolkit.
+estimands and a Monte Carlo harness round out the library.  The dense
+reference implementation (``sivreg.oracle``) and the CSV/JSON command line
+(``sivreg.cli``) are imported from their own modules; ``import sivreg``
+loads neither.
 """
 
 from .design import (
@@ -63,14 +65,6 @@ from .inference import (
     sive_variance,
     t_test,
 )
-from .oracle import (
-    DenseDesign,
-    assemble,
-    oracle_chao_variance,
-    oracle_estimate,
-    oracle_sigma,
-    oracle_variance,
-)
 from .simulation import (
     SimConfig,
     SimDraw,
@@ -81,7 +75,6 @@ from .simulation import (
     run_size_experiment,
     summarize,
 )
-from .cli import DatasetSchema, SpecChoice, cmd_audit, cmd_estimate, cmd_robust_ci, cmd_simulate
 
 __version__ = "0.1.0"
 
@@ -132,12 +125,6 @@ __all__ = [
     "sive_report",
     "sive_variance",
     "t_test",
-    "DenseDesign",
-    "assemble",
-    "oracle_chao_variance",
-    "oracle_estimate",
-    "oracle_sigma",
-    "oracle_variance",
     "SimConfig",
     "SimDraw",
     "generate_sample",
@@ -146,11 +133,5 @@ __all__ = [
     "run_bias_experiment",
     "run_size_experiment",
     "summarize",
-    "DatasetSchema",
-    "SpecChoice",
-    "cmd_audit",
-    "cmd_estimate",
-    "cmd_robust_ci",
-    "cmd_simulate",
     "__version__",
 ]

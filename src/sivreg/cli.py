@@ -58,7 +58,6 @@ from .inference import (
     robust_ci,
     sive_report,
 )
-from .oracle import assemble, oracle_estimate, oracle_variance
 from .simulation import (
     SCHEMA_VERSION,
     SimConfig,
@@ -575,6 +574,8 @@ def cmd_estimate(
     )
     payload["estimate"] = report.to_json_dict()
     if reference:
+        from .oracle import assemble, oracle_estimate, oracle_variance
+
         dense = assemble(design)
         ref_beta = oracle_estimate(
             estimator, dense, sample.outcome, sample.treatment
@@ -599,9 +600,8 @@ def cmd_robust_ci(
 ) -> dict:
     """Identification-robust confidence set for the effect, with exact endpoints.
 
-    ``grid`` (``{"low", "high", "step"}``) is the reporting window the exact
-    set is clipped to; ``step`` is kept only for compatibility and does not
-    change the set.  The ``robust_ci`` block of the report carries
+    ``grid`` (``{"low", "high"}``) is the reporting window the exact set is
+    clipped to.  The ``robust_ci`` block of the report carries
     ``intervals``, ``unbounded_within_grid``, ``unbounded`` (the exact set
     extends to infinity), ``grid`` and ``alpha``.
     """
@@ -757,13 +757,8 @@ def _grid_from_args(args) -> dict | None:
     if has_low != has_high:
         raise CliValidationError("--grid-low and --grid-high must be given together")
     if not has_low:
-        if args.grid_step is not None:
-            raise CliValidationError("--grid-step requires --grid-low and --grid-high")
         return None
-    grid = {"low": args.grid_low, "high": args.grid_high}
-    if args.grid_step is not None:
-        grid["step"] = args.grid_step
-    return grid
+    return {"low": args.grid_low, "high": args.grid_high}
 
 
 def _add_data_flags(p: argparse.ArgumentParser, with_outcome: bool) -> None:
@@ -832,7 +827,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rci.add_argument("--alpha", type=float, default=0.05)
     rci.add_argument("--grid-low", type=float, default=None, dest="grid_low")
     rci.add_argument("--grid-high", type=float, default=None, dest="grid_high")
-    rci.add_argument("--grid-step", type=float, default=None, dest="grid_step")
     rci.set_defaults(
         handler=lambda args: cmd_robust_ci(
             **_data_kwargs(args), grid=_grid_from_args(args), alpha=args.alpha

@@ -352,14 +352,13 @@ def robust_ci(
     ``unbounded`` flags an exact set that extends to infinity.  A one-sided
     set needs ``alpha < 0.5``.
 
-    ``grid`` is the reporting window ``{"low", "high", "step"}``: the exact
-    set is clipped to ``[low, high]``, and ``unbounded_within_grid`` flags
-    acceptance at either window edge.  ``step`` no longer affects the set; it
-    must be finite and positive, and is echoed only for compatibility
-    (default: the range divided by 400, finite for every finite window and
-    infinite for a window with an infinite edge).  Without a grid, the
-    window defaults to the point estimate plus/minus 10 standard errors,
-    which requires the standard variance to exist.  The set is solved on the table at the point estimate that gives
+    ``grid`` is the reporting window ``{"low", "high"}``: the exact set is
+    clipped to ``[low, high]``, and ``unbounded_within_grid`` flags
+    acceptance at either window edge.  An optional ``step`` does not affect
+    the set; it must be finite and positive, and is echoed as given (None
+    when absent).  Without a grid, the window defaults to the point estimate
+    plus/minus 10 standard errors, which requires the standard variance to
+    exist.  The set is solved on the table at the point estimate that gives
     that variance, or, with a grid, on a table at the window's midpoint;
     at 0 if that midpoint is infinite or the table there overflows.
     The result lists the maximal intervals of the clipped set, which may be
@@ -376,7 +375,7 @@ def robust_ci(
         if not variance > 0.0:
             raise NonpositiveVarianceError(
                 "cannot derive a default grid: the variance estimate is not "
-                "positive; supply grid={'low': ..., 'high': ..., 'step': ...}"
+                "positive; supply grid={'low': ..., 'high': ...}"
             )
         se = float(np.sqrt(variance))
         grid = {"low": beta_hat - 10.0 * se, "high": beta_hat + 10.0 * se}
@@ -384,16 +383,11 @@ def robust_ci(
     high = float(grid["high"])
     if not high > low:
         raise ValueError(f"grid high {high} must exceed grid low {low}")
-    given = grid.get("step") is not None
-    if given:
-        step = float(grid["step"])
+    step = grid.get("step")
+    if step is not None:
+        step = float(step)
         if not 0.0 < step < np.inf:
             raise ValueError(f"grid step must be finite and positive, got {step}")
-    else:
-        step = (high - low) / 400.0
-        if not np.isfinite(step):
-            # The width overflows; the quotients of the edges do not.
-            step = high / 400.0 - low / 400.0
 
     with np.errstate(over="ignore", invalid="ignore"):
         if table is None:

@@ -22,7 +22,6 @@ import pytest
 from sivreg import (
     EstimatorKind,
     Sample,
-    assemble,
     build_design,
     chao_variance,
     estimate_jive1,
@@ -31,10 +30,6 @@ from sivreg import (
     estimate_tsls,
     filter_design,
     hartley_sigma,
-    oracle_chao_variance,
-    oracle_estimate,
-    oracle_sigma,
-    oracle_variance,
     robust_test,
     sive_report,
     sive_variance,
@@ -42,6 +37,13 @@ from sivreg import (
     validate_group_sizes,
 )
 from sivreg.blockops import apply_MM_inv
+from sivreg.oracle import (
+    assemble,
+    oracle_chao_variance,
+    oracle_estimate,
+    oracle_sigma,
+    oracle_variance,
+)
 from sivreg.estimators import PopulationInputs, population_moments
 from sivreg.simulation import (
     SimConfig,

@@ -15,13 +15,13 @@ from sivreg import (
     apply_MM_inv,
     apply_MM_inv_W,
     apply_P,
-    assemble,
     build_design,
     cell_sizes,
     projection_diag_P,
     sive_diag_D,
     trace_A_squared,
 )
+from sivreg.oracle import assemble
 
 from conftest import random_design
 

@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 
 import sivreg
-from sivreg import (
+from sivreg import EstimatorKind, estimate_tsls_generic
+from sivreg.cli import (
     DatasetSchema,
-    EstimatorKind,
     SpecChoice,
+    _generic_fit,
+    _json_ready,
+    _prepare,
     cmd_audit,
     cmd_estimate,
     cmd_robust_ci,
     cmd_simulate,
-    estimate_tsls_generic,
+    main,
 )
-from sivreg.cli import _generic_fit, _json_ready, _prepare, main
 
 from conftest import random_design, strong_sample
 
@@ -417,11 +419,11 @@ def test_parse_errors_exit_with_validation_code(tmp_path, capsys):
 def test_robust_ci_cli_matches_api(tmp_path, capsys):
     data = noisy_csv(tmp_path)
     args = ["robust-ci", "--data", data, *BASE,
-            "--grid-low", "-2", "--grid-high", "4", "--grid-step", "0.05"]
+            "--grid-low", "-2", "--grid-high", "4"]
     code, out, _ = run(args, capsys)
     assert code == 0
     schema = DatasetSchema("y", "t", "z", ("w",))
-    api = cmd_robust_ci(data, schema, grid={"low": -2.0, "high": 4.0, "step": 0.05})
+    api = cmd_robust_ci(data, schema, grid={"low": -2.0, "high": 4.0})
     assert json.loads(out) == json.loads(json.dumps(_json_ready(api)))
     result = json.loads(out)["robust_ci"]
     assert result["intervals"], "expected a non-empty confidence set"
@@ -435,17 +437,14 @@ def test_robust_ci_grid_flags_must_be_consistent(tmp_path, capsys):
     assert code == 2 and "grid" in err
 
 
-@pytest.mark.parametrize("step", ["0", "nan", "inf", "-1"])
-def test_robust_ci_refuses_a_grid_step_that_is_not_finite_and_positive(
-    tmp_path, capsys, step
-):
+def test_robust_ci_has_no_grid_step_flag(tmp_path, capsys):
     data = noisy_csv(tmp_path)
-    code, out, err = run(
-        ["robust-ci", "--data", data, *BASE,
-         "--grid-low", "-2", "--grid-high", "4", f"--grid-step={step}"], capsys
-    )
-    assert (code, out) == (2, "")
-    assert "grid step must be finite and positive" in err
+    with pytest.raises(SystemExit) as stop:
+        main(["robust-ci", "--data", data, *BASE,
+              "--grid-low", "-2", "--grid-high", "4", "--grid-step", "0.05"])
+    captured = capsys.readouterr()
+    assert (stop.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --grid-step" in captured.err
 
 
 def test_robust_ci_noiseless_default_grid_is_numerical_failure(tmp_path, capsys):
@@ -459,7 +458,7 @@ def test_robust_ci_noiseless_explicit_grid_accepts_truth(tmp_path, capsys):
     data = noiseless_csv(tmp_path)
     code, out, _ = run(
         ["robust-ci", "--data", data, *BASE,
-         "--grid-low", "1", "--grid-high", "3", "--grid-step", "0.5"], capsys
+         "--grid-low", "1", "--grid-high", "3"], capsys
     )
     assert code == 0
     result = json.loads(out)["robust_ci"]
@@ -819,7 +818,6 @@ def test_parser_options_are_pinned():
             alpha,
             (("--grid-low",), "grid_low", None, None, False),
             (("--grid-high",), "grid_high", None, None, False),
-            (("--grid-step",), "grid_step", None, None, False),
         ],
         "simulate": [
             (("--config",), "config", None, None, True),

@@ -369,7 +369,7 @@ def test_generic_intercept_is_partialled_out_before_the_qr():
 
 
 def test_generic_not_saturated_cli_spec_is_accurate_with_an_offset(tmp_path):
-    from sivreg import DatasetSchema, SpecChoice, cmd_estimate
+    from sivreg.cli import DatasetSchema, SpecChoice, cmd_estimate
 
     Y, T, z = offset_iv_data()
     lines = ["y,t,z"] + [f"{y!r},{t!r},{int(q)}" for y, t, q in zip(Y.tolist(), T.tolist(), z)]

@@ -269,33 +269,6 @@ def test_robust_ci_default_grid_needs_positive_variance():
         robust_ci(d, 2.0 * z, z)
 
 
-def test_robust_ci_step_defaults_to_range_over_400():
-    rng = np.random.default_rng(28)
-    d = random_design(rng, G=4, size_range=(8, 12))
-    s = strong_sample(rng, d, tau=1.0, pi=1.2)
-    res = robust_ci(d, s.outcome, s.treatment, grid={"low": -1.0, "high": 3.0})
-    assert abs(res["grid"]["step"] - 4.0 / 400) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "low, high",
-    [(-1.0, 3.0), (-1e308, 1.7e308), (-1.7e308, 1.7e308), (-np.inf, np.inf), (0.0, np.inf)],
-)
-def test_robust_ci_default_step_is_finite_for_every_finite_window(low, high):
-    # A finite window whose width overflows used to echo an infinite step;
-    # a window with an infinite edge still does.
-    rng = np.random.default_rng(28)
-    d = random_design(rng, G=4, size_range=(8, 12))
-    s = strong_sample(rng, d, tau=1.0, pi=1.2)
-    step = robust_ci(d, s.outcome, s.treatment, grid={"low": low, "high": high})["grid"]["step"]
-    if np.isfinite(high - low):
-        assert step == (high - low) / 400.0
-    elif np.isfinite(low) and np.isfinite(high):
-        assert step == high / 400.0 - low / 400.0 and np.isfinite(step)
-    else:
-        assert step == np.inf
-
-
 @pytest.mark.parametrize("step", [0.0, np.nan, np.inf, -1.0])
 def test_robust_ci_refuses_a_step_that_is_not_finite_and_positive(step):
     rng = np.random.default_rng(28)
@@ -453,6 +426,9 @@ def test_robust_ci_noiseless_window_contains_truth_off_grid():
     assert res["intervals"] == [(2.0, 2.0)]
     assert res["unbounded"] is False
     assert res["grid"]["step"] == 0.5
+    res = robust_ci(d, 2.0 * T, T, grid={"low": 1.3, "high": 2.9})
+    assert res["intervals"] == [(2.0, 2.0)]
+    assert res["grid"]["step"] is None
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
@@ -489,12 +465,13 @@ def test_wrong_length_vector_raises_design_error(call):
 def test_import_does_not_load_scipy_stats():
     code = (
         "import sys, sivreg; "
-        "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)"
+        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.linalg', "
+        "'sivreg.cli', 'sivreg.oracle', 'argparse', 'hashlib')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == " ".join(["False"] * 6)
 
 
 DEFAULT_COMMANDS = """
@@ -514,8 +491,12 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 loaded = scipy_modules()
 generic = main(["estimate", *base, "--estimator", "tsls-generic"])
+oracle = "sivreg.oracle" in sys.modules
+reference = main(["estimate", *base, "--reference"])
 print(json.dumps({"codes": codes, "scipy": loaded, "generic": generic,
-                  "scipy_after_generic": scipy_modules()}))
+                  "scipy_after_generic": scipy_modules(), "oracle": oracle,
+                  "reference": reference,
+                  "oracle_after_reference": "sivreg.oracle" in sys.modules}))
 """
 
 
@@ -535,7 +516,8 @@ def test_default_commands_do_not_load_scipy(tmp_path):
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result == {
-        "codes": [0] * 7, "scipy": [], "generic": 0, "scipy_after_generic": []
+        "codes": [0] * 7, "scipy": [], "generic": 0, "scipy_after_generic": [],
+        "oracle": False, "reference": 0, "oracle_after_reference": True,
     }, out.stderr
 
 

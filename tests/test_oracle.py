@@ -7,7 +7,6 @@ from scipy.stats import norm
 from sivreg import (
     EstimatorKind,
     Sample,
-    assemble,
     build_design,
     chao_variance,
     estimate_jive1,
@@ -15,14 +14,17 @@ from sivreg import (
     estimate_sive,
     estimate_tsls,
     hartley_sigma,
-    oracle_chao_variance,
-    oracle_estimate,
-    oracle_sigma,
-    oracle_variance,
     projection_diag_P,
     robust_ci,
     sive_variance,
     trace_A_squared,
+)
+from sivreg.oracle import (
+    assemble,
+    oracle_chao_variance,
+    oracle_estimate,
+    oracle_sigma,
+    oracle_variance,
 )
 
 from conftest import random_design, strong_sample
