@@ -447,6 +447,19 @@ def test_robust_ci_has_no_grid_step_flag(tmp_path, capsys):
     assert "unrecognized arguments: --grid-step" in captured.err
 
 
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-1"])
+def test_robust_ci_refuses_a_grid_step_that_is_not_finite_and_positive(
+    tmp_path, capsys, step
+):
+    data = noisy_csv(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        main(["robust-ci", "--data", data, *BASE,
+              "--grid-low", "-2", "--grid-high", "4", f"--grid-step={step}"])
+    captured = capsys.readouterr()
+    assert (stop.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: --grid-step={step}" in captured.err
+
+
 def test_robust_ci_noiseless_default_grid_is_numerical_failure(tmp_path, capsys):
     data = noiseless_csv(tmp_path)
     code, _, err = run(["robust-ci", "--data", data, *BASE], capsys)
