@@ -349,7 +349,8 @@ class _Atoms:
     exact below 2**53.  Any other T has one atom per row, of count 1 and ss
     0, kept as ``u`` and ``mean_e0``; ``counts`` and ``ss`` are then None,
     so that the merge neither multiplies by 1 nor adds 0, and ``to_cells``
-    is the cell sum.
+    is the cell sum.  (Cell, arm) atoms of stacks on one grouping join along
+    the draw axis (``join``).
     """
 
     def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray):
@@ -372,7 +373,7 @@ class _Atoms:
         def atom_sum(weights=None):
             return np.bincount(atom, weights, minlength=2 * k.size).reshape(shape)
 
-        self.to_cells = lambda x: x.sum(axis=0)
+        self.to_cells = _add_arms
         self.counts = atom_sum().astype(np.float64)
         self.mean_T = np.divide(self.counts[1], k, out=np.zeros(k.shape), where=k > 0)
         self.tt = self.counts[1].sum(axis=-1)
@@ -385,6 +386,23 @@ class _Atoms:
         e0 -= self.mean_e0.reshape(-1)[atom]
         e0 *= e0
         self.ss = atom_sum(e0)
+
+    @classmethod
+    def join(cls, parts) -> _Atoms:
+        """The (cell, arm) atoms of stacks on one grouping, one stack after
+        the other along the draw axis; every value is the part's own."""
+        joined = cls.__new__(cls)
+        joined.to_cells = _add_arms
+        for axis, names in ((1, ("counts", "mean_e0", "ss")), (0, ("mean_T", "mean_Y", "tt"))):
+            for name in names:
+                setattr(joined, name, np.concatenate([getattr(a, name) for a in parts], axis))
+        return joined
+
+
+def _add_arms(x: np.ndarray) -> np.ndarray:
+    """Per cell, the sum over its two (cell, arm) atoms (as ``x.sum(axis=0)``
+    adds them, and faster)."""
+    return x[0] + x[1]
 
 
 class _CellMoments:
@@ -405,7 +423,10 @@ class _CellMoments:
     The sums are merged from ``_Atoms``: per (cell, arm) for a 0/1 T (the
     paper's binary treatment), O(G) once the atoms exist, and per row for
     any other T.  A ``base`` table lends its atoms and the center-free
-    ``s20``; T and Y are then not read (None will do).
+    ``s20``, and ``atoms`` built beforehand are used as they are; T and Y
+    are then not read (None will do).  ``robust=False`` leaves out ``s30``,
+    ``s40`` and ``s31``, which only the robust test's variance polynomial in
+    beta0 reads (not the variances at the center).
 
     On a stack of R designs, T and Y are (R, n), ``center`` is a scalar or
     one per design, shape (R, 1), every array gains the leading axis, and
@@ -415,12 +436,15 @@ class _CellMoments:
     """
 
     def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray,
-                 center: float = 0.0, order: int = 4, base: _CellMoments | None = None):
+                 center: float = 0.0, order: int = 4, base: _CellMoments | None = None,
+                 atoms: _Atoms | None = None, robust: bool = True):
         self.design = design
         self.center = center
         self.centered = bool(np.any(center))
         self.k = _cell_counts(design)
-        self.atoms = a = _Atoms(design, T, Y) if base is None else base.atoms
+        if base is not None:
+            atoms = base.atoms
+        self.atoms = a = _Atoms(design, T, Y) if atoms is None else atoms
         self.mean_T, self.mean_Y, self.tt = a.mean_T, a.mean_Y, a.tt
         # A (cell, arm) atom's u is formed per table: O(G), and not kept.
         u = a.u if a.counts is None else np.stack((-a.mean_T, 1.0 - a.mean_T))
@@ -435,13 +459,14 @@ class _CellMoments:
             # Ordered so that at most five per-row arrays are alive at once:
             # u, e0, uu, delta or e2, and one product.
             uu = u * u
-            kuu = ku * uu
-            self.s30 = to_cells(kuu)
-            kuu *= u
-            self.s40 = to_cells(kuu)
-            del kuu
+            if robust:
+                kuu = ku * uu
+                self.s30 = to_cells(kuu)
+                kuu *= u
+                self.s40 = to_cells(kuu)
+                del kuu
+                self.s31 = to_cells(uu * u * e1)
             self.s21 = to_cells(uu * e1)
-            self.s31 = to_cells(uu * u * e1)
             e2 = e1 * delta if a.ss is None else a.ss + e1 * delta
             del ku, e1, delta
             self.s02 = to_cells(e2)

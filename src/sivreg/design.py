@@ -164,28 +164,41 @@ class _DesignStack:
     """R designs on one grouping, one instrument draw each, stacked along a
     leading axis: the Monte Carlo's batches for ``blockops._CellMoments``.
 
+    A stack is built from its per-(group, arm) counts, shape (R, G, 2), and
+    every statistic on it from per-cell sums (``blockops._Atoms``), so
+    stacks on one grouping join along the draw axis by joining their counts.
     The size filter is a mask here, not a row deletion, so every design keeps
     the grouping's shape.  ``keep[r, g]`` marks the groups that design r keeps
     (both cells of size >= 2, as ``validate_group_sizes`` by default), and a
     dropped group carries zero weight in every statistic: the vectors summed
     over its rows must be zero there, and a per-cell weight that would divide
     by one of its counts is zero.  Per-group arrays are (R, G), per-cell
-    ones (R, 2G); ``cell[r, i]`` is observation i's cell as a flat id
-    ``r * 2G + 2 group_of[i] + instrument[r, i]``, and ``n`` the kept
-    observation count of each design, shape (R, 1).
+    ones (R, 2G), and ``n`` is the kept observation count of each design,
+    shape (R, 1).
     """
 
-    def __init__(self, group_of: np.ndarray, instrument: np.ndarray):
-        R = instrument.shape[0]
-        self.G = G = int(group_of.max()) + 1
-        group = group_of + G * np.arange(R)[:, None]
-        self.cell = 2 * group + instrument
-        counts = np.bincount(self.cell.ravel(), minlength=R * 2 * G).reshape(R, G, 2)
-        self.group_sizes = counts.sum(axis=2)
-        self.treated_counts = m = counts[..., 1]
-        self.keep = (m >= 2) & (counts[..., 0] >= 2)
-        self.kept_rows = self.keep.reshape(-1)[group]
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        self.G = counts.shape[1]
+        k, self.treated_counts = counts[..., 0], counts[..., 1]
+        self.group_sizes = k + self.treated_counts
+        self.keep = (self.treated_counts >= 2) & (k >= 2)
         self.n = np.where(self.keep, self.group_sizes, 0).sum(axis=1, keepdims=True)
+
+    @classmethod
+    def of_rows(cls, group_of: np.ndarray, instrument: np.ndarray) -> _DesignStack:
+        """The stack of the instrument draws (R, n) on ``group_of``, with its
+        rows: ``cell[r, i]`` is observation i's cell as a flat id ``r * 2G +
+        2 group_of[i] + instrument[r, i]``, and ``kept_rows`` marks the rows
+        of kept groups."""
+        R = instrument.shape[0]
+        G = int(group_of.max()) + 1
+        group = group_of + G * np.arange(R)[:, None]
+        cell = 2 * group + instrument
+        stack = cls(np.bincount(cell.ravel(), minlength=R * 2 * G).reshape(R, G, 2))
+        stack.cell = cell
+        stack.kept_rows = stack.keep.reshape(-1)[group]
+        return stack
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:

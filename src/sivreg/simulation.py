@@ -8,8 +8,9 @@ heterogeneous) treatment effect, and an error correlated with the latent
 treatment shock.  Experiments sweep the number of covariate values L and the
 treated threshold p1, recording median bias and test size per grid cell.
 
-A grid cell's replications run in chunks: each chunk's draws are stacked
-along a leading axis (``design._DesignStack``) and go through the same moment
+A grid cell's replications are drawn in row chunks, each reduced at once to
+per-(cell, arm) statistics, and whole chunks join along a leading axis into
+table batches (``design._DesignStack``) that go through the same moment
 tables, estimators and variances as one design, with each failed check a flag
 per replication.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtri
-from .blockops import _CellMoments
+from .blockops import _Atoms, _CellMoments
 from .design import (
     GroupAudit,
     Sample,
@@ -67,7 +68,9 @@ __all__ = [
 CLAMP = 0.01
 
 # Rows per chunk of stacked replications: a chunk holds max(1, ROWS // n)
-# draws, which bounds the batch's temporaries to a few ROWS-long arrays.
+# draws, which bounds its temporaries to a few ROWS-long arrays.  A table
+# batch of whole chunks holds up to ROWS // 5 cell entries per array, since
+# the tables keep about five times as many arrays alive as the rows do.
 ROWS = 12_000
 
 # The layout version every JSON report and artifact carries.
@@ -304,7 +307,7 @@ def _draw_stack(cell: SimConfig, reps: range) -> tuple:
     defined ``beta_sive``; the others are attrition for everything.
     """
     q, T, Y = _draw(cell, [replication_seed(cell.master_seed, rep) for rep in reps])
-    stack = _DesignStack(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
+    stack = _DesignStack.of_rows(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
     finite = np.isfinite(Y).all(axis=1)
     dropped = ~(stack.kept_rows & finite[:, None])
     np.putmask(T, dropped, 0.0)
@@ -408,42 +411,68 @@ def _rate_rows(cell: SimConfig, label: str, hits: list, requested: int) -> list:
     return _rows("size", cell, label, [("reject_rate", rate, se)], used, requested)
 
 
+def _widths(n: int, G: int) -> tuple[int, int]:
+    """Draws per row chunk and row chunks per table batch, for draws of n
+    rows on G groups: max(1, ROWS // n) draws, and as many whole chunks as
+    keep a batch within ROWS // 5 cell entries (2G per draw), at least one."""
+    chunk = max(1, ROWS // n)
+    return chunk, max(1, ROWS // 5 // (2 * G * chunk))
+
+
 def _replications(cell: SimConfig, estimators: tuple, variants: tuple, alpha: float):
     """Each estimator's errors and each variant's t-test rejections (1.0 or
     0.0) over the cell's replications that yield them, in replication order.
 
-    The replications run in chunks of max(1, ROWS // n) stacked draws
-    (``_run_chunk``), each freed before the next is drawn.
+    Rows are drawn in chunks of max(1, ROWS // n) stacked draws, each
+    reduced to per-cell statistics (``_reduce_chunk``) before the next is
+    drawn.  Whole chunks join along the draw axis into a table batch of up
+    to ROWS // 5 cell entries per array (``_widths``), whose tables,
+    estimates, variances and tests run once (``_run_batch``).
     """
     errors = {kind: [] for kind in estimators}
     hits = {variant: [] for variant in variants}
-    size = max(1, ROWS // cell.n)
-    for start in range(0, cell.replications, size):
-        reps = range(start, min(start + size, cell.replications))
-        _run_chunk(cell, reps, errors, hits, alpha)
+    chunk, chunks = _widths(cell.n, min(cell.n, cell.L))  # the layout's G
+    for start in range(0, cell.replications, chunk * chunks):
+        stop = min(start + chunk * chunks, cell.replications)
+        parts = (
+            _reduce_chunk(cell, range(first, min(first + chunk, stop)))
+            for first in range(start, stop, chunk)
+        )
+        _run_batch(cell, parts, errors, hits, alpha)
     return errors, hits
 
 
-def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: float):
-    """Append the errors and rejections of replications ``reps`` to ``errors``
-    (per estimator) and ``hits`` (per variant).
+def _reduce_chunk(cell: SimConfig, reps: range) -> tuple:
+    """Replications ``reps``, drawn as one chunk (``_draw_stack``), reduced to
+    what the tables read: ``(counts, atoms, truth, valid)``, the chunk's
+    per-(group, arm) counts, its (cell, arm) atoms, and per draw its
+    ``beta_sive`` and whether it is valid.  Its (R, n) arrays go on return."""
+    stack, T, Y, truth, valid = _draw_stack(cell, reps)
+    return stack.counts, _Atoms(stack, T, Y), truth, valid
 
-    The chunk's draws fill (R, n) buffers in place (``_draw``) and form one
-    stack, whose design constants are computed once.  It builds one moment
-    table at center 0 for every estimator and, when variants are requested,
-    one on top of it at each draw's SIVE estimate, whose forms both variances
-    share.  Errors and tests are against each draw's own ``beta_sive``.  A
-    failed draw is attrition for everything, a failed estimate for its own
-    estimator (SIVE's also for every variant), and a variance that is not
-    positive for its own variant.
+
+def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
+    """Append the errors and rejections of the chunks ``parts`` (an iterable
+    of ``_reduce_chunk`` results, in replication order) to ``errors`` (per
+    estimator) and ``hits`` (per variant).
+
+    The chunks join along the draw axis into one stack, whose design
+    constants are computed once, and their atoms into one set (the chunks'
+    own are then freed).  It builds one moment table at center 0 for every
+    estimator and, when variants are requested, one on top of it at each
+    draw's SIVE estimate, whose forms both variances share.  Errors and
+    tests are against each draw's own ``beta_sive``.  A failed draw is
+    attrition for everything, a failed estimate for its own estimator
+    (SIVE's also for every variant), and a variance that is not positive for
+    its own variant.
     """
     kinds = tuple(errors)
     if hits and EstimatorKind.SIVE not in kinds:
         kinds += (EstimatorKind.SIVE,)
-    stack, T, Y, truth, valid = _draw_stack(cell, reps)
-    # The table at beta_hat reuses this one's atoms, so the rows can go.
-    table = _CellMoments(stack, T, Y, order=2)
-    del T, Y
+    counts, atoms, truth, valid = zip(*parts)
+    stack = _DesignStack(np.concatenate(counts))
+    atoms, truth, valid = _Atoms.join(atoms), np.concatenate(truth), np.concatenate(valid)
+    table = _CellMoments(stack, None, None, order=2, atoms=atoms)
     estimates = {kind: _estimates(kind, table) for kind in kinds}
     for kind in errors:
         ok = valid & ~np.isnan(estimates[kind])
@@ -455,7 +484,8 @@ def _run_chunk(cell: SimConfig, reps: range, errors: dict, hits: dict, alpha: fl
     if not ok.any():
         return
     center = np.where(ok, beta_hat, 0.0)[:, None]
-    at_beta_hat = _CellMoments(stack, None, None, center, base=table)
+    # Neither variance reads the sums of the robust test's polynomial.
+    at_beta_hat = _CellMoments(stack, None, None, center, base=table, robust=False)
     for variant in hits:
         variance = (_sive_variance if variant == "vhat" else _chao_variance)(at_beta_hat)
         # t_test's own rule: a variance that is not positive (or NaN) is not tested.

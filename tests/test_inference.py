@@ -815,7 +815,7 @@ def binary_stacks(draw):
     slope = draw(st.sampled_from([0.5, 1024.0]))
     group_of = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     instrument = (rng.random((R, group_of.size)) < 0.5).astype(np.int64)
-    stack = _DesignStack(group_of, instrument)
+    stack = _DesignStack.of_rows(group_of, instrument)
     T = (rng.random(instrument.shape) < 0.3 + 0.4 * instrument).astype(float)
     Y = offset_Y + slope * T + rng.standard_normal(T.shape)
     T[~stack.kept_rows] = 0.0
@@ -877,7 +877,7 @@ def test_chao_variance_on_group_of_size_two_is_group_size_error():
 
 def test_moment_table_pass_counts(monkeypatch):
     # One table per statistic, two for the report (center 0 and beta_hat),
-    # and in the Monte Carlo one per center per chunk of stacked draws,
+    # and in the Monte Carlo one per center per batch of joined row chunks,
     # shared by all four estimators and both variances.
     calls = []
     real_init = _CellMoments.__init__
@@ -904,16 +904,20 @@ def test_moment_table_pass_counts(monkeypatch):
     assert passes(lambda: robust_test(d, Y, T, 0.7)) == 1
     assert passes(lambda: sive_report(d, s)) == 2
 
-    cfg = SimConfig(n=400, L=2, p1=0.69, replications=4, master_seed=3)
-    # Chunks of one draw each, then of three (the second holds one draw).
-    for rows_per_chunk, chunks in ((cfg.n, cfg.replications), (3 * cfg.n, 2)):
-        monkeypatch.setattr(simulation, "ROWS", rows_per_chunk)
-        for variants, per_chunk in ((("vhat", "chao"), 2), ((), 1)):
+    cfg = SimConfig(n=400, L=2, p1=0.69, replications=7, master_seed=3)
+    # ROWS = n: chunks of one draw and batches of up to 20, so the seven
+    # chunks make one batch that ends mid-batch.  Then batches of three
+    # chunks of two draws: one full, and one ending after a one-draw chunk.
+    monkeypatch.setattr(simulation, "ROWS", cfg.n)
+    assert simulation._widths(cfg.n, cfg.L) == (1, 20)
+    for widths, batches in (((1, 20), 1), ((2, 3), 2)):
+        monkeypatch.setattr(simulation, "_widths", lambda n, G, widths=widths: widths)
+        for variants, per_batch in ((("vhat", "chao"), 2), ((), 1)):
             calls.clear()
             bias_rows, size_rows = _run_grid(cfg, variants=variants)
             rows = bias_rows + size_rows
             assert all(r["value"] == 0.0 for r in rows if r["metric"] == "attrition")
-            assert len(calls) == per_chunk * chunks
+            assert len(calls) == per_batch * batches
 
 
 _TABLE_SUMS = ("k", "mean_T", "mean_Y", "s20", "s11", "s02", "s30", "s21", "s12",
@@ -1121,7 +1125,7 @@ def test_one_sided_robust_ci_needs_alpha_below_half():
 def stack_of(d, rows):
     """``d`` stacked len(rows) times, with one ``(T, Y)`` per design."""
     R = len(rows)
-    stack = _DesignStack(d.group_of, np.tile(d.instrument, (R, 1)))
+    stack = _DesignStack.of_rows(d.group_of, np.tile(d.instrument, (R, 1)))
     return stack, np.stack([T for T, _ in rows]), np.stack([Y for _, Y in rows])
 
 
@@ -1252,7 +1256,7 @@ def test_kept_constants_and_forms_are_read_only_and_survive_the_estimators(case,
     assert_forms_survive_every_reader(d, T, Y, lambda: SaturatedDesign(d.group_of, d.instrument))
     stack, T2, Y2 = stack_of(d, [(T, Y), (T[::-1].copy(), Y)])
     assert_forms_survive_every_reader(
-        stack, T2, Y2, lambda: _DesignStack(d.group_of, np.tile(d.instrument, (2, 1)))
+        stack, T2, Y2, lambda: _DesignStack.of_rows(d.group_of, np.tile(d.instrument, (2, 1)))
     )
 
 
@@ -1263,4 +1267,6 @@ def test_kept_constants_of_a_simulated_stack():
     assert not stack.keep.all()
     group_of = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2]
     instrument = stack.cell % 2
-    assert_forms_survive_every_reader(stack, T, Y, lambda: _DesignStack(group_of, instrument))
+    assert_forms_survive_every_reader(
+        stack, T, Y, lambda: _DesignStack.of_rows(group_of, instrument)
+    )

@@ -7,9 +7,12 @@ bit for bit; elsewhere the dot products over groups run over zero-padded
 rows and may differ in the last bits.
 """
 
+import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -251,3 +254,145 @@ def test_generate_sample_draws_through_the_chunk_draw(monkeypatch):
     assert np.array_equal(sample_draw.design.instrument, q_ref[rows])
     assert sample_draw.sample.treatment.tobytes() == t_ref[rows].tobytes()
     assert sample_draw.sample.outcome.tobytes() == y_ref[rows].tobytes()
+
+
+def _batched(cell: SimConfig, widths: tuple, variants: tuple):
+    """``_replications`` with ``widths`` draws per row chunk and row chunks
+    per table batch."""
+    with mock.patch.object(simulation, "_widths", lambda n, G: widths):
+        return _replications(cell, DEFAULT_ESTIMATORS, variants, 0.05)
+
+
+def _assert_bit_equal(got, want) -> None:
+    """Errors and hits, list by list, equal to the last bit."""
+    for got_lists, want_lists in zip(got, want, strict=True):
+        assert got_lists.keys() == want_lists.keys()
+        for key, values in want_lists.items():
+            assert np.array(got_lists[key]).tobytes() == np.array(values).tobytes(), key
+
+
+@st.composite
+def batch_widths(draw):
+    """A small grid cell (often weak, or dropping groups), a row-chunk width
+    of 1-5 draws, a batch of 1-4 chunks, and a replication count that is a
+    multiple of neither width (of the batch's only, for one-draw chunks);
+    with both variants, or none (the bias-only path)."""
+    chunk, chunks = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    replications = draw(st.integers(2, 23))
+    assume(replications % (chunk * chunks) and (chunk == 1 or replications % chunk))
+    n = draw(st.integers(12, 300))
+    cell = SimConfig(
+        n=n,
+        L=draw(st.integers(1, 40)),
+        p1=draw(st.sampled_from([0.22, 0.3, 0.49])),
+        h=draw(st.sampled_from([0.0, 2.0])),
+        n_hetero=draw(st.integers(0, n)),
+        replications=replications,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return cell, chunk, chunks, draw(st.sampled_from([_VARIANTS, ()]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch_widths())
+@example((SimConfig(n=300, L=25, p1=0.3, replications=11, master_seed=4), 2, 3, ()))
+def test_batch_width_leaves_every_draw_bit_equal(case):
+    # Joining row chunks into one table batch changes no draw's estimates,
+    # variances or tests: every op on the batch is elementwise or row by row.
+    cell, chunk, chunks, variants = case
+    got = _batched(cell, (chunk, chunks), variants)
+    _assert_bit_equal(got, _batched(cell, (chunk, 1), variants))
+    if not variants:
+        assert got[1] == {}
+
+
+def test_non_finite_draw_in_a_middle_chunk_is_attrition_for_that_draw_only(monkeypatch):
+    # Chunks of two draws, three to a batch: replication 3 ends the first
+    # batch's middle chunk.  With an inf in its outcome it is dropped from
+    # every list, and every other draw keeps its values to the last bit.
+    cell = SimConfig(n=300, L=3, p1=0.49, replications=11, master_seed=5)
+    bad, widths = 3, (2, 3)
+    full = _batched(cell, widths, _VARIANTS)
+    before = _batched(dataclasses.replace(cell, replications=bad), widths, _VARIANTS)
+    through = _batched(dataclasses.replace(cell, replications=bad + 1), widths, _VARIANTS)
+    for lists, lists_before in zip(through, before):
+        for key, values in lists.items():
+            assert len(values) == len(lists_before[key]) + 1, key  # the draw is valid
+
+    real_draw = simulation._draw
+
+    def draw(config, seeds):
+        q, T, Y = real_draw(config, seeds)
+        for row, seed in zip(Y, seeds):
+            if seed.spawn_key == (bad,):
+                row[7] = np.inf
+        return q, T, Y
+
+    monkeypatch.setattr(simulation, "_draw", draw)
+    want = tuple(
+        {key: values[: len(head[key])] + values[len(upto[key]):] for key, values in lists.items()}
+        for lists, head, upto in zip(full, before, through)
+    )
+    _assert_bit_equal(_batched(cell, widths, _VARIANTS), want)
+
+
+def test_draw_with_no_kept_group_in_a_wide_batch():
+    # Groups of six rows: replications 3 and 6 keep no group, the first in
+    # the middle chunk of a batch, the second opening the next batch.  They
+    # are attrition, and the rest agree with the per-draw reference.
+    cell = SimConfig(n=12, L=2, p1=0.49, replications=9, master_seed=0)
+    stack, _, _, _, valid = _draw_stack(cell, range(cell.replications))
+    assert np.flatnonzero(~stack.keep.any(axis=1)).tolist() == [3, 6]
+    assert not valid[[3, 6]].any()
+    got = _batched(cell, (2, 3), _VARIANTS)
+    _assert_bit_equal(got, _batched(cell, (2, 1), _VARIANTS))
+    want_errors, want_hits = per_draw_replications(cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
+    assert got[1] == want_hits
+    for kind in DEFAULT_ESTIMATORS:
+        _agree(np.array(got[0][kind]), np.array(want_errors[kind]), exact=False)
+
+
+def test_variances_read_none_of_the_robust_sums():
+    # simulate's table at beta_hat leaves out s30, s40 and s31, which only
+    # the robust test's variance polynomial reads; both variances on it are
+    # bit-equal to those on the full table.  A chunk that drops groups, and
+    # one design whose T is not 0/1 (one-row atoms).
+    cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
+    stack, T, Y, _, _ = _draw_stack(cell, range(4))
+    draw = generate_sample(cell, replication_seed(3, 0))
+    T1 = draw.sample.treatment + 0.25 * draw.sample.outcome
+    cases = ((stack, T, Y, 0.2 + np.arange(4.0)[:, None]), (draw.design, T1, draw.sample.outcome, 0.7))
+    for design, T, Y, center in cases:
+        full = _CellMoments(design, T, Y, center)
+        base = _CellMoments(design, T, Y, order=2)
+        for reduced in (
+            _CellMoments(design, T, Y, center, robust=False),
+            _CellMoments(design, None, None, center, base=base, robust=False),
+        ):
+            assert not any(hasattr(reduced, name) for name in ("s30", "s40", "s31"))
+            for variance in (_sive_variance, _chao_variance):
+                assert variance(reduced).tobytes() == variance(full).tobytes()
+
+
+@pytest.mark.parametrize("L, widths, bound_kb", [(25, (4, 12), 780), (300, (4, 1), 760)])
+def test_replications_traced_peak(L, widths, bound_kb):
+    # The traced peak of one grid cell at the paper's n, above what is
+    # allocated before, in KB: 772 at L = 25 (batches of 48 draws) and 753
+    # at L = 300 (batches of one chunk of 4), each batch up to ROWS // 5
+    # cell entries.  A first call keeps the layout and the cell's
+    # constants, which are not counted.
+    cell = SimConfig(n=3000, L=L, p1=0.49, replications=100, master_seed=1941)
+    assert simulation._widths(cell.n, L) == widths
+
+    def run():
+        _replications(cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
+
+    run()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_kb * 1024, peak / 1024
