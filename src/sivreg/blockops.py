@@ -14,7 +14,11 @@ Naming convention used throughout the package:
 
 All of these are block diagonal over groups or cells, so every application
 below is O(n): one cell sum, then per-cell coefficients gathered by cell id
-(``design.cell``).  Dense n-by-n matrices exist only in the reference module.
+(``design.cell``).  Every coefficient that depends on the data only through
+the per-group counts (n_g, m_g) is computed once per design, in one
+read-only record (``_Constants``), the only place that converts the counts
+to floats or applies a stack's keep mask.  Dense n-by-n matrices exist only
+in the reference module.
 Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
 reduces them to per-cell sums, which is how the estimators and both variances
 use them; the public operators are their per-observation reference.  One
@@ -125,56 +129,84 @@ def _per_cell(inactive, active) -> np.ndarray:
     return out
 
 
-@_memo
-def _cell_counts(design: SaturatedDesign) -> np.ndarray:
-    """Per cell, its count of observations, as a float."""
-    m = design.treated_counts
-    return _per_cell(design.group_sizes - m, m).astype(np.float64)
+class _Constants:
+    """What the operators read of a design's per-group counts n_g and m_g,
+    computed once per design or stack (``_constants``), every array read-only.
+
+    Per cell (length 2G, inactive then active): ``k`` the count as a float,
+    ``p_factor`` P's factor of the group's gap of cell means, ``p_diag`` and
+    ``d`` the diagonals of P and D, and ``hartley`` the ``_hartley_weights``
+    of k.  Per group (length G): ``n`` the size as a float, ``share``
+    ``m_g/n_g``, ``size_share`` ``n_g/n``, ``p_weight`` the P forms' weight,
+    ``between`` JIVE2's between-weight, ``group_hartley`` the
+    ``_hartley_weights`` of n_g and ``inv_n2`` ``1/n_g^2``.  ``smallest`` is
+    the smallest cell that ``_require_cells`` checks, 2 on a stack.
+
+    A ratio that would divide by a count of a group that a stack drops, or
+    that a check refuses on one design, is zero there, without dividing; on
+    one design it is never read, since the check raises first.
+    """
+
+    def __init__(self, design: SaturatedDesign):
+        n = self.n = design.group_sizes.astype(np.float64)
+        m = design.treated_counts.astype(np.float64)
+        k = n - m
+        low = np.minimum(m, k)
+        stack = isinstance(design, _DesignStack)
+
+        def kept(num, den, minimum: int) -> np.ndarray:
+            ok = design.keep if stack else low >= minimum
+            return np.divide(num, den, out=np.zeros(ok.shape), where=ok)
+
+        share = self.share = m / n
+        self.k = _per_cell(k, m)
+        self.size_share = kept(n, design.n, 0)
+        self.p_factor = _per_cell(-share, 1.0 - share)
+        self.p_weight = m * k / n
+        self.p_diag = _per_cell(kept(share, k, 1), kept(1.0, m, 1) - kept(1.0, n, 1))
+        self.d = _per_cell(kept(m, k - 1.0, 2) / n, kept(k, m - 1.0, 2) / n)
+        self.between = (m**3 + k**3) / n**3
+        self.hartley = _hartley_weights(self.k)
+        self.group_hartley = _hartley_weights(n)
+        self.inv_n2 = 1.0 / n**2
+        self.smallest = 2 if stack else int(low.min())
+        for value in vars(self).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
 
 
-def _cell_means(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
-    """Mean of v over each cell; zero for an empty cell."""
-    k = _cell_counts(design)
+# The constants of a design or a stack, computed once and kept on it.
+_constants = _memo(_Constants)
+
+
+def _cell_means(design: SaturatedDesign, v: np.ndarray, k=None) -> np.ndarray:
+    """Mean of v over each cell of counts k (the design's by default); zero
+    for an empty cell."""
+    k = _constants(design).k if k is None else k
     return np.divide(_cell_sum(design, v), k, out=np.zeros(k.shape), where=k > 0)
 
 
 def cell_sizes(design: SaturatedDesign) -> np.ndarray:
     """Size of each observation's own cell (m_g if active, n_g - m_g if not)."""
-    return _cell_counts(design)[design.cell].astype(np.int64)
+    return _constants(design).k[design.cell].astype(np.int64)
 
 
-def _keep(design) -> np.ndarray | None:
-    """The groups a stack of designs keeps; None for one design, all of whose
-    groups count."""
-    return design.keep if isinstance(design, _DesignStack) else None
-
-
-def _kept_ratio(num, den, keep: np.ndarray | None) -> np.ndarray:
-    """``num / den`` per group; zero, without dividing, in a group a stack
-    dropped (``keep`` False), whose cells may be empty."""
-    if keep is None:
-        return num / den
-    return np.divide(num, den, out=np.zeros(keep.shape), where=keep)
-
-
-def _require_cells(design: SaturatedDesign, minimum: int, error: type) -> np.ndarray | None:
-    """Raise ``error`` naming the first group with a cell of fewer than ``minimum``
-    observations: 1 for P (``DegenerateGroupError``), 2 for D and A
-    (``GroupSizeError``).  A stack's kept groups have two or more per cell,
-    so it is not checked; its keep mask is returned (None for a design)."""
-    keep = _keep(design)
-    if keep is not None:
-        return keep
-    m = design.treated_counts
-    k = design.group_sizes - m
-    bad = (m < minimum) | (k < minimum)
-    if bad.any():
-        g = int(np.argmax(bad))
-        raise error(
+def _require_cells(design: SaturatedDesign, minimum: int) -> _Constants:
+    """The design's constants, once every group has ``minimum`` or more
+    observations per cell: 1 for P, else ``DegenerateGroupError``, and 2 for
+    D and A, else ``GroupSizeError``, naming the first group short of it.
+    A stack's kept groups have two or more per cell, so it is not checked."""
+    c = _constants(design)
+    if c.smallest < minimum:
+        m = design.treated_counts
+        k = design.group_sizes - m
+        g = int(np.argmax((m < minimum) | (k < minimum)))
+        raise (DegenerateGroupError if minimum == 1 else GroupSizeError)(
             f"group {g} has m_g={int(m[g])} and n_g - m_g={int(k[g])}; "
             f"need m_g >= {minimum} and n_g - m_g >= {minimum}"
         )
-    return None
+    return c
 
 
 def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
@@ -183,19 +215,7 @@ def projection_diag_P(design: SaturatedDesign) -> np.ndarray:
     ``P_ii = 1/m_g - 1/n_g`` for instrument-active observations and
     ``(m_g/n_g) / (n_g - m_g)`` otherwise; the diagonal sums to G.
     """
-    return _cell_P_diag(design)[design.cell]
-
-
-@_memo
-def _cell_P_diag(design: SaturatedDesign) -> np.ndarray:
-    """Per-cell value of the diagonal of P (length 2G)."""
-    keep = _require_cells(design, 1, DegenerateGroupError)
-    n = design.group_sizes.astype(np.float64)
-    m = design.treated_counts.astype(np.float64)
-    return _per_cell(
-        _kept_ratio(m / n, n - m, keep),
-        _kept_ratio(1.0, m, keep) - _kept_ratio(1.0, n, keep),
-    )
+    return _require_cells(design, 1).p_diag[design.cell]
 
 
 def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
@@ -203,23 +223,13 @@ def sive_diag_D(design: SaturatedDesign) -> np.ndarray:
 
     Requires m_g >= 2 and n_g - m_g >= 2 in every group.
     """
-    return _cell_D(design)[design.cell]
-
-
-@_memo
-def _cell_D(design: SaturatedDesign) -> np.ndarray:
-    """Per-cell value of the diagonal of D (length 2G)."""
-    keep = _require_cells(design, 2, GroupSizeError)
-    n = design.group_sizes.astype(np.float64)
-    m = design.treated_counts.astype(np.float64)
-    k = n - m
-    return _per_cell(_kept_ratio(m, k - 1.0, keep) / n, _kept_ratio(k, m - 1.0, keep) / n)
+    return _require_cells(design, 2).d[design.cell]
 
 
 def apply_M_W(design: SaturatedDesign, v) -> np.ndarray:
     """Demean within each group (annihilate the group dummies)."""
     v = _check_vector(design, v)
-    means = _group_sum(design, v) / design.group_sizes
+    means = _group_sum(design, v) / _constants(design).n
     return v - means[design.group_of]
 
 
@@ -227,17 +237,6 @@ def apply_M_WZ(design: SaturatedDesign, v) -> np.ndarray:
     """Demean within each cell (annihilate group dummies and interactions)."""
     v = _check_vector(design, v)
     return v - _cell_means(design, v)[design.cell]
-
-
-@_memo
-def _p_factor(design: SaturatedDesign) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell, P's factor ``-m_g/n_g`` (inactive) or ``1 - m_g/n_g`` (active) of the
-    gap of cell means, and per group the P forms' weight ``m_g (n_g - m_g) / n_g``."""
-    _require_cells(design, 1, DegenerateGroupError)
-    n = design.group_sizes.astype(np.float64)
-    m = design.treated_counts.astype(np.float64)
-    share = m / n
-    return _per_cell(-share, 1.0 - share), m * (n - m) / n
 
 
 def apply_P(design: SaturatedDesign, v) -> np.ndarray:
@@ -248,7 +247,7 @@ def apply_P(design: SaturatedDesign, v) -> np.ndarray:
     cell means of v.
     """
     v = _check_vector(design, v)
-    factor = _p_factor(design)[0]
+    factor = _require_cells(design, 1).p_factor
     means = _cell_means(design, v)
     return (factor * np.repeat(means[1::2] - means[0::2], 2))[design.cell]
 
@@ -281,16 +280,16 @@ def apply_MM_inv(design: SaturatedDesign, v) -> np.ndarray:
     raised (callers route those observations to the small-cell fallback).
     """
     v = _check_vector(design, v)
-    k = _cell_counts(design)
-    big = k > 2
+    c = _constants(design)
+    big = c.k > 2
     touched = ~big[design.cell] & (v != 0.0)
     if touched.any():
         i = int(np.argmax(touched))
         raise SmallCellError(
             f"cell (group {int(design.group_of[i])}, status {int(design.instrument[i])}) "
-            f"has size {int(k[design.cell[i]])} <= 2, so the Hadamard-square block is singular"
+            f"has size {int(c.k[design.cell[i]])} <= 2, so the Hadamard-square block is singular"
         )
-    w1, w2 = _hartley_weights(k)
+    w1, w2 = c.hartley
     return w1[design.cell] * v - (w2 * _cell_sum(design, v))[design.cell]
 
 
@@ -308,17 +307,15 @@ def apply_MM_inv_W(design: SaturatedDesign, v) -> np.ndarray:
             f"group {g} has size {int(design.group_sizes[g])} <= 2, so the "
             "Hadamard-square of M_W is singular"
         )
-    w1, w2 = _hartley_weights(design.group_sizes)
+    w1, w2 = _constants(design).group_hartley
     g = design.group_of
     return w1[g] * v - (w2 * _group_sum(design, v))[g]
 
 
 def trace_A_squared(design: SaturatedDesign) -> float:
     """Closed-form tr(A^2); lies in [G, 3G] whenever A exists."""
-    _require_cells(design, 2, GroupSizeError)
-    n_g = design.group_sizes.astype(np.float64)
-    m_g = design.treated_counts.astype(np.float64)
-    k_g = n_g - m_g
+    c = _require_cells(design, 2)
+    n_g, k_g, m_g = c.n, c.k[0::2], c.k[1::2]
     per_group = 1.0 + (k_g**2 / (m_g - 1.0) + m_g**2 / (k_g - 1.0)) / n_g**2
     return float(per_group.sum())
 
@@ -354,27 +351,31 @@ class _Atoms:
     """
 
     def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray):
-        k = _cell_counts(design)
-        self.mean_Y = _cell_means(design, Y)
         treated = _binary_arms(T)
         if treated is None:
             self.to_cells = lambda x: _cell_sum(design, x)
             self.counts = self.ss = None
-            self.mean_T, self.tt = _cell_means(design, T), _dot(T, T)
+            self.mean_T, self.mean_Y = _cell_means(design, T), _cell_means(design, Y)
+            self.tt = _dot(T, T)
             self.u = self.mean_T.reshape(-1)[design.cell]
             np.subtract(T, self.u, out=self.u)
             self.mean_e0 = self.mean_Y.reshape(-1)[design.cell]
             np.subtract(Y, self.mean_e0, out=self.mean_e0)
             return
-        atom = (design.cell + k.size * treated).reshape(-1)
+        shape = (2,) + design.cell.shape[:-1] + (2 * design.G,)
+        size = int(np.prod(shape))
+        atom = (design.cell + size // 2 * treated).reshape(-1)
         del treated  # freed before the build, where a table's memory peaks
-        shape = (2,) + k.shape
 
         def atom_sum(weights=None):
-            return np.bincount(atom, weights, minlength=2 * k.size).reshape(shape)
+            return np.bincount(atom, weights, minlength=size).reshape(shape)
 
         self.to_cells = _add_arms
         self.counts = atom_sum().astype(np.float64)
+        # The cell counts, read off the atoms: a chunk of draws is reduced
+        # without its stack's constants.
+        k = _add_arms(self.counts)
+        self.mean_Y = _cell_means(design, Y, k)
         self.mean_T = np.divide(self.counts[1], k, out=np.zeros(k.shape), where=k > 0)
         self.tt = self.counts[1].sum(axis=-1)
         e0 = self.mean_Y.reshape(-1)[design.cell]
@@ -441,7 +442,7 @@ class _CellMoments:
         self.design = design
         self.center = center
         self.centered = bool(np.any(center))
-        self.k = _cell_counts(design)
+        self.k = _constants(design).k
         if base is not None:
             atoms = base.atoms
         self.atoms = a = _Atoms(design, T, Y) if atoms is None else atoms
@@ -484,21 +485,21 @@ class _CellMoments:
     def p_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Per cell, the constant values of PT and PR: the group's gap of cell
         means times ``-m_g/n_g`` (inactive cell) or ``1 - m_g/n_g`` (active)."""
-        factor = _p_factor(self.design)[0]
+        factor = _require_cells(self.design, 1).p_factor
         gap_T, gap_R = self.group_gaps()
         return factor * np.repeat(gap_T, 2, axis=-1), factor * np.repeat(gap_R, 2, axis=-1)
 
     @_memo
     def p_form(self) -> tuple:
         """``(T'PR, T'PT)``: per group ``m_g (n_g - m_g) / n_g`` times the gaps."""
-        weight = _p_factor(self.design)[1]
+        weight = _require_cells(self.design, 1).p_weight
         gap_T, gap_R = self.group_gaps()
         return _dot(weight, gap_T * gap_R), _dot(weight, gap_T * gap_T)
 
     @property
     def d(self) -> np.ndarray:
-        """Per cell, the diagonal of D (``_cell_D``)."""
-        return _cell_D(self.design)
+        """Per cell, the diagonal of D."""
+        return _require_cells(self.design, 2).d
 
     @_memo
     def a_form(self) -> tuple:

@@ -28,16 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockops import (
-    DegenerateGroupError,
     projection_diag_P,
     _cell_means,
-    _cell_P_diag,
     _CellMoments,
     _check_vector,
+    _constants,
     _dot,
-    _keep,
-    _kept_ratio,
-    _memo,
     _require_cells,
 )
 from .design import Sample, SaturatedDesign, _check_sample
@@ -139,17 +135,10 @@ def _jive1_form(t: _CellMoments) -> tuple:
 
     ``sum_i P_ii T_i Y_i`` is, per cell, ``P_cc (s11 + k mean_T mean_Y)``.
     """
-    p_diag = _cell_P_diag(t.design)
+    p_diag = _require_cells(t.design, 1).p_diag
     num, den = t.p_form()  # kept on the table: read-only, so not ``-=``
     num = num - _dot(p_diag, t.s11 + t.k * t.mean_T * t.mean_Y)
     return num, den - _dot(p_diag, t.s20 + t.k * t.mean_T * t.mean_T)
-
-
-@_memo
-def _between(design: SaturatedDesign) -> np.ndarray:
-    """Per group, ``(m_g^3 + (n_g - m_g)^3) / n_g^3`` (JIVE2)."""
-    n, m = design.group_sizes.astype(np.float64), design.treated_counts.astype(np.float64)
-    return (m**3 + (n - m) ** 3) / n**3
 
 
 def _jive2_form(t: _CellMoments) -> tuple:
@@ -160,7 +149,8 @@ def _jive2_form(t: _CellMoments) -> tuple:
     ``P_cc s11`` per cell plus ``(m_g^3 + (n_g - m_g)^3) / n_g^3`` times the
     product of the gaps per group.
     """
-    p_diag, between = _cell_P_diag(t.design), _between(t.design)
+    c = _require_cells(t.design, 1)
+    p_diag, between = c.p_diag, c.between
     num, den = t.p_form()
     gap_T, gap_Y = t.group_gaps()
     num = num - (_dot(p_diag, t.s11) + _dot(between, gap_T * gap_Y))
@@ -341,9 +331,8 @@ def population_moments(
     G, n = design.G, design.n
     pi = _broadcast(inputs.pi, G, "G", "pi")
     tau = _broadcast(inputs.tau, G, "G", "tau")
-    p_tilde = _kept_ratio(design.group_sizes, n, _keep(design))
-    share = design.treated_counts / design.group_sizes.astype(np.float64)
-    v_tilde = share * (1.0 - share)
+    c = _constants(design)
+    p_tilde, v_tilde = c.size_share, c.share * (1.0 - c.share)
     base = p_tilde * pi**2 * v_tilde
 
     if kind is EstimatorKind.SIVE:
@@ -362,11 +351,9 @@ def population_moments(
     if kind is EstimatorKind.JIVE1:
         if inputs.psi is None or inputs.phi is None:
             raise ValueError("the JIVE1 estimand needs psi and phi")
-        _require_cells(design, 1, DegenerateGroupError)
+        inv_m = 1.0 / _require_cells(design, 1).k[1::2]
         psi = _broadcast(inputs.psi, G, "G", "psi")
         phi = _broadcast(inputs.phi, G, "G", "phi")
-        m = design.treated_counts.astype(np.float64)
-        inv_m = 1.0 / m
         b_y = float((p_tilde * pi * (phi + tau * psi) * v_tilde * inv_m).sum())
         b_y += float((psi * phi).sum()) / n
         b_t = 2.0 * float((p_tilde * pi * psi * v_tilde * inv_m).sum())
@@ -381,8 +368,8 @@ def population_moments(
         sigma_ue = _broadcast(inputs.sigma_ue, n, "n", "sigma_ue")
         sigma_uu = _broadcast(inputs.sigma_uu, n, "n", "sigma_uu")
         p_diag = projection_diag_P(design)
-        n_of = design.group_sizes[design.group_of].astype(np.float64)
-        weight = 2.0 * p_diag / n_of - 1.0 / n_of**2
+        g = design.group_of
+        weight = 2.0 * p_diag / c.n[g] - c.inv_n2[g]
         shrink = pi**2 * (1.0 - 3.0 * v_tilde)
         b_y1 = -float((shrink * tau).sum()) / n
         b_t1 = -float(shrink.sum()) / n
@@ -437,10 +424,10 @@ def first_stage_strength(
     if (pi is None) == (treatment is None):
         raise ValueError("provide exactly one of pi or treatment")
     if pi is None:
-        _require_cells(design, 1, DegenerateGroupError)
+        _require_cells(design, 1)
         means = _cell_means(design, _check_vector(design, treatment))
         pi = means[1::2] - means[0::2]
     pi = _broadcast(pi, design.G, "G", "pi")
-    share = design.treated_counts / design.group_sizes.astype(np.float64)
-    fs = float((design.group_sizes / design.n * pi**2 * share * (1.0 - share)).sum())
+    c = _constants(design)
+    fs = float((c.size_share * pi**2 * c.share * (1.0 - c.share)).sum())
     return {"FS": fs, "mu_n": design.n / design.G * fs}

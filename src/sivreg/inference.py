@@ -35,8 +35,8 @@ from .blockops import (
     _cell_sum,
     _CellMoments,
     _check_vector,
+    _constants,
     _dot,
-    _hartley_weights,
     _memo,
     apply_M_WZ,
     cell_sizes,
@@ -111,7 +111,7 @@ def hartley_sigma(design: SaturatedDesign, treatment, residual) -> SigmaEstimate
         )
     ut = apply_M_WZ(design, treatment)
     rt = apply_M_WZ(design, residual)
-    w1, w2 = _hartley_weights(k)
+    w1, w2 = (w[design.cell] for w in _constants(design).hartley)
 
     def estimate(x):
         return w1 * x - w2 * _cell_sum(design, x)[design.cell]
@@ -139,7 +139,7 @@ def _robust_polynomials(t: _CellMoments) -> tuple[np.ndarray, np.ndarray]:
     """
     d, (pt, pr), aa = t.d, t.p_values(), _aa(t)
     td, rd, dd = pt * d, pr * d, d * d
-    ab, w = t.k * pt * pr + dd * t.s11, _hartley_weights(t.k)
+    ab, w = t.k * pt * pr + dd * t.s11, _constants(t.design).hartley
     t_a_r, t_a_t = t.a_form()
     v1 = -4.0 * (
         _hartley(w, t.s20, pt * pr * t.s20 - td * t.s21 - rd * t.s30 + dd * t.s31, ab)
@@ -167,12 +167,14 @@ def _variance_at_center(t: _CellMoments):
     """``v0`` of ``_robust_polynomials``: the variance at ``beta0 = center``."""
     d, (pt, pr), aa = t.d, t.p_values(), _aa(t)
     td, rd, dd = pt * d, pr * d, d * d
-    ab, bb = t.k * pt * pr + dd * t.s11, t.k * pr * pr + dd * t.s02
-    w = _hartley_weights(t.k)
+    w = _constants(t.design).hartley
+    # bb and ab are formed inside their own terms: fewer arrays alive at once.
     return (
-        _hartley(w, t.s20, pr * pr * t.s20 - 2.0 * rd * t.s21 + dd * t.s22, bb)
+        _hartley(w, t.s20, pr * pr * t.s20 - 2.0 * rd * t.s21 + dd * t.s22,
+                 t.k * pr * pr + dd * t.s02)
         + _hartley(w, t.s02, pt * pt * t.s02 - 2.0 * td * t.s12 + dd * t.s22, aa)
-        + 2.0 * _hartley(w, t.s11, pt * pr * t.s11 - td * t.s12 - rd * t.s21 + dd * t.s22, ab)
+        + 2.0 * _hartley(w, t.s11, pt * pr * t.s11 - td * t.s12 - rd * t.s21 + dd * t.s22,
+                         t.k * pt * pr + dd * t.s11)
     )
 
 
@@ -441,8 +443,8 @@ def _chao_variance(t: _CellMoments):
     second term is ``d^2 (W_c^2 - sum_c J(e*u)^2)`` per cell plus
     ``2 W_0 W_1 / n_g^2`` per group.
     """
-    d, pt, aa = t.d, t.p_values()[0], _aa(t)
-    w1, w2 = (np.repeat(w, 2, axis=-1) for w in _hartley_weights(t.design.group_sizes))
+    d, pt, aa, c = t.d, t.p_values()[0], _aa(t), _constants(t.design)
+    w1, w2 = (np.repeat(w, 2, axis=-1) for w in c.group_hartley)
     s02_g, s11_g = (
         np.repeat(s.reshape(s.shape[:-1] + (-1, 2)).sum(axis=-1), 2, axis=-1)
         for s in (t.s02, t.s11)
@@ -450,11 +452,12 @@ def _chao_variance(t: _CellMoments):
     term1 = _dot(w1, pt * pt * t.s02 - 2.0 * pt * d * t.s12 + d * d * t.s22)
     term1 -= _dot(w2 * s02_g, aa)
     shift = w2 * s11_g
+    del w2, s02_g, s11_g  # freed once read, before the products where memory peaks
     w_sum = w1 * t.s11 - shift * t.k
     w_sq = w1 * w1 * t.s22 - 2.0 * w1 * shift * t.s11 + shift * shift * t.k
-    n = t.design.group_sizes.astype(np.float64)
+    del w1, shift
     term2 = _dot(d * d, w_sum * w_sum - w_sq)
-    term2 += 2.0 * _dot(w_sum[..., 0::2] * w_sum[..., 1::2], 1.0 / n**2)
+    term2 += 2.0 * _dot(w_sum[..., 0::2] * w_sum[..., 1::2], c.inv_n2)
     return _identified_ratio(term1 + term2, t.a_form()[1], t.tt, power=2)
 
 

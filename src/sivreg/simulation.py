@@ -298,13 +298,12 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
 
 
 def _draw_stack(cell: SimConfig, reps: range) -> tuple:
-    """Replications ``reps`` of ``cell``, stacked, with their population truth.
+    """Replications ``reps`` of ``cell``, stacked.
 
-    Returns ``(stack, T, Y, truth, valid)``, T and Y of shape (R, n).  They
-    are zero on the rows of the groups a draw drops, and on every row of a
-    draw with a non-finite Y (which a Sample would refuse; T is 0/1).
-    ``valid`` marks the draws that are finite, keep a group and have a
-    defined ``beta_sive``; the others are attrition for everything.
+    Returns ``(stack, T, Y, finite)``, T and Y of shape (R, n).  They are
+    zero on the rows of the groups a draw drops, and on every row of a draw
+    with a non-finite Y (which a Sample would refuse; T is 0/1), which
+    ``finite`` marks False.
     """
     q, T, Y = _draw(cell, [replication_seed(cell.master_seed, rep) for rep in reps])
     stack = _DesignStack.of_rows(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
@@ -312,14 +311,20 @@ def _draw_stack(cell: SimConfig, reps: range) -> tuple:
     dropped = ~(stack.kept_rows & finite[:, None])
     np.putmask(T, dropped, 0.0)
     np.putmask(Y, dropped, 0.0)
+    return stack, T, Y, finite
 
+
+def _truth(cell: SimConfig, stack: _DesignStack, finite: np.ndarray) -> tuple:
+    """Per draw of ``stack``, its ``beta_sive`` (NaN where undefined, as for
+    a draw that keeps no group) and whether it is valid: finite and with a
+    defined ``beta_sive``; the others are attrition for everything.  Each
+    draw's values are its own, however many draws the stack holds."""
     tau = cell.beta * _cell_constants(cell.n, cell.L, cell.n_hetero, cell.h)[3]
     inputs = PopulationInputs(pi=cell.p1 - cell.p0, tau=tau)
     num, den = population_moments(EstimatorKind.SIVE, stack, inputs)
     out = _shared_effect(tau, stack.keep) if (den == 0.0).any() else np.empty(den.shape)
     truth = np.divide(num, den, out=out, where=den != 0.0)
-    valid = finite & stack.keep.any(axis=1) & ~np.isnan(truth)
-    return stack, T, Y, truth, valid
+    return truth, finite & ~np.isnan(truth)
 
 
 def _cell_configs(config: SimConfig, L_values, p1_values) -> list:
@@ -444,11 +449,11 @@ def _replications(cell: SimConfig, estimators: tuple, variants: tuple, alpha: fl
 
 def _reduce_chunk(cell: SimConfig, reps: range) -> tuple:
     """Replications ``reps``, drawn as one chunk (``_draw_stack``), reduced to
-    what the tables read: ``(counts, atoms, truth, valid)``, the chunk's
-    per-(group, arm) counts, its (cell, arm) atoms, and per draw its
-    ``beta_sive`` and whether it is valid.  Its (R, n) arrays go on return."""
-    stack, T, Y, truth, valid = _draw_stack(cell, reps)
-    return stack.counts, _Atoms(stack, T, Y), truth, valid
+    what the tables read: ``(counts, atoms, finite)``, the chunk's
+    per-(group, arm) counts, its (cell, arm) atoms, and per draw whether its
+    Y is finite.  Its (R, n) arrays go on return."""
+    stack, T, Y, finite = _draw_stack(cell, reps)
+    return stack.counts, _Atoms(stack, T, Y), finite
 
 
 def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
@@ -457,10 +462,11 @@ def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
     estimator) and ``hits`` (per variant).
 
     The chunks join along the draw axis into one stack, whose design
-    constants are computed once, and their atoms into one set (the chunks'
-    own are then freed).  It builds one moment table at center 0 for every
-    estimator and, when variants are requested, one on top of it at each
-    draw's SIVE estimate, whose forms both variances share.  Errors and
+    constants and population truth (``_truth``) are computed once, and
+    their atoms into one set (the chunks' own counts and atoms are then
+    freed).  It builds one moment table at center 0 for every estimator
+    and, when variants are requested, one on top of it at each draw's SIVE
+    estimate, whose forms both variances share.  Errors and
     tests are against each draw's own ``beta_sive``.  A failed draw is
     attrition for everything, a failed estimate for its own estimator
     (SIVE's also for every variant), and a variance that is not positive for
@@ -469,9 +475,10 @@ def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
     kinds = tuple(errors)
     if hits and EstimatorKind.SIVE not in kinds:
         kinds += (EstimatorKind.SIVE,)
-    counts, atoms, truth, valid = zip(*parts)
-    stack = _DesignStack(np.concatenate(counts))
-    atoms, truth, valid = _Atoms.join(atoms), np.concatenate(truth), np.concatenate(valid)
+    counts, atoms, finite = zip(*parts)
+    stack, atoms = _DesignStack(np.concatenate(counts)), _Atoms.join(atoms)
+    del counts
+    truth, valid = _truth(cell, stack, np.concatenate(finite))
     table = _CellMoments(stack, None, None, order=2, atoms=atoms)
     estimates = {kind: _estimates(kind, table) for kind in kinds}
     for kind in errors:

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sivreg import (
+    DegenerateGroupError,
     EstimationError,
     EstimatorKind,
+    GroupSizeError,
     PopulationInputs,
     RankDeficiencyError,
     Sample,
@@ -22,9 +24,12 @@ from sivreg import (
     first_stage_strength,
     population_estimand,
     population_moments,
+    sive_report,
+    trace_A_squared,
 )
 
 from sivreg.estimators import PIVOT_RTOL, _drop_collinear
+from sivreg.oracle import DenseDesign, oracle_estimate
 
 from conftest import random_design, strong_sample
 
@@ -305,6 +310,38 @@ def test_estimand_missing_inputs_are_rejected():
         population_estimand(EstimatorKind.JIVE2, d, bare)
     with pytest.raises(ValueError, match="no population estimand"):
         population_moments(EstimatorKind.TSLS_GENERIC, d, bare)
+
+
+def test_check_precedence_on_small_and_empty_cells():
+    # A cell of one observation leaves P, and so TSLS, JIVE1 and JIVE2,
+    # defined, while D and A need two per cell; an empty cell leaves neither.
+    d = build_design([[0]] * 5 + [[1]] * 6, [1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0])
+    s = strong_sample(np.random.default_rng(5), d)
+    W = np.eye(d.G)[d.group_of]
+    Z = W * d.instrument[:, None]
+    M_W = np.eye(d.n) - W @ np.linalg.solve(W.T @ W, W.T)
+    MZ = M_W @ Z
+    P = MZ @ np.linalg.solve(Z.T @ MZ, MZ.T)
+    dense = DenseDesign(W=W, Z=Z, P=P, M_W=M_W, M_WZ=None, D=None, A=None)
+    for estimate, kind in (
+        (estimate_tsls, EstimatorKind.TSLS_SATURATED),
+        (estimate_jive1, EstimatorKind.JIVE1),
+        (estimate_jive2, EstimatorKind.JIVE2),
+    ):
+        want = oracle_estimate(kind, dense, s.outcome, s.treatment)
+        assert abs(estimate(d, s) - want) <= 1e-8 * max(1.0, abs(want)), kind
+    message = r"^group 0 has m_g=1 and n_g - m_g=4; need m_g >= 2 and n_g - m_g >= 2$"
+    for call in (lambda: estimate_sive(d, s), lambda: sive_report(d, s),
+                 lambda: trace_A_squared(d)):
+        with pytest.raises(GroupSizeError, match=message):
+            call()
+
+    empty = build_design([[0]] * 5 + [[1]] * 6, [0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0])
+    s = strong_sample(np.random.default_rng(5), empty)
+    message = r"^group 0 has m_g=0 and n_g - m_g=5; need m_g >= 1 and n_g - m_g >= 1$"
+    for estimate in ALL_BLOCKWISE:
+        with pytest.raises(DegenerateGroupError, match=message):
+            estimate(empty, s)
 
 
 def test_first_stage_strength_frozen_values():

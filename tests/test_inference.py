@@ -743,7 +743,6 @@ def assert_atoms_match_rows(design, T, Y, center):
     ``|pr| + |d e|`` and a Hartley estimate ``w1 x_i - w2 X`` as
     ``w1 |x_i| + w2 sum |x|``; where ``a`` cancels to 0, its terms do not.
     """
-    from sivreg.blockops import _hartley_weights
     from sivreg.inference import _robust_polynomials
 
     atoms, rows = _CellMoments(design, T, Y, center), row_table(design, T, Y, center)
@@ -769,7 +768,7 @@ def assert_atoms_match_rows(design, T, Y, center):
     pt, pr = rows.p_values()
     d = gather(rows.d)
     a, b = gather(np.abs(pt)) + d * np.abs(u), gather(np.abs(pr)) + d * np.abs(e)
-    w1, w2 = _hartley_weights(rows.k)
+    w1, w2 = blockops._constants(design).hartley
 
     def hartley(x):
         return gather(w1) * x + gather(w2 * cell_sum(x).reshape(rows.k.shape))
@@ -1174,18 +1173,10 @@ def test_sive_variance_reads_v0_on_a_stack_that_drops_groups(case):
 
 
 def _constants_of(design, fresh=False):
-    """Every per-design constant that is computed once and kept; with
-    ``fresh``, each computed anew by the function the cache wraps."""
-    from sivreg.estimators import _between
-
-    functions = {
-        "counts": blockops._cell_counts,
-        "P diag": blockops._cell_P_diag,
-        "D": blockops._cell_D,
-        "P factor and weight": blockops._p_factor,
-        "JIVE2 between": _between,
-    }
-    return {name: (f.__wrapped__ if fresh else f)(design) for name, f in functions.items()}
+    """Every field of the design's constants record, which is computed once
+    and kept; with ``fresh``, computed anew by the function the cache wraps."""
+    f = blockops._constants
+    return vars((f.__wrapped__ if fresh else f)(design))
 
 
 def _arrays(value):
@@ -1260,10 +1251,34 @@ def test_kept_constants_and_forms_are_read_only_and_survive_the_estimators(case,
     )
 
 
+def test_one_mask_rule_for_the_constants_of_a_stack():
+    # A Monte Carlo chunk whose draws drop groups: on the groups a draw keeps,
+    # every field of the stack's constants is bit-equal to that of the draw's
+    # filtered design, and every field is finite on the groups it drops.
+    cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
+    stack = simulation._draw_stack(cell, range(4))[0]
+    assert not stack.keep.all()
+    fields = vars(blockops._constants(stack))
+    assert fields.pop("smallest") == 2
+    for name, value in fields.items():
+        for arr in value if isinstance(value, tuple) else (value,):
+            assert np.isfinite(arr).all(), name
+    for r in range(4):
+        draw = generate_sample(cell, replication_seed(cell.master_seed, r))
+        want = vars(blockops._constants(draw.design))
+        assert want["smallest"] >= 2
+        kept = stack.keep[r]
+        for name, value in fields.items():
+            pairs = zip(value, want[name]) if isinstance(value, tuple) else [(value, want[name])]
+            for got, ref in pairs:
+                got = got[r] if got.shape[-1] == stack.G else got[r].reshape(-1, 2)
+                assert_same_bits(got[kept].reshape(-1), ref, (name, r))
+
+
 def test_kept_constants_of_a_simulated_stack():
     # A Monte Carlo chunk whose draws drop groups (L = 300 at n = 3000).
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
-    stack, T, Y, _, _ = simulation._draw_stack(cell, range(4))
+    stack, T, Y, _ = simulation._draw_stack(cell, range(4))
     assert not stack.keep.all()
     group_of = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2]
     instrument = stack.cell % 2

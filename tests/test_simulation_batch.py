@@ -29,6 +29,7 @@ from sivreg.simulation import (
     _draw_stack,
     _replications,
     _run_grid,
+    _truth,
     generate_sample,
     outcome_level,
     propensity,
@@ -86,7 +87,8 @@ def test_stacked_tables_equal_per_draw_tables(case):
     # The tables, and the estimates and variances read off them, per draw.
     cell, per_chunk = case
     reps = range(min(per_chunk, cell.replications))
-    stack, T, Y, truth, valid = _draw_stack(cell, reps)
+    stack, T, Y, finite = _draw_stack(cell, reps)
+    truth, valid = _truth(cell, stack, finite)
     centers = 0.37 + np.arange(len(reps))
     stacked = (
         (_CellMoments(stack, T, Y, order=2), 0.0 * centers, 2, SECOND_ORDER),
@@ -165,7 +167,8 @@ def test_non_finite_draw_is_attrition_for_everything():
     # Sample would refuse it, and the stack flags the draw and zeroes its rows.
     cell = SimConfig(n=60, L=2, beta=1e308, h=10.0, n_hetero=30, replications=3)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, T, Y, _, valid = _draw_stack(cell, range(cell.replications))
+        stack, T, Y, finite = _draw_stack(cell, range(cell.replications))
+        valid = _truth(cell, stack, finite)[1]
         bias, size = _run_grid(cell)
     assert not valid.any()
     assert not T.any() and not Y.any()
@@ -219,7 +222,8 @@ def test_chunk_draws_equal_per_replication_draws(case):
     seeds = [replication_seed(cell.master_seed, rep) for rep in reps]
     with np.errstate(over="ignore", invalid="ignore"):
         q, T, Y = simulation._draw(cell, seeds)
-        stack, T_stack, Y_stack, _, valid = _draw_stack(cell, reps)
+        stack, T_stack, Y_stack, finite = _draw_stack(cell, reps)
+        valid = _truth(cell, stack, finite)[1]
         refs = [one_draw(cell, seed) for seed in seeds]
     assert q.shape == T.shape == Y.shape == (len(reps), cell.n)
     for i, (q_ref, t_ref, y_ref) in enumerate(refs):
@@ -341,7 +345,8 @@ def test_draw_with_no_kept_group_in_a_wide_batch():
     # the middle chunk of a batch, the second opening the next batch.  They
     # are attrition, and the rest agree with the per-draw reference.
     cell = SimConfig(n=12, L=2, p1=0.49, replications=9, master_seed=0)
-    stack, _, _, _, valid = _draw_stack(cell, range(cell.replications))
+    stack, _, _, finite = _draw_stack(cell, range(cell.replications))
+    valid = _truth(cell, stack, finite)[1]
     assert np.flatnonzero(~stack.keep.any(axis=1)).tolist() == [3, 6]
     assert not valid[[3, 6]].any()
     got = _batched(cell, (2, 3), _VARIANTS)
@@ -358,7 +363,7 @@ def test_variances_read_none_of_the_robust_sums():
     # bit-equal to those on the full table.  A chunk that drops groups, and
     # one design whose T is not 0/1 (one-row atoms).
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
-    stack, T, Y, _, _ = _draw_stack(cell, range(4))
+    stack, T, Y, _ = _draw_stack(cell, range(4))
     draw = generate_sample(cell, replication_seed(3, 0))
     T1 = draw.sample.treatment + 0.25 * draw.sample.outcome
     cases = ((stack, T, Y, 0.2 + np.arange(4.0)[:, None]), (draw.design, T1, draw.sample.outcome, 0.7))
