@@ -348,10 +348,15 @@ class _Atoms:
     so that the merge neither multiplies by 1 nor adds 0, and ``to_cells``
     is the cell sum.  (Cell, arm) atoms of stacks on one grouping join along
     the draw axis (``join``).
+
+    A caller that knows T to be 0/1 may pass ``treated`` (``T == 1``) for
+    T.  The atoms of the cells ``dropped`` marks (per draw and cell) are
+    zeroed after the sums, each of which reads only its own atom's rows.
     """
 
-    def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray):
-        treated = _binary_arms(T)
+    def __init__(self, design: SaturatedDesign, T: np.ndarray | None, Y: np.ndarray,
+                 treated: np.ndarray | None = None, dropped: np.ndarray | None = None):
+        treated = _binary_arms(T) if treated is None else treated
         if treated is None:
             self.to_cells = lambda x: _cell_sum(design, x)
             self.counts = self.ss = None
@@ -372,6 +377,8 @@ class _Atoms:
 
         self.to_cells = _add_arms
         self.counts = atom_sum().astype(np.float64)
+        if dropped is not None:
+            self.counts[:, dropped] = 0.0
         # The cell counts, read off the atoms: a chunk of draws is reduced
         # without its stack's constants.
         k = _add_arms(self.counts)
@@ -387,6 +394,8 @@ class _Atoms:
         e0 -= self.mean_e0.reshape(-1)[atom]
         e0 *= e0
         self.ss = atom_sum(e0)
+        if dropped is not None:
+            self.ss[:, dropped] = 0.0
 
     @classmethod
     def join(cls, parts) -> _Atoms:

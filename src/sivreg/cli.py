@@ -665,7 +665,7 @@ _CONFIG_FIELDS = tuple(f.name for f in dataclass_fields(SimConfig))
 def cmd_simulate(config_path, out_dir, seed=None) -> dict:
     """Run the bias and size grids from a JSON config and write artifacts.
 
-    Each (L, p1, replication) is drawn once and feeds both grids.
+    Each replication is drawn once per grid; each cell's draw feeds both grids.
 
     The config holds SimConfig fields, where ``L`` and ``p1`` may be lists,
     plus an optional ``alpha``.  ``seed`` overrides ``master_seed``.  Writes

@@ -170,9 +170,9 @@ class _DesignStack:
     The size filter is a mask here, not a row deletion, so every design keeps
     the grouping's shape.  ``keep[r, g]`` marks the groups that design r keeps
     (both cells of size >= 2, as ``validate_group_sizes`` by default), and a
-    dropped group carries zero weight in every statistic: the vectors summed
-    over its rows must be zero there, and a per-cell weight that would divide
-    by one of its counts is zero.  Per-group arrays are (R, G), per-cell
+    dropped group carries zero weight in every statistic: its atoms (or the
+    vectors summed over its rows) must be zero, and a per-cell weight that
+    would divide by one of its counts is zero.  Per-group arrays are (R, G), per-cell
     ones (R, 2G), and ``n`` is the kept observation count of each design,
     shape (R, 1).
     """
@@ -189,15 +189,13 @@ class _DesignStack:
     def of_rows(cls, group_of: np.ndarray, instrument: np.ndarray) -> _DesignStack:
         """The stack of the instrument draws (R, n) on ``group_of``, with its
         rows: ``cell[r, i]`` is observation i's cell as a flat id ``r * 2G +
-        2 group_of[i] + instrument[r, i]``, and ``kept_rows`` marks the rows
-        of kept groups."""
+        2 group_of[i] + instrument[r, i]``."""
         R = instrument.shape[0]
         G = int(group_of.max()) + 1
-        group = group_of + G * np.arange(R)[:, None]
-        cell = 2 * group + instrument
+        cell = 2 * group_of + 2 * G * np.arange(R)[:, None]
+        cell += instrument
         stack = cls(np.bincount(cell.ravel(), minlength=R * 2 * G).reshape(R, G, 2))
         stack.cell = cell
-        stack.kept_rows = stack.keep.reshape(-1)[group]
         return stack
 
 

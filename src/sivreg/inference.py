@@ -232,6 +232,19 @@ def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) 
     return {"t": float(t), "reject": bool(p < alpha), "p": p}
 
 
+def _t_rejects(beta_hat, variance, beta0, alpha: float) -> np.ndarray:
+    """``t_test``'s decision ``p < alpha`` on arrays, bit for bit: |t| >
+    z_{1-alpha/2}, but ``ndtr`` decides within 1e-6 max(z, 1) of z (at every
+    t if alpha <= 1e-300), where rounding in either could tip it."""
+    t = np.abs((beta_hat - beta0) / np.sqrt(variance))
+    z = -ndtri(alpha / 2.0) if alpha > 1e-300 else np.inf
+    rejects = t > z
+    band = 1e-6 * max(z, 1.0)  # at z = inf, z - band is NaN: every t is near
+    for i in np.flatnonzero(~((t < z - band) | (t > z + band))):  # NaN t included
+        rejects[i] = 2.0 * ndtr(-t[i]) < alpha
+    return rejects
+
+
 def confidence_interval(
     beta_hat: float, variance: float, alpha: float = 0.05
 ) -> tuple[float, float]:

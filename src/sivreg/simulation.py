@@ -8,11 +8,11 @@ heterogeneous) treatment effect, and an error correlated with the latent
 treatment shock.  Experiments sweep the number of covariate values L and the
 treated threshold p1, recording median bias and test size per grid cell.
 
-A grid cell's replications are drawn in row chunks, each reduced at once to
-per-(cell, arm) statistics, and whole chunks join along a leading axis into
-table batches (``design._DesignStack``) that go through the same moment
-tables, estimators and variances as one design, with each failed check a flag
-per replication.
+Replications are drawn in row chunks once for the whole grid; each cell
+reduces its rows of a chunk at once to per-(cell, arm) statistics, and its
+whole chunks join along a leading axis into table batches
+(``design._DesignStack``) that go through the same moment tables, estimators
+and variances as one design, with each failed check a flag per replication.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .estimators import (
     population_estimand,
     population_moments,
 )
-from .inference import _chao_variance, _sive_variance, t_test
+from .inference import _chao_variance, _sive_variance, _t_rejects
 
 __all__ = [
     "SimConfig",
@@ -244,11 +244,10 @@ def _cell_constants(n: int, L: int, n_hetero: int, h: float) -> tuple:
     return tuple(map(_readonly, (propensity(x), outcome_level(x), gamma, mean)))
 
 
-def _draw(config: SimConfig, seeds: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Instrument q, treatment T and outcome Y, each (R, n), of one draw per
-    seed on every row of the layout (before the size filter).  Draw r fills
-    row r of the chunk's buffers in place from ``default_rng(seeds[r])``, n
-    uniforms and then 2n normals; q, T and Y are formed once, in place."""
+def _raw_draw(config: SimConfig, seeds: list) -> list:
+    """``[U, Z0, eps]``, each (R, n): draw r fills row r from
+    ``default_rng(seeds[r])`` with n uniforms U and 2n normals Z0, Z1, and
+    eps = rho Z0 + sqrt(1 - rho^2) Z1; a grid's cells share them all."""
     n = config.n
     U, Z0, Z1 = (np.empty((len(seeds), n)) for _ in range(3))
     for u, z0, z1, seed in zip(U, Z0, Z1, seeds):
@@ -256,18 +255,28 @@ def _draw(config: SimConfig, seeds: list) -> tuple[np.ndarray, np.ndarray, np.nd
         rng.random(out=u)
         rng.standard_normal(out=z0)
         rng.standard_normal(out=z1)
-    prop, level, gamma, _ = _cell_constants(n, config.L, config.n_hetero, config.h)
+    # eps with its terms swapped, which leaves every bit as it is.
+    Z1 *= math.sqrt(1.0 - config.rho**2)
+    Z1 += Z0 * config.rho
+    return [U, Z0, Z1]
+
+
+def _cell_rows(cell: SimConfig, raw: list, last: bool) -> tuple:
+    """Instrument q, treated flag ``T == 1`` and outcome Y, each (R, n), of
+    ``cell`` on the draws ``raw`` (``_raw_draw``), before the size filter.
+    The ``last`` cell to read ``raw`` empties it and writes Y over U."""
+    U, Z0, eps = raw
+    if last:
+        raw.clear()
+    prop, level, gamma, _ = _cell_constants(cell.n, cell.L, cell.n_hetero, cell.h)
     q = U < prop
     # ndtr(u) <= p, with ndtr inverted once per instrument arm.
-    T = (Z0 <= np.take([ndtri(config.p0), ndtri(config.p1)], q)).astype(np.float64)
-    # eps = rho z0 + sqrt(1 - rho^2) z1 and Y = level + beta gamma T + eps,
-    # each sum with its terms swapped, which leaves every bit as it is.
-    Z1 *= math.sqrt(1.0 - config.rho**2)
-    Z1 += np.multiply(Z0, config.rho, out=Z0)
-    Y = np.multiply(config.beta * gamma, T, out=U)
+    treated = Z0 <= np.take([ndtri(cell.p0), ndtri(cell.p1)], q)
+    # Y = level + beta gamma T + eps, its terms swapped: every bit the same.
+    Y = np.multiply(cell.beta * gamma, treated, out=U if last else None)
     Y += level
-    Y += Z1
-    return q, T, Y
+    Y += eps
+    return q, treated, Y
 
 
 def generate_sample(config: SimConfig, seed=None) -> SimDraw:
@@ -278,7 +287,8 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     as possible.  Groups with fewer than two treated-eligible or two
     ineligible observations are dropped before anything else is computed.
     """
-    q, t, y = (v[0] for v in _draw(config, [config.master_seed if seed is None else seed]))
+    seeds = [config.master_seed if seed is None else seed]
+    q, t, y = (v[0] for v in _cell_rows(config, _raw_draw(config, seeds), last=True))
     _, _, group_of, keys = _covariate_layout(config.n, config.L, config.n_hetero)
     raw = SaturatedDesign(group_of, q, group_keys=keys)
     audit = validate_group_sizes(raw, min_active=2, min_inactive=2)
@@ -295,23 +305,6 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
         ),
     }
     return SimDraw(design=design, sample=sample, truth=truth, audit=audit)
-
-
-def _draw_stack(cell: SimConfig, reps: range) -> tuple:
-    """Replications ``reps`` of ``cell``, stacked.
-
-    Returns ``(stack, T, Y, finite)``, T and Y of shape (R, n).  They are
-    zero on the rows of the groups a draw drops, and on every row of a draw
-    with a non-finite Y (which a Sample would refuse; T is 0/1), which
-    ``finite`` marks False.
-    """
-    q, T, Y = _draw(cell, [replication_seed(cell.master_seed, rep) for rep in reps])
-    stack = _DesignStack.of_rows(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
-    finite = np.isfinite(Y).all(axis=1)
-    dropped = ~(stack.kept_rows & finite[:, None])
-    np.putmask(T, dropped, 0.0)
-    np.putmask(Y, dropped, 0.0)
-    return stack, T, Y, finite
 
 
 def _truth(cell: SimConfig, stack: _DesignStack, finite: np.ndarray) -> tuple:
@@ -369,27 +362,14 @@ def _rows(
 ) -> list:
     """One row per ``(metric, value, mc_se)`` over ``used`` draws, then the
     cell's attrition row over all ``requested``."""
-    base = {
-        "experiment": experiment,
-        "L": cell.L,
-        "p1": cell.p1,
-        "h": cell.h,
-        "estimator": label,
-    }
+    base = dict(experiment=experiment, L=cell.L, p1=cell.p1, h=cell.h, estimator=label)
     rows = [
         dict(base, metric=metric, value=value, mc_se=se, replications=used)
         for metric, value, se in metrics
     ]
-    rows.append(
-        dict(
-            base,
-            metric="attrition",
-            value=(requested - used) / requested,
-            mc_se=None,
-            replications=requested,
-        )
-    )
-    return rows
+    attrition = (requested - used) / requested
+    return rows + [dict(base, metric="attrition", value=attrition, mc_se=None,
+                        replications=requested)]
 
 
 def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> list:
@@ -424,58 +404,76 @@ def _widths(n: int, G: int) -> tuple[int, int]:
     return chunk, max(1, ROWS // 5 // (2 * G * chunk))
 
 
-def _replications(cell: SimConfig, estimators: tuple, variants: tuple, alpha: float):
-    """Each estimator's errors and each variant's t-test rejections (1.0 or
-    0.0) over the cell's replications that yield them, in replication order.
+def _replications(cells: list, estimators: tuple, variants: tuple, alpha: float) -> list:
+    """Per cell of a grid (they differ only in L and p1), each estimator's
+    errors and each variant's t-test rejections (1.0 or 0.0) over the
+    replications that yield them, in replication order.
 
-    Rows are drawn in chunks of max(1, ROWS // n) stacked draws, each
-    reduced to per-cell statistics (``_reduce_chunk``) before the next is
-    drawn.  Whole chunks join along the draw axis into a table batch of up
-    to ROWS // 5 cell entries per array (``_widths``), whose tables,
-    estimates, variances and tests run once (``_run_batch``).
+    Replication r of every cell is drawn from ``replication_seed(master_seed,
+    r)``, so each row chunk of max(1, ROWS // n) replications is drawn once
+    for the grid, and each cell reduces its rows of it at once (``_reduce``).
+    A cell's chunks join into table batches of up to ROWS // 5 cell entries
+    (``_widths``, ``_run_batch``); past ROWS entries pending in all cells
+    together (a chunk counting 32 more, about its arrays' fixed cost), the
+    cell holding the most runs its batch early.
     """
-    errors = {kind: [] for kind in estimators}
-    hits = {variant: [] for variant in variants}
-    chunk, chunks = _widths(cell.n, min(cell.n, cell.L))  # the layout's G
-    for start in range(0, cell.replications, chunk * chunks):
-        stop = min(start + chunk * chunks, cell.replications)
-        parts = (
-            _reduce_chunk(cell, range(first, min(first + chunk, stop)))
-            for first in range(start, stop, chunk)
-        )
-        _run_batch(cell, parts, errors, hits, alpha)
-    return errors, hits
+    first = cells[0]
+    results = [({kind: [] for kind in estimators}, {v: [] for v in variants}) for _ in cells]
+    widths = [_widths(first.n, min(first.n, cell.L)) for cell in cells]  # the layout's G
+    pending, held = [[] for _ in cells], [0] * len(cells)
+
+    def run(i: int) -> None:
+        parts, pending[i], held[i] = pending[i], [], 0
+        _run_batch(cells[i], parts, *results[i], alpha)
+
+    chunk = widths[0][0]
+    for start in range(0, first.replications, chunk):
+        reps = range(start, min(start + chunk, first.replications))
+        raw = _raw_draw(first, [replication_seed(first.master_seed, rep) for rep in reps])
+        for i, cell in enumerate(cells):
+            pending[i].append(_reduce(cell, *_cell_rows(cell, raw, i == len(cells) - 1)))
+            held[i] += pending[i][-1][0].size + 32  # a chunk's fixed cost
+            while sum(held) > ROWS:
+                run(held.index(max(held)))
+        last = start + chunk >= first.replications
+        for i, parts in enumerate(pending):  # due batches, once the rows are gone
+            if parts and (last or len(parts) == widths[i][1]):
+                run(i)
+    return results
 
 
-def _reduce_chunk(cell: SimConfig, reps: range) -> tuple:
-    """Replications ``reps``, drawn as one chunk (``_draw_stack``), reduced to
-    what the tables read: ``(counts, atoms, finite)``, the chunk's
-    per-(group, arm) counts, its (cell, arm) atoms, and per draw whether its
-    Y is finite.  Its (R, n) arrays go on return."""
-    stack, T, Y, finite = _draw_stack(cell, reps)
-    return stack.counts, _Atoms(stack, T, Y), finite
+def _reduce(cell: SimConfig, q, treated, Y) -> tuple:
+    """A chunk's rows of ``cell`` (``_cell_rows``) reduced to ``(counts,
+    atoms, finite)``: its per-(group, arm) counts, its (cell, arm) atoms,
+    zero on the groups a draw drops and on every group of a draw whose Y is
+    not finite, and per draw whether its Y is finite."""
+    stack = _DesignStack.of_rows(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
+    finite = np.isfinite(Y).all(axis=1)
+    dropped = np.repeat(~(stack.keep & finite[:, None]), 2, axis=1)
+    return stack.counts, _Atoms(stack, None, Y, treated, dropped), finite
 
 
 def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
-    """Append the errors and rejections of the chunks ``parts`` (an iterable
-    of ``_reduce_chunk`` results, in replication order) to ``errors`` (per
-    estimator) and ``hits`` (per variant).
+    """Append the errors and rejections of the chunks ``parts`` (a list of
+    ``_reduce`` results, in replication order, emptied as they are joined)
+    to ``errors`` (per estimator) and ``hits`` (per variant).
 
     The chunks join along the draw axis into one stack, whose design
     constants and population truth (``_truth``) are computed once, and
     their atoms into one set (the chunks' own counts and atoms are then
     freed).  It builds one moment table at center 0 for every estimator
     and, when variants are requested, one on top of it at each draw's SIVE
-    estimate, whose forms both variances share.  Errors and
-    tests are against each draw's own ``beta_sive``.  A failed draw is
-    attrition for everything, a failed estimate for its own estimator
-    (SIVE's also for every variant), and a variance that is not positive for
-    its own variant.
+    estimate, whose forms both variances share; the atoms go once both
+    tables are built.  Errors and tests are against each draw's own
+    ``beta_sive``.  A failed draw is attrition for everything, a failed
+    estimate for its own estimator (SIVE's also for every variant), and a
+    variance that is not positive for its own variant.
     """
     kinds = tuple(errors)
     if hits and EstimatorKind.SIVE not in kinds:
         kinds += (EstimatorKind.SIVE,)
     counts, atoms, finite = zip(*parts)
+    parts.clear()
     stack, atoms = _DesignStack(np.concatenate(counts)), _Atoms.join(atoms)
     del counts
     truth, valid = _truth(cell, stack, np.concatenate(finite))
@@ -493,14 +491,13 @@ def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
     center = np.where(ok, beta_hat, 0.0)[:, None]
     # Neither variance reads the sums of the robust test's polynomial.
     at_beta_hat = _CellMoments(stack, None, None, center, base=table, robust=False)
+    del atoms, table.atoms, at_beta_hat.atoms  # the variances read the sums only
     for variant in hits:
         variance = (_sive_variance if variant == "vhat" else _chao_variance)(at_beta_hat)
         # t_test's own rule: a variance that is not positive (or NaN) is not tested.
         tested = ok & (variance > 0.0)
-        for b, var, truth_b in zip(
-            beta_hat[tested].tolist(), variance[tested].tolist(), truth[tested].tolist()
-        ):
-            hits[variant].append(1.0 if t_test(b, var, truth_b, alpha)["reject"] else 0.0)
+        rejects = _t_rejects(beta_hat[tested], variance[tested], truth[tested], alpha)
+        hits[variant] += [1.0 if reject else 0.0 for reject in rejects.tolist()]
 
 
 def _run_grid(
@@ -525,8 +522,9 @@ def _run_grid(
             raise ValueError(f"unknown variance variant: {variant!r}")
 
     bias_rows, size_rows = [], []
-    for cell in _cell_configs(config, L_values, p1_values):
-        errors, hits = _replications(cell, tuple(estimators), tuple(variants), alpha)
+    cells = _cell_configs(config, L_values, p1_values)
+    results = _replications(cells, tuple(estimators), tuple(variants), alpha)
+    for cell, (errors, hits) in zip(cells, results):
         for kind in estimators:
             bias_rows += _median_rows(cell, kind.value, errors[kind], cell.replications)
         for variant in variants:

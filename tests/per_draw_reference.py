@@ -6,10 +6,16 @@ Each replication builds its own filtered design (``generate_sample``), one
 moment table at center 0 and one at SIVE's estimate, and raises where the
 batch sets a per-replication flag.  The loop body is kept as it was; it is
 only split at the same seam as the batch, one grid cell per call.
+
+``draw_stack`` is a chunk's rows as the batch stacked them before it reduced
+them straight to (cell, arm) atoms: T and Y zeroed row by row.
 """
 
+import numpy as np
+
+from sivreg import simulation
 from sivreg.blockops import _CellMoments
-from sivreg.design import DesignError
+from sivreg.design import DesignError, _DesignStack
 from sivreg.estimators import EstimationError, EstimatorKind, _point_estimate
 from sivreg.inference import _chao_variance, _sive_variance, t_test
 from sivreg.simulation import (
@@ -21,6 +27,29 @@ from sivreg.simulation import (
     generate_sample,
     replication_seed,
 )
+
+
+def draw_stack(cell, reps):
+    """Replications ``reps`` of ``cell``, stacked: ``(stack, T, Y, finite)``.
+
+    T and Y, of shape (R, n), are zero on the rows of the groups a draw
+    drops, and on every row of a draw with a non-finite Y (which a Sample
+    would refuse; T is 0/1), which ``finite`` marks False.
+    """
+    raw = simulation._raw_draw(cell, [replication_seed(cell.master_seed, rep) for rep in reps])
+    q, treated, Y = simulation._cell_rows(cell, raw, last=True)
+    group_of = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2]
+    stack = _DesignStack.of_rows(group_of, q)
+    finite = np.isfinite(Y).all(axis=1)
+    dropped = ~(kept_rows(stack) & finite[:, None])
+    Y[dropped] = 0.0
+    return stack, np.where(dropped, 0.0, treated), Y, finite
+
+
+def kept_rows(stack):
+    """Per draw of ``stack`` (built by ``_DesignStack.of_rows``), the rows of
+    the groups it keeps."""
+    return stack.keep.reshape(-1)[stack.cell // 2]
 
 
 def per_draw_replications(cell, estimators, variants, alpha):

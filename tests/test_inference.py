@@ -47,10 +47,11 @@ from sivreg.blockops import GroupSizeError, _CellMoments
 from sivreg.design import _DesignStack
 from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
 from sivreg.oracle import assemble, oracle_chao_variance, oracle_estimate, oracle_variance
-from sivreg import blockops, simulation
+from sivreg import blockops, inference, simulation
 from sivreg.simulation import _run_grid
 
 from conftest import random_design, strong_sample
+from per_draw_reference import draw_stack, kept_rows
 
 
 def one_group(n, m):
@@ -134,6 +135,33 @@ def test_t_test_frozen_decisions():
     # exactly at the boundary of the one-percent test
     res = t_test(1.0, 1.0, 1.0, alpha=0.01)
     assert res["t"] == 0.0 and res["reject"] is False
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01, 0.1, 0.5, 1 - 1e-9, 1e-10, 1e-290, 1e-301])
+def test_array_t_decision_equals_t_test(alpha):
+    # simulate decides its t-tests on arrays; each decision must be t_test's
+    # p < alpha to the last bit.  The statistics crowd +-z_{1-alpha/2}: every
+    # float within 3000 ulps of it, then a band 1e-5 wide on either side.
+    rng = np.random.default_rng(2406)
+    z = float(norm.isf(alpha / 2.0))
+    ulps = z + np.spacing(z) * np.arange(-3000, 3000)
+    t = np.concatenate([
+        ulps,
+        z * (1.0 + rng.uniform(-1e-5, 1e-5, 4000)),
+        rng.standard_normal(2000) * 2.0 * z,
+        [0.0, np.inf, 1e300],
+    ])
+    t *= rng.choice([-1.0, 1.0], t.size)
+    variance = rng.uniform(0.01, 4.0, t.size)
+    beta0 = rng.normal(0.0, 3.0, t.size)
+    beta_hat = beta0 + t * np.sqrt(variance)
+    want = [
+        t_test(b, v, b0, alpha)["reject"]
+        for b, v, b0 in zip(beta_hat.tolist(), variance.tolist(), beta0.tolist())
+    ]
+    got = inference._t_rejects(beta_hat, variance, beta0, alpha)
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < sum(want) < len(want)
 
 
 def test_t_test_requires_positive_variance():
@@ -817,8 +845,8 @@ def binary_stacks(draw):
     stack = _DesignStack.of_rows(group_of, instrument)
     T = (rng.random(instrument.shape) < 0.3 + 0.4 * instrument).astype(float)
     Y = offset_Y + slope * T + rng.standard_normal(T.shape)
-    T[~stack.kept_rows] = 0.0
-    Y[~stack.kept_rows] = 0.0
+    T[~kept_rows(stack)] = 0.0
+    Y[~kept_rows(stack)] = 0.0
     return stack, T, Y, slope
 
 
@@ -1256,7 +1284,7 @@ def test_one_mask_rule_for_the_constants_of_a_stack():
     # every field of the stack's constants is bit-equal to that of the draw's
     # filtered design, and every field is finite on the groups it drops.
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
-    stack = simulation._draw_stack(cell, range(4))[0]
+    stack = draw_stack(cell, range(4))[0]
     assert not stack.keep.all()
     fields = vars(blockops._constants(stack))
     assert fields.pop("smallest") == 2
@@ -1278,7 +1306,7 @@ def test_one_mask_rule_for_the_constants_of_a_stack():
 def test_kept_constants_of_a_simulated_stack():
     # A Monte Carlo chunk whose draws drop groups (L = 300 at n = 3000).
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
-    stack, T, Y, _ = simulation._draw_stack(cell, range(4))
+    stack, T, Y, _ = draw_stack(cell, range(4))
     assert not stack.keep.all()
     group_of = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2]
     instrument = stack.cell % 2

@@ -263,7 +263,7 @@ def test_bias_rejects_generic_estimator_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a sample before validating the estimators")
 
-    monkeypatch.setattr(simulation, "_draw", no_draw)
+    monkeypatch.setattr(simulation, "_raw_draw", no_draw)
     cfg = SimConfig(n=300, replications=2)
     with pytest.raises(ValueError, match="blockwise"):
         run_bias_experiment(cfg, estimators=(EstimatorKind.TSLS_GENERIC,))
@@ -355,17 +355,18 @@ def _simulate(tmp_path, **config):
 
 
 def test_simulate_draws_each_replication_once(monkeypatch, tmp_path):
-    real = simulation._draw
+    # Replication r of every grid cell has the same seed, so it is drawn
+    # once for the whole grid: 3 raw draws for 2 x 2 cells of 3 replications.
+    real = simulation._raw_draw
     keys = []
 
     def counted(cell, seeds):
-        keys.extend((cell.L, cell.p1, seed.spawn_key) for seed in seeds)
+        keys.extend(seed.spawn_key for seed in seeds)
         return real(cell, seeds)
 
-    monkeypatch.setattr(simulation, "_draw", counted)
+    monkeypatch.setattr(simulation, "_raw_draw", counted)
     _simulate(tmp_path, n=200, L=[1, 2], p1=[0.49, 0.69], replications=3)
-    assert len(keys) == 2 * 2 * 3
-    assert len(set(keys)) == len(keys)
+    assert sorted(keys) == [(0,), (1,), (2,)]
 
 
 def test_simulate_files_equal_separate_experiments(tmp_path):
@@ -384,45 +385,37 @@ def test_simulate_files_equal_separate_experiments(tmp_path):
     assert any(r["metric"] == "attrition" and r["value"] > 0 for r in rows)
 
 
-def _record_chunks(monkeypatch) -> dict:
-    """Patch ``simulation._draw_stack`` to keep the treatment rows of the
-    chunk it last drew, under ``"T"`` of the returned dict."""
-    chunk = {}
-    real_draw_stack = simulation._draw_stack
+def _record_batches(monkeypatch) -> dict:
+    """Patch ``simulation._run_batch`` to keep the replication indices of the
+    batch it runs, under ``"reps"`` of the returned dict.  For a grid of one
+    cell: its batches run in replication order, one draw per part's flag."""
+    batch = {"reps": np.arange(0)}
+    real_run_batch = simulation._run_batch
 
-    def draw_stack(cell, reps):
-        result = real_draw_stack(cell, reps)
-        chunk["T"] = result[1]
-        return result
+    def run_batch(cell, parts, *args):
+        start = batch["reps"][-1] + 1 if batch["reps"].size else 0
+        batch["reps"] = start + np.arange(sum(finite.size for _, _, finite in parts))
+        return real_run_batch(cell, parts, *args)
 
-    monkeypatch.setattr(simulation, "_draw_stack", draw_stack)
-    return chunk
+    monkeypatch.setattr(simulation, "_run_batch", run_batch)
+    return batch
 
 
 def test_failed_sive_estimate_is_attrition_for_sive_and_both_variants(
     monkeypatch, tmp_path
 ):
-    # A chunk's estimates are one per stacked draw, NaN for a failed one;
-    # the draws are told apart by their treatment rows in the chunk's stack.
-    failing_reps = {1, 3}
-    doomed = []
-    real_draw, real_estimate = simulation._draw, simulation._estimates
-    chunk = _record_chunks(monkeypatch)
-
-    def draw(cell, seeds):
-        result = real_draw(cell, seeds)
-        for seed, row in zip(seeds, result[1]):
-            if seed.spawn_key[0] in failing_reps:
-                doomed.append(row.tobytes())
-        return result
+    # A batch's estimates are one per stacked draw, NaN for a failed one;
+    # the draws are told apart by the replication indices of the batch.
+    failing_reps = [1, 3]
+    real_estimate = simulation._estimates
+    batch = _record_batches(monkeypatch)
 
     def estimate(kind, table):
         result = real_estimate(kind, table)
         if kind is EstimatorKind.SIVE:
-            result[[row.tobytes() in doomed for row in chunk["T"]]] = np.nan
+            result[np.isin(batch["reps"], failing_reps)] = np.nan
         return result
 
-    monkeypatch.setattr(simulation, "_draw", draw)
     monkeypatch.setattr(simulation, "_estimates", estimate)
     out = _simulate(tmp_path, n=300, L=[1], p1=[0.69], replications=5, master_seed=12)
     rows = []
@@ -444,31 +437,19 @@ def test_failed_variance_or_t_test_is_attrition_for_that_variant_only(
 ):
     # The comparison variance fails (NaN) on draws 0 and 2; the main variance
     # is negative on draw 4, so its t-test raises there.
-    doomed = {}
-    real_draw = simulation._draw
     real_sive, real_chao = simulation._sive_variance, simulation._chao_variance
-    chunk = _record_chunks(monkeypatch)
-
-    def draw(cell, seeds):
-        result = real_draw(cell, seeds)
-        for seed, row in zip(seeds, result[1]):
-            doomed[row.tobytes()] = seed.spawn_key[0]
-        return result
-
-    def reps():
-        return np.array([doomed[row.tobytes()] for row in chunk["T"]])
+    batch = _record_batches(monkeypatch)
 
     def chao(table):
         result = real_chao(table)
-        result[np.isin(reps(), (0, 2))] = np.nan
+        result[np.isin(batch["reps"], (0, 2))] = np.nan
         return result
 
     def sive(table):
         result = real_sive(table)
-        result[reps() == 4] = -1.0
+        result[batch["reps"] == 4] = -1.0
         return result
 
-    monkeypatch.setattr(simulation, "_draw", draw)
     monkeypatch.setattr(simulation, "_chao_variance", chao)
     monkeypatch.setattr(simulation, "_sive_variance", sive)
     out = _simulate(tmp_path, n=300, L=[1], p1=[0.69], replications=5, master_seed=12)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sivreg import simulation
 from sivreg._normal import ndtri
-from sivreg.blockops import _CellMoments
+from sivreg.blockops import _Atoms, _CellMoments
 from sivreg.design import DesignError
 from sivreg.estimators import EstimationError, _estimates
 from sivreg.inference import _chao_variance, _sive_variance
@@ -26,7 +26,6 @@ from sivreg.simulation import (
     DEFAULT_ESTIMATORS,
     _VARIANTS,
     SimConfig,
-    _draw_stack,
     _replications,
     _run_grid,
     _truth,
@@ -37,7 +36,7 @@ from sivreg.simulation import (
     summarize,
 )
 
-from per_draw_reference import per_draw_replications, per_draw_run_grid
+from per_draw_reference import draw_stack, kept_rows, per_draw_replications, per_draw_run_grid
 
 SECOND_ORDER = ("k", "mean_T", "mean_Y", "s20", "s11")
 FOURTH_ORDER = SECOND_ORDER + ("s02", "s30", "s21", "s12", "s40", "s31", "s22")
@@ -65,7 +64,7 @@ def grid_cells(draw):
 
 def _drops(cell: SimConfig) -> bool:
     """Whether any replication of the cell drops a group."""
-    return not _draw_stack(cell, range(cell.replications))[0].keep.all()
+    return not draw_stack(cell, range(cell.replications))[0].keep.all()
 
 
 def _agree(got, want, exact: bool) -> None:
@@ -87,7 +86,7 @@ def test_stacked_tables_equal_per_draw_tables(case):
     # The tables, and the estimates and variances read off them, per draw.
     cell, per_chunk = case
     reps = range(min(per_chunk, cell.replications))
-    stack, T, Y, finite = _draw_stack(cell, reps)
+    stack, T, Y, finite = draw_stack(cell, reps)
     truth, valid = _truth(cell, stack, finite)
     centers = 0.37 + np.arange(len(reps))
     stacked = (
@@ -131,7 +130,7 @@ def test_stacked_tables_equal_per_draw_tables(case):
 def test_chunked_replications_match_per_draw(case):
     cell, per_chunk = case
     with mock.patch.object(simulation, "ROWS", per_chunk * cell.n):
-        errors, hits = _replications(cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
+        errors, hits = _replications([cell], DEFAULT_ESTIMATORS, _VARIANTS, 0.05)[0]
     want_errors, want_hits = per_draw_replications(
         cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05
     )
@@ -167,7 +166,7 @@ def test_non_finite_draw_is_attrition_for_everything():
     # Sample would refuse it, and the stack flags the draw and zeroes its rows.
     cell = SimConfig(n=60, L=2, beta=1e308, h=10.0, n_hetero=30, replications=3)
     with np.errstate(over="ignore", invalid="ignore"):
-        stack, T, Y, finite = _draw_stack(cell, range(cell.replications))
+        stack, T, Y, finite = draw_stack(cell, range(cell.replications))
         valid = _truth(cell, stack, finite)[1]
         bias, size = _run_grid(cell)
     assert not valid.any()
@@ -218,20 +217,29 @@ def test_chunk_draws_equal_per_replication_draws(case):
     # Filling a chunk's rows in place reads each replication's stream as the
     # per-replication requests did, bit for bit; a draw whose Y overflows is
     # still attrition for everything, with its rows zeroed.
+    # A cell that is not the last to read the raw draws writes Y anew; the
+    # last writes it over the uniforms, to the same bits.
     cell, reps = case
     seeds = [replication_seed(cell.master_seed, rep) for rep in reps]
     with np.errstate(over="ignore", invalid="ignore"):
-        q, T, Y = simulation._draw(cell, seeds)
-        stack, T_stack, Y_stack, finite = _draw_stack(cell, reps)
+        raw = simulation._raw_draw(cell, seeds)
+        q, treated, Y = simulation._cell_rows(cell, raw, last=False)
+        U = raw[0]
+        rows_last = simulation._cell_rows(cell, raw, last=True)
+        assert raw == [] and rows_last[2] is U
+        stack, T_stack, Y_stack, finite = draw_stack(cell, reps)
         valid = _truth(cell, stack, finite)[1]
         refs = [one_draw(cell, seed) for seed in seeds]
+    T = treated.astype(np.float64)
     assert q.shape == T.shape == Y.shape == (len(reps), cell.n)
+    for got, want in zip(rows_last, (q, treated, Y)):
+        assert got.tobytes() == want.tobytes()
     for i, (q_ref, t_ref, y_ref) in enumerate(refs):
         assert np.array_equal(q[i], q_ref)
         assert T[i].tobytes() == t_ref.tobytes()
         assert Y[i].tobytes() == y_ref.tobytes()
         finite = bool(np.isfinite(y_ref).all())
-        kept = stack.kept_rows[i] & finite
+        kept = kept_rows(stack)[i] & finite
         assert T_stack[i].tobytes() == np.where(kept, t_ref, 0.0).tobytes()
         assert Y_stack[i].tobytes() == np.where(kept, y_ref, 0.0).tobytes()
         if not finite:
@@ -243,13 +251,13 @@ def test_generate_sample_draws_through_the_chunk_draw(monkeypatch):
     cell = SimConfig(n=301, L=7, beta=0.7, h=2.0, n_hetero=100)
     seed = replication_seed(5, 3)
     calls = []
-    real_draw = simulation._draw
+    real_draw = simulation._raw_draw
 
     def draw(config, seeds):
         calls.append(list(seeds))
         return real_draw(config, seeds)
 
-    monkeypatch.setattr(simulation, "_draw", draw)
+    monkeypatch.setattr(simulation, "_raw_draw", draw)
     sample_draw = generate_sample(cell, seed)
     assert calls == [[seed]]
     q_ref, t_ref, y_ref = one_draw(cell, seed)
@@ -264,7 +272,7 @@ def _batched(cell: SimConfig, widths: tuple, variants: tuple):
     """``_replications`` with ``widths`` draws per row chunk and row chunks
     per table batch."""
     with mock.patch.object(simulation, "_widths", lambda n, G: widths):
-        return _replications(cell, DEFAULT_ESTIMATORS, variants, 0.05)
+        return _replications([cell], DEFAULT_ESTIMATORS, variants, 0.05)[0]
 
 
 def _assert_bit_equal(got, want) -> None:
@@ -323,16 +331,16 @@ def test_non_finite_draw_in_a_middle_chunk_is_attrition_for_that_draw_only(monke
         for key, values in lists.items():
             assert len(values) == len(lists_before[key]) + 1, key  # the draw is valid
 
-    real_draw = simulation._draw
+    real_draw = simulation._raw_draw
 
     def draw(config, seeds):
-        q, T, Y = real_draw(config, seeds)
-        for row, seed in zip(Y, seeds):
+        raw = real_draw(config, seeds)
+        for eps, seed in zip(raw[2], seeds):  # Y = level + beta gamma T + eps
             if seed.spawn_key == (bad,):
-                row[7] = np.inf
-        return q, T, Y
+                eps[7] = np.inf
+        return raw
 
-    monkeypatch.setattr(simulation, "_draw", draw)
+    monkeypatch.setattr(simulation, "_raw_draw", draw)
     want = tuple(
         {key: values[: len(head[key])] + values[len(upto[key]):] for key, values in lists.items()}
         for lists, head, upto in zip(full, before, through)
@@ -345,7 +353,7 @@ def test_draw_with_no_kept_group_in_a_wide_batch():
     # the middle chunk of a batch, the second opening the next batch.  They
     # are attrition, and the rest agree with the per-draw reference.
     cell = SimConfig(n=12, L=2, p1=0.49, replications=9, master_seed=0)
-    stack, _, _, finite = _draw_stack(cell, range(cell.replications))
+    stack, _, _, finite = draw_stack(cell, range(cell.replications))
     valid = _truth(cell, stack, finite)[1]
     assert np.flatnonzero(~stack.keep.any(axis=1)).tolist() == [3, 6]
     assert not valid[[3, 6]].any()
@@ -363,7 +371,7 @@ def test_variances_read_none_of_the_robust_sums():
     # bit-equal to those on the full table.  A chunk that drops groups, and
     # one design whose T is not 0/1 (one-row atoms).
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
-    stack, T, Y, _ = _draw_stack(cell, range(4))
+    stack, T, Y, _ = draw_stack(cell, range(4))
     draw = generate_sample(cell, replication_seed(3, 0))
     T1 = draw.sample.treatment + 0.25 * draw.sample.outcome
     cases = ((stack, T, Y, 0.2 + np.arange(4.0)[:, None]), (draw.design, T1, draw.sample.outcome, 0.7))
@@ -390,7 +398,7 @@ def test_replications_traced_peak(L, widths, bound_kb):
     assert simulation._widths(cell.n, L) == widths
 
     def run():
-        _replications(cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
+        _replications([cell], DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
 
     run()
     tracemalloc.start()
@@ -401,3 +409,102 @@ def test_replications_traced_peak(L, widths, bound_kb):
     finally:
         tracemalloc.stop()
     assert peak <= bound_kb * 1024, peak / 1024
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(draw_chunks())
+@example((SimConfig(n=60, L=7, beta=1e308, h=10.0, n_hetero=30, master_seed=2), range(5, 9)))
+def test_reduced_atoms_equal_atoms_of_zeroed_rows(case):
+    # A chunk's rows go straight to (cell, arm) atoms, and the atoms of the
+    # groups a draw drops (of every group, if its Y is not finite) are zeroed
+    # after the sums.  Every atom a table reads, and every table sum, equals
+    # that of the rows zeroed first, to the last bit; only the dropped cells'
+    # counts differ (zero, not the cell's size in arm 0).
+    cell, reps = case
+    seeds = [replication_seed(cell.master_seed, rep) for rep in reps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = simulation._raw_draw(cell, seeds)
+        counts, atoms, finite = simulation._reduce(cell, *simulation._cell_rows(cell, raw, True))
+        stack, T, Y, want_finite = draw_stack(cell, reps)
+        want = _Atoms(stack, T, Y)
+        centers = 0.3 + np.arange(len(reps))[:, None]
+        tables = [
+            (_CellMoments(stack, None, None, c, atoms=atoms),
+             _CellMoments(stack, None, None, c, atoms=want))
+            for c in (0.0, centers)
+        ]
+    assert counts.tobytes() == stack.counts.tobytes()
+    assert finite.tolist() == want_finite.tolist()
+    for name in ("mean_T", "mean_Y", "tt", "mean_e0", "ss"):
+        assert getattr(atoms, name).tobytes() == getattr(want, name).tobytes(), name
+    kept = np.repeat(stack.keep & finite[:, None], 2, axis=1)
+    assert atoms.counts[:, kept].tobytes() == want.counts[:, kept].tobytes()
+    assert not atoms.counts[:, ~kept].any()
+    for got_table, want_table in tables:
+        for name in FOURTH_ORDER:
+            got, ref = getattr(got_table, name), getattr(want_table, name)
+            assert got.tobytes() == ref.tobytes(), name
+
+
+@st.composite
+def grids(draw):
+    """A grid of L values with 1 and one L >= n (every group of size 1, so
+    all dropped), one to three p1 values (weak and unidentified among them),
+    h often nonzero, a replication count that is not a multiple of the row
+    chunk, and a small ROWS, so that the pending budget runs batches early."""
+    n = draw(st.integers(12, 120))
+    per_chunk = draw(st.integers(1, 5))
+    replications = draw(st.integers(2, 13))
+    assume(per_chunk == 1 or replications % per_chunk)
+    Ls = [1, *draw(st.lists(st.integers(2, n), max_size=2)), draw(st.integers(n, 2 * n))]
+    p1s = draw(st.lists(st.sampled_from([0.22, 0.3, 0.49, 0.69]), min_size=1, max_size=3,
+                        unique=True))
+    config = SimConfig(
+        n=n,
+        h=draw(st.sampled_from([0.0, 2.0, -0.5])),
+        n_hetero=draw(st.integers(0, n)),
+        replications=replications,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return config, draw(st.permutations(Ls)), p1s, per_chunk * n
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grids())
+def test_grid_rows_equal_its_cells_run_one_at_a_time(case):
+    # Every cell of a grid reads the grid's shared raw draws, and batches run
+    # at each cell's own width or early under the pending budget; none of
+    # that changes a row, to the last bit.
+    config, Ls, p1s, rows = case
+    with mock.patch.object(simulation, "ROWS", rows):
+        bias, size = _run_grid(config, Ls, p1s)
+        want_bias, want_size = [], []
+        for cell in simulation._cell_configs(config, Ls, p1s):
+            cell_bias, cell_size = _run_grid(cell)
+            want_bias += cell_bias
+            want_size += cell_size
+    assert summarize(bias) == summarize(want_bias)
+    assert summarize(size) == summarize(want_size)
+
+
+def test_monte_carlo_grid_traced_peak():
+    # The benchmark's grid (n = 3000, L = 25 and 300): traced peak 982 KB
+    # above what is allocated before, against 775 KB when each cell drew its
+    # own rows.  The L = 25 cell reduces its rows while the raw chunk (288
+    # KB) is kept for L = 300, and each cell's batch runs while the other
+    # cell's chunks are pending.  A first call keeps the layouts and the
+    # cells' constants, which are not counted.
+    config = SimConfig(n=3000, replications=100, master_seed=1941)
+
+    def run():
+        _run_grid(config, [25, 300], [0.49])
+
+    run()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 990 * 1024, peak / 1024
