@@ -204,7 +204,7 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     the consumers rather than truncated here.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_sive_variance(_CellMoments(design, T, Y, beta)))
+    return _single(_sive_variance(_CellMoments(design, T, Y, beta, robust=False)))
 
 
 def _sive_variance(t: _CellMoments):
@@ -282,7 +282,7 @@ def robust_test(
     """
     _check_alpha(alpha)
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    table = _CellMoments(design, T, Y, beta0)
+    table = _CellMoments(design, T, Y, beta0, robust=False)
     var, score = float(_variance_at_center(table)), float(table.a_form()[0])
     reject = not _accepts(score, var, _critical_value(alpha, two_sided), two_sided)
     return {"score": score, "variance_at_beta0": var, "reject": reject}
@@ -442,7 +442,7 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     not robust to within-group effect heterogeneity.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_chao_variance(_CellMoments(design, T, Y, beta_hat)))
+    return _single(_chao_variance(_CellMoments(design, T, Y, beta_hat, robust=False)))
 
 
 def _chao_variance(t: _CellMoments):

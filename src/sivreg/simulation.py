@@ -9,10 +9,10 @@ treatment shock.  Experiments sweep the number of covariate values L and the
 treated threshold p1, recording median bias and test size per grid cell.
 
 Replications are drawn in row chunks once for the whole grid; each cell
-reduces its rows of a chunk at once to per-(cell, arm) statistics, and its
-whole chunks join along a leading axis into table batches
-(``design._DesignStack``) that go through the same moment tables, estimators
-and variances as one design, with each failed check a flag per replication.
+reads its layout (``_Layout``) once, reduces its rows of a chunk at once to
+per-(cell, arm) statistics and joins whole chunks along a leading axis into
+table batches (``design._DesignStack``) for the same moment tables,
+estimators and variances as one design, each failed check a per-draw flag.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import csv as _csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .design import (
     Sample,
     SaturatedDesign,
     _DesignStack,
-    _readonly,
     filter_design,
     validate_group_sizes,
 )
@@ -213,35 +213,33 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
 
 
-@functools.lru_cache(maxsize=32)
-def _covariate_layout(n: int, L: int, n_hetero: int) -> tuple:
-    """Covariate X, the rows with the shifted effect, and the grouping of X.
+class _Layout:
+    """What no draw of a cell with (n, L, n_hetero, h) changes, computed once
+    per grid (``_layout``), every array read-only.
 
-    None of these depends on the draw, so all are computed once per (n, L,
-    n_hetero) and returned read-only: X cycles through the first L
-    radical-inverse points, the shifted rows are the n_hetero smallest X
-    (ties in row order), and since the points are distinct, row i is in group
-    ``i mod L`` keyed by its point, as ``build_design(x, q)`` would number it.
-    Returns ``(x, hetero_rows, group_of, group_keys)``.
+    X cycles through the first L radical-inverse points, and since they are
+    distinct, row i is in group ``group_of[i] = i mod L`` keyed by its
+    point, as ``build_design(x, q)`` would number it.  ``prop`` and ``level``
+    are ``propensity(x)`` and ``outcome_level(x)``, ``gamma`` the effect per
+    row in units of beta (1 + h on the n_hetero rows of smallest X, ties in
+    row order, else 1) and ``mean`` its group means.
     """
-    points = np.array([halton(i, 2) for i in range(1, L + 1)])
-    group_of = np.arange(n) % L
-    x = points[group_of]
-    keys = tuple((point,) for point in points[:n].tolist())
-    hetero_rows = np.argsort(x, kind="stable")[:n_hetero]
-    return _readonly(x), _readonly(hetero_rows), _readonly(group_of), keys
+
+    def __init__(self, n: int, L: int, n_hetero: int, h: float):
+        points = np.array([halton(i, 2) for i in range(1, L + 1)])
+        group_of = self.group_of = np.arange(n) % L
+        x = self.x = points[group_of]
+        self.keys = tuple((point,) for point in points[:n].tolist())
+        self.prop, self.level = propensity(x), outcome_level(x)
+        gamma = self.gamma = np.ones(n)
+        gamma[np.argsort(x, kind="stable")[:n_hetero]] = 1.0 + h
+        self.mean = np.bincount(group_of, weights=gamma) / np.bincount(group_of)
+        for arr in (group_of, x, self.prop, self.level, gamma, self.mean):
+            arr.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=32)
-def _cell_constants(n: int, L: int, n_hetero: int, h: float) -> tuple:
-    """What no draw of a cell changes, read-only: ``propensity(x)`` and
-    ``outcome_level(x)`` on the layout's X, the effect per row in units of
-    beta (1 + h on the n_hetero rows of smallest X, else 1) and its group means."""
-    x, hetero_rows, group_of, _ = _covariate_layout(n, L, n_hetero)
-    gamma = np.ones(n)
-    gamma[hetero_rows] = 1.0 + h
-    mean = np.bincount(group_of, weights=gamma) / np.bincount(group_of)
-    return tuple(map(_readonly, (propensity(x), outcome_level(x), gamma, mean)))
+# A cell's layout, computed once and shared by every cell with its key.
+_layout = functools.lru_cache(maxsize=32)(_Layout)
 
 
 def _raw_draw(config: SimConfig, seeds: list) -> list:
@@ -261,20 +259,19 @@ def _raw_draw(config: SimConfig, seeds: list) -> list:
     return [U, Z0, Z1]
 
 
-def _cell_rows(cell: SimConfig, raw: list, last: bool) -> tuple:
+def _cell_rows(cell: SimConfig, layout: _Layout, raw: list, last: bool) -> tuple:
     """Instrument q, treated flag ``T == 1`` and outcome Y, each (R, n), of
     ``cell`` on the draws ``raw`` (``_raw_draw``), before the size filter.
     The ``last`` cell to read ``raw`` empties it and writes Y over U."""
     U, Z0, eps = raw
     if last:
         raw.clear()
-    prop, level, gamma, _ = _cell_constants(cell.n, cell.L, cell.n_hetero, cell.h)
-    q = U < prop
+    q = U < layout.prop
     # ndtr(u) <= p, with ndtr inverted once per instrument arm.
     treated = Z0 <= np.take([ndtri(cell.p0), ndtri(cell.p1)], q)
     # Y = level + beta gamma T + eps, its terms swapped: every bit the same.
-    Y = np.multiply(cell.beta * gamma, treated, out=U if last else None)
-    Y += level
+    Y = np.multiply(cell.beta * layout.gamma, treated, out=U if last else None)
+    Y += layout.level
     Y += eps
     return q, treated, Y
 
@@ -287,15 +284,14 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     as possible.  Groups with fewer than two treated-eligible or two
     ineligible observations are dropped before anything else is computed.
     """
-    seeds = [config.master_seed if seed is None else seed]
-    q, t, y = (v[0] for v in _cell_rows(config, _raw_draw(config, seeds), last=True))
-    _, _, group_of, keys = _covariate_layout(config.n, config.L, config.n_hetero)
-    raw = SaturatedDesign(group_of, q, group_keys=keys)
+    layout = _layout(config.n, config.L, config.n_hetero, config.h)
+    draws = _raw_draw(config, [config.master_seed if seed is None else seed])
+    q, t, y = (v[0] for v in _cell_rows(config, layout, draws, last=True))
+    raw = SaturatedDesign(layout.group_of, q, group_keys=layout.keys)
     audit = validate_group_sizes(raw, min_active=2, min_inactive=2)
     design, sample = filter_design(raw, audit, Sample(outcome=y, treatment=t))
 
-    tau = config.beta * _cell_constants(config.n, config.L, config.n_hetero, config.h)[3]
-    tau = tau[list(audit.kept_groups)]
+    tau = config.beta * layout.mean[list(audit.kept_groups)]
     pi = np.full(design.G, config.p1 - config.p0)
     truth = {
         "pi": pi,
@@ -307,12 +303,12 @@ def generate_sample(config: SimConfig, seed=None) -> SimDraw:
     return SimDraw(design=design, sample=sample, truth=truth, audit=audit)
 
 
-def _truth(cell: SimConfig, stack: _DesignStack, finite: np.ndarray) -> tuple:
+def _truth(cell: SimConfig, layout: _Layout, stack: _DesignStack, finite) -> tuple:
     """Per draw of ``stack``, its ``beta_sive`` (NaN where undefined, as for
     a draw that keeps no group) and whether it is valid: finite and with a
     defined ``beta_sive``; the others are attrition for everything.  Each
     draw's values are its own, however many draws the stack holds."""
-    tau = cell.beta * _cell_constants(cell.n, cell.L, cell.n_hetero, cell.h)[3]
+    tau = cell.beta * layout.mean
     inputs = PopulationInputs(pi=cell.p1 - cell.p0, tau=tau)
     num, den = population_moments(EstimatorKind.SIVE, stack, inputs)
     out = _shared_effect(tau, stack.keep) if (den == 0.0).any() else np.empty(den.shape)
@@ -327,7 +323,7 @@ def _cell_configs(config: SimConfig, L_values, p1_values) -> list:
     return [dataclasses.replace(config, L=L, p1=p1) for L in Ls for p1 in p1s]
 
 
-def _median_se(errors: list) -> float:
+def _median_se(errors) -> float:
     """Standard error of the median from its distribution-free 95% interval.
 
     The interval runs from the order statistic x_(l) to x_(n+1-l), where l is
@@ -372,7 +368,7 @@ def _rows(
                         replications=requested)]
 
 
-def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> list:
+def _median_rows(cell: SimConfig, label: str, errors, requested: int) -> list:
     used = len(errors)
     if used:
         med = float(np.median(errors))
@@ -386,7 +382,7 @@ def _median_rows(cell: SimConfig, label: str, errors: list, requested: int) -> l
     return _rows("bias", cell, label, metrics, used, requested)
 
 
-def _rate_rows(cell: SimConfig, label: str, hits: list, requested: int) -> list:
+def _rate_rows(cell: SimConfig, label: str, hits, requested: int) -> list:
     used = len(hits)
     if used:
         rate = float(np.mean(hits))
@@ -407,7 +403,7 @@ def _widths(n: int, G: int) -> tuple[int, int]:
 def _replications(cells: list, estimators: tuple, variants: tuple, alpha: float) -> list:
     """Per cell of a grid (they differ only in L and p1), each estimator's
     errors and each variant's t-test rejections (1.0 or 0.0) over the
-    replications that yield them, in replication order.
+    replications that yield them, in replication order, as ``array("d")``.
 
     Replication r of every cell is drawn from ``replication_seed(master_seed,
     r)``, so each row chunk of max(1, ROWS // n) replications is drawn once
@@ -418,20 +414,23 @@ def _replications(cells: list, estimators: tuple, variants: tuple, alpha: float)
     cell holding the most runs its batch early.
     """
     first = cells[0]
-    results = [({kind: [] for kind in estimators}, {v: [] for v in variants}) for _ in cells]
+    results = [tuple({key: array("d") for key in keys} for keys in (estimators, variants))
+               for _ in cells]
+    layouts = [_layout(cell.n, cell.L, cell.n_hetero, cell.h) for cell in cells]
     widths = [_widths(first.n, min(first.n, cell.L)) for cell in cells]  # the layout's G
     pending, held = [[] for _ in cells], [0] * len(cells)
 
     def run(i: int) -> None:
         parts, pending[i], held[i] = pending[i], [], 0
-        _run_batch(cells[i], parts, *results[i], alpha)
+        _run_batch(cells[i], layouts[i], parts, *results[i], alpha)
 
     chunk = widths[0][0]
     for start in range(0, first.replications, chunk):
         reps = range(start, min(start + chunk, first.replications))
         raw = _raw_draw(first, [replication_seed(first.master_seed, rep) for rep in reps])
-        for i, cell in enumerate(cells):
-            pending[i].append(_reduce(cell, *_cell_rows(cell, raw, i == len(cells) - 1)))
+        for i, (cell, layout) in enumerate(zip(cells, layouts)):
+            last_cell = i == len(cells) - 1
+            pending[i].append(_reduce(layout, *_cell_rows(cell, layout, raw, last_cell)))
             held[i] += pending[i][-1][0].size + 32  # a chunk's fixed cost
             while sum(held) > ROWS:
                 run(held.index(max(held)))
@@ -442,21 +441,21 @@ def _replications(cells: list, estimators: tuple, variants: tuple, alpha: float)
     return results
 
 
-def _reduce(cell: SimConfig, q, treated, Y) -> tuple:
-    """A chunk's rows of ``cell`` (``_cell_rows``) reduced to ``(counts,
-    atoms, finite)``: its per-(group, arm) counts, its (cell, arm) atoms,
-    zero on the groups a draw drops and on every group of a draw whose Y is
-    not finite, and per draw whether its Y is finite."""
-    stack = _DesignStack.of_rows(_covariate_layout(cell.n, cell.L, cell.n_hetero)[2], q)
+def _reduce(layout: _Layout, q, treated, Y) -> tuple:
+    """A chunk's rows of a cell (``_cell_rows``) on ``layout`` reduced to
+    ``(counts, atoms, finite)``: its per-(group, arm) counts, its (cell, arm)
+    atoms, zero on the groups a draw drops and on every group of a draw
+    whose Y is not finite, and per draw whether its Y is finite."""
+    stack = _DesignStack.of_rows(layout.group_of, q)
     finite = np.isfinite(Y).all(axis=1)
     dropped = np.repeat(~(stack.keep & finite[:, None]), 2, axis=1)
     return stack.counts, _Atoms(stack, None, Y, treated, dropped), finite
 
 
-def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
+def _run_batch(cell: SimConfig, layout: _Layout, parts, errors, hits, alpha: float):
     """Append the errors and rejections of the chunks ``parts`` (a list of
     ``_reduce`` results, in replication order, emptied as they are joined)
-    to ``errors`` (per estimator) and ``hits`` (per variant).
+    to the float64 buffers ``errors`` (per estimator) and ``hits`` (per variant).
 
     The chunks join along the draw axis into one stack, whose design
     constants and population truth (``_truth``) are computed once, and
@@ -476,12 +475,13 @@ def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
     parts.clear()
     stack, atoms = _DesignStack(np.concatenate(counts)), _Atoms.join(atoms)
     del counts
-    truth, valid = _truth(cell, stack, np.concatenate(finite))
+    truth, valid = _truth(cell, layout, stack, np.concatenate(finite))
     table = _CellMoments(stack, None, None, order=2, atoms=atoms)
     estimates = {kind: _estimates(kind, table) for kind in kinds}
     for kind in errors:
         ok = valid & ~np.isnan(estimates[kind])
-        errors[kind] += (estimates[kind][ok] - truth[ok]).tolist()
+        # A byte view of the values, appended to the buffer without a copy.
+        errors[kind].frombytes(memoryview(estimates[kind][ok] - truth[ok]).cast("B"))
     if not hits:
         return
     beta_hat = estimates[EstimatorKind.SIVE]
@@ -497,7 +497,7 @@ def _run_batch(cell: SimConfig, parts, errors: dict, hits: dict, alpha: float):
         # t_test's own rule: a variance that is not positive (or NaN) is not tested.
         tested = ok & (variance > 0.0)
         rejects = _t_rejects(beta_hat[tested], variance[tested], truth[tested], alpha)
-        hits[variant] += [1.0 if reject else 0.0 for reject in rejects.tolist()]
+        hits[variant].frombytes(memoryview(rejects.astype(np.float64)).cast("B"))
 
 
 def _run_grid(

@@ -29,6 +29,11 @@ from sivreg.simulation import (
 )
 
 
+def layout_of(cell):
+    """The ``simulation._layout`` of ``cell``."""
+    return simulation._layout(cell.n, cell.L, cell.n_hetero, cell.h)
+
+
 def draw_stack(cell, reps):
     """Replications ``reps`` of ``cell``, stacked: ``(stack, T, Y, finite)``.
 
@@ -37,9 +42,9 @@ def draw_stack(cell, reps):
     would refuse; T is 0/1), which ``finite`` marks False.
     """
     raw = simulation._raw_draw(cell, [replication_seed(cell.master_seed, rep) for rep in reps])
-    q, treated, Y = simulation._cell_rows(cell, raw, last=True)
-    group_of = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2]
-    stack = _DesignStack.of_rows(group_of, q)
+    layout = layout_of(cell)
+    q, treated, Y = simulation._cell_rows(cell, layout, raw, last=True)
+    stack = _DesignStack.of_rows(layout.group_of, q)
     finite = np.isfinite(Y).all(axis=1)
     dropped = ~(kept_rows(stack) & finite[:, None])
     Y[dropped] = 0.0

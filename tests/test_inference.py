@@ -51,7 +51,7 @@ from sivreg import blockops, inference, simulation
 from sivreg.simulation import _run_grid
 
 from conftest import random_design, strong_sample
-from per_draw_reference import draw_stack, kept_rows
+from per_draw_reference import draw_stack, kept_rows, layout_of
 
 
 def one_group(n, m):
@@ -1010,7 +1010,8 @@ def test_a_binary_treatment_is_read_once_per_entry_point(monkeypatch):
     # Every entry point builds its atoms once, whatever T holds.  From a 0/1
     # T the one cell sum is the cell means of Y; from a T with one other
     # value, one-row atoms give the report and robust_ci without a window
-    # 4 + 8 sums and robust_ci with one 2 + 9.
+    # 4 + 8 sums and robust_ci with one 2 + 9.  The two variances and the
+    # robust test at one value leave out the robust sums: 2 + 6.
     passes = _count_builds_and_sums(monkeypatch)
     rng = np.random.default_rng(46)
     d = random_design(rng, G=6, size_range=(6, 14))
@@ -1020,6 +1021,8 @@ def test_a_binary_treatment_is_read_once_per_entry_point(monkeypatch):
         assert passes(lambda: sive_report(d, Sample(Y, T))) == (1, 1 if binary else 12)
         assert passes(lambda: robust_ci(d, Y, T)) == (1, 1 if binary else 12)
         assert passes(lambda: robust_ci(d, Y, T, grid=window)) == (1, 1 if binary else 11)
+        for entry in (sive_variance, chao_variance, robust_test):
+            assert passes(lambda: entry(d, Y, T, 0.3)) == (1, 1 if binary else 8), entry
 
 
 @pytest.mark.parametrize("binary, bound", [(False, 6), (True, 4)])
@@ -1308,7 +1311,7 @@ def test_kept_constants_of_a_simulated_stack():
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
     stack, T, Y, _ = draw_stack(cell, range(4))
     assert not stack.keep.all()
-    group_of = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2]
+    group_of = layout_of(cell).group_of
     instrument = stack.cell % 2
     assert_forms_survive_every_reader(
         stack, T, Y, lambda: _DesignStack.of_rows(group_of, instrument)

@@ -14,7 +14,7 @@ from sivreg._normal import ndtr, ndtri
 from sivreg.simulation import (
     SimConfig,
     _binomial_half_quantile,
-    _covariate_layout,
+    _layout,
     generate_sample,
     propensity,
 )
@@ -80,7 +80,8 @@ def test_binomial_quantile_past_float_range():
 @pytest.mark.parametrize("L,p1", [(1, 0.49), (25, 0.29), (100, 0.39), (300, 0.69)])
 def test_draw_rule_matches_the_cdf_rule(L, p1):
     cfg = SimConfig(n=3000, L=L, p1=p1)
-    x, _, group_of, _ = _covariate_layout(cfg.n, L, cfg.n_hetero)
+    layout = _layout(cfg.n, L, cfg.n_hetero, cfg.h)
+    x, group_of = layout.x, layout.group_of
     for seed in range(50):
         draw = generate_sample(cfg, seed)
         rng = np.random.default_rng(seed)

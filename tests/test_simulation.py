@@ -184,27 +184,36 @@ def test_heterogeneity_goes_to_smallest_covariate_values():
 
 
 def test_covariate_layout_is_computed_once_and_read_only():
-    from sivreg.simulation import _covariate_layout
+    from sivreg.simulation import _layout
 
-    x, rows, group_of, keys = _covariate_layout(50, 7, 20)
-    again = _covariate_layout(50, 7, 20)
-    assert all(a is b for a, b in zip(again, (x, rows, group_of, keys)))
-    assert not any(a.flags.writeable for a in (x, rows, group_of))
+    layout = _layout(50, 7, 20, 1.5)
+    assert _layout(50, 7, 20, 1.5) is layout
+    x, group_of = layout.x, layout.group_of
+    arrays = (x, group_of, layout.prop, layout.level, layout.gamma, layout.mean)
+    assert not any(a.flags.writeable for a in arrays)
     points = [halton(i, 2) for i in range(1, 8)]
     assert x.tolist() == [points[i % 7] for i in range(50)]
-    assert rows.tolist() == np.argsort(x, kind="stable")[:20].tolist()
     assert group_of.tolist() == [i % 7 for i in range(50)]
-    assert keys == tuple((p,) for p in points)
+    assert layout.keys == tuple((p,) for p in points)
+    assert layout.prop.tobytes() == propensity(x).tobytes()
+    assert layout.level.tobytes() == outcome_level(x).tobytes()
+    # The shifted effect on the 20 rows of smallest X, ties in row order.
+    gamma = np.ones(50)
+    gamma[np.argsort(x, kind="stable")[:20]] = 2.5
+    assert layout.gamma.tolist() == gamma.tolist()
+    means = [gamma[group_of == g].mean() for g in range(7)]
+    np.testing.assert_allclose(layout.mean, means, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n, L", [(40, 1), (5, 9), (3000, 300)])
 def test_covariate_layout_design_matches_build_design(n, L):
     from sivreg import SaturatedDesign, build_design
-    from sivreg.simulation import _covariate_layout
+    from sivreg.simulation import _layout
 
-    x, _, group_of, keys = _covariate_layout(n, L, 0)
+    layout = _layout(n, L, 0, 0.0)
     q = np.random.default_rng(n + L).integers(0, 2, n)
-    mine, built = SaturatedDesign(group_of, q, group_keys=keys), build_design(x, q)
+    mine = SaturatedDesign(layout.group_of, q, group_keys=layout.keys)
+    built = build_design(layout.x, q)
     assert mine.group_of.tolist() == built.group_of.tolist()
     assert mine.group_keys == built.group_keys
     assert mine.group_sizes.tolist() == built.group_sizes.tolist()
@@ -392,10 +401,10 @@ def _record_batches(monkeypatch) -> dict:
     batch = {"reps": np.arange(0)}
     real_run_batch = simulation._run_batch
 
-    def run_batch(cell, parts, *args):
+    def run_batch(cell, layout, parts, *args):
         start = batch["reps"][-1] + 1 if batch["reps"].size else 0
         batch["reps"] = start + np.arange(sum(finite.size for _, _, finite in parts))
-        return real_run_batch(cell, parts, *args)
+        return real_run_batch(cell, layout, parts, *args)
 
     monkeypatch.setattr(simulation, "_run_batch", run_batch)
     return batch

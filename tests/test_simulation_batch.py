@@ -21,7 +21,7 @@ from sivreg._normal import ndtri
 from sivreg.blockops import _Atoms, _CellMoments
 from sivreg.design import DesignError
 from sivreg.estimators import EstimationError, _estimates
-from sivreg.inference import _chao_variance, _sive_variance
+from sivreg.inference import _chao_variance, _sive_variance, _variance_at_center
 from sivreg.simulation import (
     DEFAULT_ESTIMATORS,
     _VARIANTS,
@@ -36,7 +36,13 @@ from sivreg.simulation import (
     summarize,
 )
 
-from per_draw_reference import draw_stack, kept_rows, per_draw_replications, per_draw_run_grid
+from per_draw_reference import (
+    draw_stack,
+    kept_rows,
+    layout_of,
+    per_draw_replications,
+    per_draw_run_grid,
+)
 
 SECOND_ORDER = ("k", "mean_T", "mean_Y", "s20", "s11")
 FOURTH_ORDER = SECOND_ORDER + ("s02", "s30", "s21", "s12", "s40", "s31", "s22")
@@ -87,7 +93,7 @@ def test_stacked_tables_equal_per_draw_tables(case):
     cell, per_chunk = case
     reps = range(min(per_chunk, cell.replications))
     stack, T, Y, finite = draw_stack(cell, reps)
-    truth, valid = _truth(cell, stack, finite)
+    truth, valid = _truth(cell, layout_of(cell), stack, finite)
     centers = 0.37 + np.arange(len(reps))
     stacked = (
         (_CellMoments(stack, T, Y, order=2), 0.0 * centers, 2, SECOND_ORDER),
@@ -134,7 +140,7 @@ def test_chunked_replications_match_per_draw(case):
     want_errors, want_hits = per_draw_replications(
         cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05
     )
-    assert hits == want_hits
+    assert _lists(hits) == want_hits
     exact = not _drops(cell)
     for kind in DEFAULT_ESTIMATORS:
         got, want = np.array(errors[kind]), np.array(want_errors[kind])
@@ -167,7 +173,7 @@ def test_non_finite_draw_is_attrition_for_everything():
     cell = SimConfig(n=60, L=2, beta=1e308, h=10.0, n_hetero=30, replications=3)
     with np.errstate(over="ignore", invalid="ignore"):
         stack, T, Y, finite = draw_stack(cell, range(cell.replications))
-        valid = _truth(cell, stack, finite)[1]
+        valid = _truth(cell, layout_of(cell), stack, finite)[1]
         bias, size = _run_grid(cell)
     assert not valid.any()
     assert not T.any() and not Y.any()
@@ -178,7 +184,8 @@ def one_draw(cell: SimConfig, seed):
     """q, T and Y of one replication as they were drawn before chunks were
     filled in place: one generator, one (n,) and one (2, n) request."""
     rng = np.random.default_rng(seed)
-    x, hetero_rows, _, _ = simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)
+    x = layout_of(cell).x
+    hetero_rows = np.argsort(x, kind="stable")[: cell.n_hetero]
     q = (rng.random(cell.n) < propensity(x)).astype(np.int64)
     z = rng.standard_normal((2, cell.n))
     eps = cell.rho * z[0] + np.sqrt(1.0 - cell.rho**2) * z[1]
@@ -222,13 +229,13 @@ def test_chunk_draws_equal_per_replication_draws(case):
     cell, reps = case
     seeds = [replication_seed(cell.master_seed, rep) for rep in reps]
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = simulation._raw_draw(cell, seeds)
-        q, treated, Y = simulation._cell_rows(cell, raw, last=False)
+        raw, layout = simulation._raw_draw(cell, seeds), layout_of(cell)
+        q, treated, Y = simulation._cell_rows(cell, layout, raw, last=False)
         U = raw[0]
-        rows_last = simulation._cell_rows(cell, raw, last=True)
+        rows_last = simulation._cell_rows(cell, layout, raw, last=True)
         assert raw == [] and rows_last[2] is U
         stack, T_stack, Y_stack, finite = draw_stack(cell, reps)
-        valid = _truth(cell, stack, finite)[1]
+        valid = _truth(cell, layout, stack, finite)[1]
         refs = [one_draw(cell, seed) for seed in seeds]
     T = treated.astype(np.float64)
     assert q.shape == T.shape == Y.shape == (len(reps), cell.n)
@@ -261,8 +268,7 @@ def test_generate_sample_draws_through_the_chunk_draw(monkeypatch):
     sample_draw = generate_sample(cell, seed)
     assert calls == [[seed]]
     q_ref, t_ref, y_ref = one_draw(cell, seed)
-    rows = np.isin(simulation._covariate_layout(cell.n, cell.L, cell.n_hetero)[2],
-                   sample_draw.audit.kept_groups)
+    rows = np.isin(layout_of(cell).group_of, sample_draw.audit.kept_groups)
     assert np.array_equal(sample_draw.design.instrument, q_ref[rows])
     assert sample_draw.sample.treatment.tobytes() == t_ref[rows].tobytes()
     assert sample_draw.sample.outcome.tobytes() == y_ref[rows].tobytes()
@@ -273,6 +279,12 @@ def _batched(cell: SimConfig, widths: tuple, variants: tuple):
     per table batch."""
     with mock.patch.object(simulation, "_widths", lambda n, G: widths):
         return _replications([cell], DEFAULT_ESTIMATORS, variants, 0.05)[0]
+
+
+def _lists(buffers: dict) -> dict:
+    """Flat float64 result buffers, each as a list of floats."""
+    assert all(values.typecode == "d" for values in buffers.values())
+    return {key: values.tolist() for key, values in buffers.items()}
 
 
 def _assert_bit_equal(got, want) -> None:
@@ -354,22 +366,23 @@ def test_draw_with_no_kept_group_in_a_wide_batch():
     # are attrition, and the rest agree with the per-draw reference.
     cell = SimConfig(n=12, L=2, p1=0.49, replications=9, master_seed=0)
     stack, _, _, finite = draw_stack(cell, range(cell.replications))
-    valid = _truth(cell, stack, finite)[1]
+    valid = _truth(cell, layout_of(cell), stack, finite)[1]
     assert np.flatnonzero(~stack.keep.any(axis=1)).tolist() == [3, 6]
     assert not valid[[3, 6]].any()
     got = _batched(cell, (2, 3), _VARIANTS)
     _assert_bit_equal(got, _batched(cell, (2, 1), _VARIANTS))
     want_errors, want_hits = per_draw_replications(cell, DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
-    assert got[1] == want_hits
+    assert _lists(got[1]) == want_hits
     for kind in DEFAULT_ESTIMATORS:
         _agree(np.array(got[0][kind]), np.array(want_errors[kind]), exact=False)
 
 
 def test_variances_read_none_of_the_robust_sums():
-    # simulate's table at beta_hat leaves out s30, s40 and s31, which only
-    # the robust test's variance polynomial reads; both variances on it are
-    # bit-equal to those on the full table.  A chunk that drops groups, and
-    # one design whose T is not 0/1 (one-row atoms).
+    # simulate's table at beta_hat, and the public variances' and robust
+    # test's tables, leave out s30, s40 and s31, which only the robust test's
+    # variance polynomial reads; both variances on it, the variance at the
+    # center and the A forms are bit-equal to those on the full table.  A
+    # chunk that drops groups, and one design whose T is not 0/1 (one-row atoms).
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
     stack, T, Y, _ = draw_stack(cell, range(4))
     draw = generate_sample(cell, replication_seed(3, 0))
@@ -383,17 +396,18 @@ def test_variances_read_none_of_the_robust_sums():
             _CellMoments(design, None, None, center, base=base, robust=False),
         ):
             assert not any(hasattr(reduced, name) for name in ("s30", "s40", "s31"))
-            for variance in (_sive_variance, _chao_variance):
+            for variance in (_sive_variance, _chao_variance, _variance_at_center):
                 assert variance(reduced).tobytes() == variance(full).tobytes()
+            assert np.array(reduced.a_form()).tobytes() == np.array(full.a_form()).tobytes()
 
 
 @pytest.mark.parametrize("L, widths, bound_kb", [(25, (4, 12), 780), (300, (4, 1), 760)])
 def test_replications_traced_peak(L, widths, bound_kb):
     # The traced peak of one grid cell at the paper's n, above what is
-    # allocated before, in KB: 772 at L = 25 (batches of 48 draws) and 753
+    # allocated before, in KB: 743 at L = 25 (batches of 48 draws) and 738
     # at L = 300 (batches of one chunk of 4), each batch up to ROWS // 5
-    # cell entries.  A first call keeps the layout and the cell's
-    # constants, which are not counted.
+    # cell entries.  A first call keeps the cell's layout, which is not
+    # counted.
     cell = SimConfig(n=3000, L=L, p1=0.49, replications=100, master_seed=1941)
     assert simulation._widths(cell.n, L) == widths
 
@@ -423,8 +437,10 @@ def test_reduced_atoms_equal_atoms_of_zeroed_rows(case):
     cell, reps = case
     seeds = [replication_seed(cell.master_seed, rep) for rep in reps]
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = simulation._raw_draw(cell, seeds)
-        counts, atoms, finite = simulation._reduce(cell, *simulation._cell_rows(cell, raw, True))
+        raw, layout = simulation._raw_draw(cell, seeds), layout_of(cell)
+        counts, atoms, finite = simulation._reduce(
+            layout, *simulation._cell_rows(cell, layout, raw, True)
+        )
         stack, T, Y, want_finite = draw_stack(cell, reps)
         want = _Atoms(stack, T, Y)
         centers = 0.3 + np.arange(len(reps))[:, None]
@@ -488,12 +504,12 @@ def test_grid_rows_equal_its_cells_run_one_at_a_time(case):
 
 
 def test_monte_carlo_grid_traced_peak():
-    # The benchmark's grid (n = 3000, L = 25 and 300): traced peak 982 KB
+    # The benchmark's grid (n = 3000, L = 25 and 300): traced peak 975 KB
     # above what is allocated before, against 775 KB when each cell drew its
     # own rows.  The L = 25 cell reduces its rows while the raw chunk (288
     # KB) is kept for L = 300, and each cell's batch runs while the other
-    # cell's chunks are pending.  A first call keeps the layouts and the
-    # cells' constants, which are not counted.
+    # cell's chunks are pending.  A first call keeps the cells' layouts,
+    # which are not counted.
     config = SimConfig(n=3000, replications=100, master_seed=1941)
 
     def run():
@@ -508,3 +524,45 @@ def test_monte_carlo_grid_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 990 * 1024, peak / 1024
+
+
+def test_grid_reads_each_layout_once(monkeypatch):
+    # 40 distinct L values, more than the layout cache holds, by 2 p1 values
+    # and in 3 row chunks: each layout is computed once for the grid, and
+    # the cells that share L share it.
+    config = SimConfig(n=120, replications=5, master_seed=2)
+    cells = simulation._cell_configs(config, range(1, 41), [0.3, 0.49])
+    seen = {}
+    real_run_batch = simulation._run_batch
+
+    def run_batch(cell, layout, *args):
+        assert seen.setdefault(cell.L, layout) is layout
+        return real_run_batch(cell, layout, *args)
+
+    monkeypatch.setattr(simulation, "ROWS", 2 * config.n)
+    monkeypatch.setattr(simulation, "_run_batch", run_batch)
+    simulation._layout.cache_clear()
+    _replications(cells, DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
+    assert simulation._layout.cache_info().misses == 40
+    assert len(seen) == 40
+
+
+def test_full_scale_grid_traced_peak():
+    # full_scale.json's 35 cells (7 L by 5 p1) at n = 3000 and 100
+    # replications: traced peak 1,979 KB above what is allocated before,
+    # against 2,264 KB when each result was a Python float in a list.  A
+    # first call keeps the layouts, which are not counted.
+    config = SimConfig(n=3000, replications=100, master_seed=20260817)
+
+    def run():
+        _run_grid(config, [1, 2, 25, 50, 100, 200, 300], [0.29, 0.39, 0.49, 0.59, 0.69])
+
+    run()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2000 * 1024, peak / 1024
