@@ -8,7 +8,10 @@ and heteroskedasticity.  Saturated TSLS and JIVE baselines, population-level
 estimands and a Monte Carlo harness round out the library.  The dense
 reference implementation (``sivreg.oracle``) and the CSV/JSON command line
 (``sivreg.cli``) are imported from their own modules; ``import sivreg``
-loads neither.
+loads neither.  So are the per-observation references the tests compare
+the moment table against: the operators and ``SmallCellError`` from
+``sivreg.blockops``, ``hartley_sigma`` and ``SigmaEstimates`` from
+``sivreg.inference``.
 """
 
 from .design import (
@@ -25,16 +28,7 @@ from .design import (
 from .blockops import (
     DegenerateGroupError,
     GroupSizeError,
-    SmallCellError,
-    apply_A,
-    apply_M_W,
-    apply_M_WZ,
-    apply_MM_inv,
-    apply_MM_inv_W,
-    apply_P,
-    cell_sizes,
     projection_diag_P,
-    sive_diag_D,
     trace_A_squared,
 )
 from .estimators import (
@@ -55,10 +49,8 @@ from .estimators import (
 from .inference import (
     InferenceReport,
     NonpositiveVarianceError,
-    SigmaEstimates,
     chao_variance,
     confidence_interval,
-    hartley_sigma,
     robust_ci,
     robust_test,
     sive_report,
@@ -90,16 +82,7 @@ __all__ = [
     "validate_group_sizes",
     "DegenerateGroupError",
     "GroupSizeError",
-    "SmallCellError",
-    "apply_A",
-    "apply_M_W",
-    "apply_M_WZ",
-    "apply_MM_inv",
-    "apply_MM_inv_W",
-    "apply_P",
-    "cell_sizes",
     "projection_diag_P",
-    "sive_diag_D",
     "trace_A_squared",
     "EstimationError",
     "EstimatorKind",
@@ -116,10 +99,8 @@ __all__ = [
     "population_moments",
     "InferenceReport",
     "NonpositiveVarianceError",
-    "SigmaEstimates",
     "chao_variance",
     "confidence_interval",
-    "hartley_sigma",
     "robust_ci",
     "robust_test",
     "sive_report",

@@ -377,11 +377,17 @@ def _parse_binarize(specs) -> list[tuple[str, float]]:
         if not sep or not col:
             raise CliValidationError(f"--binarize expects COL:THRESH, got {spec!r}")
         try:
-            parsed.append((col, float(raw)))
+            threshold = float(raw)
         except ValueError:
             raise CliValidationError(
                 f"--binarize threshold {raw!r} is not a number"
             ) from None
+        # NaN or an infinity would recode every row to one value.
+        if not np.isfinite(threshold):
+            raise CliValidationError(
+                f"--binarize threshold {raw!r} is not a finite number"
+            )
+        parsed.append((col, threshold))
     return parsed
 
 

@@ -212,11 +212,12 @@ def _sive_variance(t: _CellMoments):
     return _identified_ratio(_variance_at_center(t), t.a_form()[1], t.tt, power=2)
 
 
-def _at_beta_hat(base: _CellMoments) -> tuple[float, _CellMoments, float]:
+def _at_beta_hat(base: _CellMoments, robust: bool) -> tuple[float, _CellMoments, float]:
     """From the order-2 table at 0 of one design: the SIVE estimate, the
-    table at it (on ``base``'s atoms) and its ``sive_variance``."""
+    table at it (on ``base``'s atoms, with the robust test's sums if
+    ``robust``) and its ``sive_variance``."""
     beta_hat = _point_estimate(EstimatorKind.SIVE, base)
-    table = _CellMoments(base.design, None, None, beta_hat, base=base)
+    table = _CellMoments(base.design, None, None, beta_hat, base=base, robust=robust)
     return beta_hat, table, _single(_sive_variance(table))
 
 
@@ -386,7 +387,7 @@ def robust_ci(
         raise ValueError("a one-sided robust confidence set needs alpha < 0.5")
     table = None
     if grid is None:
-        beta_hat, table, variance = _at_beta_hat(_CellMoments(design, T, Y, order=2))
+        beta_hat, table, variance = _at_beta_hat(_CellMoments(design, T, Y, order=2), True)
         if not variance > 0.0:
             raise NonpositiveVarianceError(
                 "cannot derive a default grid: the variance estimate is not "
@@ -539,6 +540,6 @@ def sive_report(
     point interval and no t statistic, a negative one an error.
     """
     table = _moments(design, sample)
-    beta_hat, _, variance = _at_beta_hat(table)
+    beta_hat, _, variance = _at_beta_hat(table, False)
     fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
     return _normal_report(beta_hat, variance, alpha, beta0, fs_diag)

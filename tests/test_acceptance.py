@@ -29,7 +29,6 @@ from sivreg import (
     estimate_sive,
     estimate_tsls,
     filter_design,
-    hartley_sigma,
     robust_test,
     sive_report,
     sive_variance,
@@ -37,6 +36,7 @@ from sivreg import (
     validate_group_sizes,
 )
 from sivreg.blockops import apply_MM_inv
+from sivreg.inference import hartley_sigma
 from sivreg.oracle import (
     assemble,
     oracle_chao_variance,

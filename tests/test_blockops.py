@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from sivreg import (
     DegenerateGroupError,
     GroupSizeError,
+    build_design,
+    projection_diag_P,
+    trace_A_squared,
+)
+from sivreg.blockops import (
     SmallCellError,
     apply_A,
     apply_M_W,
@@ -15,11 +20,8 @@ from sivreg import (
     apply_MM_inv,
     apply_MM_inv_W,
     apply_P,
-    build_design,
     cell_sizes,
-    projection_diag_P,
     sive_diag_D,
-    trace_A_squared,
 )
 from sivreg.oracle import assemble
 

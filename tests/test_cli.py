@@ -599,6 +599,32 @@ def test_simulate_config_validation(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([{"n": 160}], "config must be a JSON object"),
+        ({"n": 160, "L": []}, "L and p1 must each have at least one value"),
+        ({"n": 160, "p1": []}, "L and p1 must each have at least one value"),
+    ],
+)
+def test_simulate_refuses_a_config_of_the_wrong_shape(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert validation_error(["simulate", "--config", str(path), "--out", str(out)], capsys) == (
+        message
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "robust-ci"])
+def test_a_column_given_two_roles_is_refused(tmp_path, capsys, command):
+    ok = write_text(tmp_path / "ok.csv", "y,t,z,w\n" + OK_ROWS)
+    argv = [command, "--data", ok, "--outcome", "y", "--treatment", "y", "--instrument", "z",
+            "--covariates", "w"]
+    assert validation_error(argv, capsys) == "columns assigned to more than one role: y"
+
+
 def test_simulate_manifest_hash_tracks_config(tmp_path, capsys):
     cfg1, cfg2 = tmp_path / "c1.json", tmp_path / "c2.json"
     cfg1.write_text(json.dumps(SIM_CONFIG))
@@ -672,6 +698,18 @@ def test_ingest_file_level_messages(tmp_path, capsys):
         ["audit", "--data", ok, "--instrument", "z", "--covariates", "w",
          "--binarize", "q:1"], capsys
     ) == "--binarize column 'q' not in header"
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("command", ["estimate", "robust-ci", "audit"])
+def test_binarize_refuses_a_nonfinite_threshold(tmp_path, capsys, command, raw):
+    # Any comparison with NaN is False and every finite value is below inf,
+    # so such a threshold would recode every row to one value.
+    ok = write_text(tmp_path / "ok.csv", "y,t,z,w\n" + OK_ROWS)
+    roles = BASE if command != "audit" else ["--instrument", "z", "--covariates", "w"]
+    assert validation_error(
+        [command, "--data", ok, *roles, "--binarize", f"t:{raw}"], capsys
+    ) == f"--binarize threshold {raw!r} is not a finite number"
 
 
 @pytest.mark.parametrize(

@@ -13,12 +13,12 @@ from sivreg import (
     estimate_jive2,
     estimate_sive,
     estimate_tsls,
-    hartley_sigma,
     projection_diag_P,
     robust_ci,
     sive_variance,
     trace_A_squared,
 )
+from sivreg.inference import hartley_sigma
 from sivreg.oracle import (
     assemble,
     oracle_chao_variance,
