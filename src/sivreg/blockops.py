@@ -23,11 +23,11 @@ Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
 reduces them to per-cell sums, which is how the estimators and both variances
 use them; the public operators are their per-observation reference.  One
 pass over the rows gathers per-atom counts, means and centred sums of squares
-(``_Atoms``), per (cell, arm) for a 0/1 treatment and per row for any other,
-and one merge gives the table at any center from them.  The table and its
-per-cell helpers also take a stack of R designs (``design._DesignStack``),
-with a leading axis of length R on every array, and ``_dot`` reduces both
-shapes alike.
+(``_Atoms``), per (cell, arm) for a 0/1 treatment and per row for any other;
+tables at any center share them and ``s20``, and merge each further group of
+sums from them on its first read.  The table and its per-cell helpers also
+take a stack of R designs (``design._DesignStack``), with a leading axis of
+length R on every array, and ``_dot`` reduces both shapes alike.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class SmallCellError(DesignError):
 
 
 def _memo(fn):
-    """``fn(obj)`` of a design or a moment table (neither changes), kept on
+    """``fn(obj)`` of a design, a moment table or atoms (none changes), kept on
     ``obj`` read-only from the first call; a raised check is not kept."""
     key = "_memo" + fn.__name__
 
@@ -397,6 +397,22 @@ class _Atoms:
         if dropped is not None:
             self.ss[:, dropped] = 0.0
 
+    def deviations(self, center=0.0) -> tuple:
+        """Per atom ``(u, k_a delta, delta)`` at ``center``, formed anew for
+        each group of sums (a (cell, arm) atom's u too: O(G)), not kept."""
+        u = self.u if self.counts is None else np.stack((-self.mean_T, 1.0 - self.mean_T))
+        delta = self.mean_e0
+        if np.any(center):
+            delta = center * u
+            np.subtract(self.mean_e0, delta, out=delta)
+        return u, delta if self.counts is None else self.counts * delta, delta
+
+    @_memo
+    def s20(self) -> np.ndarray:
+        """Per cell ``sum u^2``, free of the center: the tables on these atoms share it."""
+        u = self.deviations()[0]
+        return self.to_cells(u * u if self.counts is None else self.counts * u * u)
+
     @classmethod
     def join(cls, parts) -> _Atoms:
         """The (cell, arm) atoms of stacks on one grouping, one stack after
@@ -424,19 +440,16 @@ class _CellMoments:
     ``mean_Y``, and the power sums ``s<j><l> = sum u^j e^l`` of the
     within-cell deviations ``u = T - mean_T`` and ``e = (Y - mean_Y) -
     center u`` of R, in which offsets in Y and T cancel before any product.
-    ``order=2`` collects ``s20`` and ``s11``, all the ratio estimators need;
-    ``order=4`` adds ``s02, s30, s21, s12, s40, s31, s22`` for the variances.
-    ``tt`` is ``T'T``, the scale the denominators are judged on.  Each form
-    (``group_gaps``, ``p_values``, ``p_form``, ``a_form``) is computed once
-    per table and kept read-only.
+    ``tt`` is ``T'T``, the scale the denominators are judged on.
 
-    The sums are merged from ``_Atoms``: per (cell, arm) for a 0/1 T (the
-    paper's binary treatment), O(G) once the atoms exist, and per row for
-    any other T.  A ``base`` table lends its atoms and the center-free
-    ``s20``, and ``atoms`` built beforehand are used as they are; T and Y
-    are then not read (None will do).  ``robust=False`` leaves out ``s30``,
-    ``s40`` and ``s31``, which only the robust test's variance polynomial in
-    beta0 reads (not the variances at the center).
+    The sums are merged from ``atoms``, ``_Atoms(design, T, Y)``: per (cell,
+    arm) for a 0/1 T (the paper's binary treatment), O(G), and per row for
+    any other T.  A table sums ``s11`` and reads ``s20``, which the tables
+    on the same atoms share: all the ratio estimators need.  The groups
+    ``variance_sums`` (both variances) and ``robust_sums`` (only the robust
+    test's variance polynomial in beta0) are each summed in one pass by
+    their first reader, and kept, as is each form (``group_gaps``,
+    ``p_values``, ``p_form``, ``a_form``), read-only.
 
     On a stack of R designs, T and Y are (R, n), ``center`` is a scalar or
     one per design, shape (R, 1), every array gains the leading axis, and
@@ -445,43 +458,37 @@ class _CellMoments:
     entry of D; likewise ``(A R)_i`` is ``pr - d e_i``.
     """
 
-    def __init__(self, design: SaturatedDesign, T: np.ndarray, Y: np.ndarray,
-                 center: float = 0.0, order: int = 4, base: _CellMoments | None = None,
-                 atoms: _Atoms | None = None, robust: bool = True):
-        self.design = design
-        self.center = center
+    def __init__(self, design: SaturatedDesign, atoms: _Atoms, center=0.0):
+        self.design, self.atoms, self.center = design, atoms, center
         self.centered = bool(np.any(center))
         self.k = _constants(design).k
-        if base is not None:
-            atoms = base.atoms
-        self.atoms = a = _Atoms(design, T, Y) if atoms is None else atoms
-        self.mean_T, self.mean_Y, self.tt = a.mean_T, a.mean_Y, a.tt
-        # A (cell, arm) atom's u is formed per table: O(G), and not kept.
-        u = a.u if a.counts is None else np.stack((-a.mean_T, 1.0 - a.mean_T))
-        to_cells, delta = a.to_cells, a.mean_e0
-        if self.centered:
-            delta = center * u
-            np.subtract(a.mean_e0, delta, out=delta)
-        ku, e1 = (u, delta) if a.counts is None else (a.counts * u, a.counts * delta)
-        self.s20 = to_cells(ku * u) if base is None else base.s20
-        self.s11 = to_cells(u * e1)
-        if order > 2:
-            # Ordered so that at most five per-row arrays are alive at once:
-            # u, e0, uu, delta or e2, and one product.
-            uu = u * u
-            if robust:
-                kuu = ku * uu
-                self.s30 = to_cells(kuu)
-                kuu *= u
-                self.s40 = to_cells(kuu)
-                del kuu
-                self.s31 = to_cells(uu * u * e1)
-            self.s21 = to_cells(uu * e1)
-            e2 = e1 * delta if a.ss is None else a.ss + e1 * delta
-            del ku, e1, delta
-            self.s02 = to_cells(e2)
-            self.s12 = to_cells(u * e2)
-            self.s22 = to_cells(uu * e2)
+        self.mean_T, self.mean_Y, self.tt = atoms.mean_T, atoms.mean_Y, atoms.tt
+        self.s20 = atoms.s20()
+        u, e1, _ = atoms.deviations(center)
+        self.s11 = atoms.to_cells(u * e1)
+
+    @_memo
+    def variance_sums(self) -> tuple:
+        """``(s02, s21, s12, s22)``, summed with at most five per-row arrays
+        alive at once: u, e0, uu, delta or e2, and one product."""
+        to_cells, ss = self.atoms.to_cells, self.atoms.ss
+        u, e1, delta = self.atoms.deviations(self.center)
+        uu = u * u
+        s21 = to_cells(uu * e1)
+        e2 = e1 * delta if ss is None else ss + e1 * delta
+        del e1, delta
+        return to_cells(e2), s21, to_cells(u * e2), to_cells(uu * e2)
+
+    @_memo
+    def robust_sums(self) -> tuple:
+        """``(s30, s40, s31)``, the robust test's extra sums."""
+        to_cells, k = self.atoms.to_cells, self.atoms.counts
+        u, e1, _ = self.atoms.deviations(self.center)
+        uu = u * u
+        kuu = (u if k is None else k * u) * uu
+        s30, s40 = to_cells(kuu), to_cells(kuu * u)
+        del kuu
+        return s30, s40, to_cells(uu * u * e1)
 
     @_memo
     def group_gaps(self) -> tuple[np.ndarray, np.ndarray]:

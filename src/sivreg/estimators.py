@@ -29,6 +29,7 @@ import numpy as np
 
 from .blockops import (
     projection_diag_P,
+    _Atoms,
     _cell_means,
     _CellMoments,
     _check_vector,
@@ -125,9 +126,9 @@ def _single(value) -> float:
 
 
 def _moments(design: SaturatedDesign, sample: Sample) -> _CellMoments:
-    """The second-order table of a sample at center 0."""
+    """The table of a sample at center 0."""
     _check_sample(design, sample)
-    return _CellMoments(design, sample.treatment, sample.outcome, order=2)
+    return _CellMoments(design, _Atoms(design, sample.treatment, sample.outcome))
 
 
 def _jive1_form(t: _CellMoments) -> tuple:

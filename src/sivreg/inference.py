@@ -16,9 +16,9 @@ Nothing here is computed one observation at a time.  Within a cell the
 Hartley estimate is ``w1 x_i - w2 sum_c x``, and AT and Ar are a cell
 constant minus a multiple of the within-cell deviation, so every dot product
 above is a polynomial in per-cell power sums of the deviations of T and r.
-One pass over the data builds those sums (``blockops._CellMoments``); the
-score, its variance and their coefficients in beta_0 are O(G) arithmetic on
-them.  ``hartley_sigma`` keeps the per-observation estimates as the
+One pass over the data builds those sums (``blockops._CellMoments``), each
+group on its first read; the score, its variance and their coefficients in
+beta_0 are O(G) arithmetic on them.  ``hartley_sigma`` is the per-observation
 reference the tests compare against.  The two variances also run on a stack
 of designs' tables, one value per design (NaN where T'AT is not identified).
 """
@@ -32,6 +32,7 @@ from numpy.polynomial.polynomial import polymul, polyval
 
 from ._normal import ndtr, ndtri
 from .blockops import (
+    _Atoms,
     _cell_sum,
     _CellMoments,
     _check_vector,
@@ -126,7 +127,7 @@ def hartley_sigma(design: SaturatedDesign, treatment, residual) -> SigmaEstimate
 
 def _robust_polynomials(t: _CellMoments) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients, lowest degree first, of the score and its variance in
-    ``d = beta0 - center``, from a fourth-order table at ``center``.
+    ``d = beta0 - center``, from a table at ``center``.
 
     With ``R = Y - T center``, ``a = AT`` and ``b = AR`` the score is
     ``S = a'R - d a'T``, so ``T'AT`` is ``-score[1]``.  The moment estimates
@@ -137,15 +138,16 @@ def _robust_polynomials(t: _CellMoments) -> tuple[np.ndarray, np.ndarray]:
     ``v1 = -4 (s_uu.ab + s_eu.a^2)`` and ``v2 = 4 s_uu.a^2``.  The constant
     terms are the score and variance at ``beta0 = center``.
     """
+    (_, s21, _, _), (s30, s40, s31) = t.variance_sums(), t.robust_sums()
     d, (pt, pr), aa = t.d, t.p_values(), _aa(t)
     td, rd, dd = pt * d, pr * d, d * d
     ab, w = t.k * pt * pr + dd * t.s11, _constants(t.design).hartley
     t_a_r, t_a_t = t.a_form()
     v1 = -4.0 * (
-        _hartley(w, t.s20, pt * pr * t.s20 - td * t.s21 - rd * t.s30 + dd * t.s31, ab)
-        + _hartley(w, t.s11, pt * pt * t.s11 - 2.0 * td * t.s21 + dd * t.s31, aa)
+        _hartley(w, t.s20, pt * pr * t.s20 - td * s21 - rd * s30 + dd * s31, ab)
+        + _hartley(w, t.s11, pt * pt * t.s11 - 2.0 * td * s21 + dd * s31, aa)
     )
-    v2 = 4.0 * _hartley(w, t.s20, pt * pt * t.s20 - 2.0 * td * t.s30 + dd * t.s40, aa)
+    v2 = 4.0 * _hartley(w, t.s20, pt * pt * t.s20 - 2.0 * td * s30 + dd * s40, aa)
     return np.array([t_a_r, -t_a_t]), np.array([_variance_at_center(t), v1, v2])
 
 
@@ -165,15 +167,15 @@ def _hartley(w: tuple, x_sum, xf_sum, f_sum):
 
 def _variance_at_center(t: _CellMoments):
     """``v0`` of ``_robust_polynomials``: the variance at ``beta0 = center``."""
+    s02, s21, s12, s22 = t.variance_sums()
     d, (pt, pr), aa = t.d, t.p_values(), _aa(t)
     td, rd, dd = pt * d, pr * d, d * d
     w = _constants(t.design).hartley
     # bb and ab are formed inside their own terms: fewer arrays alive at once.
     return (
-        _hartley(w, t.s20, pr * pr * t.s20 - 2.0 * rd * t.s21 + dd * t.s22,
-                 t.k * pr * pr + dd * t.s02)
-        + _hartley(w, t.s02, pt * pt * t.s02 - 2.0 * td * t.s12 + dd * t.s22, aa)
-        + 2.0 * _hartley(w, t.s11, pt * pr * t.s11 - td * t.s12 - rd * t.s21 + dd * t.s22,
+        _hartley(w, t.s20, pr * pr * t.s20 - 2.0 * rd * s21 + dd * s22, t.k * pr * pr + dd * s02)
+        + _hartley(w, s02, pt * pt * s02 - 2.0 * td * s12 + dd * s22, aa)
+        + 2.0 * _hartley(w, t.s11, pt * pr * t.s11 - td * s12 - rd * s21 + dd * s22,
                          t.k * pt * pr + dd * t.s11)
     )
 
@@ -204,20 +206,19 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     the consumers rather than truncated here.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_sive_variance(_CellMoments(design, T, Y, beta, robust=False)))
+    return _single(_sive_variance(_CellMoments(design, _Atoms(design, T, Y), beta)))
 
 
 def _sive_variance(t: _CellMoments):
-    """``sive_variance`` from a fourth-order table at ``center = beta``."""
+    """``sive_variance`` from a table at ``center = beta``."""
     return _identified_ratio(_variance_at_center(t), t.a_form()[1], t.tt, power=2)
 
 
-def _at_beta_hat(base: _CellMoments, robust: bool) -> tuple[float, _CellMoments, float]:
-    """From the order-2 table at 0 of one design: the SIVE estimate, the
-    table at it (on ``base``'s atoms, with the robust test's sums if
-    ``robust``) and its ``sive_variance``."""
+def _at_beta_hat(base: _CellMoments) -> tuple[float, _CellMoments, float]:
+    """From the table at 0 of one design: the SIVE estimate, the table at it
+    (on ``base``'s atoms) and its ``sive_variance``."""
     beta_hat = _point_estimate(EstimatorKind.SIVE, base)
-    table = _CellMoments(base.design, None, None, beta_hat, base=base, robust=robust)
+    table = _CellMoments(base.design, base.atoms, beta_hat)
     return beta_hat, table, _single(_sive_variance(table))
 
 
@@ -283,7 +284,7 @@ def robust_test(
     """
     _check_alpha(alpha)
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    table = _CellMoments(design, T, Y, beta0, robust=False)
+    table = _CellMoments(design, _Atoms(design, T, Y), beta0)
     var, score = float(_variance_at_center(table)), float(table.a_form()[0])
     reject = not _accepts(score, var, _critical_value(alpha, two_sided), two_sided)
     return {"score": score, "variance_at_beta0": var, "reject": reject}
@@ -387,7 +388,7 @@ def robust_ci(
         raise ValueError("a one-sided robust confidence set needs alpha < 0.5")
     table = None
     if grid is None:
-        beta_hat, table, variance = _at_beta_hat(_CellMoments(design, T, Y, order=2), True)
+        beta_hat, table, variance = _at_beta_hat(_CellMoments(design, _Atoms(design, T, Y)))
         if not variance > 0.0:
             raise NonpositiveVarianceError(
                 "cannot derive a default grid: the variance estimate is not "
@@ -409,12 +410,13 @@ def robust_ci(
         if table is None:
             # Halves first, so that huge edges do not overflow the sum.
             center = 0.5 * low + 0.5 * high
-            table = _CellMoments(design, T, Y, center if np.isfinite(center) else 0.0)
+            center = center if np.isfinite(center) else 0.0
+            table = _CellMoments(design, _Atoms(design, T, Y), center)
         polynomials = _robust_polynomials(table)
     if not np.isfinite(np.concatenate(polynomials)).all():
         # Far from the data, R = Y - center T overflows: solve around 0, as
         # any overflow there is the data's own, and is reported.
-        table = _CellMoments(design, T, Y, base=table)
+        table = _CellMoments(design, table.atoms)
         polynomials = _robust_polynomials(table)
     exact = _robust_set(*polynomials, table.center, crit, two_sided)
     intervals = [
@@ -443,11 +445,11 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     not robust to within-group effect heterogeneity.
     """
     Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_chao_variance(_CellMoments(design, T, Y, beta_hat, robust=False)))
+    return _single(_chao_variance(_CellMoments(design, _Atoms(design, T, Y), beta_hat)))
 
 
 def _chao_variance(t: _CellMoments):
-    """``chao_variance`` from a fourth-order table at ``center = beta_hat``.
+    """``chao_variance`` from a table at ``center = beta_hat``.
 
     In a cell ``(AT)_i = pt - d u_i``, and J acts as ``w1 x_i - w2 X_g`` with
     the Hartley weights of whole groups (k = n_g) and ``X_g`` the group total
@@ -457,18 +459,19 @@ def _chao_variance(t: _CellMoments):
     second term is ``d^2 (W_c^2 - sum_c J(e*u)^2)`` per cell plus
     ``2 W_0 W_1 / n_g^2`` per group.
     """
+    s02, _, s12, s22 = t.variance_sums()
     d, pt, aa, c = t.d, t.p_values()[0], _aa(t), _constants(t.design)
     w1, w2 = (np.repeat(w, 2, axis=-1) for w in c.group_hartley)
     s02_g, s11_g = (
         np.repeat(s.reshape(s.shape[:-1] + (-1, 2)).sum(axis=-1), 2, axis=-1)
-        for s in (t.s02, t.s11)
+        for s in (s02, t.s11)
     )
-    term1 = _dot(w1, pt * pt * t.s02 - 2.0 * pt * d * t.s12 + d * d * t.s22)
+    term1 = _dot(w1, pt * pt * s02 - 2.0 * pt * d * s12 + d * d * s22)
     term1 -= _dot(w2 * s02_g, aa)
     shift = w2 * s11_g
     del w2, s02_g, s11_g  # freed once read, before the products where memory peaks
     w_sum = w1 * t.s11 - shift * t.k
-    w_sq = w1 * w1 * t.s22 - 2.0 * w1 * shift * t.s11 + shift * shift * t.k
+    w_sq = w1 * w1 * s22 - 2.0 * w1 * shift * t.s11 + shift * shift * t.k
     del w1, shift
     term2 = _dot(d * d, w_sum * w_sum - w_sq)
     term2 += 2.0 * _dot(w_sum[..., 0::2] * w_sum[..., 1::2], c.inv_n2)
@@ -540,6 +543,6 @@ def sive_report(
     point interval and no t statistic, a negative one an error.
     """
     table = _moments(design, sample)
-    beta_hat, _, variance = _at_beta_hat(table, False)
+    beta_hat, _, variance = _at_beta_hat(table)
     fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
     return _normal_report(beta_hat, variance, alpha, beta0, fs_diag)

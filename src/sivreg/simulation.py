@@ -139,6 +139,8 @@ class SimConfig:
             raise ValueError("n_hetero must lie in [0, n]")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 def _integer(name: str, value) -> int:
@@ -461,12 +463,12 @@ def _run_batch(cell: SimConfig, layout: _Layout, parts, errors, hits, alpha: flo
     constants and population truth (``_truth``) are computed once, and
     their atoms into one set (the chunks' own counts and atoms are then
     freed).  It builds one moment table at center 0 for every estimator
-    and, when variants are requested, one on top of it at each draw's SIVE
-    estimate, whose forms both variances share; the atoms go once both
-    tables are built.  Errors and tests are against each draw's own
-    ``beta_sive``.  A failed draw is attrition for everything, a failed
-    estimate for its own estimator (SIVE's also for every variant), and a
-    variance that is not positive for its own variant.
+    and, when variants are requested, one on the same atoms at each draw's
+    SIVE estimate, whose forms both variances share; the atoms go once it
+    has summed the variances' sums.  Errors and tests are against each
+    draw's own ``beta_sive``.  A failed draw is attrition for everything, a
+    failed estimate for its own estimator (SIVE's also for every variant),
+    and a variance that is not positive for its own variant.
     """
     kinds = tuple(errors)
     if hits and EstimatorKind.SIVE not in kinds:
@@ -476,7 +478,7 @@ def _run_batch(cell: SimConfig, layout: _Layout, parts, errors, hits, alpha: flo
     stack, atoms = _DesignStack(np.concatenate(counts)), _Atoms.join(atoms)
     del counts
     truth, valid = _truth(cell, layout, stack, np.concatenate(finite))
-    table = _CellMoments(stack, None, None, order=2, atoms=atoms)
+    table = _CellMoments(stack, atoms)
     estimates = {kind: _estimates(kind, table) for kind in kinds}
     for kind in errors:
         ok = valid & ~np.isnan(estimates[kind])
@@ -489,9 +491,9 @@ def _run_batch(cell: SimConfig, layout: _Layout, parts, errors, hits, alpha: flo
     if not ok.any():
         return
     center = np.where(ok, beta_hat, 0.0)[:, None]
-    # Neither variance reads the sums of the robust test's polynomial.
-    at_beta_hat = _CellMoments(stack, None, None, center, base=table, robust=False)
-    del atoms, table.atoms, at_beta_hat.atoms  # the variances read the sums only
+    at_beta_hat = _CellMoments(stack, atoms, center)
+    at_beta_hat.variance_sums()  # before the atoms go: both variances read only these
+    del atoms, table.atoms, at_beta_hat.atoms
     for variant in hits:
         variance = (_sive_variance if variant == "vhat" else _chao_variance)(at_beta_hat)
         # t_test's own rule: a variance that is not positive (or NaN) is not tested.

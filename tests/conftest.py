@@ -3,6 +3,7 @@
 import numpy as np
 
 from sivreg import Sample, build_design
+from sivreg.blockops import _Atoms, _CellMoments
 
 
 def random_design(rng, G=None, size_range=(4, 12), min_active=2, min_inactive=2):
@@ -37,6 +38,20 @@ def strong_sample(rng, design, tau=1.0, pi=0.8):
     T = 0.3 * g + pi * z + u
     Y = -0.2 * g + tau * T + e
     return Sample(outcome=Y, treatment=T)
+
+
+def moment_table(design, T, Y, center=0.0):
+    """The moment table of T and Y at ``center``, on atoms of its own."""
+    return _CellMoments(design, _Atoms(design, T, Y), center)
+
+
+def table_sums(table):
+    """Every per-cell array of ``table`` by name: the counts, the means and
+    each power sum ``s<j><l>``, building the groups of sums not yet built."""
+    names = ("s02", "s21", "s12", "s22", "s30", "s40", "s31")
+    return {"k": table.k, "mean_T": table.mean_T, "mean_Y": table.mean_Y,
+            "s20": table.s20, "s11": table.s11,
+            **dict(zip(names, table.variance_sums() + table.robust_sums()))}
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -14,7 +14,7 @@ them straight to (cell, arm) atoms: T and Y zeroed row by row.
 import numpy as np
 
 from sivreg import simulation
-from sivreg.blockops import _CellMoments
+from sivreg.blockops import _Atoms, _CellMoments
 from sivreg.design import DesignError, _DesignStack
 from sivreg.estimators import EstimationError, EstimatorKind, _point_estimate
 from sivreg.inference import _chao_variance, _sive_variance, t_test
@@ -68,7 +68,7 @@ def per_draw_replications(cell, estimators, variants, alpha):
         try:
             draw = generate_sample(cell, replication_seed(cell.master_seed, rep))
             Y, T = draw.sample.outcome, draw.sample.treatment
-            table = _CellMoments(draw.design, T, Y, order=2)
+            table = _CellMoments(draw.design, _Atoms(draw.design, T, Y))
         except (DesignError, EstimationError):
             continue
         truth = draw.truth["beta_sive"]
@@ -84,7 +84,7 @@ def per_draw_replications(cell, estimators, variants, alpha):
         beta_hat = estimates.get(EstimatorKind.SIVE)
         if beta_hat is None or not variants:
             continue
-        at_beta_hat = _CellMoments(draw.design, T, Y, beta_hat)
+        at_beta_hat = _CellMoments(draw.design, _Atoms(draw.design, T, Y), beta_hat)
         for variant in variants:
             variance = _sive_variance if variant == "vhat" else _chao_variance
             try:

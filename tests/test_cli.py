@@ -579,6 +579,20 @@ def test_simulate_seed_must_be_an_integer(tmp_path, seed):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    # A negative seed used to pass the config check and fail only at the
+    # first draw, with numpy's message, after the output directory was made.
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+        sivreg.SimConfig(master_seed=-1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SIM_CONFIG))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "master_seed must be non-negative" in err
+    assert not out.exists()
+
+
 def test_simulate_config_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 160, "frobnicate": 1}))

@@ -53,7 +53,7 @@ from sivreg.oracle import assemble, oracle_chao_variance, oracle_estimate, oracl
 from sivreg import blockops, inference, simulation
 from sivreg.simulation import _run_grid
 
-from conftest import random_design, strong_sample
+from conftest import moment_table, random_design, strong_sample, table_sums
 from per_draw_reference import draw_stack, kept_rows, layout_of
 
 
@@ -434,9 +434,9 @@ def test_robust_polynomials_are_exact():
     for pi in (0.0, 1.0):
         d = random_design(rng, G=4, size_range=(5, 12))
         Y, T = weak_or_strong_sample(rng, d, pi)
-        score, variance = _robust_polynomials(_CellMoments(d, T, Y))
+        score, variance = _robust_polynomials(moment_table(d, T, Y))
         for beta in (-50.0, -1.0, 0.0, 0.3, 2.0, 1000.0):
-            s_at, v_at = _robust_polynomials(_CellMoments(d, T, Y, center=beta))
+            s_at, v_at = _robust_polynomials(moment_table(d, T, Y, center=beta))
             s, v = s_at[0], v_at[0]
             assert abs(score[0] + score[1] * beta - s) <= 1e-10 * abs(s)
             v_poly = np.polynomial.polynomial.polyval(beta, variance)
@@ -702,7 +702,7 @@ def test_moment_table_matches_operator_path(case):
     Y, T = s.outcome, s.treatment
     Y0, T0 = Y - offset_Y, T - offset_T
     for center in (0.0, 0.25, 37.0, slope):
-        score, variance = _robust_polynomials(_CellMoments(d, T, Y, center))
+        score, variance = _robust_polynomials(moment_table(d, T, Y, center))
         ref_score, ref_variance = operator_polynomials(d, Y0, T0, center)
         for value, terms in zip([*score, *variance], [*ref_score, *ref_variance]):
             assert_sum_close(float(value), terms)
@@ -785,10 +785,10 @@ _POWER_SUMS = ("s20", "s11", "s02", "s30", "s21", "s12", "s40", "s31", "s22")
 ATOM_CENTERS = (0.0, 0.25, 37.0)
 
 
-def row_table(design, T, Y, center=0.0, **kwargs):
+def row_table(design, T, Y, center=0.0):
     """The table merged from one-row atoms, whatever T holds."""
     with mock.patch.object(blockops, "_binary_arms", lambda T: None):
-        return _CellMoments(design, T, Y, center, **kwargs)
+        return moment_table(design, T, Y, center)
 
 
 def assert_atoms_match_rows(design, T, Y, center):
@@ -805,7 +805,7 @@ def assert_atoms_match_rows(design, T, Y, center):
     """
     from sivreg.inference import _robust_polynomials
 
-    atoms, rows = _CellMoments(design, T, Y, center), row_table(design, T, Y, center)
+    atoms, rows = moment_table(design, T, Y, center), row_table(design, T, Y, center)
     assert atoms.atoms.counts is not None and rows.atoms.counts is None
     for name in ("k", "mean_T", "mean_Y", "tt"):
         assert np.asarray(getattr(atoms, name)).tobytes() == np.asarray(
@@ -820,9 +820,10 @@ def assert_atoms_match_rows(design, T, Y, center):
 
     u = T - gather(rows.mean_T)
     e = Y - gather(rows.mean_Y) - np.asarray(center) * u
+    got_sums, want_sums = table_sums(atoms), table_sums(rows)
     for name in _POWER_SUMS:
         scale = cell_sum(np.abs(u) ** int(name[1]) * np.abs(e) ** int(name[2]))
-        error = np.abs(getattr(atoms, name) - getattr(rows, name)).reshape(-1)
+        error = np.abs(got_sums[name] - want_sums[name]).reshape(-1)
         assert (error <= TABLE_RTOL * scale).all(), (name, center)
 
     pt, pr = rows.p_values()
@@ -979,10 +980,6 @@ def test_moment_table_pass_counts(monkeypatch):
             assert len(calls) == per_batch * batches
 
 
-_TABLE_SUMS = ("k", "mean_T", "mean_Y", "s20", "s11", "s02", "s30", "s21", "s12",
-               "s40", "s31", "s22")
-
-
 def _count_builds_and_sums(monkeypatch):
     """Patch in counters of ``_Atoms`` builds and cell sums; return
     ``passes(call)``, the two counts ``call()`` makes."""
@@ -1015,25 +1012,25 @@ def _binary_and_other_treatments(rng, d):
 
 
 def test_table_on_a_base_reuses_the_sums_free_of_the_center(monkeypatch):
-    # A table on a base reads neither T nor Y (None will do) and builds no
-    # atoms; it is bit-equal to one built from scratch at either center.
-    # From (cell, arm) atoms it forms no cell sum; from one-row atoms 8, not
-    # 11, as the means and s20 are lent.
+    # A second table on the same atoms builds no atoms and sums only s11: no
+    # cell sum from (cell, arm) atoms and one from one-row atoms, as the
+    # means and s20 are shared.  It is bit-equal to a table on atoms of its
+    # own at either center, each group of sums included.
     passes = _count_builds_and_sums(monkeypatch)
     rng = np.random.default_rng(46)
     d = random_design(rng, G=6, size_range=(6, 14))
     for Y, T in _binary_and_other_treatments(rng, d):
         binary = set(np.unique(T)) <= {0.0, 1.0}
-        base = _CellMoments(d, T, Y, order=2)
+        base = moment_table(d, T, Y)
         for center in (0.7, 0.0):
-            fresh = _CellMoments(d, T, Y, center)
+            fresh = moment_table(d, T, Y, center)
             shared = []
             assert passes(
-                lambda: shared.append(_CellMoments(d, None, None, center, base=base))
-            ) == (0, 0 if binary else 8)
-            for name in _TABLE_SUMS + ("tt",):
-                want = np.asarray(getattr(fresh, name)).tobytes()
-                assert np.asarray(getattr(shared[0], name)).tobytes() == want, name
+                lambda: shared.append(_CellMoments(d, base.atoms, center))
+            ) == (0, 0 if binary else 1)
+            want = table_sums(fresh) | {"tt": fresh.tt}
+            for name, got in (table_sums(shared[0]) | {"tt": shared[0].tt}).items():
+                assert np.asarray(got).tobytes() == np.asarray(want[name]).tobytes(), name
         report = sive_report(d, Sample(Y, T))
         assert report.variance == sive_variance(d, Y, T, report.beta_hat)
 
@@ -1206,9 +1203,9 @@ def assert_sive_variance_is_v0(design, T, Y, center):
         score, variance = _robust_polynomials(table)
         return _identified_ratio(variance[0], -score[1], table.tt, power=2)
 
-    want = via_polynomials(_CellMoments(design, T, Y, center))
-    assert_same_bits(_sive_variance(_CellMoments(design, T, Y, center)), want, center)
-    shared = _CellMoments(design, T, Y, center)
+    want = via_polynomials(moment_table(design, T, Y, center))
+    assert_same_bits(_sive_variance(moment_table(design, T, Y, center)), want, center)
+    shared = moment_table(design, T, Y, center)
     assert_same_bits(_sive_variance(shared), want, center)
     assert_same_bits(via_polynomials(shared), want, center)
 
@@ -1233,6 +1230,47 @@ def test_sive_variance_reads_v0_on_a_stack_that_drops_groups(case):
     stack, T, Y, slope = case
     for center in ATOM_CENTERS + (slope, 0.25 + np.arange(T.shape[0])[:, None]):
         assert_sive_variance_is_v0(stack, T, Y, center)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 199), st.booleans())
+def test_estimates_variance_and_robust_set_keep_the_model_invariances(seed, binary):
+    # End to end, on a 0/1 T ((cell, arm) atoms) and a continuous one
+    # (one-row atoms): swapping the instrument's arms leaves every estimate,
+    # the report's variance and the robust set unchanged; Y + b T shifts
+    # every estimate, and the set on a window shifted by b, by b; a Y scales
+    # every estimate by a.  Each within 1e-12 of the value, or of 1 if smaller.
+    rng = np.random.default_rng(seed)
+    d = random_design(rng, G=int(rng.integers(5, 30)), size_range=(6, 20))
+    s = strong_sample(rng, d)
+    if binary:
+        T = (rng.random(d.n) < 0.2 + 0.6 * d.instrument).astype(float)
+        s = Sample(0.3 * d.group_of + T + rng.standard_normal(d.n), T)
+    Y, T = s.outcome, s.treatment
+    swapped = SaturatedDesign(d.group_of, 1 - d.instrument)
+    b, a = 2.5, -3.0
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+    def endpoints(design, Y, low):
+        ci = robust_ci(design, Y, T, grid={"low": low, "high": low + 20.0})
+        return [x for interval in ci["intervals"] for x in interval]
+
+    for estimate in (estimate_sive, estimate_tsls, estimate_jive1, estimate_jive2):
+        beta = estimate(d, s)
+        close(estimate(swapped, s), beta)
+        close(estimate(d, Sample(Y + b * T, T)), beta + b)
+        close(estimate(d, Sample(a * Y, T)), a * beta)
+    close(sive_report(swapped, s).variance, sive_report(d, s).variance)
+    want = endpoints(d, Y, -10.0)
+    for got, ref in (
+        (endpoints(swapped, Y, -10.0), want),
+        (endpoints(d, Y + b * T, -10.0 + b), [x + b for x in want]),
+    ):
+        assert len(got) == len(ref)
+        for x, y in zip(got, ref):
+            close(x, y)
 
 
 def _constants_of(design, fresh=False):
@@ -1274,14 +1312,14 @@ def _copies(forms):
 
 
 def assert_forms_survive_every_reader(design, T, Y, remake):
-    """Run the four estimators and both variances on one fourth-order table
+    """Run the four estimators and both variances on one table
     at center 0, then check that its forms are still their first values;
     its design's constants and its forms are kept, read-only, and equal a
     recomputation on a fresh design (``remake``) and a fresh table."""
     from sivreg.estimators import _FORMS, _estimates
     from sivreg.inference import _chao_variance, _sive_variance
 
-    table = _CellMoments(design, T, Y)
+    table = moment_table(design, T, Y)
     first_forms = _forms(table)
     before = _copies(first_forms)
     constants = _constants_of(design)
@@ -1297,7 +1335,7 @@ def assert_forms_survive_every_reader(design, T, Y, remake):
     assert_kept_read_only_and_fresh(
         constants, _constants_of(design), _constants_of(fresh_design, fresh=True)
     )
-    fresh_table = _CellMoments(fresh_design, T, Y)
+    fresh_table = moment_table(fresh_design, T, Y)
     assert_kept_read_only_and_fresh(first_forms, after, _forms(fresh_table, fresh=True))
 
 

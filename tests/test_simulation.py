@@ -92,6 +92,7 @@ def test_config_validation():
         ("alpha", "0.1"),
         # an integer past the float range, which math.isfinite cannot convert
         pytest.param("rho", 10**400, id="rho-10**400"),
+        ("master_seed", -1),
     ],
 )
 def test_simulate_rejects_bad_config_value(tmp_path, capsys, field, value):

@@ -21,7 +21,14 @@ from sivreg._normal import ndtri
 from sivreg.blockops import _Atoms, _CellMoments
 from sivreg.design import DesignError
 from sivreg.estimators import EstimationError, _estimates
-from sivreg.inference import _chao_variance, _sive_variance, _variance_at_center
+from sivreg.inference import (
+    _chao_variance,
+    _sive_variance,
+    _variance_at_center,
+    chao_variance,
+    robust_test,
+    sive_variance,
+)
 from sivreg.simulation import (
     DEFAULT_ESTIMATORS,
     _VARIANTS,
@@ -36,6 +43,7 @@ from sivreg.simulation import (
     summarize,
 )
 
+from conftest import moment_table, table_sums
 from per_draw_reference import (
     draw_stack,
     kept_rows,
@@ -96,8 +104,8 @@ def test_stacked_tables_equal_per_draw_tables(case):
     truth, valid = _truth(cell, layout_of(cell), stack, finite)
     centers = 0.37 + np.arange(len(reps))
     stacked = (
-        (_CellMoments(stack, T, Y, order=2), 0.0 * centers, 2, SECOND_ORDER),
-        (_CellMoments(stack, T, Y, centers[:, None]), centers, 4, FOURTH_ORDER),
+        (moment_table(stack, T, Y), 0.0 * centers, SECOND_ORDER),
+        (moment_table(stack, T, Y, centers[:, None]), centers, FOURTH_ORDER),
     )
     for i, rep in enumerate(reps):
         try:
@@ -113,11 +121,12 @@ def test_stacked_tables_equal_per_draw_tables(case):
         dropped = np.setdiff1d(np.arange(2 * stack.G), cells)
         d, s = draw.design, draw.sample
         refs = []
-        for table, center, order, names in stacked:
-            ref = _CellMoments(d, s.treatment, s.outcome, center[i], order=order)
+        for table, center, names in stacked:
+            ref = moment_table(d, s.treatment, s.outcome, center[i])
             refs.append(ref)
+            got_sums, want_sums = table_sums(table), table_sums(ref)
             for name in names:
-                got, want = getattr(table, name)[i], getattr(ref, name)
+                got, want = got_sums[name][i], want_sums[name]
                 scale = max(float(np.abs(want).max()), 1e-300)
                 assert np.abs(got[cells] - want).max() <= 1e-12 * scale, name
                 if name != "k":
@@ -377,28 +386,34 @@ def test_draw_with_no_kept_group_in_a_wide_batch():
         _agree(np.array(got[0][kind]), np.array(want_errors[kind]), exact=False)
 
 
-def test_variances_read_none_of_the_robust_sums():
-    # simulate's table at beta_hat, and the public variances' and robust
-    # test's tables, leave out s30, s40 and s31, which only the robust test's
-    # variance polynomial reads; both variances on it, the variance at the
-    # center and the A forms are bit-equal to those on the full table.  A
-    # chunk that drops groups, and one design whose T is not 0/1 (one-row atoms).
+def test_variances_read_none_of_the_robust_sums(monkeypatch):
+    # s30, s40 and s31 are read only by the robust test's variance polynomial
+    # in beta0: the public variances, the robust test at one value and a
+    # simulate batch never build them.  Both variances, the variance at the
+    # center and the A forms on a table that builds only what they read are
+    # bit-equal to those on one whose groups were all built first.  A chunk
+    # that drops groups, and one design whose T is not 0/1 (one-row atoms).
+    built = []
+    real = _CellMoments.robust_sums
+    monkeypatch.setattr(_CellMoments, "robust_sums", lambda t: built.append(1) or real(t))
     cell = SimConfig(n=3000, L=300, replications=4, master_seed=3)
     stack, T, Y, _ = draw_stack(cell, range(4))
     draw = generate_sample(cell, replication_seed(3, 0))
     T1 = draw.sample.treatment + 0.25 * draw.sample.outcome
+    for entry in (sive_variance, chao_variance, robust_test):
+        entry(draw.design, draw.sample.outcome, T1, 0.7)
+    _replications([cell], DEFAULT_ESTIMATORS, _VARIANTS, 0.05)
+    assert not built
     cases = ((stack, T, Y, 0.2 + np.arange(4.0)[:, None]), (draw.design, T1, draw.sample.outcome, 0.7))
     for design, T, Y, center in cases:
-        full = _CellMoments(design, T, Y, center)
-        base = _CellMoments(design, T, Y, order=2)
-        for reduced in (
-            _CellMoments(design, T, Y, center, robust=False),
-            _CellMoments(design, None, None, center, base=base, robust=False),
-        ):
-            assert not any(hasattr(reduced, name) for name in ("s30", "s40", "s31"))
-            for variance in (_sive_variance, _chao_variance, _variance_at_center):
-                assert variance(reduced).tobytes() == variance(full).tobytes()
-            assert np.array(reduced.a_form()).tobytes() == np.array(full.a_form()).tobytes()
+        full = moment_table(design, T, Y, center)
+        full.robust_sums(), full.variance_sums()
+        lean = moment_table(design, T, Y, center)
+        for variance in (_sive_variance, _chao_variance, _variance_at_center):
+            assert variance(lean).tobytes() == variance(full).tobytes()
+        assert np.array(lean.a_form()).tobytes() == np.array(full.a_form()).tobytes()
+        assert len(built) == 1 and "_memorobust_sums" not in vars(lean)
+        built.clear()
 
 
 @pytest.mark.parametrize("L, widths, bound_kb", [(25, (4, 12), 780), (300, (4, 1), 760)])
@@ -444,9 +459,9 @@ def test_reduced_atoms_equal_atoms_of_zeroed_rows(case):
         stack, T, Y, want_finite = draw_stack(cell, reps)
         want = _Atoms(stack, T, Y)
         centers = 0.3 + np.arange(len(reps))[:, None]
+        # Every group of sums is built here, where the overflow is expected.
         tables = [
-            (_CellMoments(stack, None, None, c, atoms=atoms),
-             _CellMoments(stack, None, None, c, atoms=want))
+            (table_sums(_CellMoments(stack, atoms, c)), table_sums(_CellMoments(stack, want, c)))
             for c in (0.0, centers)
         ]
     assert counts.tobytes() == stack.counts.tobytes()
@@ -456,10 +471,9 @@ def test_reduced_atoms_equal_atoms_of_zeroed_rows(case):
     kept = np.repeat(stack.keep & finite[:, None], 2, axis=1)
     assert atoms.counts[:, kept].tobytes() == want.counts[:, kept].tobytes()
     assert not atoms.counts[:, ~kept].any()
-    for got_table, want_table in tables:
+    for got_sums, want_sums in tables:
         for name in FOURTH_ORDER:
-            got, ref = getattr(got_table, name), getattr(want_table, name)
-            assert got.tobytes() == ref.tobytes(), name
+            assert got_sums[name].tobytes() == want_sums[name].tobytes(), name
 
 
 @st.composite
