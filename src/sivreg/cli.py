@@ -51,13 +51,7 @@ from .estimators import (
     estimate_tsls_generic,
     first_stage_strength,
 )
-from .inference import (
-    InferenceReport,
-    _check_alpha,
-    _normal_report,
-    robust_ci,
-    sive_report,
-)
+from .inference import _at_beta_hat, _check_alpha, _normal_report, robust_ci
 from .simulation import (
     SCHEMA_VERSION,
     SimConfig,
@@ -307,6 +301,8 @@ def _load_columns(csv_path, needed, binarize, floats=()) -> dict:
     for col, threshold in _parse_binarize(binarize):
         if col not in columns:
             raise CliValidationError(f"--binarize column {col!r} not in header")
+        if recoded.count(col) > 1:  # a second threshold would recode the 0/1 column
+            raise CliValidationError(f"--binarize names column {col!r} more than once")
         columns[col] = (_finite_column(columns, col) > threshold).astype(np.float64)
     return columns
 
@@ -535,10 +531,11 @@ def cmd_estimate(
     """Estimate one spec/estimator combination and report inference as JSON.
 
     The blockwise estimators require the fully saturated spec; every spec
-    runs the generic two-stage path (``estimate_tsls_generic``).  The saturated TSLS and
-    jackknife baselines carry no variance theory here, so their variance
-    fields are null.  ``reference`` re-computes blockwise results with the
-    dense reference implementation and attaches them.
+    runs the generic two-stage path (``estimate_tsls_generic``).  The
+    blockwise estimates and every first-stage strength read one moment table.
+    The saturated TSLS and jackknife baselines carry no variance theory here,
+    so their variance fields are null.  ``reference`` re-computes blockwise
+    results with the dense reference implementation and attaches them.
     """
     _check_alpha(alpha)
     blockwise = estimator is not EstimatorKind.TSLS_GENERIC
@@ -555,24 +552,16 @@ def cmd_estimate(
     prep = _prepare(csv_path, schema, min_active, min_inactive, binarize)
     design, sample = prep.design, prep.sample
 
+    table = _moments(design, sample)
     if estimator is EstimatorKind.SIVE:
-        report = sive_report(design, sample, alpha=alpha)
+        beta, var = _at_beta_hat(table)[::2]  # the table at beta is not kept
     elif blockwise:
-        table = _moments(design, sample)
-        report = InferenceReport(
-            beta_hat=_point_estimate(estimator, table),
-            variance=None,
-            std_error=None,
-            ci_low=None,
-            ci_high=None,
-            beta0=None,
-            t_stat=None,
-            fs_diag=first_stage_strength(design, pi=table.group_gaps()[0]),
-        )
+        beta, var = _point_estimate(estimator, table), None
     else:
         beta, var = _generic_fit(spec, schema, prep)
-        fs_diag = first_stage_strength(design, treatment=sample.treatment)
-        report = _normal_report(beta, var, alpha, 0.0, fs_diag)
+    fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
+    del table  # before the rows: freed after them, it leaves a heap that slows later ops
+    report = _normal_report(beta, var, alpha, 0.0, fs_diag)
 
     payload = _report_head(
         "estimate", prep, alpha, min_active, min_inactive,

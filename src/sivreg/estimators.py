@@ -30,14 +30,12 @@ import numpy as np
 from .blockops import (
     projection_diag_P,
     _Atoms,
-    _cell_means,
     _CellMoments,
-    _check_vector,
     _constants,
     _dot,
     _require_cells,
 )
-from .design import Sample, SaturatedDesign, _check_sample
+from .design import DesignError, Sample, SaturatedDesign, _check_sample
 
 __all__ = [
     "EstimatorKind",
@@ -247,15 +245,20 @@ def estimate_tsls_generic(
 
     Raises
     ------
+    DesignError
+        If Y and T are not finite vectors with one entry per instrument row.
     RankDeficiencyError
         If no instrument survives elimination or the projected regressors are
         singular; the message lists the columns that elimination removed.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    T = np.asarray(T, dtype=np.float64)
+    # Copies, so that the caller's arrays are not made read-only.
+    sample = Sample(np.array(Y, dtype=np.float64), np.array(T, dtype=np.float64))
+    Y, T = sample.outcome, sample.treatment
     Zin = np.atleast_2d(np.asarray(instrument_matrix, dtype=np.float64))
     if Zin.shape[0] == 1 and Y.size > 1:
         Zin = Zin.T
+    if Zin.shape[0] != Y.size:
+        raise DesignError(f"sample has {Y.size} rows but the instruments have {Zin.shape[0]}")
     if control_matrix is None:
         C = np.empty((Y.size, 0))
     else:
@@ -413,21 +416,10 @@ def _shared_effect(tau: np.ndarray, keep: np.ndarray | None = None):
     return np.where(low == high, low, np.nan)
 
 
-def first_stage_strength(
-    design: SaturatedDesign, pi=None, treatment=None
-) -> dict:
-    """First-stage signal FS and the concentration parameter ``mu_n = n FS / G``.
-
-    Pass per-group complier shares ``pi`` when they are known; otherwise pass
-    the realized treatment and the shares are estimated as the within-group
-    difference of cell means of T.
-    """
-    if (pi is None) == (treatment is None):
-        raise ValueError("provide exactly one of pi or treatment")
-    if pi is None:
-        _require_cells(design, 1)
-        means = _cell_means(design, _check_vector(design, treatment))
-        pi = means[1::2] - means[0::2]
+def first_stage_strength(design: SaturatedDesign, pi) -> dict:
+    """First-stage signal FS and the concentration parameter ``mu_n = n FS / G``
+    from per-group complier shares ``pi``: known ones, or a sample's estimates,
+    its moment table's gaps of cell means of T (``table.group_gaps()[0]``)."""
     pi = _broadcast(pi, design.G, "G", "pi")
     c = _constants(design)
     fs = float((c.size_share * pi**2 * c.share * (1.0 - c.share)).sum())

@@ -482,8 +482,8 @@ def _chao_variance(t: _CellMoments):
 class InferenceReport:
     """Point estimate with variance, interval, test and first-stage diagnostics.
 
-    Fields that require a positive variance are None when no variance is
-    available for the estimator.
+    Fields that require a variance, and ``beta0``, are None when no variance
+    is available for the estimator.
     """
 
     beta_hat: float
@@ -491,7 +491,7 @@ class InferenceReport:
     std_error: float | None
     ci_low: float | None
     ci_high: float | None
-    beta0: float
+    beta0: float | None
     t_stat: float | None
     fs_diag: dict | None
 
@@ -500,14 +500,16 @@ class InferenceReport:
 
 
 def _normal_report(
-    beta_hat: float, variance: float, alpha: float, beta0: float, fs_diag: dict
+    beta_hat: float, variance: float | None, alpha: float, beta0: float, fs_diag: dict
 ) -> InferenceReport:
     """Normal-theory interval and t statistic of ``beta = beta0`` at ``beta_hat``.
 
-    An exactly zero variance (noiseless data) degenerates gracefully: zero
-    standard error, a point interval, and no t statistic.  A negative
-    variance estimate is surfaced as an error.
+    Without a variance (None), those and ``beta0`` are None.  An exactly zero
+    variance (noiseless data) degenerates gracefully: zero standard error, a
+    point interval, and no t statistic.  A negative one is an error.
     """
+    if variance is None:
+        return InferenceReport(beta_hat, None, None, None, None, None, None, fs_diag)
     if variance < 0.0:
         raise NonpositiveVarianceError(
             f"variance estimate {variance} is negative; "

@@ -14,6 +14,7 @@ import pytest
 import sivreg
 from sivreg import EstimatorKind, estimate_tsls_generic
 from sivreg.cli import (
+    CliValidationError,
     DatasetSchema,
     SpecChoice,
     _generic_fit,
@@ -631,6 +632,23 @@ def test_simulate_refuses_a_config_of_the_wrong_shape(tmp_path, capsys, config, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda data: DatasetSchema("y", "t", ""), "an instrument column is required"),
+        (lambda data: cmd_estimate(data, DatasetSchema(None, "t", "z", ("w",))),
+         "outcome and treatment columns are required for this command"),
+        (lambda data: cmd_estimate(data, DatasetSchema("y", None, "z", ("w",))),
+         "outcome and treatment columns are required for this command"),
+    ],
+    ids=["no instrument", "no outcome", "no treatment"],
+)
+def test_a_schema_without_a_needed_role_is_refused(tmp_path, call, message):
+    data = write_text(tmp_path / "ok.csv", "y,t,z,w\n" + OK_ROWS)
+    with pytest.raises(CliValidationError, match=f"^{message}$"):
+        call(data)
+
+
 @pytest.mark.parametrize("command", ["estimate", "robust-ci"])
 def test_a_column_given_two_roles_is_refused(tmp_path, capsys, command):
     ok = write_text(tmp_path / "ok.csv", "y,t,z,w\n" + OK_ROWS)
@@ -726,6 +744,17 @@ def test_binarize_refuses_a_nonfinite_threshold(tmp_path, capsys, command, raw):
     ) == f"--binarize threshold {raw!r} is not a finite number"
 
 
+@pytest.mark.parametrize("command", ["estimate", "audit"])
+def test_binarize_refuses_a_column_named_twice(tmp_path, capsys, command):
+    # A second spec would threshold the 0/1 column the first one made.
+    ok = write_text(tmp_path / "ok.csv", "y,t,z,w\n" + OK_ROWS)
+    roles = BASE if command != "audit" else ["--instrument", "z", "--covariates", "w"]
+    binarize = ["--binarize", "t:0", "--binarize", "y:1", "--binarize", "t:1"]
+    assert validation_error([command, "--data", ok, *roles, *binarize], capsys) == (
+        "--binarize names column 't' more than once"
+    )
+
+
 @pytest.mark.parametrize(
     "header, rows, extra, message",
     [
@@ -751,6 +780,11 @@ def test_binarize_refuses_a_nonfinite_threshold(tmp_path, capsys, command, raw):
         ("y,t,z,w", "x,x,1,0\n", (), "column 'y', data row 1: cannot parse"),
         # within a column, the first bad row is reported
         ("y,t,z,w", "1,0,1,0\n1,,1,0\n1,x,1,0\n", (), "column 't', data row 2: missing value"),
+        # missing columns come before a column that --binarize names twice
+        ("y,t,z", "1,0,1\n", ("--binarize", "t:0", "--binarize", "t:1"), "missing columns: w"),
+        # a column named twice is refused before its cells are read
+        ("y,t,z,w,e", "1,0,1,0,x\n", ("--binarize", "e:1", "--binarize", "e:2"),
+         "--binarize names column 'e' more than once"),
     ],
 )
 def test_ingest_error_precedence(tmp_path, capsys, header, rows, extra, message):

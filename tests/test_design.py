@@ -114,6 +114,24 @@ def test_build_rejects_2d_instrument():
         build_design([[0], [0]], [[1], [0]])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SaturatedDesign(["a", "b"], [1, 0]), "^group_of entries must be integers$"),
+        (lambda: SaturatedDesign([[0, 0]], [1, 0]), "^group_of and instrument must be 1-dimensional$"),
+        (lambda: SaturatedDesign([0, 0, 0], [1, 0]),
+         "^length mismatch: group_of has 3 entries, instrument has 2$"),
+        (lambda: SaturatedDesign([0, 0], [1, 0], group_keys=("a", "b")),
+         r"^group_keys must have one entry per group \(1\)$"),
+        (lambda: Sample([[1.0, 2.0]], [0.0, 1.0]), "^outcome and treatment must be 1-dimensional$"),
+    ],
+    ids=["non-numeric", "2-D group_of", "unequal lengths", "group_keys", "2-D outcome"],
+)
+def test_malformed_design_or_sample_is_refused(make, message):
+    with pytest.raises(DesignError, match=message):
+        make()
+
+
 def test_design_arrays_read_only():
     d = build_design([[0], [0], [1], [1]], [1, 0, 1, 0])
     for arr in (d.group_of, d.instrument, d.group_sizes, d.treated_counts):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sivreg import (
     DegenerateGroupError,
+    DesignError,
     EstimationError,
     EstimatorKind,
     GroupSizeError,
@@ -28,7 +29,8 @@ from sivreg import (
     trace_A_squared,
 )
 
-from sivreg.estimators import PIVOT_RTOL, _drop_collinear
+from sivreg.blockops import _cell_means
+from sivreg.estimators import PIVOT_RTOL, _drop_collinear, _moments
 from sivreg.oracle import DenseDesign, oracle_estimate
 
 from conftest import random_design, strong_sample
@@ -113,6 +115,34 @@ def test_generic_exact_identification_is_a_moment_ratio():
     beta, var = estimate_tsls_generic(Y, T, z[:, None])
     assert abs(beta - (z @ Y) / (z @ T)) < 1e-10
     assert var > 0.0
+    # one instrument may be given as a vector
+    assert estimate_tsls_generic(Y, T, z) == (beta, var)
+    # the checks read copies: the caller's arrays stay writeable
+    assert Y.flags.writeable and T.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("Y", "^outcome contains non-finite entries$"),
+        ("T", "^treatment contains non-finite entries$"),
+        ("short Y", "^length mismatch: outcome has 39 entries, treatment has 40$"),
+        ("short Y and T", "^sample has 39 rows but the instruments have 40$"),
+        ("2-D Y", "^outcome and treatment must be 1-dimensional$"),
+    ],
+)
+def test_generic_refuses_a_malformed_outcome_or_treatment(bad, message):
+    # Checked before any arithmetic: a NaN would give (nan, nan), an inf
+    # numpy's SVD failure and a short vector numpy's concatenate error.
+    rng = np.random.default_rng(16)
+    z = rng.integers(0, 2, 40).astype(float)
+    Y, T = rng.standard_normal(40), z + rng.standard_normal(40)
+    Y[3] = np.nan if bad == "Y" else Y[3]
+    T[5] = np.inf if bad == "T" else T[5]
+    Y = Y[1:] if bad.startswith("short") else Y[:, None] if bad == "2-D Y" else Y
+    T = T[1:] if bad == "short Y and T" else T
+    with pytest.raises(DesignError, match=message):
+        estimate_tsls_generic(Y, T, z[:, None])
 
 
 def test_generic_controls_absorbing_outcome():
@@ -356,19 +386,26 @@ def test_first_stage_strength_frozen_values():
 def test_first_stage_strength_from_treatment():
     d = two_groups()
     z = d.instrument.astype(float)
-    diag = first_stage_strength(d, treatment=z)
+    diag = first_stage_strength(d, pi=_moments(d, Sample(z, z)).group_gaps()[0])
     # perfect compliance: estimated shares differ by exactly one
     expected = first_stage_strength(d, pi=[1.0, 1.0])
     assert abs(diag["FS"] - expected["FS"]) < 1e-12
     assert abs(diag["mu_n"] - expected["mu_n"]) < 1e-12
 
+    # A table's gaps are the per-row gaps of cell means bit for bit: a 0/1 T
+    # is summed as exact counts, any other T by the same cell means.
+    rng = np.random.default_rng(15)
+    d = random_design(rng, G=6)
+    for T in (rng.integers(0, 2, d.n).astype(float), rng.standard_normal(d.n)):
+        means = _cell_means(d, T)
+        gaps = _moments(d, Sample(T, T)).group_gaps()[0]
+        assert gaps.tobytes() == (means[1::2] - means[0::2]).tobytes()
 
-def test_first_stage_strength_requires_exactly_one_source():
+
+def test_first_stage_strength_needs_one_share_per_group():
     d = two_groups()
-    with pytest.raises(ValueError, match="exactly one"):
-        first_stage_strength(d)
-    with pytest.raises(ValueError, match="exactly one"):
-        first_stage_strength(d, pi=0.5, treatment=d.instrument.astype(float))
+    with pytest.raises(ValueError, match="^pi must be a scalar or have length G=2$"):
+        first_stage_strength(d, pi=[0.5, 0.5, 0.5])
 
 
 def test_sample_length_checked():

@@ -47,7 +47,7 @@ from sivreg.blockops import (
     apply_P,
 )
 from sivreg.design import _DesignStack
-from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError
+from sivreg.estimators import DENOMINATOR_RTOL, EstimatorKind, WeakDenominatorError, _moments
 from sivreg.inference import hartley_sigma
 from sivreg.oracle import assemble, oracle_chao_variance, oracle_estimate, oracle_variance
 from sivreg import blockops, inference, simulation
@@ -492,9 +492,8 @@ def test_alpha_must_lie_inside_unit_interval(alpha):
         lambda d, v: apply_A(d, v),
         lambda d, v: sive_variance(d, np.ones(d.n), v, 1.0),
         lambda d, v: robust_ci(d, v, np.ones(d.n), grid={"low": 0.0, "high": 2.0}),
-        lambda d, v: first_stage_strength(d, treatment=v),
     ],
-    ids=["apply_A", "sive_variance", "robust_ci", "first_stage_strength"],
+    ids=["apply_A", "sive_variance", "robust_ci"],
 )
 def test_wrong_length_vector_raises_design_error(call):
     d = random_design(np.random.default_rng(45), G=3, size_range=(8, 12))
@@ -707,7 +706,8 @@ def test_moment_table_matches_operator_path(case):
         for value, terms in zip([*score, *variance], [*ref_score, *ref_variance]):
             assert_sum_close(float(value), terms)
 
-    assert_sum_close(first_stage_strength(d, treatment=T)["FS"] * d.n, apply_P(d, T0) * T0)
+    fs = first_stage_strength(d, pi=moment_table(d, T, Y).group_gaps()[0])["FS"]
+    assert_sum_close(fs * d.n, apply_P(d, T0) * T0)
 
     for kind, estimate in ESTIMATORS.items():
         Yr, Tr = (Y, T) if kind is EstimatorKind.JIVE1 else (Y0, T0)
@@ -1089,19 +1089,17 @@ _VECTOR_ENTRY_POINTS = {
     "robust_test": lambda d, Y, T: robust_test(d, Y, T, 0.5),
     "robust_ci_window": lambda d, Y, T: robust_ci(d, Y, T, grid={"low": -5, "high": 5}),
     "robust_ci_default": lambda d, Y, T: robust_ci(d, Y, T),
-    "first_stage_strength": lambda d, Y, T: first_stage_strength(d, treatment=T),
+    # the shares of a sample are read off its moment table
+    "first_stage_strength": lambda d, Y, T: first_stage_strength(
+        d, pi=_moments(d, Sample(Y, T)).group_gaps()[0]
+    ),
 }
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "entry, vector",
-    [
-        (entry, vector)
-        for entry in _VECTOR_ENTRY_POINTS
-        for vector in ("Y", "T")
-        if not (entry == "first_stage_strength" and vector == "Y")
-    ],
+    [(entry, vector) for entry in _VECTOR_ENTRY_POINTS for vector in ("Y", "T")],
 )
 def test_non_finite_vectors_are_rejected(entry, vector, bad):
     # A NaN used to read as "every beta rejected" (empty set), a NaN score
@@ -1116,7 +1114,7 @@ def test_non_finite_vectors_are_rejected(entry, vector, bad):
 
 
 def test_entry_points_read_each_moment_table_once(monkeypatch, tmp_path):
-    # The report and the command line's blockwise estimators share their
+    # The report and every estimator of the command line share their
     # center-0 table between the estimate and the first-stage strength, and
     # robust_ci without a window solves the set on the table at the point
     # estimate that gives the window's variance.
@@ -1155,7 +1153,6 @@ def test_entry_points_read_each_moment_table_once(monkeypatch, tmp_path):
     assert passes(lambda: sive_report(d, s)) == (2, 0)
     assert passes(lambda: robust_ci(d, Y, T)) == (2, 0)
     assert passes(lambda: robust_ci(d, Y, T, grid={"low": -5, "high": 5})) == (1, 0)
-    assert passes(lambda: first_stage_strength(d, treatment=T)) == (0, 1)
 
     data = tmp_path / "data.csv"
     data.write_text("y,t,z,w\n" + "".join(
@@ -1164,11 +1161,10 @@ def test_entry_points_read_each_moment_table_once(monkeypatch, tmp_path):
     ))
     schema = DatasetSchema("y", "t", "z", ("w",))
     for kind in EstimatorKind:
-        if kind is not EstimatorKind.TSLS_GENERIC:
-            tables_per_estimate = 2 if kind is EstimatorKind.SIVE else 1
-            assert passes(lambda: cmd_estimate(data, schema, estimator=kind)) == (
-                tables_per_estimate, 0
-            ), kind
+        tables_per_estimate = 2 if kind is EstimatorKind.SIVE else 1
+        assert passes(lambda: cmd_estimate(data, schema, estimator=kind)) == (
+            tables_per_estimate, 0
+        ), kind
 
 
 def test_one_sided_robust_ci_needs_alpha_below_half():
