@@ -4,13 +4,15 @@ The package groups observations by unique covariate value, interacts a binary
 instrument with the group dummies, and provides a jackknife-style estimator
 whose bias does not grow with the number of groups, together with a variance
 estimator that is robust to treatment-effect heterogeneity, many instruments,
-and heteroskedasticity.  Saturated TSLS and JIVE baselines, population-level
-estimands and a Monte Carlo harness round out the library.  The dense
-reference implementation (``sivreg.oracle``) and the CSV/JSON command line
-(``sivreg.cli``) are imported from their own modules; ``import sivreg``
-loads neither.  So are the per-observation references the tests compare
-the moment table against: the operators and ``SmallCellError`` from
-``sivreg.blockops``, ``hartley_sigma`` and ``SigmaEstimates`` from
+and heteroskedasticity.  ``Fit(design, Y, T)`` reads one sample's rows once
+for all of its inference; ``sive_report``, ``robust_ci``, ``robust_test``
+and both variances are its methods on a fresh fit.  Saturated TSLS and JIVE
+baselines, population-level estimands and a Monte Carlo harness round out
+the library.  The dense reference implementation (``sivreg.oracle``) and the
+CSV/JSON command line (``sivreg.cli``) are imported from their own modules;
+``import sivreg`` loads neither.  So are the per-observation references the
+tests compare the moment table against: the operators and ``SmallCellError``
+from ``sivreg.blockops``, ``hartley_sigma`` and ``SigmaEstimates`` from
 ``sivreg.inference``.
 """
 
@@ -47,6 +49,7 @@ from .estimators import (
     population_moments,
 )
 from .inference import (
+    Fit,
     InferenceReport,
     NonpositiveVarianceError,
     chao_variance,
@@ -97,6 +100,7 @@ __all__ = [
     "first_stage_strength",
     "population_estimand",
     "population_moments",
+    "Fit",
     "InferenceReport",
     "NonpositiveVarianceError",
     "chao_variance",

@@ -68,8 +68,8 @@ class SmallCellError(DesignError):
 
 
 def _memo(fn):
-    """``fn(obj)`` of a design, a moment table or atoms (none changes), kept on
-    ``obj`` read-only from the first call; a raised check is not kept."""
+    """``fn(obj)`` of a design, a moment table, atoms or a fit (none changes),
+    kept on ``obj`` read-only from the first call; a raised check is not kept."""
     key = "_memo" + fn.__name__
 
     @wraps(fn)

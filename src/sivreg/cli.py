@@ -43,15 +43,8 @@ from .design import (
     filter_design,
     validate_group_sizes,
 )
-from .estimators import (
-    EstimationError,
-    EstimatorKind,
-    _moments,
-    _point_estimate,
-    estimate_tsls_generic,
-    first_stage_strength,
-)
-from .inference import _at_beta_hat, _check_alpha, _normal_report, robust_ci
+from .estimators import EstimationError, EstimatorKind, estimate_tsls_generic
+from .inference import Fit, _check_alpha, _normal_report
 from .simulation import (
     SCHEMA_VERSION,
     SimConfig,
@@ -552,16 +545,13 @@ def cmd_estimate(
     prep = _prepare(csv_path, schema, min_active, min_inactive, binarize)
     design, sample = prep.design, prep.sample
 
-    table = _moments(design, sample)
+    fit = Fit(design, sample.outcome, sample.treatment)
     if estimator is EstimatorKind.SIVE:
-        beta, var = _at_beta_hat(table)[::2]  # the table at beta is not kept
-    elif blockwise:
-        beta, var = _point_estimate(estimator, table), None
+        report = fit.report(alpha, 0.0)
     else:
-        beta, var = _generic_fit(spec, schema, prep)
-    fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
-    del table  # before the rows: freed after them, it leaves a heap that slows later ops
-    report = _normal_report(beta, var, alpha, 0.0, fs_diag)
+        fitted = (fit.estimate(estimator), None) if blockwise else _generic_fit(spec, schema, prep)
+        report = _normal_report(*fitted, alpha, 0.0, fit.first_stage_strength())
+    del fit  # before the rows: freed after them, it leaves a heap that slows later ops
 
     payload = _report_head(
         "estimate", prep, alpha, min_active, min_inactive,
@@ -602,8 +592,8 @@ def cmd_robust_ci(
     """
     _check_alpha(alpha)
     prep = _prepare(csv_path, schema, min_active, min_inactive, binarize)
-    Y, T = prep.sample.outcome, prep.sample.treatment
-    result = robust_ci(prep.design, Y, T, grid=grid, alpha=alpha)
+    # A fit of its own, freed before the rows, as in ``cmd_estimate``.
+    result = Fit(prep.design, prep.sample.outcome, prep.sample.treatment).robust_ci(grid, alpha)
     payload = _report_head("robust-ci", prep, alpha, min_active, min_inactive)
     payload["robust_ci"] = result
     return payload

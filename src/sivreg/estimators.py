@@ -31,6 +31,7 @@ from .blockops import (
     projection_diag_P,
     _Atoms,
     _CellMoments,
+    _check_vector,
     _constants,
     _dot,
     _require_cells,
@@ -123,10 +124,17 @@ def _single(value) -> float:
     return float(value)
 
 
+def _atoms(design: SaturatedDesign, T, Y) -> _Atoms:
+    """T's and Y's atoms, each vector checked (Y first): outside ``simulation``,
+    the one place that reads a sample's rows into atoms."""
+    Y = _check_vector(design, Y)
+    return _Atoms(design, _check_vector(design, T), Y)
+
+
 def _moments(design: SaturatedDesign, sample: Sample) -> _CellMoments:
     """The table of a sample at center 0."""
     _check_sample(design, sample)
-    return _CellMoments(design, _Atoms(design, sample.treatment, sample.outcome))
+    return _CellMoments(design, _atoms(design, sample.treatment, sample.outcome))
 
 
 def _jive1_form(t: _CellMoments) -> tuple:
@@ -246,7 +254,7 @@ def estimate_tsls_generic(
     Raises
     ------
     DesignError
-        If Y and T are not finite vectors with one entry per instrument row.
+        If Y, T, the instruments or the controls are not finite with one row per entry of Y.
     RankDeficiencyError
         If no instrument survives elimination or the projected regressors are
         singular; the message lists the columns that elimination removed.
@@ -257,14 +265,15 @@ def estimate_tsls_generic(
     Zin = np.atleast_2d(np.asarray(instrument_matrix, dtype=np.float64))
     if Zin.shape[0] == 1 and Y.size > 1:
         Zin = Zin.T
-    if Zin.shape[0] != Y.size:
-        raise DesignError(f"sample has {Y.size} rows but the instruments have {Zin.shape[0]}")
-    if control_matrix is None:
-        C = np.empty((Y.size, 0))
-    else:
-        C = np.asarray(control_matrix, dtype=np.float64)
-        if C.ndim == 1:
-            C = C[:, None]
+    C = np.empty((Y.size, 0)) if control_matrix is None else control_matrix
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim == 1:
+        C = C[:, None]
+    for M, name in ((Zin, "instruments"), (C, "controls")):
+        if M.shape[0] != Y.size:
+            raise DesignError(f"sample has {Y.size} rows but the {name} have {M.shape[0]}")
+        if not np.isfinite(M).all():
+            raise DesignError(f"the {name} contain non-finite entries")
     if instrument_names is None:
         instrument_names = [f"instrument[{j}]" for j in range(Zin.shape[1])]
     if control_names is None:

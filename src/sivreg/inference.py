@@ -16,11 +16,13 @@ Nothing here is computed one observation at a time.  Within a cell the
 Hartley estimate is ``w1 x_i - w2 sum_c x``, and AT and Ar are a cell
 constant minus a multiple of the within-cell deviation, so every dot product
 above is a polynomial in per-cell power sums of the deviations of T and r.
-One pass over the data builds those sums (``blockops._CellMoments``), each
-group on its first read; the score, its variance and their coefficients in
-beta_0 are O(G) arithmetic on them.  ``hartley_sigma`` is the per-observation
-reference the tests compare against.  The two variances also run on a stack
-of designs' tables, one value per design (NaN where T'AT is not identified).
+A ``Fit`` reads one sample's rows into atoms once; a table at any beta_0
+merges those sums from them (``blockops._CellMoments``), each group on its
+first read, and the score, its variance and their coefficients in beta_0 are
+O(G) arithmetic on them.  The public functions are ``Fit`` methods on a fresh
+fit.  ``hartley_sigma`` is the per-observation reference the tests compare
+against.  The two variances also run on a stack of designs' tables, one value
+per design (NaN where T'AT is not identified).
 """
 
 from __future__ import annotations
@@ -32,28 +34,27 @@ from numpy.polynomial.polynomial import polymul, polyval
 
 from ._normal import ndtr, ndtri
 from .blockops import (
-    _Atoms,
     _cell_sum,
     _CellMoments,
-    _check_vector,
     _constants,
     _dot,
     _memo,
     apply_M_WZ,
     cell_sizes,
 )
-from .design import DesignError, Sample, SaturatedDesign
+from .design import DesignError, Sample, SaturatedDesign, _check_sample
 from .estimators import (
     EstimationError,
     EstimatorKind,
+    _atoms,
     _identified_ratio,
-    _moments,
     _point_estimate,
     _single,
     first_stage_strength,
 )
 
 __all__ = [
+    "Fit",
     "SigmaEstimates",
     "InferenceReport",
     "NonpositiveVarianceError",
@@ -205,21 +206,12 @@ def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
     squares and can be negative in finite samples; negativity is surfaced by
     the consumers rather than truncated here.
     """
-    Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_sive_variance(_CellMoments(design, _Atoms(design, T, Y), beta)))
+    return Fit(design, Y, T).sive_variance(beta)
 
 
 def _sive_variance(t: _CellMoments):
     """``sive_variance`` from a table at ``center = beta``."""
     return _identified_ratio(_variance_at_center(t), t.a_form()[1], t.tt, power=2)
-
-
-def _at_beta_hat(base: _CellMoments) -> tuple[float, _CellMoments, float]:
-    """From the table at 0 of one design: the SIVE estimate, the table at it
-    (on ``base``'s atoms) and its ``sive_variance``."""
-    beta_hat = _point_estimate(EstimatorKind.SIVE, base)
-    table = _CellMoments(base.design, base.atoms, beta_hat)
-    return beta_hat, table, _single(_sive_variance(table))
 
 
 def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) -> dict:
@@ -282,12 +274,7 @@ def robust_test(
     variance estimate yields a non-rejection (conservative).  Returns
     ``{"score", "variance_at_beta0", "reject"}``.
     """
-    _check_alpha(alpha)
-    Y, T = _check_vector(design, Y), _check_vector(design, T)
-    table = _CellMoments(design, _Atoms(design, T, Y), beta0)
-    var, score = float(_variance_at_center(table)), float(table.a_form()[0])
-    reject = not _accepts(score, var, _critical_value(alpha, two_sided), two_sided)
-    return {"score": score, "variance_at_beta0": var, "reject": reject}
+    return Fit(design, Y, T).robust_test(beta0, alpha, two_sided)
 
 
 def _real_roots(c: np.ndarray) -> list[float]:
@@ -381,58 +368,7 @@ def robust_ci(
     The result lists the maximal intervals of the clipped set, which may be
     empty, disjoint or single points.
     """
-    _check_alpha(alpha)
-    Y, T = _check_vector(design, Y), _check_vector(design, T)
-    crit = _critical_value(alpha, two_sided)
-    if not crit > 0.0:
-        raise ValueError("a one-sided robust confidence set needs alpha < 0.5")
-    table = None
-    if grid is None:
-        beta_hat, table, variance = _at_beta_hat(_CellMoments(design, _Atoms(design, T, Y)))
-        if not variance > 0.0:
-            raise NonpositiveVarianceError(
-                "cannot derive a default grid: the variance estimate is not "
-                "positive; supply grid={'low': ..., 'high': ...}"
-            )
-        se = float(np.sqrt(variance))
-        grid = {"low": beta_hat - 10.0 * se, "high": beta_hat + 10.0 * se}
-    low = float(grid["low"])
-    high = float(grid["high"])
-    if not high > low:
-        raise ValueError(f"grid high {high} must exceed grid low {low}")
-    step = grid.get("step")
-    if step is not None:
-        step = float(step)
-        if not 0.0 < step < np.inf:
-            raise ValueError(f"grid step must be finite and positive, got {step}")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if table is None:
-            # Halves first, so that huge edges do not overflow the sum.
-            center = 0.5 * low + 0.5 * high
-            center = center if np.isfinite(center) else 0.0
-            table = _CellMoments(design, _Atoms(design, T, Y), center)
-        polynomials = _robust_polynomials(table)
-    if not np.isfinite(np.concatenate(polynomials)).all():
-        # Far from the data, R = Y - center T overflows: solve around 0, as
-        # any overflow there is the data's own, and is reported.
-        table = _CellMoments(design, table.atoms)
-        polynomials = _robust_polynomials(table)
-    exact = _robust_set(*polynomials, table.center, crit, two_sided)
-    intervals = [
-        (float(max(lo, low)), float(min(hi, high)))
-        for lo, hi in exact
-        if lo <= high and hi >= low
-    ]
-    return {
-        "intervals": intervals,
-        "unbounded_within_grid": bool(
-            intervals and (intervals[0][0] == low or intervals[-1][1] == high)
-        ),
-        "unbounded": bool(exact and (exact[0][0] == -np.inf or exact[-1][1] == np.inf)),
-        "grid": {"low": low, "high": high, "step": step},
-        "alpha": alpha,
-    }
+    return Fit(design, Y, T).robust_ci(grid, alpha, two_sided)
 
 
 def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
@@ -444,8 +380,7 @@ def chao_variance(design: SaturatedDesign, Y, T, beta_hat: float) -> float:
     requires (``GroupSizeError`` otherwise); unlike the main estimator it is
     not robust to within-group effect heterogeneity.
     """
-    Y, T = _check_vector(design, Y), _check_vector(design, T)
-    return _single(_chao_variance(_CellMoments(design, _Atoms(design, T, Y), beta_hat)))
+    return Fit(design, Y, T).chao_variance(beta_hat)
 
 
 def _chao_variance(t: _CellMoments):
@@ -521,16 +456,8 @@ def _normal_report(
     else:
         ci_low, ci_high = beta_hat, beta_hat
         t_stat = None
-    return InferenceReport(
-        beta_hat=beta_hat,
-        variance=variance,
-        std_error=float(np.sqrt(variance)),
-        ci_low=ci_low,
-        ci_high=ci_high,
-        beta0=beta0,
-        t_stat=t_stat,
-        fs_diag=fs_diag,
-    )
+    std_error = float(np.sqrt(variance))
+    return InferenceReport(beta_hat, variance, std_error, ci_low, ci_high, beta0, t_stat, fs_diag)
 
 
 def sive_report(
@@ -544,7 +471,105 @@ def sive_report(
     The interval and test follow ``_normal_report``: a zero variance gives a
     point interval and no t statistic, a negative one an error.
     """
-    table = _moments(design, sample)
-    beta_hat, _, variance = _at_beta_hat(table)
-    fs_diag = first_stage_strength(design, pi=table.group_gaps()[0])
-    return _normal_report(beta_hat, variance, alpha, beta0, fs_diag)
+    _check_sample(design, sample)
+    return Fit(design, sample.outcome, sample.treatment).report(alpha, beta0)
+
+
+class Fit:
+    """One sample's inference: Y and T, checked as ``sive_variance`` does, are
+    read into atoms once, and each method builds its tables on them (O(G) for
+    a 0/1 T).  The table at 0 and ``at_beta_hat`` are kept from first use.
+    The public functions of the same names (``sive_report`` for ``report``)
+    are these methods on a fresh fit, bit for bit."""
+
+    def __init__(self, design: SaturatedDesign, Y, T):
+        self.design, self.atoms = design, _atoms(design, T, Y)
+
+    @_memo
+    def base(self) -> _CellMoments:
+        """The table at 0."""
+        return _CellMoments(self.design, self.atoms)
+
+    @_memo
+    def at_beta_hat(self) -> tuple[float, _CellMoments, float]:
+        """The SIVE estimate, the table at it and its ``sive_variance``."""
+        beta_hat = _point_estimate(EstimatorKind.SIVE, self.base())
+        table = _CellMoments(self.design, self.atoms, beta_hat)
+        return beta_hat, table, _single(_sive_variance(table))
+
+    def estimate(self, kind: EstimatorKind) -> float:
+        """The estimate of one of the four blockwise estimators."""
+        return _point_estimate(kind, self.base())
+
+    def first_stage_strength(self) -> dict:
+        """``first_stage_strength`` at the sample's complier shares."""
+        return first_stage_strength(self.design, pi=self.base().group_gaps()[0])
+
+    def report(self, alpha: float = 0.05, beta0: float = 0.0) -> InferenceReport:
+        beta_hat, _, variance = self.at_beta_hat()
+        return _normal_report(beta_hat, variance, alpha, beta0, self.first_stage_strength())
+
+    def sive_variance(self, beta: float) -> float:
+        return _single(_sive_variance(_CellMoments(self.design, self.atoms, beta)))
+
+    def chao_variance(self, beta_hat: float) -> float:
+        return _single(_chao_variance(_CellMoments(self.design, self.atoms, beta_hat)))
+
+    def robust_test(self, beta0: float, alpha: float = 0.05, two_sided: bool = True) -> dict:
+        _check_alpha(alpha)
+        table = _CellMoments(self.design, self.atoms, beta0)
+        var, score = float(_variance_at_center(table)), float(table.a_form()[0])
+        reject = not _accepts(score, var, _critical_value(alpha, two_sided), two_sided)
+        return {"score": score, "variance_at_beta0": var, "reject": reject}
+
+    def robust_ci(self, grid: dict | None = None, alpha: float = 0.05, two_sided: bool = True):
+        _check_alpha(alpha)
+        crit = _critical_value(alpha, two_sided)
+        if not crit > 0.0:
+            raise ValueError("a one-sided robust confidence set needs alpha < 0.5")
+        table = None
+        if grid is None:
+            beta_hat, table, variance = self.at_beta_hat()
+            if not variance > 0.0:
+                raise NonpositiveVarianceError(
+                    "cannot derive a default grid: the variance estimate is not "
+                    "positive; supply grid={'low': ..., 'high': ...}"
+                )
+            se = float(np.sqrt(variance))
+            grid = {"low": beta_hat - 10.0 * se, "high": beta_hat + 10.0 * se}
+        low, high = float(grid["low"]), float(grid["high"])
+        if not high > low:
+            raise ValueError(f"grid high {high} must exceed grid low {low}")
+        step = grid.get("step")
+        if step is not None:
+            step = float(step)
+            if not 0.0 < step < np.inf:
+                raise ValueError(f"grid step must be finite and positive, got {step}")
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            if table is None:
+                # Halves first, so that huge edges do not overflow the sum.
+                center = 0.5 * low + 0.5 * high
+                center = center if np.isfinite(center) else 0.0
+                table = _CellMoments(self.design, self.atoms, center)
+            polynomials = _robust_polynomials(table)
+        if not np.isfinite(np.concatenate(polynomials)).all():
+            # Far from the data, R = Y - center T overflows: solve around 0, as
+            # any overflow there is the data's own, and is reported.
+            table = self.base()
+            polynomials = _robust_polynomials(table)
+        exact = _robust_set(*polynomials, table.center, crit, two_sided)
+        intervals = [
+            (float(max(lo, low)), float(min(hi, high)))
+            for lo, hi in exact
+            if lo <= high and hi >= low
+        ]
+        return {
+            "intervals": intervals,
+            "unbounded_within_grid": bool(
+                intervals and (intervals[0][0] == low or intervals[-1][1] == high)
+            ),
+            "unbounded": bool(exact and (exact[0][0] == -np.inf or exact[-1][1] == np.inf)),
+            "grid": {"low": low, "high": high, "step": step},
+            "alpha": alpha,
+        }

@@ -145,6 +145,29 @@ def test_generic_refuses_a_malformed_outcome_or_treatment(bad, message):
         estimate_tsls_generic(Y, T, z[:, None])
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("short controls", "^sample has 40 rows but the controls have 39$"),
+        ("NaN instrument", "^the instruments contain non-finite entries$"),
+        ("inf control", "^the controls contain non-finite entries$"),
+    ],
+)
+def test_generic_refuses_a_malformed_instrument_or_control_matrix(bad, message):
+    # Checked before the intercept is centred out: a short control matrix
+    # used to reach numpy's concatenate error, and a NaN or an inf the
+    # collinearity check's plain ValueError.
+    rng = np.random.default_rng(17)
+    z = rng.integers(0, 2, 40).astype(float)
+    Y, T = rng.standard_normal(40), z + rng.standard_normal(40)
+    Z, C = z[:, None].copy(), np.column_stack([np.ones(40), rng.standard_normal(40)])
+    C = C[1:] if bad == "short controls" else C
+    Z[7, 0] = np.nan if bad == "NaN instrument" else Z[7, 0]
+    C[9, 1] = np.inf if bad == "inf control" else C[9, 1]
+    with pytest.raises(DesignError, match=message):
+        estimate_tsls_generic(Y, T, Z, C)
+
+
 def test_generic_controls_absorbing_outcome():
     rng = np.random.default_rng(13)
     n = 50

@@ -15,6 +15,7 @@ from scipy.stats import norm
 
 from sivreg import (
     DesignError,
+    Fit,
     NonpositiveVarianceError,
     Sample,
     SaturatedDesign,
@@ -1165,6 +1166,114 @@ def test_entry_points_read_each_moment_table_once(monkeypatch, tmp_path):
         assert passes(lambda: cmd_estimate(data, schema, estimator=kind)) == (
             tables_per_estimate, 0
         ), kind
+
+
+# Each Fit method with the public function it stands for, as
+# ``(on a fit, from the rows)``, both taking the design, Y and T.
+_OVERFLOWING_WINDOW = {"low": -1e308, "high": 1.7e308}
+_FIT_CALLS = {
+    "report": (
+        lambda fit: fit.report(0.1, 0.3),
+        lambda d, Y, T: sive_report(d, Sample(Y, T), 0.1, 0.3),
+    ),
+    **{
+        f"estimate_{kind.value}": (
+            lambda fit, kind=kind: fit.estimate(kind),
+            lambda d, Y, T, estimate=estimate: estimate(d, Sample(Y, T)),
+        )
+        for kind, estimate in (
+            (EstimatorKind.SIVE, estimate_sive),
+            (EstimatorKind.TSLS_SATURATED, estimate_tsls),
+            (EstimatorKind.JIVE1, estimate_jive1),
+            (EstimatorKind.JIVE2, estimate_jive2),
+        )
+    },
+    "first_stage_strength": (
+        lambda fit: fit.first_stage_strength(),
+        lambda d, Y, T: first_stage_strength(d, pi=_moments(d, Sample(Y, T)).group_gaps()[0]),
+    ),
+    "sive_variance": (lambda fit: fit.sive_variance(0.7), lambda d, Y, T: sive_variance(d, Y, T, 0.7)),
+    "sive_variance_at_0": (lambda fit: fit.sive_variance(0.0), lambda d, Y, T: sive_variance(d, Y, T, 0.0)),
+    "chao_variance": (lambda fit: fit.chao_variance(0.7), lambda d, Y, T: chao_variance(d, Y, T, 0.7)),
+    "robust_test": (
+        lambda fit: fit.robust_test(0.4, 0.1, False),
+        lambda d, Y, T: robust_test(d, Y, T, 0.4, 0.1, False),
+    ),
+    "robust_ci_default": (lambda fit: fit.robust_ci(), lambda d, Y, T: robust_ci(d, Y, T)),
+    "robust_ci_window": (
+        lambda fit: fit.robust_ci({"low": -5.0, "high": 5.0, "step": 0.5}, 0.1),
+        lambda d, Y, T: robust_ci(d, Y, T, {"low": -5.0, "high": 5.0, "step": 0.5}, 0.1),
+    ),
+    "robust_ci_overflow": (
+        lambda fit: fit.robust_ci(_OVERFLOWING_WINDOW, two_sided=False),
+        lambda d, Y, T: robust_ci(d, Y, T, _OVERFLOWING_WINDOW, two_sided=False),
+    ),
+}
+
+
+def _fit_samples():
+    """A design with a continuous T, then with a 0/1 T."""
+    rng = np.random.default_rng(49)
+    d = random_design(rng, G=30, size_range=(6, 14))
+    s = strong_sample(rng, d)
+    T = (rng.random(d.n) < 0.2 + 0.6 * d.instrument).astype(float)
+    return d, [(s.outcome, s.treatment), (T + rng.standard_normal(d.n), T)]
+
+
+def test_public_functions_are_fit_methods_on_a_fresh_fit():
+    # Same bits: a float's repr tells every float apart, -0.0 from 0.0 too.
+    d, samples = _fit_samples()
+    for Y, T in samples:
+        for name, (method, public) in _FIT_CALLS.items():
+            assert repr(method(Fit(d, Y, T))) == repr(public(d, Y, T)), name
+
+
+def test_a_fit_reads_its_rows_once_in_any_call_order(monkeypatch):
+    # One fit builds its atoms once, at construction, whichever methods are
+    # called and in what order; each answer equals a fresh fit's, though the
+    # table at 0 and the one at the SIVE estimate are then shared.
+    passes = _count_builds_and_sums(monkeypatch)
+    d, samples = _fit_samples()
+    rng = np.random.default_rng(50)
+    names = list(_FIT_CALLS)
+    orders = [names, names[::-1]] + [list(rng.permutation(names)) for _ in range(4)]
+    for Y, T in samples:
+        fresh = {name: repr(method(Fit(d, Y, T))) for name, (method, _) in _FIT_CALLS.items()}
+        for order in orders:
+            got = {}
+
+            def calls(order=order, got=got):
+                fit = Fit(d, Y, T)
+                for name in order:
+                    got[name] = repr(_FIT_CALLS[name][0](fit))
+
+            assert passes(calls)[0] == 1, order
+            assert got == fresh, order
+
+
+def test_robust_ci_on_an_overflowing_window_falls_back_to_the_table_at_0(monkeypatch):
+    # The window's midpoint is finite, but the table there overflows: the
+    # set is solved on the table at 0, a second table on a fresh fit and the
+    # kept one on a fit that has built it.  Both give the set of a window
+    # around the data, clipped.
+    d, samples = _fit_samples()
+    tables = []
+    real_init = _CellMoments.__init__
+    monkeypatch.setattr(
+        _CellMoments, "__init__", lambda self, *a: tables.append(a[2:]) or real_init(self, *a)
+    )
+    for Y, T in samples:
+        exact = Fit(d, Y, T).robust_ci({"low": -100.0, "high": 100.0})["intervals"]
+        assert len(exact) == 1
+        tables.clear()
+        fresh = Fit(d, Y, T).robust_ci(_OVERFLOWING_WINDOW)
+        assert len(tables) == 2 and tables[1] == ()
+        assert fresh["intervals"] == exact
+        fit = Fit(d, Y, T)
+        fit.report()
+        tables.clear()
+        assert repr(fit.robust_ci(_OVERFLOWING_WINDOW)) == repr(fresh)
+        assert len(tables) == 1
 
 
 def test_one_sided_robust_ci_needs_alpha_below_half():

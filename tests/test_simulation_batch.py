@@ -419,8 +419,8 @@ def test_variances_read_none_of_the_robust_sums(monkeypatch):
 @pytest.mark.parametrize("L, widths, bound_kb", [(25, (4, 12), 780), (300, (4, 1), 760)])
 def test_replications_traced_peak(L, widths, bound_kb):
     # The traced peak of one grid cell at the paper's n, above what is
-    # allocated before, in KB: 743 at L = 25 (batches of 48 draws) and 738
-    # at L = 300 (batches of one chunk of 4), each batch up to ROWS // 5
+    # allocated before, in KB: 705.6 at L = 25 (batches of 48 draws) and
+    # 700.9 at L = 300 (batches of one chunk of 4), each batch up to ROWS // 5
     # cell entries.  A first call keeps the cell's layout, which is not
     # counted.
     cell = SimConfig(n=3000, L=L, p1=0.49, replications=100, master_seed=1941)
