@@ -23,7 +23,8 @@ Quadratic forms in these operators need no n-vector at all: ``_CellMoments``
 reduces them to per-cell sums, which is how the estimators and both variances
 use them; the public operators are their per-observation reference.  One
 pass over the rows gathers per-atom counts, means and centred sums of squares
-(``_Atoms``), per (cell, arm) for a 0/1 treatment and per row for any other;
+(``_Atoms``), per (cell, arm) for a 0/1 treatment, in fixed row blocks, and
+per row for any other;
 tables at any center share them and ``s20``, and merge each further group of
 sums from them on its first read.  The table and its per-cell helpers also
 take a stack of R designs (``design._DesignStack``), with a leading axis of
@@ -326,6 +327,9 @@ def _binary_arms(T: np.ndarray) -> np.ndarray | None:
     return treated if np.count_nonzero(treated) + np.count_nonzero(T == 0.0) == T.size else None
 
 
+_ROWS = 8192  # rows per block of the (cell, arm) atom pass
+
+
 class _Atoms:
     """Per-atom statistics of T and Y, read from the rows once.
 
@@ -343,11 +347,17 @@ class _Atoms:
     the atom ids ``cell + T * (number of cells)``, the cell sums of Y and
     two sums over atoms give them.  Arrays are (2, ...), arm first, so that
     ``to_cells`` adds two contiguous blocks, and ``tt`` is the count of ones,
-    exact below 2**53.  Any other T has one atom per row, of count 1 and ss
-    0, kept as ``u`` and ``mean_e0``; ``counts`` and ``ss`` are then None,
-    so that the merge neither multiplies by 1 nor adds 0, and ``to_cells``
-    is the cell sum.  (Cell, arm) atoms of stacks on one grouping join along
-    the draw axis (``join``).
+    exact below 2**53.  The rows are read in blocks of ``_ROWS``, each
+    block's atom ids formed once: each sum adds a block's values into one
+    zeroed per-atom array (``np.add.at``), in row order as one
+    ``np.bincount`` over all rows does, bit for bit.  The ids are the only
+    n-sized array; the other temporaries are a block's, which the allocator
+    reuses rather than handing back to the system and faulting in anew.
+    Any other T has one atom per row, of count 1 and ss 0, kept as ``u``
+    and ``mean_e0``; ``counts`` and ``ss`` are then None, so that the merge
+    neither multiplies by 1 nor adds 0, and ``to_cells`` is the cell sum.
+    (Cell, arm) atoms of stacks on one grouping join along the draw axis
+    (``join``).
 
     A caller that knows T to be 0/1 may pass ``treated`` (``T == 1``) for
     T.  The atoms of the cells ``dropped`` marks (per draw and cell) are
@@ -369,14 +379,23 @@ class _Atoms:
             return
         shape = (2,) + design.cell.shape[:-1] + (2 * design.G,)
         size = int(np.prod(shape))
-        atom = (design.cell + size // 2 * treated).reshape(-1)
+        cell, treated, y = design.cell.reshape(-1), treated.reshape(-1), Y.reshape(-1)
+        rows = [slice(i, i + _ROWS) for i in range(0, cell.size, _ROWS)]
+        atoms = [cell[r] + size // 2 * treated[r] for r in rows]
         del treated  # freed before the build, where a table's memory peaks
 
-        def atom_sum(weights=None):
-            return np.bincount(atom, weights, minlength=size).reshape(shape)
+        def atom_sum(values):
+            out = np.zeros(size)
+            for r, atom in zip(rows, atoms):
+                np.add.at(out, atom, values(r, atom))
+            return out.reshape(shape)
+
+        def e0(r, atom):
+            e = mean_Y[cell[r]]
+            return np.subtract(y[r], e, out=e)
 
         self.to_cells = _add_arms
-        self.counts = atom_sum().astype(np.float64)
+        self.counts = atom_sum(lambda r, atom: 1.0)
         if dropped is not None:
             self.counts[:, dropped] = 0.0
         # The cell counts, read off the atoms: a chunk of draws is reduced
@@ -385,15 +404,12 @@ class _Atoms:
         self.mean_Y = _cell_means(design, Y, k)
         self.mean_T = np.divide(self.counts[1], k, out=np.zeros(k.shape), where=k > 0)
         self.tt = self.counts[1].sum(axis=-1)
-        e0 = self.mean_Y.reshape(-1)[design.cell]
-        np.subtract(Y, e0, out=e0)
-        e0 = e0.reshape(-1)
+        mean_Y = self.mean_Y.reshape(-1)
         self.mean_e0 = np.divide(
             atom_sum(e0), self.counts, out=np.zeros(shape), where=self.counts > 0
         )
-        e0 -= self.mean_e0.reshape(-1)[atom]
-        e0 *= e0
-        self.ss = atom_sum(e0)
+        mean_e0 = self.mean_e0.reshape(-1)
+        self.ss = atom_sum(lambda r, atom: np.square(e0(r, atom) - mean_e0[atom]))
         if dropped is not None:
             self.ss[:, dropped] = 0.0
 

@@ -1,5 +1,7 @@
 """Closed-form block operators against frozen values and dense references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from sivreg import (
     projection_diag_P,
     trace_A_squared,
 )
+from sivreg import blockops
 from sivreg.blockops import (
     SmallCellError,
     apply_A,
@@ -23,6 +26,7 @@ from sivreg.blockops import (
     cell_sizes,
     sive_diag_D,
 )
+from sivreg.design import _DesignStack
 from sivreg.oracle import assemble
 
 from conftest import random_design
@@ -308,3 +312,82 @@ def test_dot_is_matmul_on_vectors_and_row_by_row():
             want = [a[r] @ (b[r] if b.ndim == 2 else b) for r in range(R)]
             assert got.tolist() == want
             assert [_dot(a[r], b[r] if b.ndim == 2 else b) for r in range(R)] == want
+
+
+def _one_shot_atoms(design, treated, Y, dropped=None):
+    """The (cell, arm) atoms of ``_Atoms`` from one ``np.bincount`` over all
+    rows per sum: ``counts, mean_Y, mean_e0, ss, s20``."""
+    shape = (2,) + design.cell.shape[:-1] + (2 * design.G,)
+    size = int(np.prod(shape))
+    cell = design.cell.reshape(-1)
+    atom = cell + size // 2 * treated.reshape(-1)
+    counts = np.bincount(atom, minlength=size).astype(np.float64).reshape(shape)
+    if dropped is not None:
+        counts[:, dropped] = 0.0
+    k = counts[0] + counts[1]
+    sum_Y = np.bincount(cell, Y.reshape(-1), minlength=size // 2).reshape(k.shape)
+    mean_Y = np.divide(sum_Y, k, out=np.zeros(k.shape), where=k > 0)
+    e0 = Y.reshape(-1) - mean_Y.reshape(-1)[cell]
+    sum_e0 = np.bincount(atom, e0, minlength=size).reshape(shape)
+    mean_e0 = np.divide(sum_e0, counts, out=np.zeros(shape), where=counts > 0)
+    e0 -= mean_e0.reshape(-1)[atom]
+    ss = np.bincount(atom, e0 * e0, minlength=size).reshape(shape)
+    if dropped is not None:
+        ss[:, dropped] = 0.0
+    mean_T = np.divide(counts[1], k, out=np.zeros(k.shape), where=k > 0)
+    u = np.stack((-mean_T, 1.0 - mean_T))
+    s20 = counts * u * u
+    return counts, mean_Y, mean_e0, ss, s20[0] + s20[1]
+
+
+def _atom_rows(rng, shape, offset):
+    """A 0/1 T and a Y of ``shape``, each with some -0.0 entries, Y around ``offset``."""
+    T = (rng.random(shape) < 0.5).astype(np.float64)
+    Y = offset + T + rng.standard_normal(shape)
+    for v in (T, Y):
+        v[rng.random(shape) < 0.1] = -0.0
+    return T, Y
+
+
+def _assert_atoms_equal_one_shot(atoms, design, treated, Y, dropped=None):
+    got = (atoms.counts, atoms.mean_Y, atoms.mean_e0, atoms.ss, atoms.s20())
+    names = ("counts", "mean_Y", "mean_e0", "ss", "s20")
+    for name, a, b in zip(names, got, _one_shot_atoms(design, treated, Y, dropped)):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    rows=st.sampled_from([1, 3, 7]),
+    offset=st.sampled_from([0.0, 1e6, -1e8]),
+)
+def test_blocked_atoms_equal_one_shot_sums(seed, rows, offset):
+    # The (cell, arm) atom pass reads its rows in blocks of _ROWS: every sum
+    # adds the same values in the same row order as one bincount over all
+    # rows, so each atom is bit-equal to it, on a design and on a stack
+    # whose dropped cells are zeroed.
+    rng = np.random.default_rng(seed)
+    d = random_design(rng, size_range=(2, 12))
+    R = int(rng.integers(1, 4))
+    stack = _DesignStack.of_rows(d.group_of, rng.random((R, d.n)) < 0.5)
+    dropped = np.repeat(~stack.keep, 2, axis=1) | (rng.random((R, 2 * stack.G)) < 0.2)
+    T, Y = _atom_rows(rng, d.n, offset)
+    stack_T, stack_Y = _atom_rows(rng, (R, d.n), offset)
+    with mock.patch.object(blockops, "_ROWS", rows):
+        atoms = blockops._Atoms(d, T, Y)
+        stack_atoms = blockops._Atoms(stack, None, stack_Y, stack_T == 1.0, dropped)
+    _assert_atoms_equal_one_shot(atoms, d, T == 1.0, Y)
+    _assert_atoms_equal_one_shot(stack_atoms, stack, stack_T == 1.0, stack_Y, dropped)
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1, "3 blocks + 7"])
+def test_blocked_atoms_at_block_edges(edge):
+    # At the real block size, a design of one row short of a block, one
+    # block, one row over, and three blocks and 7 rows.
+    rows = blockops._ROWS
+    n = 3 * rows + 7 if edge == "3 blocks + 7" else rows + edge
+    rng = np.random.default_rng(n)
+    d = build_design(rng.integers(0, 40, (n, 1)).tolist(), rng.random(n) < 0.5)
+    T, Y = _atom_rows(rng, n, 1e6)
+    _assert_atoms_equal_one_shot(blockops._Atoms(d, T, Y), d, T == 1.0, Y)

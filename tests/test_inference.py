@@ -1058,8 +1058,8 @@ def test_a_binary_treatment_is_read_once_per_entry_point(monkeypatch):
 @pytest.mark.parametrize("binary, bound", [(False, 6), (True, 4)])
 def test_report_and_windowed_robust_ci_peak_in_n_vectors(binary, bound):
     # The traced peak of sive_report plus robust_ci on a window, above what
-    # is allocated before, in n-vectors of float64 (5.23 for a continuous T,
-    # whose one-row atoms keep u and e0; 3.14 for a 0/1 T).  A first call
+    # is allocated before, in n-vectors of float64 (5.21 for a continuous T,
+    # whose one-row atoms keep u and e0; 1.35 for a 0/1 T).  A first call
     # keeps the design's constants, which are not counted.
     rng = np.random.default_rng(11)
     d = random_design(rng, G=1000, size_range=(60, 140))
@@ -1082,6 +1082,27 @@ def test_report_and_windowed_robust_ci_peak_in_n_vectors(binary, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * d.n, peak / (8 * d.n)
+
+
+def test_binary_atoms_peak_in_n_vectors():
+    # The traced peak of one build of 0/1 atoms in the set-up above, in
+    # n-vectors of float64: 1.35, the atom ids of every row block (one
+    # int64 n-vector), the arms (one byte a row) and one block's
+    # temporaries.  Gathering whole n-vectors instead peaked at 3.14.  A
+    # first build keeps the design's constants, which are not counted.
+    rng = np.random.default_rng(11)
+    d = random_design(rng, G=1000, size_range=(60, 140))
+    T = (rng.random(d.n) < 0.2 + 0.6 * d.instrument).astype(float)
+    Y = T + rng.standard_normal(d.n)
+    blockops._Atoms(d, T, Y)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        blockops._Atoms(d, T, Y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * d.n, peak / (8 * d.n)
 
 
 _VECTOR_ENTRY_POINTS = {

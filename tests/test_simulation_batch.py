@@ -518,7 +518,7 @@ def test_grid_rows_equal_its_cells_run_one_at_a_time(case):
 
 
 def test_monte_carlo_grid_traced_peak():
-    # The benchmark's grid (n = 3000, L = 25 and 300): traced peak 975 KB
+    # The benchmark's grid (n = 3000, L = 25 and 300): traced peak 922 KB
     # above what is allocated before, against 775 KB when each cell drew its
     # own rows.  The L = 25 cell reduces its rows while the raw chunk (288
     # KB) is kept for L = 300, and each cell's batch runs while the other
@@ -563,7 +563,7 @@ def test_grid_reads_each_layout_once(monkeypatch):
 
 def test_full_scale_grid_traced_peak():
     # full_scale.json's 35 cells (7 L by 5 p1) at n = 3000 and 100
-    # replications: traced peak 1,979 KB above what is allocated before,
+    # replications: traced peak 1,963 KB above what is allocated before,
     # against 2,264 KB when each result was a Python float in a list.  A
     # first call keeps the layouts, which are not counted.
     config = SimConfig(n=3000, replications=100, master_seed=20260817)
