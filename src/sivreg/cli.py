@@ -180,12 +180,12 @@ def _tokenized_columns(csv_path, wanted, floats=()) -> dict | None:
     named in ``floats`` is never typed int64: a continuous one such as an
     outcome may start with an integer and hold decimals later.  An int64
     column is cast to float64 afterwards, which is exact: an int64 rounds to
-    the double that strtod gives its digits.  If the read fails while a
-    column is typed int64 (say a later ``2.5``, or an integer past int64),
-    it is read once more with those columns as float64.  A text column is
-    coded as it is read: its converter numbers the distinct raw cells in
-    order of first appearance, so the strip and the checks below run once
-    per distinct cell.
+    the double that strtod gives its digits.  Only an int64 cell that fails
+    (a later ``2.5``, an integer past int64; numpy 1.x warns instead) has the
+    file read once more with those columns as float64; any other failure
+    hands it over at once.  A text column is coded as it is read: its
+    converter numbers the distinct raw cells in order of first appearance,
+    so the strip and the checks below run once per distinct cell.
     ``np.loadtxt`` reads every column, so a row with too many or too few
     fields raises, as does a number it cannot parse.  A blank cell or a line
     break inside a text cell of a wanted column is handed over too, so every
@@ -208,8 +208,8 @@ def _tokenized_columns(csv_path, wanted, floats=()) -> dict | None:
                  for c, cell in zip(header, first)]
         try:
             table, text = _loadtxt(csv_path, kinds)
-        except (ValueError, UserWarning, DeprecationWarning):
-            if "i8" not in kinds:
+        except (ValueError, DeprecationWarning) as exc:
+            if isinstance(exc, ValueError) and not _INT64_FAILURE.match(str(exc)):
                 raise
             kinds = ["f8" if kind == "i8" else kind for kind in kinds]
             table, text = _loadtxt(csv_path, kinds)
@@ -235,6 +235,7 @@ def _tokenized_columns(csv_path, wanted, floats=()) -> dict | None:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64_FAILURE = re.compile(r"could not convert string .* to int64 at row ", re.S)
 
 
 def _kind(cell: str, integer: bool = True) -> str:

@@ -72,7 +72,7 @@ class SaturatedDesign:
     """Immutable saturated design.
 
     Only ``group_of`` and ``instrument`` are needed: the per-group counts are
-    derived from them, and counts that are passed must equal the derived ones.
+    derived from one count of rows per cell, and counts passed must equal them.
 
     Attributes
     ----------
@@ -119,10 +119,8 @@ class SaturatedDesign:
         if group_of.min() < 0:
             raise DesignError("group indices must be non-negative")
         G = int(group_of.max()) + 1
-        counts = {
-            "group_sizes": np.bincount(group_of, minlength=G),
-            "treated_counts": np.bincount(group_of[instrument == 1], minlength=G),
-        }
+        cells = np.bincount(2 * group_of + instrument, minlength=2 * G).reshape(G, 2)
+        counts = {"group_sizes": cells.sum(axis=1), "treated_counts": cells[:, 1]}
         if not counts["group_sizes"].all():
             g = int(np.argmin(counts["group_sizes"]))
             raise DesignError(
@@ -180,9 +178,9 @@ class _DesignStack:
     def __init__(self, counts: np.ndarray):
         self.counts = counts
         self.G = counts.shape[1]
-        k, self.treated_counts = counts[..., 0], counts[..., 1]
-        self.group_sizes = k + self.treated_counts
-        self.keep = (self.treated_counts >= 2) & (k >= 2)
+        self.treated_counts = counts[..., 1]
+        self.group_sizes = counts.sum(axis=-1)
+        self.keep = (counts >= 2).all(axis=-1)
         self.n = np.where(self.keep, self.group_sizes, 0).sum(axis=1, keepdims=True)
 
     @classmethod

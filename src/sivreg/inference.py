@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polymul, polyval
 
 from ._normal import ndtr, ndtri
 from .blockops import (
@@ -309,14 +308,15 @@ def _robust_set(
     this is solved in ``d = beta0 - center`` and shifted back at the end.
     The center should lie where the set is reported: far from it, V's
     coefficients cancel badly when T explains most of Y.  Endpoints may be
-    infinite.
+    infinite.  Q keeps all three terms when S is flat (``T'AT = 0``).
     """
-    q = polymul(score, score) - crit**2 * variance
+    (s0, s1), (v0, v1, v2) = score, variance
+    q = np.array([s0 * s0, 2.0 * (s0 * s1), s1 * s1]) - crit**2 * variance
     points = _real_roots(variance) + _real_roots(q)
     points = sorted({p for p in points if np.isfinite(p)})
 
     def accepted(beta: float) -> bool:
-        return _accepts(polyval(beta, score), polyval(beta, variance), crit, two_sided)
+        return _accepts(s0 + s1 * beta, v0 + (v1 + v2 * beta) * beta, crit, two_sided)
 
     if not points:
         return [(-np.inf, np.inf)] if accepted(0.0) else []

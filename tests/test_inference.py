@@ -426,6 +426,31 @@ def test_robust_ci_agrees_with_grid_inversion():
     assert shapes >= {"bounded", "ray", "line", "two rays"}
 
 
+def test_robust_ci_inverts_the_test_when_the_score_is_flat():
+    # Integer data on which T'AT is exactly 0.0, so the score S does not
+    # move with beta0 and Q = S^2 - crit^2 V is a parabola with a constant
+    # S^2 term.  S must stay a line of slope 0 there: trimmed to degree 0,
+    # it broadcasts over V's three coefficients and the set comes back empty.
+    d = SaturatedDesign(np.repeat(np.arange(6), 6), np.tile([0, 0, 0, 1, 1, 1], 6))
+    T = np.array([2, 0, 1, 0, 2, 1, 1, 1, 2, 2, 1, 2, 1, 2, 0, 1, 0, 0,
+                  1, 1, 1, 2, 2, 2, 0, 2, 0, 1, 2, 2, 0, 0, 2, 1, 0, 2], dtype=float)
+    Y = np.array([3, 1, 3, 1, -1, 3, -1, -1, -3, -3, -1, 1, 0, -1, 1, -1, 2, -3,
+                  -2, -2, -1, 2, 1, 3, -2, -3, -2, 1, -2, -2, 1, 1, -2, -2, 3, 3],
+                 dtype=float)
+    assert moment_table(d, T, Y).a_form()[1] == 0.0
+    window = {"low": -5.0, "high": 5.0}
+    for two_sided in (True, False):
+        res = robust_ci(d, Y, T, grid=window, two_sided=two_sided)
+        assert len(res["intervals"]) == 2, res  # two rays
+        ends = [e for iv in res["intervals"] for e in iv]
+        for b in np.linspace(-5.0, 5.0, 401):
+            if any(abs(b - e) <= 1e-8 for e in ends):
+                continue
+            inside = any(lo <= b <= hi for lo, hi in res["intervals"])
+            test = robust_test(d, Y, T, float(b), two_sided=two_sided)
+            assert inside == (not test["reject"]), (two_sided, b, res)
+
+
 def test_robust_polynomials_are_exact():
     # The expansion around 0, evaluated at beta, against the direct score and
     # variance at beta (the constant terms of the expansion around beta).
@@ -503,15 +528,17 @@ def test_wrong_length_vector_raises_design_error(call):
 
 
 def test_import_does_not_load_scipy_stats():
+    # numpy 1.x imports numpy.polynomial itself: only what sivreg adds counts.
     code = (
-        "import sys, sivreg; "
-        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.linalg', "
-        "'sivreg.cli', 'sivreg.oracle', 'argparse', 'hashlib')))"
+        "import sys, numpy; numpy_own = set(sys.modules); import sivreg; "
+        "print(*(m in sys.modules and m not in numpy_own for m in ('scipy.stats', "
+        "'scipy.linalg', 'sivreg.cli', 'sivreg.oracle', 'argparse', 'hashlib', "
+        "'numpy.polynomial')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == " ".join(["False"] * 6)
+    assert out.stdout.strip() == " ".join(["False"] * 7)
 
 
 def test_per_observation_references_are_exported_by_their_modules_only():

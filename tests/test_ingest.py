@@ -198,6 +198,33 @@ def test_integer_column_read_through_a_float_with_a_warning_is_retried(
     assert fast["y"].tolist() == [1.0, 3.0, float(later)]
 
 
+@pytest.mark.parametrize(
+    "text, reads",
+    [
+        ("y,t,z,w\n0.5,0,1,0\n1.5,1,0,0\n2.5,0,1,0,9\n", 1),  # a ragged last row
+        ("y,t,z,w\n0.5,0,1,0\n1.5,1,0,0\nx,0,1,0\n", 1),  # a bad float in y
+        ("y,t,z,w\n0.5,0,1,0\n1.5,1,0,0\n2.5,3.5,1,0\n", 2),  # 3.5 in an int64 column
+    ],
+)
+def test_only_a_failed_int64_cell_reads_the_file_again(tmp_path, capsys, monkeypatch,
+                                                      text, reads):
+    # A float64 read fails wherever the int64 read failed on anything but an
+    # int64 cell, so such a file is handed over after one read.
+    kinds = []
+    real = cli._loadtxt
+    monkeypatch.setattr(cli, "_loadtxt", lambda path, k: kinds.append(k) or real(path, k))
+    data = write(tmp_path, "d.csv", text)
+    fast = _tokenized_columns(data, ["y", "t", "z", "w"], floats=["y"])
+    assert kinds[0] == ["f8", "i8", "i8", "i8"] and len(kinds) == reads
+    if reads == 2:
+        assert fast["t"].tolist() == [0.0, 1.0, 3.5]
+        return
+    assert fast is None
+    first, second = both_paths(["estimate", "--data", data, *BASE], capsys, monkeypatch)
+    assert first[0] == 2 and first[2].startswith("error: ")
+    assert first == second
+
+
 def test_outcome_column_is_never_typed_int64(tmp_path, monkeypatch):
     # A continuous outcome whose first cell is an integer is read as float64
     # at once, so a decimal anywhere later costs no second read.
