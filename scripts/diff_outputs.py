@@ -119,21 +119,26 @@ def diff_outputs(a: Path, b: Path) -> tuple[dict, list]:
     return table, mismatches
 
 
+def report(table: dict, mismatches: list, fields) -> list[str]:
+    """The table's rows for ``fields`` under a header, then the mismatches."""
+    width = max([len("field")] + [len(k) for k in fields])
+    lines = [f"{'field':<{width}}  {'max_abs':>10}  {'max_rel':>10}  {'values':>7}"]
+    for field in sorted(fields):
+        max_abs, max_rel, count = table[field]
+        lines.append(f"{field:<{width}}  {max_abs:>10.3g}  {max_rel:>10.3g}  {count:>7}")
+    lines += [f"mismatch {line}" for line in sorted(mismatches)[:MAX_MISMATCHES]]
+    if len(mismatches) > MAX_MISMATCHES:
+        lines.append(f"... and {len(mismatches) - MAX_MISMATCHES} more mismatches")
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     table, mismatches = diff_outputs(Path(args[0]), Path(args[1]))
-    width = max([len("field")] + [len(k) for k in table])
-    print(f"{'field':<{width}}  {'max_abs':>10}  {'max_rel':>10}  {'values':>7}")
-    for field in sorted(table):
-        max_abs, max_rel, count = table[field]
-        print(f"{field:<{width}}  {max_abs:>10.3g}  {max_rel:>10.3g}  {count:>7}")
-    for line in sorted(mismatches)[:MAX_MISMATCHES]:
-        print("mismatch", line)
-    if len(mismatches) > MAX_MISMATCHES:
-        print(f"... and {len(mismatches) - MAX_MISMATCHES} more mismatches")
+    print("\n".join(report(table, mismatches, table)))
     differs = bool(mismatches) or any(e[0] > 0.0 for e in table.values())
     return 1 if differs else 0
 

@@ -6,15 +6,30 @@ Usage: python scripts/diff_parent.py REV
 
 REV is checked out with ``git worktree add --detach`` in a temporary
 directory (under ``$RUNNER_TEMP`` if it is set), and the 20,000-row CSV of
-``scripts/scale_out.py --seed 5`` is written once.  On both trees, with each
-tree's ``src`` on the path, the script runs ``estimate`` with each of the five
-estimators and ``robust-ci`` with the default window and with ``--grid-low -5
---grid-high 5``, each once with ``--outcome y --treatment t`` and once with
-``--outcome t --treatment y``; ``audit --dump-design``, its dump moved aside
-after each run so both reports name one path; and ``simulate`` on the CI
-smoke config with seed 1941.  Each pair of outputs is compared field by field
-(``diff_outputs.py``), and one line is printed per output.  Exit status: 0 if
-every output and exit code agree, 1 otherwise.  The worktree is removed.
+``scripts/scale_out.py --seed 5`` is written once.  Both trees run, each
+command in a fresh process with that tree's ``src`` on the path:
+
+- ``estimate`` with each of the five estimators, and ``robust-ci`` with the
+  default window, with ``--grid-low -5 --grid-high 5`` and with
+  ``--grid-low -3 --grid-high 4`` (a window whose midpoint is not 0), each
+  once with ``--outcome y --treatment t`` (a 0/1 treatment) and once with
+  ``--outcome t --treatment y`` (a continuous one);
+- ``estimate --estimator tsls-generic --covariates a,b`` with the three other
+  specs (the two linear ones need numeric covariates);
+- ``audit --dump-design``, its dump moved aside after each run so both
+  reports name one path;
+- ``simulate`` on a small smoke grid and on a fixed paper-scale grid (n 3000,
+  L 25 and 300, p1 0.49, 100 replications), both with seed 1941, and on
+  ``scripts/configs/heterogeneity_h10.json``.
+
+Each pair of outputs is compared field by field (``diff_outputs.py``), and one
+line is printed per output, ``identical`` or ``DIFFERS``.  Under each
+``DIFFERS`` come the fields that differ, each with its largest absolute and
+relative difference and its number of values, then any other mismatch.
+Every case is written to succeed, so a nonzero exit or a missing output is a
+``DIFFERS`` even when both trees fail alike.  Exit status: 0 if every command
+exits 0 on both trees and every output agrees, 1 otherwise.  The worktree is
+removed.
 """
 
 from __future__ import annotations
@@ -26,29 +41,45 @@ import sys
 import tempfile
 from pathlib import Path
 
-from diff_outputs import diff_outputs
+from diff_outputs import diff_outputs, report
 from scale_out import write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 ESTIMATORS = ("sive", "tsls-saturated", "jive1", "jive2", "tsls-generic")
+GENERIC_SPECS = ("not-saturated", "saturated-instruments", "saturated-controls")
 ROLES = {"yt": ("y", "t"), "ty": ("t", "y")}
-SMOKE = {"n": 600, "L": [1, 5, 60], "p1": [0.3, 0.49], "replications": 12}
+WINDOWS = {"window": ("-5", "5"), "window34": ("-3", "4")}
+GRIDS = {
+    "smoke": {"n": 600, "L": [1, 5, 60], "p1": [0.3, 0.49], "replications": 12},
+    # The defaults of perfbench's monte_carlo workload when this grid was
+    # written; a fixed copy, which does not follow them if they change.
+    "monte_carlo": {"n": 3000, "L": [25, 300], "p1": [0.49], "replications": 100},
+}
 
 
 def commands(data: Path, work: Path) -> dict:
     """Each output's name and the sivreg arguments that write it to ``work``."""
-    spec = ["--data", str(data), "--instrument", "educ", "--binarize", "educ:12",
-            "--covariates", "a,b,region"]
+    source = ["--data", str(data), "--instrument", "educ", "--binarize", "educ:12"]
+    spec = source + ["--covariates", "a,b,region"]
     runs = {}
     for role, (outcome, treatment) in ROLES.items():
         args = spec + ["--outcome", outcome, "--treatment", treatment]
         for est in ESTIMATORS:
             runs[f"estimate_{est}_{role}.json"] = ["estimate", *args, "--estimator", est]
         runs[f"robust-ci_{role}.json"] = ["robust-ci", *args]
-        runs[f"robust-ci-window_{role}.json"] = ["robust-ci", *args,
-                                                 "--grid-low=-5", "--grid-high=5"]
+        for window, (low, high) in WINDOWS.items():
+            runs[f"robust-ci-{window}_{role}.json"] = ["robust-ci", *args,
+                                                       f"--grid-low={low}", f"--grid-high={high}"]
+    numeric = source + ["--covariates", "a,b", "--outcome", "y", "--treatment", "t"]
+    for s in GENERIC_SPECS:
+        runs[f"estimate_tsls-generic_{s}.json"] = ["estimate", *numeric,
+                                                   "--estimator", "tsls-generic", "--spec", s]
     runs["audit.json"] = ["audit", *spec, "--dump-design", str(work / "design.json")]
-    runs["simulate"] = ["simulate", "--config", str(work / "smoke.json"), "--seed", "1941"]
+    for grid in GRIDS:
+        runs[f"simulate_{grid}"] = ["simulate", "--config", str(work / f"{grid}.json"),
+                                    "--seed", "1941"]
+    runs["simulate_h10"] = ["simulate", "--config",
+                            str(ROOT / "scripts" / "configs" / "heterogeneity_h10.json")]
     return {name: [*argv, "--out", str(work / "out" / name)] for name, argv in runs.items()}
 
 
@@ -71,6 +102,20 @@ def run_tree(tree: Path, runs: dict, work: Path, side: Path) -> dict:
     return codes
 
 
+def differences(a: Path, b: Path, code_a: int, code_b: int) -> list[str] | None:
+    """None if both runs succeed with equal outputs, else the lines that say
+    how they differ.  Every case is written to succeed, so a nonzero exit or
+    a missing output is reported even when both sides fail alike."""
+    if code_a or code_b:
+        return [f"exit {code_a} against {code_b}"]
+    if not (a.exists() and b.exists()):
+        sides = [p.parent.name for p in (a, b) if p.exists()]
+        return [f"output only in {sides[0]}" if sides else "no output on either side"]
+    table, mismatches = diff_outputs(a, b)
+    fields = [field for field, entry in table.items() if entry[0] != 0.0]
+    return report(table, mismatches, fields) if fields or mismatches else None
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -83,7 +128,8 @@ def main(argv=None) -> int:
                         str(rev), args[0]], check=True)
         try:
             write_csv(work / "data.csv", 20_000, 5)
-            (work / "smoke.json").write_text(json.dumps(SMOKE), encoding="utf-8")
+            for grid, config in GRIDS.items():
+                (work / f"{grid}.json").write_text(json.dumps(config), encoding="utf-8")
             (work / "out").mkdir()
             runs = commands(work / "data.csv", work)
             codes = [run_tree(tree, runs, work, side) for tree, side in zip((rev, ROOT), sides)]
@@ -92,16 +138,12 @@ def main(argv=None) -> int:
                             str(rev)], check=False)
         same = True
         for name in [*runs, "design.json"]:
-            a, b = sides[0] / name, sides[1] / name
-            if codes[0].get(name, 0) != codes[1].get(name, 0) or a.exists() != b.exists():
-                agree = False
-            elif not a.exists():
-                agree = True  # both failed alike, with no output
-            else:
-                table, mismatches = diff_outputs(a, b)
-                agree = not mismatches and all(e[0] == 0.0 for e in table.values())
-            same &= agree
-            print(f"{'identical' if agree else 'DIFFERS':<9}  {name}")
+            lines = differences(sides[0] / name, sides[1] / name,
+                                codes[0].get(name, 0), codes[1].get(name, 0))
+            same &= lines is None
+            print(f"{'identical' if lines is None else 'DIFFERS':<9}  {name}")
+            for line in lines or ():
+                print(f"    {line}")
     return 0 if same else 1
 
 

@@ -194,7 +194,7 @@ def _require_positive(variance: float) -> None:
 
 
 def _critical_value(alpha: float, two_sided: bool) -> float:
-    return ndtri(1.0 - alpha / 2.0 if two_sided else 1.0 - alpha)
+    return -ndtri(alpha / 2.0 if two_sided else alpha)
 
 
 def sive_variance(design: SaturatedDesign, Y, T, beta: float) -> float:
@@ -230,7 +230,7 @@ def _t_rejects(beta_hat, variance, beta0, alpha: float) -> np.ndarray:
     z_{1-alpha/2}, but ``ndtr`` decides within 1e-6 max(z, 1) of z (at every
     t if alpha <= 1e-300), where rounding in either could tip it."""
     t = np.abs((beta_hat - beta0) / np.sqrt(variance))
-    z = -ndtri(alpha / 2.0) if alpha > 1e-300 else np.inf
+    z = _critical_value(alpha, two_sided=True) if alpha > 1e-300 else np.inf
     rejects = t > z
     band = 1e-6 * max(z, 1.0)  # at z = inf, z - band is NaN: every t is near
     for i in np.flatnonzero(~((t < z - band) | (t > z + band))):  # NaN t included

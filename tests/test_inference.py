@@ -192,7 +192,30 @@ def test_confidence_interval_frozen_values():
     lo, hi = confidence_interval(0.0, 1.0, alpha=0.05)
     assert abs(lo + 1.959963985) < 1e-8
     assert abs(hi - 1.959963985) < 1e-8
-    assert hi == float(norm.ppf(0.975))
+    assert hi == float(norm.isf(0.025))
+
+
+def test_critical_values_keep_their_digits_at_tiny_alpha():
+    # z comes from the tail probability alpha/2 itself: formed from
+    # 1 - alpha/2 it lost digits as alpha shrank and was infinite once
+    # alpha <= 2**-53, so the interval was unbounded and the robust test
+    # never rejected.
+    for alpha in (0.05, 1e-10, 2e-16, 1e-17):
+        assert confidence_interval(0.0, 1.0, alpha=alpha)[1] == float(norm.isf(alpha / 2))
+    assert confidence_interval(0.0, 1.0, alpha=1e-17) == (-8.573944076720883, 8.573944076720883)
+    assert t_test(9.0, 1.0, 0.0, alpha=1e-17)["reject"]
+    rng = np.random.default_rng(0)
+    d = random_design(rng, G=20, size_range=(16, 24))
+    s = strong_sample(rng, d, tau=1.0, pi=3.0)
+    Y, T = s.outcome, s.treatment
+    assert robust_test(d, Y, T, beta0=5.0, alpha=1e-17)["reject"]
+    assert not robust_test(d, Y, T, beta0=1.0, alpha=1e-17)["reject"]
+    window = {"low": -10.0, "high": 10.0}
+    tiny = robust_ci(d, Y, T, grid=window, alpha=1e-17)
+    assert not tiny["unbounded"] and not tiny["unbounded_within_grid"]
+    [(lo, hi)] = tiny["intervals"]
+    [(lo_05, hi_05)] = robust_ci(d, Y, T, grid=window)["intervals"]
+    assert lo < lo_05 < 1.0 < hi_05 < hi
 
 
 def test_confidence_interval_width_scales_with_se():
