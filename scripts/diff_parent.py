@@ -10,10 +10,12 @@ directory (under ``$RUNNER_TEMP`` if it is set), and the 20,000-row CSV of
 command in a fresh process with that tree's ``src`` on the path:
 
 - ``estimate`` with each of the five estimators, and ``robust-ci`` with the
-  default window, with ``--grid-low -5 --grid-high 5`` and with
-  ``--grid-low -3 --grid-high 4`` (a window whose midpoint is not 0), each
-  once with ``--outcome y --treatment t`` (a 0/1 treatment) and once with
-  ``--outcome t --treatment y`` (a continuous one);
+  default window, with ``--grid-low -5 --grid-high 5``, with
+  ``--grid-low -3 --grid-high 4`` (a window whose midpoint is not 0) and
+  with ``--grid-low 1e200 --grid-high 1e201`` (a window whose table
+  overflows, so the set is solved at 0), each once with ``--outcome y
+  --treatment t`` (a 0/1 treatment) and once with ``--outcome t --treatment
+  y`` (a continuous one);
 - ``estimate --estimator tsls-generic --covariates a,b`` with the three other
   specs (the two linear ones need numeric covariates);
 - ``audit --dump-design``, its dump moved aside after each run so both
@@ -48,7 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ESTIMATORS = ("sive", "tsls-saturated", "jive1", "jive2", "tsls-generic")
 GENERIC_SPECS = ("not-saturated", "saturated-instruments", "saturated-controls")
 ROLES = {"yt": ("y", "t"), "ty": ("t", "y")}
-WINDOWS = {"window": ("-5", "5"), "window34": ("-3", "4")}
+WINDOWS = {"window": ("-5", "5"), "window34": ("-3", "4"), "window1e200": ("1e200", "1e201")}
 GRIDS = {
     "smoke": {"n": 600, "L": [1, 5, 60], "p1": [0.3, 0.49], "replications": 12},
     # The defaults of perfbench's monte_carlo workload when this grid was

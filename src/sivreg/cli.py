@@ -39,6 +39,7 @@ from .design import (
     _Coded,
     _coder,
     _design_from_columns,
+    _require_number,
     design_summary,
     filter_design,
     validate_group_sizes,
@@ -49,7 +50,6 @@ from .simulation import (
     SCHEMA_VERSION,
     SimConfig,
     _json_ready,
-    _require_number,
     _run_grid,
     summarize,
 )

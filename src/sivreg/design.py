@@ -9,6 +9,8 @@ the per-observation group index, the instrument flags and the per-group counts
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +38,17 @@ class DesignError(ValueError):
 
 class EmptyDesignError(DesignError):
     """Filtering removed every group."""
+
+
+def _require_number(name: str, value) -> None:
+    """Raise unless ``value`` is a finite real number (and not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .blockops import (
     apply_M_WZ,
     cell_sizes,
 )
-from .design import DesignError, Sample, SaturatedDesign, _check_sample
+from .design import DesignError, Sample, SaturatedDesign, _check_sample, _require_number
 from .estimators import (
     EstimationError,
     EstimatorKind,
@@ -214,28 +214,22 @@ def _sive_variance(t: _CellMoments):
 
 
 def t_test(beta_hat: float, variance: float, beta0: float, alpha: float = 0.05) -> dict:
-    """Two-sided normal test of ``beta = beta0``.
-
-    Returns ``{"t", "reject", "p"}``.
-    """
+    """Two-sided normal test of ``beta = beta0``, rejecting where ``|t| >
+    z_{1-alpha/2}`` (``_t_rejects``).  Returns ``{"t", "reject", "p"}``, with
+    ``p = 2 ndtr(-|t|)`` reported beside the decision, which it does not make."""
+    _require_number("beta_hat", beta_hat)
+    _require_number("beta0", beta0)
     _check_alpha(alpha)
     _require_positive(variance)
     t = (beta_hat - beta0) / np.sqrt(variance)
-    p = 2.0 * ndtr(-abs(t))
-    return {"t": float(t), "reject": bool(p < alpha), "p": p}
+    reject = bool(_t_rejects(beta_hat, variance, beta0, alpha))
+    return {"t": float(t), "reject": reject, "p": 2.0 * ndtr(-abs(t))}
 
 
-def _t_rejects(beta_hat, variance, beta0, alpha: float) -> np.ndarray:
-    """``t_test``'s decision ``p < alpha`` on arrays, bit for bit: |t| >
-    z_{1-alpha/2}, but ``ndtr`` decides within 1e-6 max(z, 1) of z (at every
-    t if alpha <= 1e-300), where rounding in either could tip it."""
-    t = np.abs((beta_hat - beta0) / np.sqrt(variance))
-    z = _critical_value(alpha, two_sided=True) if alpha > 1e-300 else np.inf
-    rejects = t > z
-    band = 1e-6 * max(z, 1.0)  # at z = inf, z - band is NaN: every t is near
-    for i in np.flatnonzero(~((t < z - band) | (t > z + band))):  # NaN t included
-        rejects[i] = 2.0 * ndtr(-t[i]) < alpha
-    return rejects
+def _t_rejects(beta_hat, variance, beta0, alpha: float):
+    """The t-test's decision ``|t| > z_{1-alpha/2}`` on scalars or arrays
+    (False where t is NaN; never at alpha so small that z is infinite)."""
+    return np.abs((beta_hat - beta0) / np.sqrt(variance)) > _critical_value(alpha, True)
 
 
 def confidence_interval(
@@ -270,8 +264,10 @@ def robust_test(
 
     Uses the score ``T'A(Y - T beta0)`` with its variance evaluated at
     ``beta0``, so validity needs no identification strength.  A nonpositive
-    variance estimate yields a non-rejection (conservative).  Returns
-    ``{"score", "variance_at_beta0", "reject"}``.
+    variance estimate yields a non-rejection (conservative).  Where the
+    variance at ``beta0`` overflows, the decision is made on ``S/|beta0|``
+    and ``V/beta0^2`` from the table at 0.  Returns
+    ``{"score", "variance_at_beta0", "reject"}``, both values at ``beta0``.
     """
     return Fit(design, Y, T).robust_test(beta0, alpha, two_sided)
 
@@ -452,7 +448,7 @@ def _normal_report(
         )
     if variance > 0.0:
         ci_low, ci_high = confidence_interval(beta_hat, variance, alpha)
-        t_stat = t_test(beta_hat, variance, beta0, alpha)["t"]
+        t_stat = float((beta_hat - beta0) / np.sqrt(variance))
     else:
         ci_low, ci_high = beta_hat, beta_hat
         t_stat = None
@@ -506,20 +502,31 @@ class Fit:
         return first_stage_strength(self.design, pi=self.base().group_gaps()[0])
 
     def report(self, alpha: float = 0.05, beta0: float = 0.0) -> InferenceReport:
+        _require_number("beta0", beta0)
         beta_hat, _, variance = self.at_beta_hat()
         return _normal_report(beta_hat, variance, alpha, beta0, self.first_stage_strength())
 
     def sive_variance(self, beta: float) -> float:
+        _require_number("beta", beta)
         return _single(_sive_variance(_CellMoments(self.design, self.atoms, beta)))
 
     def chao_variance(self, beta_hat: float) -> float:
+        _require_number("beta_hat", beta_hat)
         return _single(_chao_variance(_CellMoments(self.design, self.atoms, beta_hat)))
 
     def robust_test(self, beta0: float, alpha: float = 0.05, two_sided: bool = True) -> dict:
+        _require_number("beta0", beta0)
         _check_alpha(alpha)
-        table = _CellMoments(self.design, self.atoms, beta0)
-        var, score = float(_variance_at_center(table)), float(table.a_form()[0])
-        reject = not _accepts(score, var, _critical_value(alpha, two_sided), two_sided)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _CellMoments(self.design, self.atoms, beta0)
+            var, score = float(_variance_at_center(table)), float(table.a_form()[0])
+        s, v = score, var
+        if not np.isfinite(var):
+            # Far from the data the table at beta0 overflows: decide on S/|beta0|
+            # and V/beta0^2, from the polynomials at 0, which are finite there.
+            (s0, s1), (v0, v1, v2) = _robust_polynomials(self.base())
+            s, v = s0 / abs(beta0) + s1 * np.sign(beta0), (v0 / beta0 + v1) / beta0 + v2
+        reject = not _accepts(s, v, _critical_value(alpha, two_sided), two_sided)
         return {"score": score, "variance_at_beta0": var, "reject": reject}
 
     def robust_ci(self, grid: dict | None = None, alpha: float = 0.05, two_sided: bool = True):

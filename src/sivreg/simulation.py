@@ -36,6 +36,7 @@ from .design import (
     Sample,
     SaturatedDesign,
     _DesignStack,
+    _require_number,
     filter_design,
     validate_group_sizes,
 )
@@ -149,17 +150,6 @@ def _integer(name: str, value) -> int:
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_number(name: str, value) -> None:
-    """Raise unless ``value`` is a finite real number (and not a bool)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return
-        except OverflowError:  # an int past the float range
-            pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

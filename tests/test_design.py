@@ -47,6 +47,13 @@ def test_build_mixed_type_tuple_keys():
     assert d.group_keys == (("a", 1), ("b", 0))
 
 
+def test_build_groups_a_column_numpy_cannot_hold_by_python_equality():
+    d = build_design([1, "a", (1, 2), 1], [0, 1, 0, 1])
+    assert d.G == 3
+    assert d.group_of.tolist() == [0, 1, 2, 0]
+    assert d.group_keys == ((1,), ("a",), ((1, 2),))
+
+
 def test_build_scalar_rows_become_one_tuples():
     d = build_design([3.5, 3.5, 1.0, 1.0], [1, 0, 0, 1])
     assert d.group_keys == ((3.5,), (1.0,))

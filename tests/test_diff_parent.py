@@ -49,6 +49,11 @@ def test_commands_cover_every_subcommand_estimator_spec_and_window(diff_parent, 
     assert any(
         args.grid_low is not None and args.grid_low + args.grid_high != 0.0 for args in windows
     )
+    # A window so far out that the table at its midpoint overflows.
+    assert any(
+        args.grid_low is not None and abs(args.grid_low / 2 + args.grid_high / 2) >= 1e154
+        for args in windows
+    )
     assert any(args.command == "audit" and args.dump_design for args in parsed)
 
 

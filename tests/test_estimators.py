@@ -11,6 +11,7 @@ from sivreg import (
     DesignError,
     EstimationError,
     EstimatorKind,
+    Fit,
     GroupSizeError,
     PopulationInputs,
     RankDeficiencyError,
@@ -463,6 +464,26 @@ def test_generic_intercept_is_partialled_out_before_the_qr():
         beta, var = estimate_tsls_generic(Y, T, z[:, None], C)
         assert abs(float((beta - ref) / ref)) <= 1e-13
         assert var > 0.0
+
+
+def test_generic_refuses_controls_that_overflow_when_centred():
+    # Partialling out the intercept takes each column's mean, and a column
+    # near the top of the float range sums past it.
+    rng = np.random.default_rng(52)
+    z = rng.integers(0, 2, 20).astype(float)
+    T = z + rng.standard_normal(20)
+    C = np.column_stack([np.ones(20), rng.uniform(1e308, 1.7e308, 20)])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            estimate_tsls_generic(T + rng.standard_normal(20), T, z, C)
+
+
+def test_a_fit_estimates_only_the_blockwise_estimators():
+    rng = np.random.default_rng(53)
+    d = random_design(rng, G=3, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    with pytest.raises(ValueError, match="not a blockwise estimator"):
+        Fit(d, s.outcome, s.treatment).estimate(EstimatorKind.TSLS_GENERIC)
 
 
 def test_generic_not_saturated_cli_spec_is_accurate_with_an_offset(tmp_path):

@@ -143,9 +143,9 @@ def test_t_test_frozen_decisions():
 
 @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.1, 0.5, 1 - 1e-9, 1e-10, 1e-290, 1e-301])
 def test_array_t_decision_equals_t_test(alpha):
-    # simulate decides its t-tests on arrays; each decision must be t_test's
-    # p < alpha to the last bit.  The statistics crowd +-z_{1-alpha/2}: every
-    # float within 3000 ulps of it, then a band 1e-5 wide on either side.
+    # simulate decides its t-tests on arrays; each decision must be t_test's.
+    # The statistics crowd +-z_{1-alpha/2}: every float within 3000 ulps of
+    # it, then a band 1e-5 wide on either side.
     rng = np.random.default_rng(2406)
     z = float(norm.isf(alpha / 2.0))
     ulps = z + np.spacing(z) * np.arange(-3000, 3000)
@@ -159,13 +159,55 @@ def test_array_t_decision_equals_t_test(alpha):
     variance = rng.uniform(0.01, 4.0, t.size)
     beta0 = rng.normal(0.0, 3.0, t.size)
     beta_hat = beta0 + t * np.sqrt(variance)
+    # t_test refuses an infinite estimate; on arrays an infinite |t| rejects.
+    finite = np.isfinite(beta_hat)
     want = [
         t_test(b, v, b0, alpha)["reject"]
-        for b, v, b0 in zip(beta_hat.tolist(), variance.tolist(), beta0.tolist())
+        for b, v, b0 in zip(*(x[finite].tolist() for x in (beta_hat, variance, beta0)))
     ]
     got = inference._t_rejects(beta_hat, variance, beta0, alpha)
-    assert got.dtype == bool and got.tolist() == want
+    assert got.dtype == bool and got[finite].tolist() == want
+    assert (~finite).sum() == 1 and got[~finite].all()
     assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize(
+    "alpha", [0.05, 0.01, 0.1, 0.5, 1 - 1e-9, 1e-6, 1e-10, 1e-290, 1e-301]
+)
+def test_t_test_rejects_exactly_where_abs_t_exceeds_the_critical_value(alpha):
+    # One z decides every test, the one the interval uses.  p = 2 ndtr(-|t|)
+    # would not do: near alpha = 1 it keeps only ~1e-16 absolute precision,
+    # so p < alpha tips the other way on floats next to z.
+    z = inference._critical_value(alpha, True)
+    ts = (z + np.spacing(z) * np.arange(-3000, 3001)).tolist()
+    assert [t for t in ts if t_test(t, 1.0, 0.0, alpha)["reject"] != (abs(t) > z)] == []
+
+
+def test_t_test_never_rejects_where_the_interval_is_the_whole_line():
+    # alpha / 2 underflows to 0, so z is infinite.
+    assert confidence_interval(0.0, 1.0, 5e-324) == (-np.inf, np.inf)
+    assert t_test(1e300, 1.0, 0.0, 5e-324)["reject"] is False
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_beta_is_refused_by_name(bad):
+    # Each would otherwise come out as a decision, a NaN statistic or a
+    # weak-denominator error, none of which names the bad argument.
+    rng = np.random.default_rng(50)
+    d = random_design(rng, G=4, size_range=(8, 12))
+    s = strong_sample(rng, d)
+    Y, T = s.outcome, s.treatment
+    calls = [
+        ("beta", lambda: sive_variance(d, Y, T, bad)),
+        ("beta_hat", lambda: chao_variance(d, Y, T, bad)),
+        ("beta0", lambda: robust_test(d, Y, T, bad)),
+        ("beta0", lambda: sive_report(d, s, beta0=bad)),
+        ("beta0", lambda: t_test(1.0, 1.0, bad)),
+        ("beta_hat", lambda: t_test(bad, 1.0, 0.0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            call()
 
 
 def test_t_test_requires_positive_variance():
@@ -1345,6 +1387,30 @@ def test_robust_ci_on_an_overflowing_window_falls_back_to_the_table_at_0(monkeyp
         tables.clear()
         assert repr(fit.robust_ci(_OVERFLOWING_WINDOW)) == repr(fresh)
         assert len(tables) == 1
+
+
+@pytest.mark.parametrize("alpha, two_sided", [(0.05, True), (0.05, False), (0.7, False)])
+def test_robust_test_decides_where_its_table_overflows(alpha, two_sided):
+    # Past |beta0| ~ 1e153 the variance at beta0 is inf, then NaN, which
+    # must not read as "not positive, so accept".  The decision there, on
+    # S/|beta0| and V/beta0^2, agrees with the one at 1e150, where the table
+    # is finite: it rejects when the set is bounded and accepts on a weak
+    # design whose set is the whole line.
+    d, samples = _fit_samples()
+    rng = np.random.default_rng(51)
+    weak = (rng.standard_normal(d.n), rng.standard_normal(d.n))
+    assert robust_ci(d, *weak, _OVERFLOWING_WINDOW)["intervals"] == [(-1e308, 1.7e308)]
+    for (Y, T), bounded in [*((s, True) for s in samples), (weak, False)]:
+        fit = Fit(d, Y, T)
+        for sign in (1.0, -1.0):
+            near = fit.robust_test(sign * 1e150, alpha, two_sided)
+            assert np.isfinite(near["variance_at_beta0"])
+            if two_sided:
+                assert near["reject"] is bounded
+            for beta0 in (1e154, 1e200, 1.7e308):
+                far = fit.robust_test(sign * beta0, alpha, two_sided)
+                assert not np.isfinite(far["variance_at_beta0"])
+                assert far["reject"] is near["reject"], (beta0, sign)
 
 
 def test_one_sided_robust_ci_needs_alpha_below_half():
