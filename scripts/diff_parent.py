@@ -17,7 +17,9 @@ command in a fresh process with that tree's ``src`` on the path:
   --treatment t`` (a 0/1 treatment) and once with ``--outcome t --treatment
   y`` (a continuous one);
 - ``estimate --estimator tsls-generic --covariates a,b`` with the three other
-  specs (the two linear ones need numeric covariates);
+  specs (the two linear ones need numeric covariates), and
+  ``saturated-controls`` once more with ``--outcome t --treatment y``, so
+  that both saturated specs run with both treatments;
 - ``audit --dump-design``, its dump moved aside after each run so both
   reports name one path;
 - ``simulate`` on a small smoke grid and on a fixed paper-scale grid (n 3000,
@@ -76,6 +78,9 @@ def commands(data: Path, work: Path) -> dict:
     for s in GENERIC_SPECS:
         runs[f"estimate_tsls-generic_{s}.json"] = ["estimate", *numeric,
                                                    "--estimator", "tsls-generic", "--spec", s]
+    runs["estimate_tsls-generic_saturated-controls_ty.json"] = [
+        "estimate", *source, "--covariates", "a,b", "--outcome", "t", "--treatment", "y",
+        "--estimator", "tsls-generic", "--spec", "saturated-controls"]
     runs["audit.json"] = ["audit", *spec, "--dump-design", str(work / "design.json")]
     for grid in GRIDS:
         runs[f"simulate_{grid}"] = ["simulate", "--config", str(work / f"{grid}.json"),

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockops import _cell_means, apply_M_W, apply_P
+from .blockops import _cell_means
 from .design import (
     DesignError,
     GroupAudit,
@@ -44,7 +44,7 @@ from .design import (
     filter_design,
     validate_group_sizes,
 )
-from .estimators import EstimationError, EstimatorKind, estimate_tsls_generic
+from .estimators import EstimationError, EstimatorKind, _saturated_generic, estimate_tsls_generic
 from .inference import Fit, _check_alpha, _normal_report
 from .simulation import (
     SCHEMA_VERSION,
@@ -457,34 +457,16 @@ def _report_head(command, prep: _Prepared, alpha, min_active, min_inactive, **la
     }
 
 
-def _within(design: SaturatedDesign, v: np.ndarray) -> np.ndarray:
-    """``M_W v`` after shifting each group by one of its values, so a group
-    constant leaves no rounding residue for the rank checks to take for
-    variation."""
-    shift = np.empty(design.G)
-    shift[design.group_of] = v
-    return apply_M_W(design, v - shift[design.group_of])
-
-
 def _generic_fit(
     spec: SpecChoice, schema: DatasetSchema, prep: _Prepared
 ) -> tuple[float, float]:
-    """Treatment coefficient and HC0 variance of the spec's textbook 2SLS,
-    on at most 2 + p columns.  Group dummies W as controls are partialled out
-    by within-group demeaning (Frisch-Waugh-Lovell: same coefficient and
-    residuals); interactions ``W q`` as instruments enter through the fitted
-    treatment, which gives the same projected regressors."""
+    """Treatment coefficient and HC0 variance of the spec's textbook 2SLS: off a
+    moment table with the group dummies W as controls (``_saturated_generic``),
+    else by QR on 2 + p columns, interactions ``W q`` entering as the fitted T."""
     design, sample = prep.design, prep.sample
     Y, T = sample.outcome, sample.treatment
-    q = design.instrument.astype(np.float64)
-    if spec in (SpecChoice.SATURATED_CONTROLS, SpecChoice.FULLY_SATURATED):
-        Y, T = _within(design, Y), _within(design, T)
-        if spec is SpecChoice.SATURATED_CONTROLS:
-            Z, zname = apply_M_W(design, q), "instrument"
-        else:
-            # P T is the fit of the demeaned T on the demeaned interactions.
-            Z, zname = apply_P(design, T), "fitted treatment"
-        return estimate_tsls_generic(Y, T, Z[:, None], None, [zname], [])
+    if spec in (SpecChoice.FULLY_SATURATED, SpecChoice.SATURATED_CONTROLS):
+        return _saturated_generic(Fit(design, Y, T).base(), spec is SpecChoice.FULLY_SATURATED)
 
     # A string column keys its groups by str values, a numeric one by floats.
     key = design.group_keys[0]
@@ -497,7 +479,7 @@ def _generic_fit(
     x = np.asarray(design.group_keys, dtype=np.float64)[design.group_of]
     C = np.column_stack([np.ones(design.n), x])
     if spec is SpecChoice.NOT_SATURATED:
-        Z, zname = q, "instrument"
+        Z, zname = design.instrument.astype(np.float64), "instrument"
     else:
         # x is constant within groups, so the span of [W q, 1, x] is the
         # active-cell dummies on active rows plus [1, x] on inactive rows:
@@ -524,9 +506,9 @@ def cmd_estimate(
 ) -> dict:
     """Estimate one spec/estimator combination and report inference as JSON.
 
-    The blockwise estimators require the fully saturated spec; every spec
-    runs the generic two-stage path (``estimate_tsls_generic``).  The
-    blockwise estimates and every first-stage strength read one moment table.
+    The blockwise estimators require the fully saturated spec; every spec runs
+    the generic 2SLS.  The blockwise estimates, every first-stage strength and
+    the generic 2SLS with the group dummies as controls read one moment table.
     The saturated TSLS and jackknife baselines carry no variance theory here,
     so their variance fields are null.  ``reference`` re-computes blockwise
     results with the dense reference implementation and attaches them.
@@ -550,7 +532,12 @@ def cmd_estimate(
     if estimator is EstimatorKind.SIVE:
         report = fit.report(alpha, 0.0)
     else:
-        fitted = (fit.estimate(estimator), None) if blockwise else _generic_fit(spec, schema, prep)
+        if blockwise:
+            fitted = fit.estimate(estimator), None
+        elif spec in (SpecChoice.FULLY_SATURATED, SpecChoice.SATURATED_CONTROLS):
+            fitted = _saturated_generic(fit.base(), spec is SpecChoice.FULLY_SATURATED)
+        else:
+            fitted = _generic_fit(spec, schema, prep)
         report = _normal_report(*fitted, alpha, 0.0, fit.first_stage_strength())
     del fit  # before the rows: freed after them, it leaves a heap that slows later ops
 

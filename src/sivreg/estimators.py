@@ -58,6 +58,10 @@ __all__ = [
 PIVOT_RTOL = 1e-10
 # |T' Op T| below this times ||T||^2 counts as a zero denominator.
 DENOMINATOR_RTOL = 1e-12
+# The generic path's refusals, each followed by the columns it dropped.
+_NO_INSTRUMENT = "no instrument column survives collinearity elimination; dropped: "
+_RANK_DEFICIENT = ("projected regressors are rank deficient (treatment may be collinear "
+                   "with the controls); dropped columns: ")
 
 
 class EstimationError(RuntimeError):
@@ -214,8 +218,6 @@ def _drop_collinear(columns: np.ndarray, names: list) -> tuple[np.ndarray, list,
     stop once that norm is at most ``PIVOT_RTOL`` times the first pivot's.
     Elementwise steps and row-by-row sums keep equal columns' norms equal, so
     of equal columns the first is kept."""
-    if not np.isfinite(columns).all():
-        raise ValueError("array must not contain infs or NaNs")
     residual = columns.copy()
     kept = []
     first = None
@@ -254,7 +256,7 @@ def estimate_tsls_generic(
     Raises
     ------
     DesignError
-        If Y, T, the instruments or the controls are not finite with one row per entry of Y.
+        If Y, T, the instruments or the controls are malformed or overflow when centred.
     RankDeficiencyError
         If no instrument survives elimination or the projected regressors are
         singular; the message lists the columns that elimination removed.
@@ -289,37 +291,55 @@ def estimate_tsls_generic(
         C = np.delete(C, j, axis=1)
         del control_names[j]
         Y, T, Zin, C = (v - v.mean(axis=0) for v in (Y, T, Zin, C))
+        for v, name in ((Y, "outcome"), (T, "treatment"), (Zin, "instruments"), (C, "controls")):
+            if not np.isfinite(v).all():
+                raise DesignError(f"the {name} overflow when centred to partial out the intercept")
 
     C, kept_control_names, dropped = _drop_collinear(C, control_names)
     # Instruments collinear with the controls carry no identifying variation.
-    combined, kept_names, dropped_z = _drop_collinear(
+    Zfull, _, dropped_z = _drop_collinear(
         np.hstack([C, Zin]), kept_control_names + list(instrument_names)
     )
     dropped += dropped_z
-    n_controls = len(kept_control_names)
-    Zfull = combined
-    if Zfull.shape[1] <= n_controls:
-        raise RankDeficiencyError(
-            "no instrument column survives collinearity elimination; dropped: "
-            + ", ".join(dropped)
-        )
+    if Zfull.shape[1] <= C.shape[1]:
+        raise RankDeficiencyError(_NO_INSTRUMENT + ", ".join(dropped))
 
     X = np.column_stack([T, C])
     coef, *_ = np.linalg.lstsq(Zfull, X, rcond=None)
     Xhat = Zfull @ coef
     XtX = Xhat.T @ X
-    cond = np.linalg.cond(XtX)
-    if not np.isfinite(cond) or cond > 1.0 / PIVOT_RTOL:
-        raise RankDeficiencyError(
-            "projected regressors are rank deficient (treatment may be collinear "
-            "with the controls); dropped columns: " + (", ".join(dropped) or "none")
-        )
+    if not np.linalg.cond(XtX) <= 1.0 / PIVOT_RTOL:  # also where it is NaN
+        raise RankDeficiencyError(_RANK_DEFICIENT + (", ".join(dropped) or "none"))
     beta = np.linalg.solve(XtX, Xhat.T @ Y)
     resid = Y - X @ beta
     bread = np.linalg.inv(XtX)
     meat = (Xhat * resid[:, None] ** 2).T @ Xhat
     cov = bread @ meat @ bread.T
     return float(beta[0]), float(cov[0, 0])
+
+
+def _saturated_generic(table: _CellMoments, fitted: bool) -> tuple:
+    """``estimate_tsls_generic`` with the group dummies W as controls, off the
+    center-0 ``table``: one instrument ``zeta_c = p_factor_c a_g``, a_g the gap of
+    T (PT) if ``fitted``, else 1 (the demeaned q).  Beta is ``sum_g w_g a_g gapY_g /
+    den``, ``den = sum_g w_g a_g gapT_g`` (w: ``p_weight``), HC0 ``sum_c zeta_c^2
+    (s02_c + k_c pr_c^2) / den^2``.  Gaps take in the cells' rounding residues, so
+    offsets cancel.  Refused where T'PT or den fail ``_identified_ratio``'s rule."""
+    atoms, c = table.atoms, _require_cells(table.design, 1)
+    u, e1, _ = atoms.deviations()
+    k_u = u if atoms.counts is None else atoms.counts * u
+    residues = (atoms.to_cells(v) / c.k for v in (k_u, e1))
+    gap_T, gap_Y = (gap + r[1::2] - r[0::2] for gap, r in zip(table.group_gaps(), residues))
+    a = gap_T if fitted else np.ones(gap_T.size)
+    den, t_p_t = _dot(c.p_weight, a * gap_T), _dot(c.p_weight, gap_T * gap_T)
+    beta = _identified_ratio(_dot(c.p_weight, a * gap_Y), den, _dot(c.p_weight, np.abs(a * gap_T)))
+    if np.isnan(beta) or np.isnan(_identified_ratio(1.0, t_p_t, atoms.tt)):
+        raise RankDeficiencyError(
+            _NO_INSTRUMENT + "fitted treatment" if fitted else _RANK_DEFICIENT + "none")
+    _, e1, delta = atoms.deviations(beta)
+    s02 = atoms.to_cells(e1 * delta if atoms.ss is None else atoms.ss + e1 * delta)
+    zeta, pr = c.p_factor * np.repeat(a, 2), c.p_factor * np.repeat(gap_Y - beta * gap_T, 2)
+    return float(beta), float(_dot(zeta * zeta, s02 + c.k * pr * pr) / (den * den))
 
 
 def _broadcast(values, length: int, label: str, name: str) -> np.ndarray:

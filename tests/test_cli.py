@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import sivreg
 from sivreg import EstimatorKind, estimate_tsls_generic
@@ -26,6 +30,7 @@ from sivreg.cli import (
     cmd_simulate,
     main,
 )
+from sivreg.estimators import RankDeficiencyError
 
 from conftest import random_design, strong_sample
 
@@ -325,6 +330,126 @@ def test_generic_fit_builds_no_group_dummy_matrix(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < bound, (spec, peak, bound)
+
+
+SATURATED_GENERIC = (SpecChoice.FULLY_SATURATED, SpecChoice.SATURATED_CONTROLS)
+
+
+def test_saturated_generic_fit_peaks_below_two_vectors(tmp_path):
+    # A 0/1 treatment is read into (cell, arm) atoms, whose only n-sized
+    # array is the atom ids; the rest of the fit is O(G).
+    rng = np.random.default_rng(9)
+    n, G = 100_000, 1000
+    g, z = rng.integers(0, G, n), rng.integers(0, 2, n)
+    t = (rng.random(n) < 0.3 + 0.4 * z).astype(float)
+    y = 0.01 * g + t + rng.standard_normal(n)
+    data = tmp_path / "binary.csv"
+    np.savetxt(data, np.column_stack([y, t, z, g % 40, g // 40]), fmt="%.17g",
+               delimiter=",", header="y,t,z,a,b", comments="")
+    schema = DatasetSchema("y", "t", "z", ("a", "b"))
+    prep = _prepare(data, schema, 2, 2, ())
+    bound = 2 * prep.design.n * 8
+    for spec in SATURATED_GENERIC:
+        # Untraced first: lazy imports and cached design fields are not the fit's.
+        _generic_fit(spec, schema, prep)
+        tracemalloc.start()
+        try:
+            _generic_fit(spec, schema, prep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (spec, peak / (8 * prep.design.n))
+
+
+def exact_saturated_generic(rows, groups, spec, dropped=3):
+    """``dense_generic_reference`` under a saturated spec in exact rational
+    arithmetic, by Frisch-Waugh-Lovell: Y, T and the instrument demeaned
+    within groups, the instrument under ``fully-saturated`` replaced by the
+    fitted treatment, per group T's projection on the demeaned instrument."""
+    by_group = {}
+    for row, g in zip(rows, groups.tolist()):
+        if g >= dropped:
+            by_group.setdefault(g, []).append([Fraction(v) for v in row[:3]])
+    X, T, Y = [], [], []
+    for members in by_group.values():
+        means = [sum(column) / len(members) for column in zip(*members)]
+        y, t, x = ([row[j] - means[j] for row in members] for j in range(3))
+        if spec is SpecChoice.FULLY_SATURATED:
+            slope = sum(a * b for a, b in zip(x, t)) / sum(a * a for a in x)
+            x = [slope * a for a in x]
+        X, T, Y = X + x, T + t, Y + y
+    den = sum(x * t for x, t in zip(X, T))
+    beta = sum(x * y for x, y in zip(X, Y)) / den
+    return beta, sum((x * (y - beta * t)) ** 2 for x, y, t in zip(X, Y, T)) / den**2
+
+
+def relative_gap(got, want) -> float:
+    """The larger relative difference of (beta, variance) pairs, exactly."""
+    return max(float(abs(Fraction(g) - Fraction(w)) / abs(Fraction(w)))
+               for g, w in zip(got, want))
+
+
+@st.composite
+def saturated_generic_cases(draw):
+    """Rows ``[y, t, z, a, b]``, each row's group, the number of groups the
+    size filter drops (numbered first, as ``dense_generic_reference`` takes
+    them) and the offsets of T and Y.
+
+    Cells have 1 to 10 rows, so some are of size 2 and a group with a cell
+    of 1 is dropped.  T is 0/1, a cell's share of ones at least 3/4 (active)
+    or at most 1/4 (inactive), or continuous with a gap of 6 to 10 per group,
+    so that T'PT passes the library's rule, 1e-12 ||T||^2, even with T + 1e6.
+    With an offset, a cell's mean rounds by about eps times the offset.
+    """
+    cells = draw(st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)),
+                          min_size=1, max_size=6))
+    assume(any(min(cell) >= 2 for cell in cells))
+    cells.sort(key=lambda cell: min(cell) >= 2)  # stable: dropped groups first
+    binary = draw(st.booleans())
+    offset_T = 0.0 if binary else draw(st.sampled_from([0.0, 1e6, -1e6]))
+    offset_Y = draw(st.sampled_from([0.0, 1e3, 1e6, -1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    rows, groups = [], []
+    for g, (m, k) in enumerate(cells):
+        gap = rng.uniform(6.0, 10.0)
+        for z, size in ((1, m), (0, k)):
+            if binary:
+                ones = int(np.ceil(0.75 * size)) if z else int(np.floor(0.25 * size))
+                t = rng.permutation([1.0] * ones + [0.0] * (size - ones))
+            else:
+                t = offset_T + gap * z + 0.5 * rng.standard_normal(size)
+            noise = rng.uniform(0.5, 1.5) * rng.standard_normal(size)
+            y = offset_Y + 0.3 * g + 1.5 * (t - offset_T) + noise
+            rows += [[y[i], t[i], z, float(g), 0.0] for i in range(size)]
+            groups += [g] * size
+    perm = rng.permutation(len(rows))
+    dropped = sum(min(cell) < 2 for cell in cells)
+    return [rows[i] for i in perm], np.array(groups)[perm], dropped, (offset_T, offset_Y)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(saturated_generic_cases())
+def test_saturated_generic_matches_explicit_dummy_reference(case):
+    rows, groups, dropped, offsets = case
+    schema = DatasetSchema("y", "t", "z", ("a", "b"))
+    with tempfile.TemporaryDirectory() as tmp:
+        data = write_csv(Path(tmp) / "cells.csv", ["y", "t", "z", "a", "b"], rows)
+        prep = _prepare(data, schema, 2, 2, ())
+    for spec in SATURATED_GENERIC:
+        got = _generic_fit(spec, schema, prep)
+        try:
+            ref = dense_generic_reference(rows, groups, spec, dropped)
+        except RankDeficiencyError:
+            ref = None  # T + 1e6 is nearly a sum of the dummies W: the QR path refuses
+        if ref is not None and relative_gap(got, ref) <= 1e-10:
+            continue
+        # The QR path loses digits to an offset, which the exact values decide.
+        assert offsets != (0.0, 0.0), (spec, got, ref)
+        exact = exact_saturated_generic(rows, groups, spec, dropped)
+        assert relative_gap(got, exact) <= 1e-10, (spec, got, exact)
+        if ref is not None:
+            assert relative_gap(got, exact) < relative_gap(ref, exact)
 
 
 def test_estimate_generic_reference_rejected_before_reading(tmp_path, capsys):

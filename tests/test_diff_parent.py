@@ -44,6 +44,14 @@ def test_commands_cover_every_subcommand_estimator_spec_and_window(diff_parent, 
             if args.command == command
         }
         assert binary == {True, False}, command
+    # The saturated generic specs read the rows into either kind of atoms.
+    for spec in (SpecChoice.FULLY_SATURATED, SpecChoice.SATURATED_CONTROLS):
+        binary = {
+            {row[args.treatment] for row in rows} <= {"0", "1"}
+            for args in estimates
+            if args.estimator == EstimatorKind.TSLS_GENERIC.value and args.spec == spec.value
+        }
+        assert binary == {True, False}, spec
     windows = [args for args in parsed if args.command == "robust-ci"]
     assert any(args.grid_low is None for args in windows)
     assert any(

@@ -474,7 +474,7 @@ def test_generic_refuses_controls_that_overflow_when_centred():
     T = z + rng.standard_normal(20)
     C = np.column_stack([np.ones(20), rng.uniform(1e308, 1.7e308, 20)])
     with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        with pytest.raises(ValueError, match="the controls overflow when centred"):
             estimate_tsls_generic(T + rng.standard_normal(20), T, z, C)
 
 
