@@ -1,81 +1,24 @@
-"""Standard normal CDF and quantile for Python floats, without scipy.
+"""Standard normal quantile for Python floats, without scipy.
 
-``ndtr`` and ``ndtri`` are straight ports of the Cephes routines
-(S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989)
-that ``scipy.special`` evaluates: the same rational approximations, the same
-coefficient tables, the same branch points and the same order of floating
-point operations.  So each returns the same double as its scipy namesake,
-which keeps every reported p-value, interval and draw unchanged, while
+``ndtri`` is a straight port of the Cephes routine (S. L. Moshier, *Methods
+and Programs for Mathematical Functions*, 1989) that ``scipy.special.ndtri``
+evaluates: the same rational approximations, the same coefficient tables,
+the same branch points and the same order of floating point operations.  So
+it returns the same double as scipy, which keeps every critical value, the
+treatment thresholds of ``simulate`` and its ``mc_se`` unchanged, while
 ``import sivreg`` does not pay for loading ``scipy.special``.  The stdlib's
-``math.erfc`` and ``statistics.NormalDist`` use other algorithms and differ
-in the last bits.
+``statistics.NormalDist`` uses another algorithm and differs in the last
+bits.  The p-value ``t_test`` reports needs no port: it is ``math.erfc``.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["ndtr", "ndtri"]
+__all__ = ["ndtri"]
 
-_SQRT1_2 = 7.07106781186547524401e-1
 _SQRT_2PI = 2.50662827463100050242e0
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
-_MAXLOG = 7.09782712893383996843e2  # log(2**1024)
-
-# erfc(x) = exp(-x^2) P(x) / Q(x), 1 <= x < 8
-_ERFC_P = (
-    2.46196981473530512524e-10,
-    5.64189564831068821977e-1,
-    7.46321056442269912687e0,
-    4.86371970985681366614e1,
-    1.96520832956077098242e2,
-    5.26445194995477358631e2,
-    9.34528527171957607540e2,
-    1.02755188689515710272e3,
-    5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.32281951154744992508e1,
-    8.67072140885989742329e1,
-    3.54937778887819891062e2,
-    9.75708501743205489753e2,
-    1.82390916687909736289e3,
-    2.24633760818710981792e3,
-    1.65666309194161350182e3,
-    5.57535340817727675546e2,
-)
-# erfc(x) = exp(-x^2) R(x) / S(x), x >= 8
-_ERFC_R = (
-    5.64189583547755073984e-1,
-    1.27536670759978104416e0,
-    5.01905042251180477414e0,
-    6.16021097993053585195e0,
-    7.40974269950448939160e0,
-    2.97886665372100240670e0,
-)
-_ERFC_S = (
-    2.26052863220117276590e0,
-    9.39603524938001434673e0,
-    1.20489539808096656605e1,
-    1.70814450747565897222e1,
-    9.60896809063285878198e0,
-    3.36907645100081516050e0,
-)
-# erf(x) = x T(x^2) / U(x^2), |x| <= 1
-_ERF_T = (
-    9.60497373987051638749e0,
-    9.00260197203842689217e1,
-    2.23200534594684319226e3,
-    7.00332514112805075473e3,
-    5.55923013010394962768e4,
-)
-_ERF_U = (
-    3.35617141647503099647e1,
-    5.21357949780152679795e2,
-    4.59432382970980127987e3,
-    2.26290000613890934246e4,
-    4.92673942608635921086e4,
-)
 
 # ndtri, |y - 1/2| <= 3/8: x = y + y^3 P0(y^2) / Q0(y^2), times sqrt(2 pi)
 _NDTRI_P0 = (
@@ -155,43 +98,6 @@ def _p1evl(x: float, coef: tuple) -> float:
     for c in coef[1:]:
         ans = ans * x + c
     return ans
-
-
-def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    """Cephes ``erfc`` for x > 0.7, the only arguments it is given here."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
-    else:
-        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
-    return (z * p) / q
-
-
-def ndtr(a: float) -> float:
-    """Standard normal CDF at ``a``, bit-equal to ``scipy.special.ndtr``."""
-    a = float(a)
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
 
 
 def ndtri(y0: float) -> float:

@@ -39,6 +39,7 @@ from .design import (
     _Coded,
     _coder,
     _design_from_columns,
+    _filter_groups,
     _require_number,
     design_summary,
     filter_design,
@@ -606,12 +607,7 @@ def cmd_audit(
     raw_design = _raw_design(columns, schema)
     audit = validate_group_sizes(raw_design, min_active, min_inactive)
 
-    filtered = None
-    if audit.kept_groups:
-        placeholder = Sample(
-            outcome=np.zeros(raw_design.n), treatment=np.zeros(raw_design.n)
-        )
-        filtered, _ = filter_design(raw_design, audit, placeholder)
+    filtered = _filter_groups(raw_design, audit)[0] if audit.kept_groups else None
 
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -527,10 +527,22 @@ def filter_design(
         If the sample length does not match the design.
     """
     _check_sample(design, sample)
+    filtered, row_mask = _filter_groups(design, audit)
+    if row_mask is None:
+        return design, sample
+    return filtered, Sample(sample.outcome[row_mask], sample.treatment[row_mask])
+
+
+def _filter_groups(
+    design: SaturatedDesign, audit: GroupAudit
+) -> tuple[SaturatedDesign, np.ndarray | None]:
+    """The design half of ``filter_design``: the design on the kept groups'
+    rows, with its groups renumbered and their keys, and the mask of those
+    rows (None, and ``design`` itself, when no group is dropped)."""
     if not audit.kept_groups:
         raise EmptyDesignError("every group violates the size thresholds")
     if not audit.violations:
-        return design, sample
+        return design, None
 
     keep_group = np.zeros(design.G, dtype=bool)
     keep_group[list(audit.kept_groups)] = True
@@ -546,7 +558,7 @@ def filter_design(
         design.instrument[row_mask],
         group_keys=new_keys,
     )
-    return filtered, Sample(sample.outcome[row_mask], sample.treatment[row_mask])
+    return filtered, row_mask
 
 
 def design_summary(design: SaturatedDesign) -> dict:

@@ -1,6 +1,7 @@
 """Variance estimation, tests, intervals and the robust procedure."""
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -130,12 +131,12 @@ def test_t_test_frozen_decisions():
     assert abs(res["t"] - 2.0) < 1e-12
     assert res["reject"] is True
     assert abs(res["p"] - 0.04550026) < 1e-6
-    assert res["p"] == 2.0 * float(norm.sf(2.0))
+    assert math.isclose(res["p"], 2.0 * float(norm.sf(2.0)), rel_tol=1e-13)
     res = t_test(1.0, 4.0, 0.0)
     assert abs(res["t"] - 0.5) < 1e-12
     assert res["reject"] is False
     assert abs(res["p"] - 0.61708) < 1e-4
-    assert res["p"] == 2.0 * float(norm.sf(0.5))
+    assert math.isclose(res["p"], 2.0 * float(norm.sf(0.5)), rel_tol=1e-13)
     # exactly at the boundary of the one-percent test
     res = t_test(1.0, 1.0, 1.0, alpha=0.01)
     assert res["t"] == 0.0 and res["reject"] is False
@@ -183,6 +184,16 @@ def test_t_test_rejects_exactly_where_abs_t_exceeds_the_critical_value(alpha):
     assert [t for t in ts if t_test(t, 1.0, 0.0, alpha)["reject"] != (abs(t) > z)] == []
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01, 1e-10, 1e-100, 1e-300])
+def test_t_test_p_is_alpha_at_the_interval_ends(alpha):
+    # At either end of the interval |t| is exactly z: the test does not
+    # reject, and the p it reports is alpha.
+    for beta0 in confidence_interval(0.0, 1.0, alpha):
+        res = t_test(0.0, 1.0, beta0, alpha)
+        assert res["reject"] is False
+        assert math.isclose(res["p"], alpha, rel_tol=1e-12)
+
+
 def test_t_test_never_rejects_where_the_interval_is_the_whole_line():
     # alpha / 2 underflows to 0, so z is infinite.
     assert confidence_interval(0.0, 1.0, 5e-324) == (-np.inf, np.inf)
@@ -204,6 +215,7 @@ def test_non_finite_beta_is_refused_by_name(bad):
         ("beta0", lambda: sive_report(d, s, beta0=bad)),
         ("beta0", lambda: t_test(1.0, 1.0, bad)),
         ("beta_hat", lambda: t_test(bad, 1.0, 0.0)),
+        ("beta_hat", lambda: confidence_interval(bad, 1.0)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
